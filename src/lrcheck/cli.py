@@ -1,7 +1,8 @@
 """Command-line front end: check, constraints, solve, run, soundness.
 
 Exit codes: 0 verified, 1 type/verification errors, 2 usage or I/O errors,
-3 oracle unavailable or unknown-blocked.
+3 oracle unavailable or unknown-blocked, 4 internal error (a one-line
+`lrcheck: internal error: ...` on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_ORACLE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -378,7 +380,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a crash must not read as a verdict
+        message = " ".join(str(exc).split())
+        print(
+            f"lrcheck: internal error: {type(exc).__name__}: {message}",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

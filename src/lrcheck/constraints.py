@@ -232,9 +232,6 @@ class Solution:
         return "\n".join(lines)
 
 
-EMPTY_SOLUTION = Solution()
-
-
 def apply_solution_expr(e: RefExpr, sol: Solution) -> RefExpr:
     match e:
         case KApp(kvar, args):

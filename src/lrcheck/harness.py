@@ -87,11 +87,11 @@ def value_conforms(
         from .syntax import BoolConst
 
         if not free_vars(goal):
-            verdict = oracle.valid(Query(binders, hyps, goal))
+            verdict = oracle.valid(Query(binders, hyps, goal), want_model=False)
             return verdict.is_valid, "obligation not valid"
         # open obligation: refute inconsistency instead
         verdict = oracle.valid(
-            Query(binders, hyps + (goal,), BoolConst(False))
+            Query(binders, hyps + (goal,), BoolConst(False)), want_model=False
         )
         if verdict.is_valid:
             return False, "obligation inconsistent with the entry context"

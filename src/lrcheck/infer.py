@@ -3,8 +3,9 @@ unannotated inner rec functions) and the liquid fixpoint solver."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .constraints import (
     Clause,
@@ -352,6 +353,8 @@ class SolveResult:
     reason: str = ""
     deletions: int = 0
     sweeps: int = 0
+    # the oracle's counter-model for an unsat concrete clause, when found
+    counterexample: Optional[Dict[str, Union[int, bool]]] = None
 
     @property
     def ok(self) -> bool:
@@ -373,15 +376,12 @@ def solve(
         k.name: list(instantiations(k, quals)) for k in kvars
     }
     decls = {k.name: k for k in kvars}
-
-    def current_solution() -> Solution:
-        sol = Solution()
-        for name, preds in assignment.items():
-            sol.assign(decls[name], conj(preds))
-        return sol
+    solution = Solution()
+    for k in kvars:
+        solution.assign(k, conj(assignment[k.name]))
 
     def expand(e: RefExpr) -> RefExpr:
-        return apply_solution_expr(e, current_solution())
+        return apply_solution_expr(e, solution)
 
     kvar_clauses = [c for c in cls if c.is_kvar_head()]
     concrete_clauses = [c for c in cls if not c.is_kvar_head()]
@@ -398,9 +398,11 @@ def solve(
     budget = sum(len(v) for v in assignment.values())
     deletions = 0
     sweeps = 0
-    worklist: List[Clause] = list(kvar_clauses)
+    worklist = deque(kvar_clauses)
+    queued = {c.cid for c in kvar_clauses}
     while worklist:
-        clause = worklist.pop(0)
+        clause = worklist.popleft()
+        queued.discard(clause.cid)
         sweeps += 1
         assert sweeps <= len(kvar_clauses) * (budget + 1), "fixpoint did not descend"
         head = clause.head
@@ -419,17 +421,24 @@ def solve(
         if len(kept) != len(candidates):
             deletions += len(candidates) - len(kept)
             assignment[kname] = kept
+            solution.assign(decls[kname], conj(kept))
             for dep in dependents[kname]:
-                if dep not in worklist:
+                if dep.cid not in queued:
+                    queued.add(dep.cid)
                     worklist.append(dep)
-
-    solution = current_solution()
 
     for clause in concrete_clauses:
         hyps = tuple(expand(h) for h in clause.hyps)
         verdict = oracle.valid(Query(clause.binders, hyps, clause.head))
         if verdict.is_invalid:
-            return SolveResult("unsat", solution, failed_clause=clause, deletions=deletions, sweeps=sweeps)
+            return SolveResult(
+                "unsat",
+                solution,
+                failed_clause=clause,
+                deletions=deletions,
+                sweeps=sweeps,
+                counterexample=verdict.model,
+            )
         if verdict.is_unknown:
             return SolveResult(
                 "unknown", solution, failed_clause=clause, reason=verdict.reason

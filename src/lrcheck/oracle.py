@@ -4,7 +4,12 @@ The built-in decision procedure covers linear integer arithmetic with
 booleans and location equality: validity of `hyps => goal` is decided by
 refuting `hyps and not goal` through DNF cube enumeration and
 Fourier-Motzkin elimination (with strict inequalities tightened over the
-integers, so "unsat" is sound for validity).  Satisfiable relaxations are
+integers, so "unsat" is sound for validity).  Goals that share hypotheses
+are decided together: each satisfiable hypothesis cube is deduplicated and
+its unit-coefficient equalities are eliminated once, by exact Gaussian
+substitution; each negated goal cube then only has those substitutions
+applied to its own rows.  A goal row that the cube contradicts or implies
+row by row is settled without Fourier-Motzkin.  Satisfiable relaxations are
 answered Invalid only when a concrete integer counter-model is found and
 re-checked by evaluation; otherwise the verdict is Unknown.
 
@@ -276,42 +281,53 @@ def _dedupe(rows: List[LinForm]) -> List[LinForm]:
     return list(best.values())
 
 
-def _substitute_equalities(rows: List[LinForm]) -> List[LinForm]:
+# var := coeffs . vars + const
+Substitution = Tuple[str, Dict[str, int], int]
+
+
+def _substitute(row: LinForm, subs: Sequence[Substitution]) -> LinForm:
+    """Apply substitutions in order; a substitution never mentions the
+    variable of an earlier one, so the result is free of all of them."""
+    coeffs, const = row
+    for var, lin, k in subs:
+        factor = coeffs.get(var, 0)
+        if factor == 0:
+            continue
+        coeffs = {v: c for v, c in coeffs.items() if v != var}
+        for v, c in lin.items():
+            total = coeffs.get(v, 0) + factor * c
+            if total:
+                coeffs[v] = total
+            else:
+                del coeffs[v]
+        const += factor * k
+    return coeffs, const
+
+
+def _eliminate_equalities(
+    rows: List[LinForm],
+) -> Tuple[List[LinForm], List[Substitution]]:
     """Eliminate variables defined by unit-coefficient equalities (pairs of
-    opposing rows); exact over the integers."""
-    changed = True
-    while changed:
-        changed = False
-        index = {frozenset(c.items()): (c, k) for c, k in rows}
+    opposing rows) from deduplicated rows; exact over the rationals.
+    Returns the remaining rows and the substitutions made, in order."""
+    subs: List[Substitution] = []
+    while True:
+        index = {frozenset(c.items()): k for c, k in rows}
         for coeffs, const in rows:
             if not coeffs:
                 continue
-            neg_key = frozenset((v, -c) for v, c in coeffs.items())
-            other = index.get(neg_key)
-            if other is None or other[1] != -const:
+            if index.get(frozenset((v, -c) for v, c in coeffs.items())) != -const:
                 continue
             var = next((v for v, c in coeffs.items() if c in (1, -1)), None)
-            if var is None:
-                continue
-            sign = coeffs[var]
-            # var = -sign * (rest + const)
-            rest = {v: c for v, c in coeffs.items() if v != var}
-            out: List[LinForm] = []
-            for c2, k2 in rows:
-                factor = c2.get(var, 0)
-                if factor == 0:
-                    out.append((c2, k2))
-                    continue
-                merged = {v: c for v, c in c2.items() if v != var}
-                for v, c in rest.items():
-                    merged[v] = merged.get(v, 0) - sign * factor * c
-                    if merged[v] == 0:
-                        del merged[v]
-                out.append((merged, k2 - sign * factor * const))
-            rows = _dedupe(out)
-            changed = True
-            break
-    return rows
+            if var is not None:
+                break
+        else:
+            return rows, subs
+        sign = coeffs[var]
+        rest = {v: -sign * c for v, c in coeffs.items() if v != var}
+        sub = (var, rest, -sign * const)
+        subs.append(sub)
+        rows = _dedupe([_substitute(r, (sub,)) for r in rows])
 
 
 def _fm_unsat(rows: List[LinForm]) -> bool:
@@ -320,7 +336,7 @@ def _fm_unsat(rows: List[LinForm]) -> bool:
     unsatisfiability is sound for integer unsatisfiability."""
     rows = _dedupe(rows)
     while True:
-        rows = _substitute_equalities(rows)
+        rows, _ = _eliminate_equalities(rows)
         if any(const > 0 for coeffs, const in rows if not coeffs):
             return True
         rows = [r for r in rows if r[0]]
@@ -377,6 +393,30 @@ def _cube_consistent(cube):
     return bools, rows
 
 
+def _against_cube(
+    grows: List[LinForm], subs: Sequence[Substitution], bounds: Dict[frozenset, int]
+) -> Optional[List[LinForm]]:
+    """Goal rows under a reduced cube: substituted, and without the rows a
+    cube row already implies.  None when a row contradicts the cube alone
+    or a cube row with opposite coefficients."""
+    out = []
+    for row in grows:
+        coeffs, const = _substitute(row, subs)
+        if not coeffs:
+            if const > 0:
+                return None
+            continue
+        items = coeffs.items()
+        implied = bounds.get(frozenset(items))
+        if implied is not None and implied >= const:
+            continue
+        opposite = bounds.get(frozenset((v, -c) for v, c in items))
+        if opposite is not None and opposite + const > 0:
+            return None
+        out.append((coeffs, const))
+    return out
+
+
 def _decide_many(
     binders: Tuple[Tuple[str, Sort], ...],
     hyps: Tuple[RefExpr, ...],
@@ -398,6 +438,8 @@ def _decide_many(
             for _ in goals
         ]
 
+    # each satisfiable hypothesis cube, deduplicated and with its
+    # equalities eliminated, plus the substitutions that eliminated them
     reduced = []
     try:
         for cube in hyp_cubes:
@@ -405,9 +447,11 @@ def _decide_many(
             if split is None:
                 continue
             bools, rows = split
+            rows, subs = _eliminate_equalities(_dedupe(rows))
             if _fm_unsat(rows):
                 continue
-            reduced.append((bools, _dedupe(rows)))
+            bounds = {frozenset(c.items()): k for c, k in rows}
+            reduced.append((bools, rows, subs, bounds))
     except _TooLarge:
         return [Verdict("unknown", reason="built-in oracle blowup") for _ in goals]
 
@@ -421,19 +465,18 @@ def _decide_many(
         except _TooLarge:
             out.append(Verdict("unknown", reason="goal too large"))
             continue
+        neg_splits = [sp for sp in map(_cube_consistent, neg_cubes) if sp is not None]
         refuted = True
         try:
-            for bools, rows in reduced:
-                for cube in neg_cubes:
-                    split = _cube_consistent(cube)
-                    if split is None:
-                        continue
-                    gbools, grows = split
+            for bools, rows, subs, bounds in reduced:
+                for gbools, grows in neg_splits:
                     if any(bools.get(n, v) != v for n, v in gbools.items()):
                         continue
-                    merged = dict(bools)
-                    merged.update(gbools)
-                    if not _fm_unsat(rows + grows):
+                    open_rows = _against_cube(grows, subs, bounds)
+                    if open_rows is None:
+                        continue
+                    # with no goal row left, the cube alone is satisfiable
+                    if not open_rows or not _fm_unsat(rows + open_rows):
                         refuted = False
                         break
                 if not refuted:
@@ -812,14 +855,6 @@ class Oracle:
             for i, v in zip(missing, verdicts):
                 self.cache[keyed[i]] = v
         return [self.cache[k] for k in keyed]
-
-    def entails(
-        self,
-        binders: Sequence[Tuple[str, Sort]],
-        hyps: Sequence[RefExpr],
-        goal: RefExpr,
-    ) -> Verdict:
-        return self.valid(Query(tuple(binders), tuple(hyps), goal))
 
     @staticmethod
     def _check_query(query: Query):

@@ -151,11 +151,13 @@ class Diagnostic:
     message: str
     span: Optional[Span] = None
     clause_id: Optional[int] = None
+    note: str = ""
 
     def render(self, path: str = "<input>") -> str:
         at = f"{path}:{self.span}" if self.span else path
         clause = f" [clause {self.clause_id}]" if self.clause_id is not None else ""
-        return f"{at}: {self.severity}: {self.rule}: {self.message}{clause}"
+        note = f"; {self.note}" if self.note else ""
+        return f"{at}: {self.severity}: {self.rule}: {self.message}{clause}{note}"
 
 
 @dataclass
@@ -1094,6 +1096,18 @@ def build_globals(program: Program) -> ValCtx:
     return vals
 
 
+def _counterexample_note(model) -> str:
+    """`counterexample: a = 0, v = -1`, names sorted; empty without a model.
+    A clause with no variables is false as it stands."""
+    if model is None:
+        return ""
+    values = ", ".join(
+        f"{name} = {str(value).lower() if isinstance(value, bool) else value}"
+        for name, value in sorted(model.items())
+    )
+    return "counterexample: " + (values or "(no variables)")
+
+
 def check_program(
     program: Program,
     oracle: Optional[Oracle] = None,
@@ -1149,6 +1163,7 @@ def check_program(
                             "cannot prove clause",
                             fc.provenance.span,
                             clause_id=fc.cid,
+                            note=_counterexample_note(outcome.counterexample),
                         )
                     )
             else:

@@ -223,3 +223,37 @@ def test_config_qualifier_extends_vocabulary(tmp_path):
     cfg.write_text("qualifier = v = 0\n")
     code, _, _ = invoke(["check", str(path), "--config", str(cfg)])
     assert code == 0
+
+
+def test_reject_diagnostic_shows_counterexample():
+    code, _, err = invoke(["check", "corpus/reject/neg_into_nat.lr"])
+    assert code == 1
+    # the failing clause `-1 >= 0` is closed: false with no variables
+    assert "cannot prove clause [clause 0]; counterexample: (no variables)" in err
+    code, _, err = invoke(["check", "corpus/mutants/decr_noguard.lr"])
+    assert code == 1
+    assert "cannot prove clause [clause 0]; counterexample: ay = 0" in err
+
+
+def test_internal_error_exit_four(monkeypatch, capsys):
+    import lrcheck.cli
+
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(lrcheck.cli, "cmd_check", crash)
+    assert main(["check", "corpus/accept/decr.lr"]) == lrcheck.cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "lrcheck: internal error: RuntimeError: boom second line\n"
+
+
+def test_deep_let_chain_is_never_rejected_nor_traceback(tmp_path):
+    lines = ["let x0 = 0 in"] + [
+        f"let x{i} = call add(x{i - 1}, 1) in" for i in range(1, 600)
+    ]
+    path = tmp_path / "deep.lr"
+    path.write_text("entry\n  " + "\n  ".join(lines) + "\n  x599\n")
+    code, _, err = invoke(["check", str(path)])
+    assert code in (0, 4), err[-500:]
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1

@@ -191,3 +191,19 @@ def test_strong_pointer_cannot_escape(oracle):
     assert not report.ok
     diag = report.unit("entry").diagnostics[0]
     assert diag.rule == "EscapeError"
+
+
+@pytest.mark.parametrize("driver", ["decr_driver", "ref_join_driver"])
+def test_conformance_never_searches_for_models(monkeypatch, driver):
+    """Conformance reads only whether an obligation is valid, so it must not
+    pay for counter-models."""
+    import lrcheck.oracle
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("counter-model search during conformance")
+
+    monkeypatch.setattr(lrcheck.oracle, "_search_counter_model", no_search)
+    with open(f"corpus/accept/{driver}.lr", encoding="utf-8") as handle:
+        program = parse_program(handle.read())
+    verdict = run_and_verify(program, oracle=Oracle())
+    assert verdict.passed, verdict.detail

@@ -293,3 +293,79 @@ def test_differential_against_exhaustive_ground_truth():
                 disagreements.append((query, "unconfirmed invalid", None))
     assert not disagreements, disagreements[:3]
     assert checked_valid >= 80 and checked_invalid >= 80
+
+
+def test_batched_differential_against_exhaustive_ground_truth():
+    """Batched goals under shared equality hypotheses, with the same
+    Valid/Invalid rules as the one-goal ground-truth test above.  The goals
+    include ones settled by the hypotheses' substitutions alone and ones
+    whose negation forms an equality with a hypothesis row; each batched
+    verdict must also match the one-goal query's."""
+    import itertools
+
+    from gen import int_expr
+
+    from lrcheck.syntax import BinArith, Cmp
+
+    rng = random.Random(47)
+    oracle = Oracle()
+    disagreements = []
+    checked_valid = checked_invalid = 0
+    for _ in range(40):
+        ctx, ints, _, _ = ctx_with_vars(rng, n_int=rng.randrange(3, 5))
+        binders = tuple((b.name, b.sort) for b in ctx.binds())
+        x, y, z = rng.sample(ints, 3)
+        c = rng.randrange(-3, 4)
+
+        def y_plus(k):
+            return BinArith("+", Var(y), IntConst(k))
+
+        hyps = (
+            Eq(Var(x), y_plus(c)),
+            Eq(int_expr(rng, ints, 1), int_expr(rng, ints, 1)),
+        )
+        if rng.random() < 0.5:
+            hyps += (Eq(Var(z), int_expr(rng, [y], 1)),)
+        hyps += (Cmp("<=", Var(y), Var(z)),)
+        goals = [
+            # settled by substituting x := y + c alone
+            Eq(BinArith("-", Var(x), Var(y)), IntConst(c)),
+            Cmp(">=", Var(x), y_plus(c + 1)),
+            # the negation y >= z forms an equality with the row y <= z
+            Cmp("<", Var(y), Var(z)),
+            Cmp("<=", Var(y), Var(z)),
+            Eq(Var(y), Var(z)),
+        ] + [bool_expr(rng, ints, None, rng.randrange(1, 3)) for _ in range(3)]
+        verdicts = oracle.valid_many(binders, hyps, goals, trusted=True)
+        assert verdicts[0].is_valid and verdicts[3].is_valid
+        # x is fixed by the first hypothesis; the others range over a box
+        names = [n for n, _ in binders if n != x]
+        refuted = [None] * len(goals)
+        for values in itertools.product(range(-6, 7), repeat=len(names)):
+            env = dict(zip(names, values))
+            env[x] = env[y] + c
+            if all(eval_closed(h, env) for h in hyps):
+                for i, goal in enumerate(goals):
+                    if refuted[i] is None and not eval_closed(goal, env):
+                        refuted[i] = env
+        for goal, verdict, counterexample in zip(goals, verdicts, refuted):
+            query = Query(binders, hyps, goal)
+            single = oracle.valid(query, want_model=False)
+            if single.status != verdict.status:
+                disagreements.append((query, "batch differs", verdict, single))
+            if verdict.is_invalid and counterexample is None:
+                # outside the box or rational only: the model search decides
+                verdict = oracle.valid(query)
+            if verdict.is_valid:
+                checked_valid += 1
+                if counterexample is not None:
+                    disagreements.append((query, "false valid", counterexample))
+            elif verdict.is_invalid:
+                checked_invalid += 1
+                if verdict.model is None and counterexample is None:
+                    disagreements.append((query, "unconfirmed invalid", None))
+    assert not disagreements, disagreements[:3]
+    assert checked_valid >= 80 and checked_invalid >= 80, (
+        checked_valid,
+        checked_invalid,
+    )
