@@ -132,15 +132,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _check_one(
     path: str, cfg: Config, quals
-) -> Tuple[str, Optional[Report], List[str], str]:
-    """Returns (path, report, diagnostics, dump-text)."""
+) -> Tuple[str, Optional[Report], List[str]]:
+    """Returns (path, report, diagnostics)."""
     diagnostics: List[str] = []
     try:
         program = _read_program(path)
     except OSError as exc:
-        return path, None, [f"{path}: io error: {exc}"], ""
+        return path, None, [f"{path}: io error: {exc}"]
     except ParseError as exc:
-        return path, None, [f"{path}: parse error: {exc}"], ""
+        return path, None, [f"{path}: parse error: {exc}"]
     oracle = make_oracle(cfg)
     try:
         report = check_program(
@@ -150,7 +150,7 @@ def _check_one(
         oracle.close()
     for diag in report.diagnostics():
         diagnostics.append(diag.render(path))
-    return path, report, diagnostics, ""
+    return path, report, diagnostics
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -170,7 +170,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     dump_chunks: List[str] = []
     exit_code = EXIT_OK
-    for path, report, diagnostics, _ in results:
+    for path, report, diagnostics in results:
         for line in diagnostics:
             print(line, file=sys.stderr)
         if report is None:

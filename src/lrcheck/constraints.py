@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
     conj,
     conjuncts,
     fold_constants,
     is_trivially_true,
-    subst,
     subst_parallel,
 )
 from .syntax import (
@@ -35,6 +34,7 @@ from .syntax import (
     Sort,
     Span,
     Var,
+    subterms,
 )
 
 
@@ -160,25 +160,20 @@ def _hyp_list(hyp: RefExpr) -> List[RefExpr]:
     return [h for h in conjuncts(hyp) if not is_trivially_true(h)]
 
 
+def kvars_in(exprs: Iterable[RefExpr]) -> Dict[str, KVarDecl]:
+    """The unknown predicates applied in `exprs`, by name, in first-occurrence
+    order."""
+    seen: Dict[str, KVarDecl] = {}
+    for e in exprs:
+        for x in subterms(e):
+            if isinstance(x, KApp):
+                seen.setdefault(x.kvar.name, x.kvar)
+    return seen
+
+
 def kvars_of(c: Constraint) -> List[KVarDecl]:
     """All unknown predicates mentioned, in first-occurrence order."""
-    seen: Dict[str, KVarDecl] = {}
-
-    def scan_expr(e: RefExpr):
-        match e:
-            case KApp(kvar, args):
-                seen.setdefault(kvar.name, kvar)
-                for a in args:
-                    scan_expr(a)
-            case Eq(l, r) | BinBool(_, l, r) | Cmp(_, l, r):
-                scan_expr(l)
-                scan_expr(r)
-            case Not(a):
-                scan_expr(a)
-            case _:
-                if hasattr(e, "lhs"):
-                    scan_expr(e.lhs)
-                    scan_expr(e.rhs)
+    exprs: List[RefExpr] = []
 
     def walk(node: Constraint):
         match node:
@@ -186,16 +181,13 @@ def kvars_of(c: Constraint) -> List[KVarDecl]:
                 for p in parts:
                     walk(p)
             case Head(goal, _):
-                scan_expr(goal)
-            case Implies(hyp, body):
-                scan_expr(hyp)
-                walk(body)
-            case ForAll(_, _, hyp, body):
-                scan_expr(hyp)
+                exprs.append(goal)
+            case Implies(hyp, body) | ForAll(_, _, hyp, body):
+                exprs.append(hyp)
                 walk(body)
 
     walk(c)
-    return list(seen.values())
+    return list(kvars_in(exprs).values())
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +358,3 @@ def dump_clauses_json(cls: Sequence[Clause]) -> str:
             }
         )
     return json.dumps(objs, indent=2)
-
-
-def load_clauses_json(text: str) -> List[dict]:
-    return json.loads(text)

@@ -16,11 +16,12 @@ from .constraints import (
     apply_solution_expr,
     clauses,
     instantiations,
+    kvars_in,
     kvars_of,
     normalize,
 )
 from .errors import ShapeMismatch, StructuralError
-from .logic import RefCtx, conj, getsort, subst, subst_parallel
+from .logic import RefCtx, base_of, conj, getsort, subst_parallel
 from .oracle import Oracle, Query
 from .printer import print_type
 from .subtyping import NameSupply, subtype
@@ -78,22 +79,8 @@ def fresh_kvar_type(
     return Exists(nu, base, KApp(kvar, tuple(Var(n) for n, _ in params)))
 
 
-def instantiate_type_param(
-    kvars: KVarSupply, names: NameSupply, ctx: RefCtx, expected: BaseType
-) -> Type:
-    return fresh_kvar_type(kvars, names, ctx, expected)
-
-
 def is_template(t: Type) -> bool:
     return isinstance(t, Exists) and isinstance(t.pred, KApp)
-
-
-def _base_of(t: Type) -> Optional[BaseType]:
-    if isinstance(t, Indexed):
-        return t.base
-    if isinstance(t, Exists):
-        return t.base
-    return None
 
 
 def _bases_compatible(b1: BaseType, b2: BaseType) -> bool:
@@ -148,7 +135,7 @@ def join_types(
     if is_template(t2) and _compatible_with_template(t2, t1):
         return t2, [(THEN, subtype(ctx, t1, t2, prov, names))]
 
-    b1, b2 = _base_of(t1), _base_of(t2)
+    b1, b2 = base_of(t1), base_of(t2)
     if b1 is not None and b2 is not None and _bases_compatible(b1, b2):
         base = _join_base(ctx, kvars, names, b1, b2)
         joined = fresh_kvar_type(kvars, names, ctx, base)
@@ -163,8 +150,8 @@ def join_types(
 
 
 def _compatible_with_template(template: Type, other: Type) -> bool:
-    ob = _base_of(other)
-    tb = _base_of(template)
+    ob = base_of(other)
+    tb = base_of(template)
     return ob is not None and tb is not None and _bases_compatible(tb, ob)
 
 
@@ -181,7 +168,7 @@ def _join_shape(ctx, kvars, names, t1: Type, t2: Type) -> Type:
     subtyping against the result."""
     if t1 == t2:
         return t1
-    b1, b2 = _base_of(t1), _base_of(t2)
+    b1, b2 = base_of(t1), base_of(t2)
     if b1 is not None and b2 is not None and _bases_compatible(b1, b2):
         return fresh_kvar_type(kvars, names, ctx, _join_base(ctx, kvars, names, b1, b2))
     match (t1, t2):
@@ -248,8 +235,8 @@ def infer_rec_signature(
     def gen(entry_t: Type, others: List[Type]) -> Type:
         if all(o == entry_t for o in others):
             return entry_t
-        eb = _base_of(entry_t)
-        obs = [_base_of(o) for o in others]
+        eb = base_of(entry_t)
+        obs = [base_of(o) for o in others]
         if eb is not None and all(
             ob is not None and _bases_compatible(eb, ob) for ob in obs
         ):
@@ -321,7 +308,7 @@ def infer_rec_signature(
     if ret_shape is None:
         ret: Type = Uninit(1)
     else:
-        rb = _base_of(ret_shape)
+        rb = base_of(ret_shape)
         ret = (
             fresh_kvar_type(kvars, names, body_ctx, rb) if rb is not None else ret_shape
         )
@@ -389,9 +376,8 @@ def solve(
     # clauses to revisit when a kvar's assignment shrinks
     dependents: Dict[str, List[Clause]] = {k.name: [] for k in kvars}
     for c in kvar_clauses:
-        for name in _kvars_in_exprs(c.hyps):
-            if c not in dependents[name]:
-                dependents[name].append(c)
+        for name in kvars_in(c.hyps):
+            dependents[name].append(c)
 
     # termination: every re-enqueue follows at least one deletion, and the
     # total deletion budget is the number of initial instantiations
@@ -458,28 +444,3 @@ def solve(
             )
 
     return SolveResult("sat", solution, deletions=deletions, sweeps=sweeps)
-
-
-def _kvars_in_exprs(exprs: Sequence[RefExpr]) -> List[str]:
-    from .syntax import BinArith, BinBool, Cmp, Eq, Not
-
-    out: List[str] = []
-
-    def scan(e: RefExpr):
-        match e:
-            case KApp(kvar, args):
-                if kvar.name not in out:
-                    out.append(kvar.name)
-                for a in args:
-                    scan(a)
-            case Eq(l, r) | BinBool(_, l, r) | BinArith(_, l, r) | Cmp(_, l, r):
-                scan(l)
-                scan(r)
-            case Not(a):
-                scan(a)
-            case _:
-                pass
-
-    for e in exprs:
-        scan(e)
-    return out

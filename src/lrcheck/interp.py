@@ -56,7 +56,6 @@ class Perm(Enum):
 class StackItem:
     perm: Perm
     tag: int
-    protector: None = None  # carried for structural fidelity; never consulted
 
     def __str__(self) -> str:
         return f"({self.perm.value},{self.tag})"

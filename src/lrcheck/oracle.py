@@ -39,6 +39,7 @@ from .syntax import (
     RefExpr,
     Sort,
     Var,
+    subterms,
 )
 
 MAX_CUBES = 8192
@@ -512,24 +513,12 @@ def _search_counter_model(query: Query, sorts) -> Optional[Dict[str, Union[int, 
     """Bounded enumeration of integer/boolean assignments, checked by
     evaluation of the original formula."""
     consts = set()
-
-    def collect(e: RefExpr):
-        match e:
-            case IntConst(v):
-                consts.add(v)
-            case LocConst(l):
-                consts.add(l)
-            case Eq(l, r) | BinBool(_, l, r) | BinArith(_, l, r) | Cmp(_, l, r):
-                collect(l)
-                collect(r)
-            case Not(a):
-                collect(a)
-            case _:
-                pass
-
-    for h in query.hyps:
-        collect(h)
-    collect(query.goal)
+    for e in (*query.hyps, query.goal):
+        for x in subterms(e):
+            if isinstance(x, IntConst):
+                consts.add(x.value)
+            elif isinstance(x, LocConst):
+                consts.add(x.loc_id)
 
     # small magnitudes first so the reported model is simple
     candidates = sorted(

@@ -520,21 +520,31 @@ class Parser:
         )
 
     def parse_let(self) -> Expr:
-        start = self.expect_kw("let")
-        x = self.expect_ident().text
-        self.expect("=")
-        if self.at_kw("new"):
-            self.next()
-            self.expect("(")
-            locvar = self.expect_ident().text
-            self.expect(")")
+        """A chain of `let` heads is read in a loop and nested from the
+        inside out, so its length is not bounded by the recursion limit.
+        Each let spans from its own `let` to the end of the whole chain."""
+        heads = []
+        while self.at_kw("let"):
+            start = self.next()
+            x = self.expect_ident().text
+            self.expect("=")
+            if self.at_kw("new"):
+                self.next()
+                self.expect("(")
+                locvar = self.expect_ident().text
+                self.expect(")")
+                heads.append((start, x, locvar, None))
+            else:
+                heads.append((start, x, None, self.parse_expr()))
             self.expect_kw("in")
-            body = self.parse_expr()
-            return LetNew(x, locvar, body, span=self._span_from(start))
-        bound = self.parse_expr()
-        self.expect_kw("in")
         body = self.parse_expr()
-        return Let(x, bound, body, span=self._span_from(start))
+        for start, x, locvar, bound in reversed(heads):
+            span = self._span_from(start)
+            if bound is None:
+                body = LetNew(x, locvar, body, span=span)
+            else:
+                body = Let(x, bound, body, span=span)
+        return body
 
     def parse_call(self) -> Expr:
         start = self.expect_kw("call")

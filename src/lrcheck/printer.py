@@ -223,14 +223,18 @@ def print_value(v: Value) -> str:
 
 def print_expr(e: Expr, indent: int = 0) -> str:
     pad = "  " * indent
+    # a let chain is printed in a loop, so its length is not bounded by the
+    # recursion limit
+    heads = []
+    while isinstance(e, (Let, LetNew)):
+        if isinstance(e, LetNew):
+            heads.append(f"let {e.name} = new({e.locvar}) in\n{pad}")
+        else:
+            heads.append(f"let {e.name} = {print_expr(e.bound, indent)} in\n{pad}")
+        e = e.body
+    if heads:
+        return "".join(heads) + print_expr(e, indent)
     match e:
-        case LetNew(x, locvar, body):
-            return f"let {x} = new({locvar}) in\n{pad}{print_expr(body, indent)}"
-        case Let(x, bound, body):
-            return (
-                f"let {x} = {print_expr(bound, indent)} in\n"
-                f"{pad}{print_expr(body, indent)}"
-            )
         case Unpack(x, a, body):
             return f"unpack ({x}, {a}) in\n{pad}{print_expr(body, indent)}"
         case If(c, t1, t2):

@@ -53,6 +53,7 @@ from .logic import (
     Bind,
     RefCtx,
     SortError,
+    base_of,
     free_vars,
     getsort,
     sortcheck,
@@ -358,12 +359,12 @@ def infer_refargs(
                         )
                         assigned[p] = Var(fresh)
                 if isinstance(fb, VecBase):
-                    ab2 = _base_of(actual)
+                    ab2 = base_of(actual)
                     if isinstance(ab2, VecBase):
                         unify(fb.elem, ab2.elem)
             case (Indexed(fb, _), _):
                 if isinstance(fb, VecBase):
-                    ab2 = _base_of(actual)
+                    ab2 = base_of(actual)
                     if isinstance(ab2, VecBase):
                         unify(fb.elem, ab2.elem)
             case (StrongPtr(AbstractLoc(p)), StrongPtr(loc)) if p in params:
@@ -413,14 +414,6 @@ def _as_loc(e: RefExpr) -> Optional[Loc]:
         return AbstractLoc(e.name)
     if isinstance(e, LocConst):
         return ConcreteLoc(e.loc_id)
-    return None
-
-
-def _base_of(t: Type) -> Optional[BaseType]:
-    if isinstance(t, Indexed):
-        return t.base
-    if isinstance(t, Exists):
-        return t.base
     return None
 
 
@@ -838,7 +831,7 @@ class Checker:
 
         explicit: Optional[BaseType] = None
         if e.type_args:
-            explicit = _base_of(e.type_args[0])
+            explicit = base_of(e.type_args[0])
 
         if kind == "new":
             elem = elem_template(explicit)
@@ -894,9 +887,9 @@ class Checker:
 
     @staticmethod
     def _peek_elem_base(t: Type) -> Optional[BaseType]:
-        b = _base_of(t)
+        b = base_of(t)
         if isinstance(b, VecBase):
-            return _base_of(b.elem)
+            return base_of(b.elem)
         return None
 
     # -- unannotated inner rec: two-pass inference ------------------------------
@@ -995,7 +988,7 @@ class Checker:
                     raise StructuralError(
                         f"borrow of unowned location {print_loc(loc)}", span
                     )
-                base = _base_of(cur)
+                base = base_of(cur)
                 if base is None or state.shape_mode:
                     return Ref("mut", cur)
                 weakened = state.fresh_template(base)

@@ -247,6 +247,17 @@ def test_internal_error_exit_four(monkeypatch, capsys):
     assert err == "lrcheck: internal error: RuntimeError: boom second line\n"
 
 
+def test_long_let_chain_checks(tmp_path):
+    lines = ["let x0 = 0 in"] + [
+        f"let x{i} = call add(x0, {i}) in" for i in range(1, 600)
+    ]
+    path = tmp_path / "long.lr"
+    path.write_text("entry\n  " + "\n  ".join(lines) + "\n  x599\n")
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+
+
 def test_deep_let_chain_is_never_rejected_nor_traceback(tmp_path):
     lines = ["let x0 = 0 in"] + [
         f"let x{i} = call add(x{i - 1}, 1) in" for i in range(1, 600)

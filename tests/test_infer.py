@@ -23,7 +23,6 @@ from lrcheck.infer import (
     KVarSupply,
     fresh_kvar_type,
     infer_rec_signature,
-    instantiate_type_param,
     solve,
 )
 from lrcheck.logic import RefCtx, SortError, conj, sortcheck, subst_parallel
@@ -84,11 +83,11 @@ def test_fresh_kvar_excludes_locations():
     assert [s for _, s in t.pred.kvar.params] == [Sort.INT, Sort.INT]
 
 
-def test_instantiate_type_param_fresh_per_site():
+def test_fresh_kvar_type_fresh_per_site():
     kvars = KVarSupply()
     names = NameSupply()
-    t1 = instantiate_type_param(kvars, names, RefCtx(), IntBase())
-    t2 = instantiate_type_param(kvars, names, RefCtx(), IntBase())
+    t1 = fresh_kvar_type(kvars, names, RefCtx(), IntBase())
+    t2 = fresh_kvar_type(kvars, names, RefCtx(), IntBase())
     assert t1.pred.kvar.name != t2.pred.kvar.name
 
 

@@ -1,12 +1,15 @@
-"""Sorts, interpretation, free variables, and substitution, including the
-substitution lemma property suites."""
+"""Sorts, interpretation, the refinement-term traversal, free variables,
+and substitution, including the substitution lemma property suites."""
 
+import dataclasses
 import random
 
 import pytest
 
-from gen import bool_expr, ctx_with_vars, int_expr
+from gen import any_type, bool_expr, ctx_with_vars, int_expr, loc_ctx
 from lrcheck.logic import (
+    Assume,
+    Bind,
     RefCtx,
     SortError,
     free_vars,
@@ -30,15 +33,19 @@ from lrcheck.syntax import (
     IntBase,
     IntConst,
     IntLit,
+    KVarDecl,
     LocConst,
     LocCtx,
     Poison,
+    RefExpr,
     Sort,
     TaggedPtr,
     Type,
     Var,
     VecBase,
     VecVal,
+    children,
+    subterms,
 )
 
 R = parse_refexpr
@@ -68,6 +75,79 @@ def test_sortcheck_examples():
     assert sortcheck(ctx, R("a < 2")) == Sort.BOOL
     with pytest.raises(SortError):
         sortcheck(ctx, Eq(R("a"), R("a < 1")))
+
+
+def _with_var_leaves(cls):
+    """An instance of `cls` whose refinement-term fields hold distinct
+    variables, and those variables in field order."""
+    leaves = []
+
+    def leaf():
+        leaves.append(Var(f"x{len(leaves)}"))
+        return leaves[-1]
+
+    values = {}
+    for f in dataclasses.fields(cls):
+        kind = str(f.type)
+        if kind == "RefExpr":
+            values[f.name] = leaf()
+        elif kind == "Tuple[RefExpr, ...]":
+            values[f.name] = (leaf(), leaf(), leaf())
+        elif kind in ("KVarDecl", "'KVarDecl'", '"KVarDecl"'):
+            values[f.name] = KVarDecl("k0", (("a", Sort.INT),) * 3)
+        elif kind in ("str", "int", "bool"):
+            values[f.name] = {"str": "op", "int": 1, "bool": True}[kind]
+        else:
+            raise AssertionError(f"{cls.__name__}.{f.name}: unexpected field type {kind}")
+    return cls(**values), leaves
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(RefExpr.__subclasses__(), key=lambda c: c.__name__),
+    ids=lambda c: c.__name__,
+)
+def test_subterms_yield_every_field_in_order(cls):
+    node, leaves = _with_var_leaves(cls)
+    assert children(node) == tuple(leaves)
+    assert list(subterms(node)) == [node] + leaves
+
+
+def test_subterms_pre_order_without_recursion():
+    e = R("a + 1 >= b && !(c = 2)")
+    assert [type(x).__name__ for x in subterms(e)] == [
+        "BinBool", "Cmp", "BinArith", "Var", "IntConst", "Var",
+        "Not", "Eq", "Var", "IntConst",
+    ]
+    deep = Var("x0")
+    for i in range(1, 10_000):
+        deep = BinArith("+", deep, Var(f"x{i}"))
+    assert free_vars(deep) == {f"x{i}" for i in range(10_000)}
+
+
+def test_subst_is_subst_parallel_outside_refinement_contexts():
+    rng = random.Random(8)
+    fn = parse_type(
+        "fn {a: int | a >= b | l -> int[a]}(int[a], int[b]) -> int[b]; l -> int[a]"
+    )
+    for _ in range(200):
+        # "a" is both substituted and a binder that may shadow it
+        t = any_type(rng, ["a", "b"], ["l"], ["a", "p"], depth=2)
+        locs = loc_ctx(rng, ["a", "b"], ["l", "m"], ["a", "q"])
+        repl = int_expr(rng, ["a", "b"], 1)
+        for target in (t, locs, fn):
+            for name, r in (("a", repl), ("b", repl), ("l", Var("k")), ("l", LocConst(2))):
+                assert subst(target, name, r) == subst_parallel(target, {name: r})
+
+
+def test_subst_drops_the_substituted_binder_of_a_refinement_context():
+    ctx = RefCtx().bind("a", Sort.INT).assume(R("a >= 0")).bind("b", Sort.INT)
+    ctx = ctx.assume(R("a < b"))
+    assert subst(ctx, "a", IntConst(3)) == RefCtx(
+        (Assume(R("3 >= 0")), Bind("b", Sort.INT), Assume(R("3 < b")))
+    )
+    assert subst({"x": parse_type("int[a]")}, "a", Var("b")) == {
+        "x": parse_type("int[b]")
+    }
 
 
 def test_subst_indexed():

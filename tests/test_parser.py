@@ -21,6 +21,7 @@ from lrcheck.syntax import (
     Poison,
     PVar,
     RecFn,
+    Span,
     Unpack,
     Val,
     VarRef,
@@ -220,3 +221,37 @@ def test_full_signature_roundtrip():
     assert len(sig.refparams) == 3
     assert len(sig.in_locs) == 1 and len(sig.out_locs) == 1
     assert parse_program(print_program(program)) == program
+
+
+def _let_chain(e: Expr):
+    """The lets of a chain, outermost first, and the chain's final body."""
+    lets = []
+    while isinstance(e, (Let, LetNew)):
+        lets.append(e)
+        e = e.body
+    return lets, e
+
+
+def test_long_let_chain_parses_and_roundtrips():
+    n = 10_000
+    lines = [
+        f"let c{i} = new(l{i}) in" if i % 7 == 0 else f"let x{i} = call add(x0, {i}) in"
+        for i in range(n)
+    ]
+    tree = parse_expr("\n".join(lines) + "\nx1")
+    lets, body = _let_chain(tree)
+    assert len(lets) == n and body == VarRef("x1")
+    end = Span(n + 1, 1, n + 1, 3)
+    for i, e in enumerate(lets):
+        assert isinstance(e, LetNew) == (i % 7 == 0)
+        assert e.span == Span(i + 1, 1, end.end_line, end.end_col)
+
+    printed = print_expr(tree)
+    assert print_expr(parse_expr(printed)) == printed
+    again, body2 = _let_chain(parse_expr(printed))
+    assert body2 == body
+    for e1, e2 in zip(lets, again, strict=True):
+        assert type(e1) is type(e2) and e1.name == e2.name
+        assert (e1.bound if isinstance(e1, Let) else e1.locvar) == (
+            e2.bound if isinstance(e2, Let) else e2.locvar
+        )
