@@ -257,7 +257,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if program.entry is None:
         print("run: program has no entry expression", file=sys.stderr)
         return EXIT_USAGE
-    outcome = interp_run(program, fuel=cfg.fuel)
+    outcome = interp_run(program, fuel=cfg.fuel, trace=bool(args.trace))
     print(outcome.render())
     if args.trace and outcome.state is not None:
         with open(args.trace, "w", encoding="utf-8") as handle:

@@ -165,7 +165,9 @@ def run_and_verify(
     if outcome.kind == "fuel":
         return SoundnessVerdict("pass", outcome=outcome, detail="fuel exhausted")
     if outcome.kind == "stuck":
-        trace = "\n".join(ev.render() for ev in (outcome.state.trace if outcome.state else [])[-20:])
+        # runs are deterministic: run again, recording the events this time
+        traced = run(program, fuel=fuel, trace=True)
+        trace = "\n".join(ev.render() for ev in traced.state.trace[-20:])
         return SoundnessVerdict(
             "bug", outcome=outcome, detail=f"stuck: {outcome.reason}\n{trace}"
         )

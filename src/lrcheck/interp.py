@@ -1,4 +1,26 @@
-"""Small-step interpreter with the Stacked Borrows aliasing discipline.
+"""Environment machine for the core language under the Stacked Borrows
+aliasing discipline.
+
+`run` evaluates a program's entry on a CEK machine (Felleisen and Friedman):
+the control is the expression in hand or the value just computed, the
+environment maps program variables to values, and a stack of continuation
+frames says what to do with the next value.  One loop drives it, so neither
+long let chains nor deep nesting grow the Python stack.
+
+A step is one rule firing: let, let-new, if, assign, a borrow, a
+dereference, or a call (call-rec, call-prim and the vec rules).  Looking up
+a variable, resolving a place and entering an unpack are administrative and
+cost no fuel.  A run with fuel N fires at most N rules; a final value or a
+stuck state reached after the N-th firing reports fuel exhaustion, with N
+steps.
+
+Locals live in one dict with an undo trail, and each frame records the
+trail height it resumes at.  The entry starts from the global table of
+builtins and top-level declarations.  A call runs the callee's body in a
+fresh environment holding only the function and its parameters: `rec`
+values are closed terms, because a `rec` literal is closed over the
+environment by substitution when it is evaluated, and a declaration over the
+builtins and the earlier declarations.
 
 Each location carries a stack of tagged permission items; reads, writes,
 reborrows, allocation, and deallocation update the stacks and report an
@@ -13,7 +35,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .builtins import BUILTIN_VALUES, prim_apply
-from .logic import SubstError, subst_value_in_expr
+from .logic import SubstError, interp, subst_value_in_expr, subst_value_in_place
 from .syntax import (
     Assign,
     BoolLit,
@@ -33,6 +55,7 @@ from .syntax import (
     PPtr,
     PrimOp,
     Program,
+    PVar,
     RecFn,
     TaggedPtr,
     Unpack,
@@ -101,8 +124,11 @@ class MachineState:
     trace: List[TraceEvent] = field(default_factory=list)
     step_count: int = 0
     rule_counter: Dict[str, int] = field(default_factory=dict)
+    recording: bool = False  # whether log() keeps trace events
 
     def log(self, event: str, loc: int, tag: int) -> None:
+        if not self.recording:
+            return
         self.trace.append(
             TraceEvent(
                 self.step_count,
@@ -216,121 +242,11 @@ def sb_dealloc(st: MachineState, loc: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Small-step evaluation
+# Rules
 
-@dataclass
-class StepResult:
-    kind: str  # "reduced" | "done" | "alias" | "stuck"
-    expr: Optional[Expr] = None
-    value: Optional[Value] = None
-    error: Optional[AliasError] = None
-    reason: str = ""
-
-
-def _is_value(e: Expr) -> bool:
-    return isinstance(e, Val)
-
-
-def step(st: MachineState, e: Expr) -> StepResult:
-    """One call-by-value reduction (leftmost redex via recursive descent)."""
-    try:
-        reduced = _step(st, e)
-    except AliasError as err:
-        return StepResult("alias", error=err)
-    except (StuckError, SubstError) as err:
-        return StepResult("stuck", reason=str(err))
-    if reduced is None:
-        assert isinstance(e, Val)
-        return StepResult("done", value=e.value)
-    return StepResult("reduced", expr=reduced)
-
-
-def _step(st: MachineState, e: Expr) -> Optional[Expr]:
-    match e:
-        case Val(_):
-            return None
-
-        case VarRef(name):
-            raise StuckError(f"free variable '{name}' at runtime")
-
-        case LetNew(x, _locvar, body):
-            st.count_rule("let-new")
-            loc, tag = sb_alloc(st, 1)
-            return subst_value_in_expr(body, x, TaggedPtr(loc, tag))
-
-        case Let(x, Val(v), body):
-            st.count_rule("let")
-            return subst_value_in_expr(body, x, v)
-        case Let(x, bound, body, span):
-            inner = _step(st, bound)
-            if inner is None:
-                raise StuckError("let: no rule applies")
-            return Let(x, inner, body, span)
-
-        case Unpack(_, _, _):
-            # unpacks dissolve through value substitution; a surviving one
-            # means its variable never got a value
-            raise StuckError("unpack of an unbound variable")
-
-        case If(Val(BoolLit(b)), then, els):
-            st.count_rule("if")
-            return then if b else els
-        case If(Val(_), _, _):
-            raise StuckError("if: condition is not a boolean")
-        case If(cond, then, els, span):
-            inner = _step(st, cond)
-            if inner is None:
-                raise StuckError("if: no rule applies")
-            return If(inner, then, els, span)
-
-        case Assign(place, Val(v)):
-            st.count_rule("assign")
-            loc, tag = _place_ptr(place, "assign")
-            if loc not in st.heap:
-                raise StuckError(f"assignment to deallocated location {loc}")
-            sb_write(st, loc, tag)
-            st.heap[loc] = v
-            return Val(Poison())
-        case Assign(place, rhs, span):
-            inner = _step(st, rhs)
-            if inner is None:
-                raise StuckError("assign: no rule applies")
-            return Assign(place, inner, span)
-
-        case BorrowStrong(place):
-            st.count_rule("borrow-strong")
-            loc, tag = _place_ptr(place, "&strg")
-            new_tag = sb_reborrow(st, loc, tag, "mut")
-            return Val(TaggedPtr(loc, new_tag))
-
-        case BorrowMut(place):
-            st.count_rule("borrow-mut")
-            loc, tag = _place_ptr(place, "&mut")
-            new_tag = sb_reborrow(st, loc, tag, "mut")
-            return Val(TaggedPtr(loc, new_tag))
-
-        case BorrowShr(place):
-            st.count_rule("borrow-shr")
-            loc, tag = _place_ptr(place, "&shr")
-            new_tag = sb_reborrow(st, loc, tag, "shr")
-            return Val(TaggedPtr(loc, new_tag))
-
-        case Deref(place):
-            st.count_rule("deref")
-            loc, tag = _place_ptr(place, "deref")
-            if loc not in st.heap:
-                raise StuckError(f"dereference of deallocated location {loc}")
-            sb_read(st, loc, tag)
-            return Val(st.heap[loc])
-
-        case Call(_, _, _, _, _):
-            return _step_call(st, e)
-
-        case _:
-            raise StuckError(f"no rule applies to {type(e).__name__}")
-
-
-def _place_ptr(place: Place, what: str) -> Tuple[int, int]:
+def _place_ptr(place: Place, env: Dict[str, Value], what: str) -> Tuple[int, int]:
+    if isinstance(place, PVar) and place.name in env:
+        place = subst_value_in_place(place, place.name, env[place.name])
     if isinstance(place, PPtr):
         return place.loc_id, place.tag
     if isinstance(place, PBad):
@@ -338,40 +254,47 @@ def _place_ptr(place: Place, what: str) -> Tuple[int, int]:
     raise StuckError(f"{what} of an unresolved place")
 
 
-def _step_call(st: MachineState, e: Call) -> Optional[Expr]:
-    if not isinstance(e.callee, Val):
-        inner = _step(st, e.callee)
-        if inner is None:
-            raise StuckError("call: no rule applies to the callee")
-        return Call(inner, e.ref_args, e.args, e.type_args, e.span)
-    for i, arg in enumerate(e.args):
-        if not isinstance(arg, Val):
-            inner = _step(st, arg)
-            if inner is None:
-                raise StuckError("call: no rule applies to an argument")
-            new_args = e.args[:i] + (inner,) + e.args[i + 1 :]
-            return Call(e.callee, e.ref_args, new_args, e.type_args, e.span)
+# expression class -> (rule, what it is called in errors, reborrow mode)
+_BORROWS = {
+    BorrowStrong: ("borrow-strong", "&strg", "mut"),
+    BorrowMut: ("borrow-mut", "&mut", "mut"),
+    BorrowShr: ("borrow-shr", "&shr", "shr"),
+}
 
-    callee = e.callee.value
-    args = [a.value for a in e.args]  # type: ignore[union-attr]
 
+def _access(st: MachineState, e: Expr, env: Dict[str, Value]) -> Value:
+    """Fire the borrow or dereference rule of `e`."""
+    if isinstance(e, Deref):
+        st.count_rule("deref")
+        loc, tag = _place_ptr(e.place, env, "deref")
+        if loc not in st.heap:
+            raise StuckError(f"dereference of deallocated location {loc}")
+        sb_read(st, loc, tag)
+        return st.heap[loc]
+    if type(e) not in _BORROWS:
+        raise StuckError(f"no rule applies to {type(e).__name__}")
+    rule, what, mode = _BORROWS[type(e)]
+    st.count_rule(rule)
+    loc, tag = _place_ptr(e.place, env, what)
+    return TaggedPtr(loc, sb_reborrow(st, loc, tag, mode))
+
+
+def _enter_rec(st: MachineState, fn: RecFn, call: Call, args: List[Value]) -> Dict[str, Value]:
+    """Fire call-rec: the environment the callee's body runs in.  The
+    function's own name wins over a parameter, and an earlier parameter
+    over a later one of the same name."""
+    st.count_rule("call-rec")
+    if len(args) != len(fn.params):
+        raise StuckError(f"call of '{fn.fname}' with wrong arity")
+    if fn.refparams and len(call.ref_args) not in (0, len(fn.refparams)):
+        raise StuckError(f"call of '{fn.fname}' with wrong refinement arity")
+    env = dict(zip(reversed(fn.params), reversed(args)))
+    env[fn.fname] = fn
+    return env
+
+
+def _apply_builtin(st: MachineState, callee: Value, args: List[Value]) -> Value:
     match callee:
-        case RecFn(fname, refparams, params, body, _sig):
-            st.count_rule("call-rec")
-            if len(args) != len(params):
-                raise StuckError(f"call of '{fname}' with wrong arity")
-            out = body
-            out = subst_value_in_expr(out, fname, callee)
-            for pname, v in zip(params, args):
-                out = subst_value_in_expr(out, pname, v)
-            from .logic import subst_refexpr_in_expr
-
-            if refparams and len(e.ref_args) not in (0, len(refparams)):
-                raise StuckError(f"call of '{fname}' with wrong refinement arity")
-            for (aname, _), arg_expr in zip(refparams, e.ref_args):
-                out = subst_refexpr_in_expr(out, aname, arg_expr)
-            return out
-
         case PrimOp(op):
             st.count_rule("call-prim")
             if len(args) != 2:
@@ -379,25 +302,25 @@ def _step_call(st: MachineState, e: Call) -> Optional[Expr]:
             if not all(isinstance(a, IntLit) for a in args):
                 raise StuckError(f"primitive '{op}' on a non-integer")
             result = prim_apply(op, args[0].value, args[1].value)
-            return Val(IntLit(result) if isinstance(result, int) and not isinstance(result, bool) else BoolLit(result))
+            return IntLit(result) if isinstance(result, int) and not isinstance(result, bool) else BoolLit(result)
 
         case VecNew():
             st.count_rule("vec-new")
             if args:
                 raise StuckError("vec_new takes no arguments")
-            return Val(VecVal(0, Poison()))
+            return VecVal(0, Poison())
 
         case VecPush():
-            return _step_vec_push(st, e, args)
+            return _vec_push(st, args)
 
         case VecIndexMut():
-            return _step_vec_index_mut(st, e, args)
+            return _vec_index_mut(st, args)
 
         case _:
             raise StuckError("call of a non-function value")
 
 
-def _step_vec_push(st: MachineState, e: Call, args: List[Value]) -> Expr:
+def _vec_push(st: MachineState, args: List[Value]) -> Value:
     st.count_rule("vec-push")
     if len(args) != 2:
         raise StuckError("vec_push takes a vector pointer and a value")
@@ -414,7 +337,7 @@ def _step_vec_push(st: MachineState, e: Call, args: List[Value]) -> Expr:
         new_loc, new_tag = sb_alloc(st, 1)
         st.heap[new_loc] = new_elem
         st.heap[ptr.loc_id] = VecVal(1, TaggedPtr(new_loc, new_tag))
-        return Val(Poison())
+        return Poison()
     payload = cell.payload
     if not isinstance(payload, TaggedPtr):
         raise StuckError("vec_push: non-empty vector without a buffer")
@@ -426,10 +349,10 @@ def _step_vec_push(st: MachineState, e: Call, args: List[Value]) -> Expr:
     for i, v in enumerate(old + [new_elem]):
         st.heap[new_loc + i] = v
     st.heap[ptr.loc_id] = VecVal(cell.length + 1, TaggedPtr(new_loc, new_tag))
-    return Val(Poison())
+    return Poison()
 
 
-def _step_vec_index_mut(st: MachineState, e: Call, args: List[Value]) -> Expr:
+def _vec_index_mut(st: MachineState, args: List[Value]) -> Value:
     st.count_rule("vec-index-mut")
     if len(args) != 2:
         raise StuckError("vec_index_mut takes a vector pointer and an index")
@@ -454,11 +377,80 @@ def _step_vec_index_mut(st: MachineState, e: Call, args: List[Value]) -> Expr:
         )
     sb_read(st, ptr.loc_id, ptr.tag)
     new_tag = sb_reborrow(st, target, payload.tag, "mut")
-    return Val(TaggedPtr(target, new_tag))
+    return TaggedPtr(target, new_tag)
 
 
 # ---------------------------------------------------------------------------
-# Driving
+# Closing rec literals
+
+def _free_names(fn: RecFn) -> List[str]:
+    """The free program variables of a rec literal, in order of first use."""
+    bound: Dict[str, int] = {}
+    free: Dict[str, None] = {}
+    # expressions and rec values to visit, and (names, +1/-1) scope marks
+    todo: list = [fn]
+
+    def use(x: str) -> None:
+        if not bound.get(x):
+            free[x] = None
+
+    while todo:
+        e = todo.pop()
+        match e:
+            case (names, delta):
+                for x in names:
+                    bound[x] = bound.get(x, 0) + delta
+            case RecFn(fname, _, params, body):
+                names = (fname,) + params
+                todo += [(names, -1), body, (names, 1)]
+            case Val(v):
+                if isinstance(v, RecFn):
+                    todo.append(v)
+            case VarRef(x):
+                use(x)
+            case Let(x, bound_e, body):
+                todo += [((x,), -1), body, ((x,), 1), bound_e]
+            case LetNew(x, _, body):
+                todo += [((x,), -1), body, ((x,), 1)]
+            case Unpack(x, _, body):
+                use(x)
+                todo.append(body)
+            case If(c, t1, t2):
+                todo += [t2, t1, c]
+            case Call(callee, _, args):
+                todo += reversed(args)
+                todo.append(callee)
+            case Assign(place, rhs):
+                if isinstance(place, PVar):
+                    use(place.name)
+                todo.append(rhs)
+            case BorrowStrong(place) | BorrowMut(place) | BorrowShr(place) | Deref(place):
+                if isinstance(place, PVar):
+                    use(place.name)
+    return list(free)
+
+
+def _close(fn: RecFn, env: Dict[str, Value]) -> RecFn:
+    """Substitute the values `env` gives the free variables of `fn`."""
+    body = fn.body
+    for x in _free_names(fn):
+        if x in env:
+            body = subst_value_in_expr(body, x, env[x])
+    return fn if body is fn.body else replace(fn, body=body)
+
+
+def _global_env(program: Program) -> Dict[str, Value]:
+    """Builtins and top-level declarations by name; each declaration is
+    closed over the builtins and the declarations before it."""
+    table: Dict[str, Value] = dict(BUILTIN_VALUES)
+    for decl in program.decls:
+        fn = decl.fn if decl.fn.sig is not None else replace(decl.fn, sig=decl.sig)
+        table[decl.name] = _close(fn, table)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# The machine
 
 @dataclass
 class RunOutcome:
@@ -481,37 +473,168 @@ class RunOutcome:
         return f"fuel exhausted after {self.steps} step(s)"
 
 
-def close_entry(program: Program) -> Expr:
-    """Substitute top-level functions and built-in primitives into the
-    entry expression."""
-    if program.entry is None:
-        raise ValueError("program has no entry expression")
-    e = program.entry
-    for decl in reversed(program.decls):
-        fn = decl.fn if decl.fn.sig is not None else replace(decl.fn, sig=decl.sig)
-        e = subst_value_in_expr(e, decl.name, fn)
-    for name, value in BUILTIN_VALUES.items():
-        e = subst_value_in_expr(e, name, value)
-    return e
+# Continuation frames are tuples tagged by their first item; h is the trail
+# height of the environment the frame resumes in.
+_LET = 0  # (_LET, name, body, h)
+_IF = 1  # (_IF, then, els, h)
+_ASSIGN = 2  # (_ASSIGN, place, h)
+_CALL = 3  # (_CALL, call, values of the callee and arguments so far, h)
+_RESTORE = 4  # (_RESTORE, env, trail): the caller's environment
+_REDEX = 5  # (_REDEX, let-new, borrow or dereference): never on the stack
+
+_UNBOUND = object()  # trail entry of a name that had no binding
+
+
+def _bind(env: Dict[str, Value], trail: list, x: str, v: Value) -> None:
+    trail.append((x, env.get(x, _UNBOUND)))
+    env[x] = v
+
+
+def _undo(env: Dict[str, Value], trail: list, height: int) -> None:
+    while len(trail) > height:
+        x, old = trail.pop()
+        if old is _UNBOUND:
+            del env[x]
+        else:
+            env[x] = old
+
+
+def run_expr(
+    st: MachineState,
+    e: Expr,
+    env: Dict[str, Value],
+    fuel: int = 100_000,
+    check_invariants: bool = False,
+) -> RunOutcome:
+    """Evaluate `e` in `env` (name -> value, updated in place) starting from
+    machine state `st`."""
+    kont: list = []
+    trail: list = []
+    n = 0  # rules fired so far
+    v: Optional[Value] = None
+    try:
+        while True:
+            if e is not None:
+                t = type(e)
+                if t is Let:
+                    kont.append((_LET, e.name, e.body, len(trail)))
+                    e = e.bound
+                    continue
+                if t is Call:
+                    kont.append((_CALL, e, [], len(trail)))
+                    e = e.callee
+                    continue
+                if t is If:
+                    kont.append((_IF, e.then, e.els, len(trail)))
+                    e = e.cond
+                    continue
+                if t is Assign:
+                    kont.append((_ASSIGN, e.place, len(trail)))
+                    e = e.rhs
+                    continue
+                if t is VarRef:
+                    if e.name not in env:
+                        raise StuckError(f"free variable '{e.name}' at runtime")
+                    v, e = env[e.name], None
+                    continue
+                if t is Val:
+                    v, e = e.value, None
+                    if isinstance(v, RecFn):
+                        v = _close(v, env)
+                    continue
+                if t is Unpack:
+                    if e.var not in env:
+                        raise StuckError("unpack of an unbound variable")
+                    if interp(env[e.var]) is None:
+                        raise StuckError(
+                            f"unpack of '{e.var}' against a value with no refinement index"
+                        )
+                    e = e.body
+                    continue
+                # let-new, a borrow or a dereference fires its rule at once
+                frame, e = (_REDEX, e), None
+            elif not kont:
+                if n >= fuel:
+                    break
+                return RunOutcome("done", value=v, steps=n, state=st)
+            else:
+                # return v to the top frame
+                frame = kont.pop()
+                if frame[0] == _RESTORE:
+                    env, trail = frame[1], frame[2]
+                    continue
+                if frame[0] == _CALL:
+                    call, vals = frame[1], frame[2]
+                    vals.append(v)
+                    if len(vals) <= len(call.args):
+                        _undo(env, trail, frame[3])
+                        kont.append(frame)
+                        e = call.args[len(vals) - 1]
+                        continue
+                elif frame[0] == _IF and not isinstance(v, BoolLit):
+                    raise StuckError("if: condition is not a boolean")
+
+            # fire the rule of frame
+            if n >= fuel:
+                break
+            st.step_count = n
+            kind = frame[0]
+            if kind == _LET:
+                st.count_rule("let")
+                _undo(env, trail, frame[3])
+                _bind(env, trail, frame[1], v)
+                e = frame[2]
+            elif kind == _IF:
+                st.count_rule("if")
+                _undo(env, trail, frame[3])
+                e = frame[1] if v.value else frame[2]
+            elif kind == _ASSIGN:
+                st.count_rule("assign")
+                _undo(env, trail, frame[2])
+                loc, tag = _place_ptr(frame[1], env, "assign")
+                if loc not in st.heap:
+                    raise StuckError(f"assignment to deallocated location {loc}")
+                sb_write(st, loc, tag)
+                st.heap[loc] = v
+                v = Poison()
+            elif kind == _CALL and isinstance(vals[0], RecFn):
+                fn = vals[0]
+                callee_env = _enter_rec(st, fn, call, vals[1:])
+                # a tail call leaves the caller's environment unused
+                if kont and kont[-1][0] != _RESTORE:
+                    kont.append((_RESTORE, env, trail))
+                env, trail = callee_env, []
+                e = fn.body
+            elif kind == _CALL:
+                v = _apply_builtin(st, vals[0], vals[1:])
+            elif isinstance(frame[1], LetNew):
+                st.count_rule("let-new")
+                loc, tag = sb_alloc(st, 1)
+                _bind(env, trail, frame[1].name, TaggedPtr(loc, tag))
+                e = frame[1].body
+            else:
+                v = _access(st, frame[1], env)
+            n += 1
+            if check_invariants:
+                st.check_invariants()
+    except AliasError as err:
+        if n < fuel:
+            return RunOutcome("alias", error=err, steps=n, state=st)
+    except (StuckError, SubstError) as err:
+        if n < fuel:
+            return RunOutcome("stuck", reason=str(err), steps=n, state=st)
+    return RunOutcome("fuel", steps=fuel, state=st)
 
 
 def run(
     program: Program,
     fuel: int = 100_000,
     check_invariants: bool = False,
+    trace: bool = False,
 ) -> RunOutcome:
-    st = MachineState()
-    e = close_entry(program)
-    for n in range(fuel):
-        st.step_count = n
-        result = step(st, e)
-        if result.kind == "done":
-            return RunOutcome("done", value=result.value, steps=n, state=st)
-        if result.kind == "alias":
-            return RunOutcome("alias", error=result.error, steps=n, state=st)
-        if result.kind == "stuck":
-            return RunOutcome("stuck", reason=result.reason, steps=n, state=st)
-        e = result.expr
-        if check_invariants:
-            st.check_invariants()
-    return RunOutcome("fuel", steps=fuel, state=st)
+    """Run the program's entry; `trace` keeps every stack event in
+    `outcome.state.trace`."""
+    if program.entry is None:
+        raise ValueError("program has no entry expression")
+    st = MachineState(recording=trace)
+    return run_expr(st, program.entry, _global_env(program), fuel, check_invariants)

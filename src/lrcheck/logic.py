@@ -401,9 +401,6 @@ def subst(target, name: str, repl: RefExpr):
                     out.append(Assume(subst_parallel(entry.pred, mapping)))
             return RefCtx(tuple(out))
 
-        case dict() as dyn:
-            return {k: subst_parallel(t, mapping) for k, t in dyn.items()}
-
         case _:
             return subst_parallel(target, mapping)
 
@@ -416,51 +413,10 @@ def _loc_of_refexpr(e: RefExpr) -> Loc:
     raise SubstError(f"cannot use {e!r} as a location")
 
 
-def subst_refexpr_in_expr(e: Expr, name: str, repl: RefExpr) -> Expr:
-    """Substitute a refinement expression into the refinement positions of a
-    program expression; unpack, let-new, and rec binders shadow."""
-    rec = lambda x: subst_refexpr_in_expr(x, name, repl)
-    match e:
-        case Unpack(x, refvar, body, span):
-            if refvar == name:
-                return e
-            return Unpack(x, refvar, rec(body), span)
-        case Let(x, bound, body, span):
-            return Let(x, rec(bound), rec(body), span)
-        case LetNew(x, locvar, body, span):
-            if locvar == name:
-                return e
-            return LetNew(x, locvar, rec(body), span)
-        case VarRef(_):
-            return e
-        case If(c, t1, t2, span):
-            return If(rec(c), rec(t1), rec(t2), span)
-        case Call(callee, ref_args, args, type_args, span):
-            return Call(
-                rec(callee),
-                tuple(subst(ra, name, repl) for ra in ref_args),
-                tuple(rec(a) for a in args),
-                type_args,
-                span,
-            )
-        case Assign(place, rhs, span):
-            return Assign(place, rec(rhs), span)
-        case BorrowStrong(_) | BorrowMut(_) | BorrowShr(_) | Deref(_):
-            return e
-        case Val(RecFn(f, refparams, params, body, sig, vspan), span):
-            if name in {n for n, _ in refparams}:
-                return e
-            return Val(RecFn(f, refparams, params, rec(body), sig, vspan), span)
-        case Val(_):
-            return e
-        case _:
-            raise TypeError(f"subst_refexpr_in_expr: unsupported node {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Substitution of a value for a program variable
 
-def _subst_value_in_place(p: Place, name: str, v: Value) -> Place:
+def subst_value_in_place(p: Place, name: str, v: Value) -> Place:
     if isinstance(p, PVar) and p.name == name:
         if isinstance(v, TaggedPtr):
             return PPtr(v.loc_id, v.tag)
@@ -469,19 +425,19 @@ def _subst_value_in_place(p: Place, name: str, v: Value) -> Place:
 
 
 def subst_value_in_expr(e: Expr, name: str, v: Value) -> Expr:
-    """Substitute a closed value for a program variable.  The unpack case
-    dissolves the unpack, additionally substituting interp(v) for the
-    refinement binder; SubstError if interp(v) is undefined there."""
+    """Substitute a closed value for a program variable.  An unpack of the
+    variable dissolves, leaving its refinement binder in place (refinement
+    arguments have no runtime effect); SubstError if interp(v) is undefined
+    there."""
     rec = lambda x: subst_value_in_expr(x, name, v)
     match e:
         case Unpack(x, refvar, body, span):
             if x == name:
-                iv = interp(v)
-                if iv is None:
+                if interp(v) is None:
                     raise SubstError(
                         f"unpack of '{x}' against a value with no refinement index"
                     )
-                return subst_refexpr_in_expr(rec(body), refvar, iv)
+                return rec(body)
             return Unpack(x, refvar, rec(body), span)
         case Let(x, bound, body, span):
             if x == name:
@@ -498,15 +454,15 @@ def subst_value_in_expr(e: Expr, name: str, v: Value) -> Expr:
         case Call(callee, ref_args, args, type_args, span):
             return Call(rec(callee), ref_args, tuple(rec(a) for a in args), type_args, span)
         case Assign(place, rhs, span):
-            return Assign(_subst_value_in_place(place, name, v), rec(rhs), span)
+            return Assign(subst_value_in_place(place, name, v), rec(rhs), span)
         case BorrowStrong(place, span):
-            return BorrowStrong(_subst_value_in_place(place, name, v), span)
+            return BorrowStrong(subst_value_in_place(place, name, v), span)
         case BorrowMut(place, span):
-            return BorrowMut(_subst_value_in_place(place, name, v), span)
+            return BorrowMut(subst_value_in_place(place, name, v), span)
         case BorrowShr(place, span):
-            return BorrowShr(_subst_value_in_place(place, name, v), span)
+            return BorrowShr(subst_value_in_place(place, name, v), span)
         case Deref(place, span):
-            return Deref(_subst_value_in_place(place, name, v), span)
+            return Deref(subst_value_in_place(place, name, v), span)
         case Val(RecFn(f, refparams, params, body, sig, vspan), span):
             if name == f or name in params:
                 return e

@@ -498,7 +498,34 @@ class Checker:
     # -- expression synthesis -------------------------------------------------
 
     def synth(self, state: CheckState, e: Expr) -> Type:
-        state.assert_wf()
+        # The bodies of let, let-new and unpack are tail positions: walk a
+        # chain of them in a loop, keeping the let-new exits to run on the
+        # way out, innermost first.
+        exits: List[Tuple[LetNew, str, AbstractLoc]] = []
+        while True:
+            state.assert_wf()
+            match e:
+                case Let(x, bound, body, span):
+                    if state.vals.lookup(x) is not None:
+                        raise CheckError(f"shadowing of '{x}' is not supported", span)
+                    t = self.synth(state, bound)
+                    state.vals = state.vals.bind(x, t)
+                    e = body
+                case LetNew(_, _, body, _):
+                    exits.append(self.enter_letnew(state, e))
+                    e = body
+                case Unpack(x, a, body, span):
+                    self.do_unpack(state, x, a, span)
+                    e = body
+                case _:
+                    break
+        t = self.synth_one(state, e)
+        for letnew, locvar, loc in reversed(exits):
+            self.exit_letnew(state, letnew, locvar, loc, t)
+        return t
+
+    def synth_one(self, state: CheckState, e: Expr) -> Type:
+        """Synthesis of one expression that is not a let, let-new or unpack."""
         match e:
             case Val(value, span):
                 return self.synth_value(state, value, span)
@@ -507,17 +534,6 @@ class Checker:
                 if t is None:
                     raise UnboundVariable(f"unbound variable '{name}'", span)
                 return t
-            case Let(x, bound, body, span):
-                if state.vals.lookup(x) is not None:
-                    raise CheckError(f"shadowing of '{x}' is not supported", span)
-                t = self.synth(state, bound)
-                state.vals = state.vals.bind(x, t)
-                return self.synth(state, body)
-            case LetNew(x, locvar, body, span):
-                return self.synth_letnew(state, e)
-            case Unpack(x, a, body, span):
-                self.do_unpack(state, x, a, span)
-                return self.synth(state, body)
             case If(_, _, _, _):
                 return self.synth_if(state, e)
             case Call(_, _, _, _, _):
@@ -581,7 +597,10 @@ class Checker:
 
     # -- let new / escape check ----------------------------------------------
 
-    def synth_letnew(self, state: CheckState, e: LetNew) -> Type:
+    def enter_letnew(
+        self, state: CheckState, e: LetNew
+    ) -> Tuple[LetNew, str, AbstractLoc]:
+        """Bind the fresh cell of `e` before its body is synthesized."""
         locvar = e.locvar
         if state.ctx.sort_of(locvar) is not None:
             locvar = state.names.fresh(e.locvar)
@@ -591,7 +610,13 @@ class Checker:
         state.ctx = state.ctx.bind(locvar, Sort.LOC)
         state.vals = state.vals.bind(e.name, StrongPtr(loc))
         state.locs = state.locs.bind(loc, Uninit(1))
-        t = self.synth(state, e.body)
+        return e, locvar, loc
+
+    def exit_letnew(
+        self, state: CheckState, e: LetNew, locvar: str, loc: AbstractLoc, t: Type
+    ) -> None:
+        """Drop the cell of `e` once its body has type `t`; the location
+        must not escape."""
         state.locs = state.locs.remove(loc)
         if not state.shape_mode:
             if locvar in free_vars(t):
@@ -605,7 +630,6 @@ class Checker:
                     f"location '{locvar}' escapes through the location context",
                     e.span,
                 )
-        return t
 
     # -- unpack ----------------------------------------------------------------
 

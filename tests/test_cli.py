@@ -268,3 +268,31 @@ def test_deep_let_chain_is_never_rejected_nor_traceback(tmp_path):
     assert code in (0, 4), err[-500:]
     assert "Traceback" not in err
     assert len(err.splitlines()) <= 1
+
+
+def _add_chain(n):
+    """A chain of n lets, each adding a constant to the first."""
+    lines = ["let x0 = 0 in"] + [
+        f"let x{i} = call add(x0, {i}) in" for i in range(1, n)
+    ]
+    return "entry\n  " + "\n  ".join(lines) + f"\n  x{n - 1}\n"
+
+
+def test_1200_let_chain_checks_and_runs(tmp_path):
+    path = tmp_path / "chain.lr"
+    path.write_text(_add_chain(1200))
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+    code, out, err = invoke(["run", str(path)])
+    assert code == 0, err[-500:]
+    assert out == "done: 1199 after 2399 step(s)\n"
+
+
+def test_run_10000_let_chain(tmp_path):
+    path = tmp_path / "chain.lr"
+    path.write_text(_add_chain(10_000))
+    code, out, err = invoke(["run", str(path)])
+    assert code == 0, err[-500:]
+    assert out == "done: 9999 after 19999 step(s)\n"
+    assert err == ""

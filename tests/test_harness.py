@@ -131,6 +131,11 @@ def test_soundness_bug_fixture(monkeypatch, oracle):
     verdict = run_and_verify(program, report=unsound_report, oracle=oracle)
     assert verdict.kind == "bug"
     assert "stuck" in verdict.detail
+    # the detail ends with the stuck run's last trace events
+    assert verdict.detail.splitlines()[1:] == [
+        "0 alloc loc=0 tag=0 stack=[(Unique,0)]",
+        "1 read loc=0 tag=0 stack=[(Unique,0)]",
+    ]
 
 
 def test_nonconforming_value_is_a_bug(oracle):

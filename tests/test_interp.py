@@ -1,22 +1,27 @@
 """Interpreter and stack-discipline semantics: unit transitions, the
 randomized event suite, vector rules, and end-to-end runs."""
 
+import glob
+import hashlib
+import json
 import random
 
 import pytest
 
+from lrcheck.builtins import BUILTIN_VALUES
+from lrcheck.harness import generate_program
 from lrcheck.interp import (
     AliasError,
     MachineState,
     Perm,
     StackItem,
     run,
+    run_expr,
     sb_alloc,
     sb_dealloc,
     sb_read,
     sb_reborrow,
     sb_write,
-    step,
 )
 from lrcheck.parser import parse_expr, parse_program
 from lrcheck.syntax import BoolLit, IntLit, Poison, Program, TaggedPtr, VecVal
@@ -192,21 +197,17 @@ def test_randomized_event_suite():
 # -- vector rules ------------------------------------------------------------------
 
 
+def _one_step(st, src, x):
+    """Run `src` from state `st` with `x` bound, for one step of fuel."""
+    return run_expr(st, parse_expr(src), dict(BUILTIN_VALUES, x=x), fuel=1)
+
+
 def test_vec_push_empty_rule():
-    program = parse_program(
-        "entry let v = new(l) in let t0 = v := vec_new in "
-        "let t1 = call vec_push(v, 5) in *v"
-    )
-    # vec_new used as a bare value is runtime-legal; build by steps instead
     st = MachineState()
     loc, tag = sb_alloc(st, 1)
     st.heap[loc] = VecVal(0, Poison())
-    e = parse_expr("call vec_push(x, 5)")
-    from lrcheck.logic import subst_value_in_expr
-
-    e = subst_value_in_expr(e, "x", TaggedPtr(loc, tag))
-    result = step(st, e)
-    assert result.kind == "reduced"
+    result = _one_step(st, "call vec_push(x, 5)", TaggedPtr(loc, tag))
+    assert result.kind == "fuel" and result.steps == 1
     vec = st.heap[loc]
     assert isinstance(vec, VecVal) and vec.length == 1
     assert isinstance(vec.payload, TaggedPtr)
@@ -220,13 +221,8 @@ def test_vec_push_copies_and_deallocates():
     st.heap[buf] = IntLit(10)
     st.heap[buf + 1] = IntLit(11)
     st.heap[cell] = VecVal(2, TaggedPtr(buf, buf_tag))
-    from lrcheck.logic import subst_value_in_expr
-
-    e = subst_value_in_expr(
-        parse_expr("call vec_push(x, 12)"), "x", TaggedPtr(cell, cell_tag)
-    )
-    result = step(st, e)
-    assert result.kind == "reduced"
+    result = _one_step(st, "call vec_push(x, 12)", TaggedPtr(cell, cell_tag))
+    assert result.kind == "fuel" and result.steps == 1
     vec = st.heap[cell]
     assert vec.length == 3
     new_buf = vec.payload.loc_id
@@ -246,14 +242,12 @@ def test_vec_index_mut_returns_element_pointer():
     st.heap[buf] = IntLit(10)
     st.heap[buf + 1] = IntLit(11)
     st.heap[cell] = VecVal(2, TaggedPtr(buf, buf_tag))
-    from lrcheck.logic import subst_value_in_expr
-
-    e = subst_value_in_expr(
-        parse_expr("call vec_index_mut(x, 1)"), "x", TaggedPtr(cell, cell_tag)
-    )
-    result = step(st, e)
-    assert result.kind == "reduced"
-    ptr = result.expr.value
+    e = parse_expr("call vec_index_mut(x, 1)")
+    env = dict(BUILTIN_VALUES, x=TaggedPtr(cell, cell_tag))
+    # fuel 2: the one rule fires, then the value is reported
+    result = run_expr(st, e, env, fuel=2)
+    assert result.kind == "done" and result.steps == 1
+    ptr = result.value
     assert isinstance(ptr, TaggedPtr) and ptr.loc_id == buf + 1
     assert st.stacks[buf + 1][-1].tag == ptr.tag
 
@@ -264,12 +258,7 @@ def test_vec_index_mut_out_of_bounds_is_stuck():
     buf, buf_tag = sb_alloc(st, 1)
     st.heap[buf] = IntLit(10)
     st.heap[cell] = VecVal(1, TaggedPtr(buf, buf_tag))
-    from lrcheck.logic import subst_value_in_expr
-
-    e = subst_value_in_expr(
-        parse_expr("call vec_index_mut(x, 1)"), "x", TaggedPtr(cell, cell_tag)
-    )
-    result = step(st, e)
+    result = _one_step(st, "call vec_index_mut(x, 1)", TaggedPtr(cell, cell_tag))
     assert result.kind == "stuck"
 
 
@@ -317,8 +306,8 @@ def test_trace_is_deterministic():
         "\nentry\n  let c = new(l) in\n  let t0 = c := 1 in\n"
         "  let r = &mut c in\n  let t1 = call decr(r) in\n  *c\n"
     )
-    out1 = run(parse_program(src))
-    out2 = run(parse_program(src))
+    out1 = run(parse_program(src), trace=True)
+    out2 = run(parse_program(src), trace=True)
     t1 = [e.render() for e in out1.state.trace]
     t2 = [e.render() for e in out2.state.trace]
     assert t1 == t2 and t1
@@ -355,3 +344,121 @@ def test_vec_push_preserves_order_end_to_end():
     base = vec.payload.loc_id
     values = [outcome.state.heap[base + i] for i in range(3)]
     assert values == [IntLit(1), IntLit(2), IntLit(3)]
+
+
+# -- the environment machine ----------------------------------------------------------
+
+
+def test_deep_non_tail_recursion_runs():
+    """Each pending call is a continuation frame, not a Python frame."""
+    src = (
+        "entry let f = rec f (n) := if call gt (n, 0) { let m = call sub(n, 1) in "
+        "let r = call f(m) in call add(r, 2) } else { 0 } in call f (5000)"
+    )
+    outcome = run(parse_program(src))
+    assert outcome.kind == "done" and outcome.value == IntLit(10000)
+    assert outcome.state.rule_counter["call-rec"] == 5001
+
+
+def test_fuel_ends_a_run_before_its_final_value():
+    """A run with fuel N fires N rules; the value reached after the N-th
+    firing reports fuel exhaustion."""
+    program = parse_program("entry let t = call add(1, 2) in call add(t, 3)")
+    done = run(program, fuel=4)
+    assert done.kind == "done" and done.steps == 3
+    for fuel in (0, 1, 2, 3):
+        outcome = run(program, fuel=fuel)
+        assert outcome.kind == "fuel" and outcome.steps == fuel
+
+
+def test_trace_is_recorded_only_on_request():
+    program = parse_program(DECR + "\nentry let c = new(l) in let t0 = c := 1 in *c\n")
+    assert run(program).state.trace == []
+    assert [e.event for e in run(program, trace=True).state.trace] == [
+        "alloc", "write", "read",
+    ]
+
+
+def test_refinement_arguments_do_not_affect_a_run():
+    """Refinement arguments taken from an unpack, also from a shadowed one,
+    give the outcome of the same call without them."""
+    pairs = [
+        (
+            "entry let y = 5 in unpack (y, a) in call gt {a, 0} (y, 0)",
+            "entry let y = 5 in call gt (y, 0)",
+        ),
+        (
+            "entry let y = 5 in let z = 1 in unpack (y, a) in unpack (z, a) in "
+            "call gt {a, 0} (y, 0)",
+            "entry let y = 5 in let z = 1 in call gt (y, 0)",
+        ),
+        (
+            "entry let f = rec f {a: int} (x) := call gt {a, 0} (x, 0) in "
+            "let y = 5 in unpack (y, b) in call f {b} (y)",
+            "entry let f = rec f {a: int} (x) := call gt {a, 0} (x, 0) in "
+            "let y = 5 in call f (y)",
+        ),
+    ]
+    for with_args, without in pairs:
+        a, b = run(parse_program(with_args)), run(parse_program(without))
+        assert (a.kind, a.value, a.steps) == ("done", BoolLit(True), b.steps)
+        assert a.state.rule_counter == b.state.rule_counter
+
+
+def test_unpack_of_an_unindexed_value_is_stuck_at_the_unpack():
+    """A pointer or poison bound to a variable that a later unpack names
+    gets the machine stuck when it reaches the unpack, after the steps
+    before it (the substitution stepper got stuck at the binding step)."""
+    for src, name in [
+        ("entry let c = new(l) in let y = 1 in unpack (c, a) in 5", "c"),
+        ("entry let p = poison in let y = 1 in unpack (p, a) in 5", "p"),
+    ]:
+        outcome = run(parse_program(src))
+        assert outcome.kind == "stuck" and outcome.steps == 2
+        assert outcome.reason == (
+            f"unpack of '{name}' against a value with no refinement index"
+        )
+
+
+# tests/data/interp_golden.json holds, for every corpus program with an
+# entry and generator seeds 0-199 at budget 10, one digest per fuel of the
+# outcome the substitution stepper this machine replaced gave.  The machine
+# must reproduce each one.
+GOLDEN = json.load(open("tests/data/interp_golden.json"))
+
+
+def _digest(outcome) -> str:
+    parts = [
+        outcome.kind,
+        repr(outcome.value),
+        str(outcome.steps),
+        repr(outcome.error),
+        outcome.reason,
+        repr(sorted(outcome.state.rule_counter.items())),
+    ]
+    parts += [event.render() for event in outcome.state.trace]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+def test_golden_covers_every_corpus_entry():
+    with_entry = {
+        path
+        for path in glob.glob("corpus/*/*.lr")
+        if parse_program(open(path).read()).entry is not None
+    }
+    names = set(GOLDEN["digests"])
+    assert with_entry and with_entry <= names
+    assert {f"seed{s}" for s in range(200)} <= names
+
+
+def test_runs_match_the_golden_digests():
+    mismatched = []
+    for name, expected in GOLDEN["digests"].items():
+        if name.startswith("seed"):
+            program = generate_program(int(name[len("seed"):]), 10)
+        else:
+            program = parse_program(open(name).read())
+        for fuel, digest in zip(GOLDEN["fuels"], expected):
+            if _digest(run(program, fuel=fuel, trace=True)) != digest:
+                mismatched.append((name, fuel))
+    assert not mismatched

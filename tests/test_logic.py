@@ -145,9 +145,6 @@ def test_subst_drops_the_substituted_binder_of_a_refinement_context():
     assert subst(ctx, "a", IntConst(3)) == RefCtx(
         (Assume(R("3 >= 0")), Bind("b", Sort.INT), Assume(R("3 < b")))
     )
-    assert subst({"x": parse_type("int[a]")}, "a", Var("b")) == {
-        "x": parse_type("int[b]")
-    }
 
 
 def test_subst_indexed():
@@ -261,28 +258,3 @@ def test_subst_parallel_is_simultaneous():
     # sequential substitution would have collapsed both to the same name
     seq = subst(subst(e, "a", Var("b")), "b", Var("a"))
     assert seq == R("a = a + 1")
-
-
-def test_refexpr_substitution_into_expressions():
-    """Refinement substitution into program expressions: call arguments are
-    rewritten, unpack and rec binders shadow."""
-    from lrcheck.logic import subst_refexpr_in_expr
-    from lrcheck.parser import parse_expr
-
-    e = parse_expr("call gt {a, 0} (y, 0)")
-    out = subst_refexpr_in_expr(e, "a", IntConst(5))
-    assert out == parse_expr("call gt {5, 0} (y, 0)")
-
-    shadowed = parse_expr("unpack (x, a) in call gt {a, 0} (x, 0)")
-    assert subst_refexpr_in_expr(shadowed, "a", IntConst(5)) == shadowed
-
-    through = parse_expr("unpack (x, b) in call gt {a, 0} (x, 0)")
-    assert subst_refexpr_in_expr(through, "a", IntConst(5)) == parse_expr(
-        "unpack (x, b) in call gt {5, 0} (x, 0)"
-    )
-
-    recfn = parse_expr("rec f {a: int} (x) := call gt {a, 0} (x, 0)")
-    assert subst_refexpr_in_expr(recfn, "a", IntConst(5)) == recfn
-
-    letnew = parse_expr("let x = new(l) in call gt {l = l, true} ()")
-    assert subst_refexpr_in_expr(letnew, "l", Var("k")) == letnew
