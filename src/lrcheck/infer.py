@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .constraints import (
     Clause,
@@ -22,12 +22,24 @@ from .constraints import (
 )
 from .errors import ShapeMismatch, StructuralError
 from .logic import RefCtx, base_of, conj, getsort, subst_parallel
-from .oracle import Oracle, Query
+from .oracle import (
+    Cubes,
+    LinForm,
+    Oracle,
+    OracleError,
+    Query,
+    all_of,
+    any_of,
+    dnf,
+    linear_form,
+)
 from .printer import print_type
 from .subtyping import NameSupply, subtype
 from .syntax import (
     BaseType,
     BoolBase,
+    Cmp,
+    Eq,
     Exists,
     FnSig,
     Indexed,
@@ -35,6 +47,7 @@ from .syntax import (
     KApp,
     KVarDecl,
     LocCtx,
+    Not,
     Ref,
     RefExpr,
     Sort,
@@ -330,7 +343,170 @@ class _TemplateSlot(Type):
 
 
 # ---------------------------------------------------------------------------
-# Liquid fixpoint solving
+# Liquid fixpoint solving over linear rows
+#
+# Each candidate qualifier of a kvar is linearized once over the kvar's
+# parameters, into one positive literal:
+#   ("le", a, b, e)     a - b + e <= 0
+#   ("eq", l, r)        l = r over integers: the rows l - r <= 0, r - l <= 0
+#   ("bool", p, truth)  the boolean parameter p when truth, else its negation
+#   ("term", e)         any other formula, substituted and expanded on use
+# where a, b, l and r are linear forms over the parameters.  Its negated
+# cubes are derived from it: a - b + e <= 0 fails exactly when
+# b - a + 1 - e <= 0.  A kvar application maps each parameter to its
+# argument, an integer argument as its linear form; substituting a literal
+# splices the argument forms into its rows.
+
+ParamForm = Tuple[Tuple[Tuple[str, int], ...], int]
+
+
+def _param_form(e: RefExpr, int_params: Dict[str, Sort], prods) -> ParamForm:
+    coeffs, const = linear_form(e, prods)
+    if prods or any(int_params.get(p) is not Sort.INT for p in coeffs):
+        raise OracleError("not linear over the integer parameters")
+    return tuple(coeffs.items()), const
+
+
+def _literal(cand: RefExpr, sorts: Dict[str, Sort]) -> Tuple:
+    """One candidate as a literal over its kvar's parameters (`sorts`).  A
+    comparison or equality is a row literal only when both sides are linear
+    over integer parameters."""
+    prods: Dict[RefExpr, str] = {}
+    try:
+        match cand:
+            case Cmp(op, l, r):
+                # as the oracle reads it: a - b + e <= 0
+                a, b, e = {
+                    "<": (l, r, 1), "<=": (l, r, 0), ">": (r, l, 1), ">=": (r, l, 0)
+                }[op]
+                a, b = _param_form(a, sorts, prods), _param_form(b, sorts, prods)
+                return ("le", a, b, e)
+            case Eq(l, r):
+                l, r = _param_form(l, sorts, prods), _param_form(r, sorts, prods)
+                return ("eq", l, r)
+            case Var(p) if sorts.get(p) is Sort.BOOL:
+                return ("bool", p, True)
+            case Not(Var(p)) if sorts.get(p) is Sort.BOOL:
+                return ("bool", p, False)
+    except OracleError:
+        pass
+    return ("term", cand)
+
+
+class _App:
+    """One kvar application in a clause: each parameter mapped to its
+    argument, and each integer argument linearized once."""
+
+    __slots__ = ("kvar", "args", "lins", "sorts", "prods")
+
+    def __init__(self, app: KApp, sorts: Dict[str, Sort], prods):
+        self.kvar = app.kvar.name
+        self.args = {p: a for (p, _), a in zip(app.kvar.params, app.args)}
+        self.lins = {
+            p: linear_form(a, prods)
+            for (p, sort), a in zip(app.kvar.params, app.args)
+            if sort is Sort.INT
+        }
+        self.sorts = sorts
+        self.prods = prods
+
+    def _row(self, a: ParamForm, b: ParamForm, extra: int) -> LinForm:
+        """a - b + extra with the arguments' forms spliced in."""
+        lins = self.lins
+        coeffs: Dict[str, int] = {}
+        const = a[1] - b[1] + extra
+        for terms, sign in ((a[0], 1), (b[0], -1)):
+            for p, c in terms:
+                pcoeffs, pconst = lins[p]
+                factor = sign * c
+                const += factor * pconst
+                for v, x in pcoeffs.items():
+                    total = coeffs.get(v, 0) + factor * x
+                    if total:
+                        coeffs[v] = total
+                    else:
+                        del coeffs[v]
+        return coeffs, const
+
+    def cubes(self, lit: Tuple, positive: bool) -> Cubes:
+        """The DNF of the literal substituted here, or of its negation."""
+        kind = lit[0]
+        if kind == "le":
+            _, a, b, e = lit
+            row = self._row(a, b, e) if positive else self._row(b, a, 1 - e)
+            return [[("le", row)]]
+        if kind == "eq":
+            _, l, r = lit
+            if positive:
+                return [[("le", self._row(l, r, 0)), ("le", self._row(r, l, 0))]]
+            return [[("le", self._row(l, r, 1))], [("le", self._row(r, l, 1))]]
+        if kind == "bool":
+            return dnf(self.args[lit[1]], lit[2] == positive, self.sorts, self.prods)
+        return dnf(subst_parallel(lit[1], self.args), positive, self.sorts, self.prods)
+
+    def negated(self, lit: Tuple) -> Cubes:
+        return self.cubes(lit, False)
+
+
+class _Candidates:
+    """The fixpoint's state: each kvar's kept candidate qualifiers, and
+    their literals, built when a clause first needs that kvar and dropped
+    with the candidates the kvar deletes."""
+
+    def __init__(self, kvars: Sequence[KVarDecl], quals: Sequence[Qualifier]):
+        self.params = {k.name: dict(k.params) for k in kvars}
+        self.terms: Dict[str, List[RefExpr]] = {
+            k.name: instantiations(k, quals) for k in kvars
+        }
+        self._literals: Dict[str, List[Tuple]] = {}
+
+    def literals(self, name: str) -> List[Tuple]:
+        lits = self._literals.get(name)
+        if lits is None:
+            sorts = self.params[name]
+            lits = self._literals[name] = [_literal(c, sorts) for c in self.terms[name]]
+        return lits
+
+    def keep(self, name: str, indices: Sequence[int]) -> None:
+        self.terms[name] = [self.terms[name][i] for i in indices]
+        lits = self._literals.get(name)
+        if lits is not None:
+            self._literals[name] = [lits[i] for i in indices]
+
+    def negated_conj(self, app: _App) -> Cubes:
+        """The DNF of the negated conjunction of the kept candidates, as
+        applied at `app`."""
+        return any_of(app.negated(lit) for lit in self.literals(app.kvar))
+
+
+class _ClauseRows:
+    """A kvar-headed clause linearized once: the cubes of each concrete
+    hypothesis (expanded on first use) and an `_App` per kvar application."""
+
+    def __init__(self, clause: Clause):
+        sorts = dict(clause.binders)
+        prods: Dict[RefExpr, str] = {}
+        self.sorts = sorts
+        self.prods = prods
+        self.hyps: List = [
+            _App(h, sorts, prods) if isinstance(h, KApp) else h for h in clause.hyps
+        ]
+        assert isinstance(clause.head, KApp)
+        self.head = _App(clause.head, sorts, prods)
+
+    def hyp_cubes(self, cands: _Candidates) -> Iterator[Cubes]:
+        """The DNF of each hypothesis under the current candidates; a kvar
+        application's is the conjunction of its kept candidates'."""
+        for i, part in enumerate(self.hyps):
+            if isinstance(part, _App):
+                lits = cands.literals(part.kvar)
+                yield all_of(part.cubes(lit, True) for lit in lits)
+                continue
+            if isinstance(part, RefExpr):
+                part = dnf(part, True, self.sorts, self.prods)
+                self.hyps[i] = part
+            yield part
+
 
 @dataclass
 class SolveResult:
@@ -354,24 +530,22 @@ def solve(
     """Greatest-fixpoint predicate abstraction: start every unknown at the
     conjunction of all qualifier instantiations over its parameters, then
     delete qualifiers a clause fails to establish until all unknown-headed
-    clauses validate; finally check the concrete-headed clauses."""
+    clauses validate; finally check the concrete-headed clauses.
+
+    The fixpoint runs over linear rows.  A kvar's candidates are
+    linearized once, when a clause first needs that kvar, and each
+    unknown-headed clause once; a sweep splices the substituted rows of
+    the kept candidates and asks `Oracle.valid_rows`.  The concrete-headed
+    clauses are checked on terms through the cached `Oracle.valid`, which
+    also finds counter-models; the unknown-headed clauses are then
+    rechecked, over rows, under the final assignment."""
     norm = normalize(constraint)
     cls = clauses(norm)
     kvars = kvars_of(norm)
-
-    assignment: Dict[str, List[RefExpr]] = {
-        k.name: list(instantiations(k, quals)) for k in kvars
-    }
-    decls = {k.name: k for k in kvars}
-    solution = Solution()
-    for k in kvars:
-        solution.assign(k, conj(assignment[k.name]))
-
-    def expand(e: RefExpr) -> RefExpr:
-        return apply_solution_expr(e, solution)
-
+    cands = _Candidates(kvars, quals)
     kvar_clauses = [c for c in cls if c.is_kvar_head()]
     concrete_clauses = [c for c in cls if not c.is_kvar_head()]
+    compiled = {c.cid: _ClauseRows(c) for c in kvar_clauses}
 
     # clauses to revisit when a kvar's assignment shrinks
     dependents: Dict[str, List[Clause]] = {k.name: [] for k in kvars}
@@ -381,7 +555,7 @@ def solve(
 
     # termination: every re-enqueue follows at least one deletion, and the
     # total deletion budget is the number of initial instantiations
-    budget = sum(len(v) for v in assignment.values())
+    budget = sum(len(v) for v in cands.terms.values())
     deletions = 0
     sweeps = 0
     worklist = deque(kvar_clauses)
@@ -391,30 +565,27 @@ def solve(
         queued.discard(clause.cid)
         sweeps += 1
         assert sweeps <= len(kvar_clauses) * (budget + 1), "fixpoint did not descend"
-        head = clause.head
-        assert isinstance(head, KApp)
-        kname = head.kvar.name
-        candidates = assignment[kname]
-        if not candidates:
+        rows = compiled[clause.cid]
+        kname = rows.head.kvar
+        if not cands.terms[kname]:
             continue
-        hyps = tuple(expand(h) for h in clause.hyps)
-        mapping = {
-            pname: arg for (pname, _), arg in zip(head.kvar.params, head.args)
-        }
-        goals = [subst_parallel(cand, mapping) for cand in candidates]
-        verdicts = oracle.valid_many(clause.binders, hyps, goals, trusted=True)
-        kept = [c for c, v in zip(candidates, verdicts) if v.is_valid]
-        if len(kept) != len(candidates):
-            deletions += len(candidates) - len(kept)
-            assignment[kname] = kept
-            solution.assign(decls[kname], conj(kept))
+        lits = cands.literals(kname)
+        verdicts = oracle.valid_rows(rows.hyp_cubes(cands), lits, rows.head.negated)
+        kept = [i for i, v in enumerate(verdicts) if v.is_valid]
+        if len(kept) != len(lits):
+            deletions += len(lits) - len(kept)
+            cands.keep(kname, kept)
             for dep in dependents[kname]:
                 if dep.cid not in queued:
                     queued.add(dep.cid)
                     worklist.append(dep)
 
+    solution = Solution()
+    for k in kvars:
+        solution.assign(k, conj(cands.terms[k.name]))
+
     for clause in concrete_clauses:
-        hyps = tuple(expand(h) for h in clause.hyps)
+        hyps = tuple(apply_solution_expr(h, solution) for h in clause.hyps)
         verdict = oracle.valid(Query(clause.binders, hyps, clause.head))
         if verdict.is_invalid:
             return SolveResult(
@@ -430,11 +601,13 @@ def solve(
                 "unknown", solution, failed_clause=clause, reason=verdict.reason
             )
 
-    # re-check the solved clauses clause-by-clause under the final assignment
+    # re-check the solved clauses clause-by-clause under the final
+    # assignment; a head's goal is the conjunction of its candidates
     for clause in kvar_clauses:
-        hyps = tuple(expand(h) for h in clause.hyps)
-        goal = expand(clause.head)
-        verdict = oracle.valid_many(clause.binders, hyps, [goal], trusted=True)[0]
+        rows = compiled[clause.cid]
+        verdict = oracle.valid_rows(
+            rows.hyp_cubes(cands), [rows.head], cands.negated_conj
+        )[0]
         if not verdict.is_valid:
             return SolveResult(
                 "unknown" if verdict.is_unknown else "unsat",

@@ -3,7 +3,7 @@ bridges (getsort, interp) over the core AST."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Set, Tuple, Union
 
 from .syntax import (
@@ -428,25 +428,40 @@ def subst_value_in_expr(e: Expr, name: str, v: Value) -> Expr:
     """Substitute a closed value for a program variable.  An unpack of the
     variable dissolves, leaving its refinement binder in place (refinement
     arguments have no runtime effect); SubstError if interp(v) is undefined
-    there."""
+    there.  A chain of `let`s is walked in a loop and rebuilt from the
+    inside out, so its length is not bounded by the recursion limit."""
     rec = lambda x: subst_value_in_expr(x, name, v)
+    chain = []  # the binders above `e` that keep `name` free, outermost first
+    while True:
+        if isinstance(e, Let) and e.name != name:
+            chain.append(replace(e, bound=rec(e.bound)))
+        elif isinstance(e, LetNew) and e.name != name:
+            chain.append(e)
+        elif isinstance(e, Unpack) and e.var != name:
+            chain.append(e)
+        else:
+            break
+        e = e.body
+    e = _subst_value_node(e, name, v, rec)
+    for node in reversed(chain):
+        e = replace(node, body=e)
+    return e
+
+
+def _subst_value_node(e: Expr, name: str, v: Value, rec) -> Expr:
+    """`subst_value_in_expr` on a node that is not a binder keeping `name`
+    free: a binder here binds `name` itself."""
     match e:
         case Unpack(x, refvar, body, span):
-            if x == name:
-                if interp(v) is None:
-                    raise SubstError(
-                        f"unpack of '{x}' against a value with no refinement index"
-                    )
-                return rec(body)
-            return Unpack(x, refvar, rec(body), span)
+            if interp(v) is None:
+                raise SubstError(
+                    f"unpack of '{x}' against a value with no refinement index"
+                )
+            return rec(body)
         case Let(x, bound, body, span):
-            if x == name:
-                return Let(x, rec(bound), body, span)
-            return Let(x, rec(bound), rec(body), span)
-        case LetNew(x, locvar, body, span):
-            if x == name:
-                return e
-            return LetNew(x, locvar, rec(body), span)
+            return Let(x, rec(bound), body, span)
+        case LetNew(_):
+            return e
         case VarRef(x, span):
             return Val(v, span) if x == name else e
         case If(c, t1, t2, span):
@@ -477,7 +492,8 @@ def subst_value_in_expr(e: Expr, name: str, v: Value) -> Expr:
 # Helpers shared by the checker and the solver
 
 def conj(preds: Iterable[RefExpr]) -> RefExpr:
-    """Right-nested conjunction; empty conjunction is true."""
+    """Conjunction nested on the left, ((p1 and p2) and p3); empty
+    conjunction is true."""
     out: Optional[RefExpr] = None
     for p in preds:
         out = p if out is None else BinBool("and", out, p)

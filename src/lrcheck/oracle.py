@@ -9,13 +9,23 @@ are decided together: each satisfiable hypothesis cube is deduplicated and
 its unit-coefficient equalities are eliminated once, by exact Gaussian
 substitution; each negated goal cube then only has those substitutions
 applied to its own rows.  A goal row that the cube contradicts or implies
-row by row is settled without Fourier-Motzkin.  Satisfiable relaxations are
-answered Invalid only when a concrete integer counter-model is found and
-re-checked by evaluation; otherwise the verdict is Unknown.
+row by row is settled without Fourier-Motzkin.
 
-An external SMT-LIB2 solver can be plugged in over a child-process pipe;
-see `SmtBackend`.  Nonlinear products are abstracted as opaque variables,
-which keeps Valid sound and makes some queries Unknown.
+There are two entries.  The term-level one (`Oracle.valid`,
+`Oracle.valid_many`) sort-checks and caches queries, linearizes them into
+DNF cubes of rows (`dnf`) and answers a satisfiable relaxation Invalid
+only when a concrete integer counter-model is found and re-checked by
+evaluation; otherwise the verdict is Unknown.  The row-level one
+(`Oracle.valid_rows`) takes formulas already linearized: the fixpoint
+solver linearizes each qualifier and each clause once and hands over the
+DNF of each hypothesis and of each negated goal.  It has no cache and
+searches no model: a goal it does not refute is Invalid.  Both decide
+through `_decide_rows`.
+
+An external SMT-LIB2 solver can be plugged in over a child-process pipe
+for the term-level entry; see `SmtBackend`.  Nonlinear products are
+abstracted as opaque variables, which keeps Valid sound and makes some
+queries Unknown.
 """
 
 from __future__ import annotations
@@ -23,7 +33,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from .logic import RefCtx, contains_kapp, sortcheck
 from .syntax import (
@@ -44,6 +64,8 @@ from .syntax import (
 
 MAX_CUBES = 8192
 MAX_MODEL_CANDIDATES = 6000
+
+G = TypeVar("G")
 
 
 @dataclass(frozen=True)
@@ -73,6 +95,7 @@ class Verdict:
 
 
 VALID = Verdict("valid")
+INVALID = Verdict("invalid")
 
 
 class OracleError(Exception):
@@ -122,7 +145,10 @@ def eval_closed(e: RefExpr, env: Dict[str, Union[int, bool]]):
 LinForm = Tuple[Dict[str, int], int]
 
 
-def _lin(e: RefExpr, prods: Dict[RefExpr, str]) -> LinForm:
+def linear_form(e: RefExpr, prods: Dict[RefExpr, str]) -> LinForm:
+    """`e` as coefficients over variables plus a constant.  A product of two
+    non-constant factors becomes an opaque variable named in `prods`, one
+    name per distinct product term."""
     match e:
         case Var(name):
             return ({name: 1}, 0)
@@ -131,12 +157,12 @@ def _lin(e: RefExpr, prods: Dict[RefExpr, str]) -> LinForm:
         case LocConst(l):
             return ({}, l)
         case BinArith("+", l, r):
-            return _lin_add(_lin(l, prods), _lin(r, prods), 1)
+            return _lin_add(linear_form(l, prods), linear_form(r, prods), 1)
         case BinArith("-", l, r):
-            return _lin_add(_lin(l, prods), _lin(r, prods), -1)
+            return _lin_add(linear_form(l, prods), linear_form(r, prods), -1)
         case BinArith("*", l, r):
-            cl, kl = _lin(l, prods)
-            cr, kr = _lin(r, prods)
+            cl, kl = linear_form(l, prods)
+            cr, kr = linear_form(r, prods)
             if not cl:
                 return ({v: kl * c for v, c in cr.items() if kl * c != 0}, kl * kr)
             if not cr:
@@ -160,16 +186,68 @@ def _lin_add(a: LinForm, b: LinForm, sign: int) -> LinForm:
 
 def _le_zero(lhs: RefExpr, rhs: RefExpr, extra: int, prods) -> LinForm:
     """lhs - rhs + extra <= 0"""
-    form = _lin_add(_lin(lhs, prods), _lin(rhs, prods), -1)
+    form = _lin_add(linear_form(lhs, prods), linear_form(rhs, prods), -1)
     return (form[0], form[1] + extra)
 
 
-# Literals: ("le", LinForm) or ("bool", name, value)
+# Literals: ("le", LinForm) or ("bool", name, value); a cube is a list of
+# literals read as their conjunction, and a list of cubes is a DNF.
 Literal = Tuple
+Cubes = List[List[Literal]]
 
 
-def _atom_cubes(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods):
-    """DNF cubes (lists of literals) for an atomic or boolean formula."""
+def dnf(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods) -> Cubes:
+    """DNF cubes of `e` (or of its negation) over linear rows and boolean
+    literals.  A chain of `and`/`or` nested on its left operand, as `conj`
+    builds it, is walked in a loop, so its length is not bounded by the
+    recursion limit."""
+    if isinstance(e, BinBool):
+        # a conjunction of the operands' cubes crosses them; a disjunction
+        # concatenates them
+        crossing = (e.op == "and") == positive
+        rights = []
+        node = e
+        while isinstance(node, BinBool) and node.op == e.op:
+            rights.append(node.rhs)
+            node = node.lhs
+        cubes = dnf(node, positive, sorts, prods)
+        for rhs in reversed(rights):
+            more = dnf(rhs, positive, sorts, prods)
+            cubes = _cross(cubes, more) if crossing else cubes + more
+            if len(cubes) > MAX_CUBES:
+                raise _TooLarge()
+        return cubes
+    cubes = _atom_cubes(e, positive, sorts, prods)
+    if len(cubes) > MAX_CUBES:
+        raise _TooLarge()
+    return cubes
+
+
+def all_of(parts: Iterable[Cubes]) -> Cubes:
+    """The conjunction of DNFs, under the same size limit as `dnf`."""
+    cubes: Cubes = [[]]
+    for part in parts:
+        if len(part) == 1:
+            # the cubes so far are fresh lists: extend them in place
+            for cube in cubes:
+                cube.extend(part[0])
+        else:
+            cubes = _cross(cubes, part)
+    return cubes
+
+
+def any_of(parts: Iterable[Cubes]) -> Cubes:
+    """The disjunction of DNFs, under the same size limit as `dnf`."""
+    cubes: Cubes = []
+    for part in parts:
+        cubes += part
+        if len(cubes) > MAX_CUBES:
+            raise _TooLarge()
+    return cubes
+
+
+def _atom_cubes(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods) -> Cubes:
+    """DNF cubes of a formula that is not an `and`/`or`."""
     match e:
         case BoolConst(v):
             truth = v if positive else not v
@@ -179,19 +257,7 @@ def _atom_cubes(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods):
                 return [[("bool", name, positive)]]
             raise OracleError(f"non-boolean variable {name} used as a formula")
         case Not(a):
-            return _cubes(a, not positive, sorts, prods)
-        case BinBool("and", l, r):
-            if positive:
-                return _cross(
-                    _cubes(l, True, sorts, prods), _cubes(r, True, sorts, prods)
-                )
-            return _cubes(l, False, sorts, prods) + _cubes(r, False, sorts, prods)
-        case BinBool("or", l, r):
-            if positive:
-                return _cubes(l, True, sorts, prods) + _cubes(r, True, sorts, prods)
-            return _cross(
-                _cubes(l, False, sorts, prods), _cubes(r, False, sorts, prods)
-            )
+            return dnf(a, not positive, sorts, prods)
         case Cmp(op, l, r):
             if not positive:
                 op = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}[op]
@@ -207,17 +273,17 @@ def _atom_cubes(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods):
             if lsort == Sort.BOOL:
                 if positive:
                     both = _cross(
-                        _cubes(l, True, sorts, prods), _cubes(r, True, sorts, prods)
+                        dnf(l, True, sorts, prods), dnf(r, True, sorts, prods)
                     )
                     neither = _cross(
-                        _cubes(l, False, sorts, prods), _cubes(r, False, sorts, prods)
+                        dnf(l, False, sorts, prods), dnf(r, False, sorts, prods)
                     )
                     return both + neither
                 forward = _cross(
-                    _cubes(l, True, sorts, prods), _cubes(r, False, sorts, prods)
+                    dnf(l, True, sorts, prods), dnf(r, False, sorts, prods)
                 )
                 backward = _cross(
-                    _cubes(l, False, sorts, prods), _cubes(r, True, sorts, prods)
+                    dnf(l, False, sorts, prods), dnf(r, True, sorts, prods)
                 )
                 return forward + backward
             if positive:
@@ -232,13 +298,6 @@ def _atom_cubes(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods):
             raise OracleError("unknown predicate in oracle query")
         case _:
             raise OracleError(f"not a formula: {e!r}")
-
-
-def _cubes(e: RefExpr, positive: bool, sorts, prods):
-    cubes = _atom_cubes(e, positive, sorts, prods)
-    if len(cubes) > MAX_CUBES:
-        raise _TooLarge()
-    return cubes
 
 
 class _TooLarge(Exception):
@@ -270,11 +329,10 @@ def _sort_of_term(e: RefExpr, sorts: Dict[str, Sort]) -> Sort:
 
 def _dedupe(rows: List[LinForm]) -> List[LinForm]:
     """Keep only the tightest row per coefficient vector (coeffs.x + c <= 0
-    with larger c subsumes smaller).  Zero coefficients are dropped."""
+    with larger c subsumes smaller).  Every row built here carries no zero
+    coefficient, so equal vectors have equal keys."""
     best: Dict[frozenset, Tuple[Dict[str, int], int]] = {}
     for coeffs, const in rows:
-        if any(c == 0 for c in coeffs.values()):
-            coeffs = {v: c for v, c in coeffs.items() if c != 0}
         key = frozenset(coeffs.items())
         prev = best.get(key)
         if prev is None or const > prev[1]:
@@ -418,21 +476,16 @@ def _against_cube(
     return out
 
 
-def _decide_many(
-    binders: Tuple[Tuple[str, Sort], ...],
-    hyps: Tuple[RefExpr, ...],
-    goals: Sequence[RefExpr],
-    want_model: bool = True,
+def _decide_rows(
+    hyps: Iterable[Cubes], goals: Sequence[G], negate: Callable[[G], Cubes]
 ) -> List[Verdict]:
-    """Decide several goals under shared hypotheses; the hypothesis cubes
-    are processed once."""
-    sorts = {name: sort for name, sort in binders}
-    prods: Dict[RefExpr, str] = {}
-
+    """Decide goals under shared hypotheses, given as the DNF of each
+    hypothesis conjunct and, through `negate`, the DNF of each goal's
+    negation.  Both are consumed here, so a DNF over the size limit turns
+    into an unknown verdict.  A goal that is not refuted is Invalid with no
+    model."""
     try:
-        hyp_cubes = [[]]
-        for h in hyps:
-            hyp_cubes = _cross(hyp_cubes, _cubes(h, True, sorts, prods))
+        hyp_cubes = all_of(hyps)
     except _TooLarge:
         return [
             Verdict("unknown", reason="formula too large for built-in oracle")
@@ -462,7 +515,7 @@ def _decide_many(
             out.append(VALID)  # hypotheses are unsatisfiable
             continue
         try:
-            neg_cubes = _cubes(goal, False, sorts, prods)
+            neg_cubes = negate(goal)
         except _TooLarge:
             out.append(Verdict("unknown", reason="goal too large"))
             continue
@@ -485,23 +538,38 @@ def _decide_many(
         except _TooLarge:
             out.append(Verdict("unknown", reason="built-in oracle blowup"))
             continue
-        if refuted:
-            out.append(VALID)
-            continue
-        if not want_model:
-            out.append(Verdict("invalid"))
-            continue
-        query = Query(binders, hyps, goal)
-        model = _search_counter_model(query, sorts)
-        if model is not None:
-            out.append(Verdict("invalid", model=model))
-        else:
-            out.append(
-                Verdict(
-                    "unknown",
-                    reason="satisfiable relaxation, no integer model found",
+        out.append(VALID if refuted else INVALID)
+    return out
+
+
+def _decide_many(
+    binders: Tuple[Tuple[str, Sort], ...],
+    hyps: Tuple[RefExpr, ...],
+    goals: Sequence[RefExpr],
+    want_model: bool = True,
+) -> List[Verdict]:
+    """Decide several goals under shared hypotheses: linearize, decide the
+    rows, then look for a counter-model of each goal that was not refuted."""
+    sorts = {name: sort for name, sort in binders}
+    prods: Dict[RefExpr, str] = {}
+    verdicts = _decide_rows(
+        (dnf(h, True, sorts, prods) for h in hyps),
+        goals,
+        lambda goal: dnf(goal, False, sorts, prods),
+    )
+    if not want_model:
+        return verdicts
+    out: List[Verdict] = []
+    for goal, verdict in zip(goals, verdicts):
+        if verdict.is_invalid:
+            model = _search_counter_model(Query(binders, hyps, goal), sorts)
+            if model is not None:
+                verdict = Verdict("invalid", model=model)
+            else:
+                verdict = Verdict(
+                    "unknown", reason="satisfiable relaxation, no integer model found"
                 )
-            )
+        out.append(verdict)
     return out
 
 
@@ -812,6 +880,18 @@ class Oracle:
         self.cache[key] = verdict
         return verdict
 
+    def valid_rows(
+        self, hyps: Iterable[Cubes], goals: Sequence[G], negate: Callable[[G], Cubes]
+    ) -> List[Verdict]:
+        """Row-level validity of each goal under shared hypotheses, for
+        callers that keep their formulas linearized (the fixpoint solver):
+        `hyps` yields the DNF of each hypothesis conjunct and `negate` gives
+        the DNF of a goal's negation (see `dnf`).  Always decided by the
+        built-in procedure, with no cache and no counter-models; a goal
+        that is not refuted is Invalid.  Counts one query per goal."""
+        self.queries += len(goals)
+        return _decide_rows(hyps, goals, negate)
+
     def valid_many(
         self,
         binders: Tuple[Tuple[str, Sort], ...],
@@ -822,9 +902,7 @@ class Oracle:
     ) -> List[Verdict]:
         """Batched validity under shared hypotheses; hypothesis processing
         is amortized over the goals.  `trusted` skips sort checking and the
-        cache for queries assembled from already-checked material (the
-        fixpoint solver's candidate sweeps, whose hypotheses change every
-        iteration and would miss the cache anyway)."""
+        cache for queries assembled from already-checked material."""
         if self.backend is not None:
             return [
                 self.valid(Query(binders, hyps, g), want_model) for g in goals

@@ -467,24 +467,3 @@ class Program:
     decls: Tuple[FnDecl, ...]
     entry: Optional[Expr] = None
 
-
-# Convenience constructors used all over tests and builtins.
-
-def vint(z: int) -> Expr:
-    return Val(IntLit(z))
-
-
-def vbool(b: bool) -> Expr:
-    return Val(BoolLit(b))
-
-
-def int_at(idx: RefExpr) -> Type:
-    return Indexed(IntBase(), idx)
-
-
-def bool_at(idx: RefExpr) -> Type:
-    return Indexed(BoolBase(), idx)
-
-
-def nat() -> Type:
-    return Exists("v", IntBase(), Cmp(">=", Var("v"), IntConst(0)))

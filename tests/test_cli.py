@@ -296,3 +296,22 @@ def test_run_10000_let_chain(tmp_path):
     assert code == 0, err[-500:]
     assert out == "done: 9999 after 19999 step(s)\n"
     assert err == ""
+
+
+def test_fn_body_1000_let_chain_checks_and_runs(tmp_path):
+    """Closing a declaration over the builtins before a run walks the
+    `let` chain of its body in a loop."""
+    lines = [
+        "fn f {n: int | n >= 0}( int[n] ) -> {v. int[v] | v >= 0} :=",
+        "  rec f {n: int} (x0) :=",
+    ]
+    lines += [f"    let x{i + 1} = call add(x0, {i}) in" for i in range(1000)]
+    lines += ["    x1000", "", "entry call f {5} (5)"]
+    path = tmp_path / "fn_chain.lr"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    code, out, err = invoke(["run", str(path)])
+    assert code == 0, err[-500:]
+    assert out == "done: 1004 after 2001 step(s)\n"
+    assert err == ""

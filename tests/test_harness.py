@@ -2,6 +2,7 @@
 verdicts, the soundness-bug fixture, and the mutation suite."""
 
 import glob
+import time
 
 import pytest
 
@@ -39,6 +40,19 @@ def test_generator_deterministic():
     a = print_program(generate_program(123, budget=9))
     b = print_program(generate_program(123, budget=9))
     assert a == b
+
+
+def test_generator_budget_160_checks_runs_and_conforms(record_property):
+    """One inferred solution here is a conjunction of about 500 qualifier
+    instances; nothing on the way from checking to conformance recurses
+    once per conjunct."""
+    start = time.perf_counter()
+    program = generate_program(0, budget=160)
+    report = check_program(program)
+    verdict = run_and_verify(program, report=report)
+    record_property("seconds", round(time.perf_counter() - start, 2))
+    assert report.ok
+    assert verdict.passed, verdict.detail
 
 
 def test_generator_soundness_sample(oracle):

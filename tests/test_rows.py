@@ -1,0 +1,204 @@
+"""The fixpoint's row-level oracle entry: a kvar-headed clause linearized
+once and spliced per sweep must get the verdicts the term-level batched
+entry gives the expanded clause, and no Valid that brute force refutes."""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from gen import bool_expr, int_expr
+from lrcheck import oracle as oracle_module
+from lrcheck.constraints import (
+    Clause,
+    Provenance,
+    Qualifier,
+    Solution,
+    apply_solution_expr,
+    default_qualifiers,
+)
+from lrcheck.infer import _Candidates, _ClauseRows
+from lrcheck.logic import conj, subst_parallel
+from lrcheck.oracle import VALID, Oracle, eval_closed
+from lrcheck.syntax import (
+    BinArith,
+    BinBool,
+    BoolConst,
+    Cmp,
+    Eq,
+    IntConst,
+    KApp,
+    KVarDecl,
+    Not,
+    Sort,
+    Var,
+)
+
+INTS = ["x0", "x1", "x2"]
+BOOLS = ["b0", "b1"]
+BINDERS = tuple((n, Sort.INT) for n in INTS) + tuple((n, Sort.BOOL) for n in BOOLS)
+K_HYP = KVarDecl("k0", (("v", Sort.INT), ("a", Sort.INT), ("p", Sort.BOOL)))
+K_HEAD = KVarDecl("k1", (("w", Sort.INT), ("c", Sort.INT), ("q", Sort.BOOL)))
+# the defaults plus two qualifiers that are not one linear literal, as a
+# configuration file may add: a disjunction and a nonlinear product
+QUALS = default_qualifiers() + [
+    Qualifier(
+        "lt-or-zero",
+        Sort.INT,
+        True,
+        lambda v, m: BinBool("or", Cmp("<", v, m), Eq(v, IntConst(0))),
+    ),
+    Qualifier(
+        "same-sign",
+        Sort.INT,
+        True,
+        lambda v, m: Cmp(">=", BinArith("*", v, m), IntConst(0)),
+    ),
+]
+
+
+def _int_arg(rng):
+    if rng.random() < 0.25:
+        # a nonlinear product, which the oracle treats as opaque
+        return BinArith("*", Var(rng.choice(INTS)), Var(rng.choice(INTS)))
+    return int_expr(rng, INTS, 2)
+
+
+def _bool_arg(rng):
+    if rng.random() < 0.4:
+        return Var(rng.choice(BOOLS))
+    # a formula bound to a boolean parameter
+    return bool_expr(rng, INTS, BOOLS, 2)
+
+
+def _app(rng, kvar):
+    return KApp(kvar, (_int_arg(rng), _int_arg(rng), _bool_arg(rng)))
+
+
+def _case(rng):
+    """A clause with concrete and kvar hypotheses that all hold at one
+    random point, sometimes recursive, whose head often repeats the
+    arguments of a hypothesis; each kvar keeps a random subset of its
+    candidates, sometimes none.  The hypothesis kvar keeps only candidates
+    true at the point."""
+    env = {n: rng.randrange(-2, 3) for n in INTS}
+    env.update({n: rng.random() < 0.5 for n in BOOLS})
+    hyps = []
+    for _ in range(rng.randrange(3)):
+        h = bool_expr(rng, INTS, BOOLS, 2)
+        hyps.append(h if eval_closed(h, env) else Not(h))
+    apps = [_app(rng, K_HYP) for _ in range(rng.randrange(1, 3))]
+    for app in apps:
+        hyps.insert(rng.randrange(len(hyps) + 1), app)
+    head_kvar = K_HYP if rng.random() < 0.3 else K_HEAD
+    if rng.random() < 0.6:
+        head = KApp(head_kvar, rng.choice(apps).args)
+    else:
+        head = _app(rng, head_kvar)
+    clause = Clause(0, BINDERS, tuple(hyps), head, Provenance("test"))
+    cands = _Candidates([K_HYP, K_HEAD], QUALS)
+    true_here = [
+        c
+        for c in cands.terms["k0"]
+        if all(eval_closed(_at(c, K_HYP, app.args), env) for app in apps)
+    ]
+    for name, terms in (("k0", true_here), ("k1", cands.terms["k1"])):
+        size = 0
+        if terms and rng.random() < 0.85:
+            size = rng.randrange(1, min(len(terms), 8) + 1)
+        cands.terms[name] = rng.sample(terms, size)
+    return clause, cands
+
+
+def _at(cand, kvar, args):
+    return subst_parallel(cand, {p: a for (p, _), a in zip(kvar.params, args)})
+
+
+def _term_query(clause, cands):
+    """The clause expanded as the term-level solver did: hypotheses under
+    the conjunction of candidates, and each head candidate as a goal, then
+    their conjunction as the recheck's goal."""
+    solution = Solution()
+    for k in (K_HYP, K_HEAD):
+        solution.assign(k, conj(cands.terms[k.name]))
+    hyps = tuple(apply_solution_expr(h, solution) for h in clause.hyps)
+    head = clause.head
+    goals = [_at(c, head.kvar, head.args) for c in cands.terms[head.kvar.name]]
+    return hyps, goals + [apply_solution_expr(head, solution)]
+
+
+def _models(hyps):
+    """Every assignment of the binders over a small box that satisfies the
+    hypotheses."""
+    out = []
+    for ints in itertools.product(range(-2, 3), repeat=len(INTS)):
+        for bools in itertools.product((False, True), repeat=len(BOOLS)):
+            env = dict(zip(INTS, ints))
+            env.update(zip(BOOLS, bools))
+            if all(eval_closed(h, env) for h in hyps):
+                out.append(env)
+    return out
+
+
+@pytest.mark.parametrize("max_cubes", [oracle_module.MAX_CUBES, 3])
+def test_row_entry_matches_term_entry_and_brute_force(monkeypatch, max_cubes):
+    # a small cube limit sends many hypotheses and goals down the unknown path
+    monkeypatch.setattr(oracle_module, "MAX_CUBES", max_cubes)
+    rng = random.Random(61)
+    oracle = Oracle()
+    seen = Counter()
+    disagreements = []
+    for _ in range(120):
+        clause, cands = _case(rng)
+        rows = _ClauseRows(clause)
+        lits = cands.literals(rows.head.kvar)
+        queries = oracle.queries
+        by_rows = oracle.valid_rows(rows.hyp_cubes(cands), lits, rows.head.negated)
+        by_rows += oracle.valid_rows(
+            rows.hyp_cubes(cands), [rows.head], cands.negated_conj
+        )
+        assert oracle.queries == queries + len(lits) + 1
+        hyps, goals = _term_query(clause, cands)
+        by_terms = oracle.valid_many(BINDERS, hyps, goals, trusted=True)
+        if [(v.status, v.reason) for v in by_rows] != [
+            (v.status, v.reason) for v in by_terms
+        ]:
+            disagreements.append((clause, "differs from terms", by_rows, by_terms))
+        models = _models(hyps)
+        for goal, verdict in zip(goals, by_rows):
+            seen[verdict.reason or verdict.status] += 1
+            if verdict.is_valid and any(not eval_closed(goal, env) for env in models):
+                disagreements.append((clause, "false valid", goal))
+        seen["empty"] += not lits
+        seen["term literals"] += sum(lit[0] == "term" for lit in lits)
+    assert not disagreements, disagreements[:3]
+    assert seen["valid"] >= 40 and seen["invalid"] >= 40, seen
+    assert seen["empty"] >= 5 and seen["term literals"] >= 20, seen
+    if max_cubes == 3:
+        assert seen["formula too large for built-in oracle"] >= 10, seen
+        assert seen["goal too large"] >= 5, seen
+
+
+def test_kvar_hypothesis_is_one_conjunction_under_the_cube_limit(monkeypatch):
+    """A kvar hypothesis's candidates are conjoined among themselves before
+    the other hypotheses, as the expanded term is: here their conjunction
+    has no cube, so the product never exceeds the limit and the hypotheses
+    are simply unsatisfiable."""
+    monkeypatch.setattr(oracle_module, "MAX_CUBES", 3)
+    either = BinBool("or", Var("b0"), Var("b1"))
+    true_or_b0 = BinBool("or", BoolConst(True), Var("b0"))
+    app = KApp(K_HYP, (Var("x0"), Var("x1"), true_or_b0))
+    head = KApp(K_HEAD, app.args)
+    clause = Clause(0, BINDERS, (either, app), head, Provenance("test"))
+    cands = _Candidates([K_HYP, K_HEAD], QUALS)
+    # p and not p: two cubes, then none
+    cands.terms["k0"] = [Var("p"), Not(Var("p"))]
+    cands.terms["k1"] = [Cmp(">=", Var("w"), IntConst(0))]
+    rows = _ClauseRows(clause)
+    by_rows = Oracle().valid_rows(
+        rows.hyp_cubes(cands), cands.literals("k1"), rows.head.negated
+    )
+    hyps, goals = _term_query(clause, cands)
+    by_terms = Oracle().valid_many(BINDERS, hyps, goals[:1], trusted=True)
+    assert by_rows == by_terms == [VALID]
