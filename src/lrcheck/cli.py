@@ -270,8 +270,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_soundness(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    oracle = make_oracle(cfg)
+    try:
+        return _soundness(args, cfg, oracle)
+    finally:
+        oracle.close()
+
+
+def _soundness(args: argparse.Namespace, cfg: Config, oracle: Oracle) -> int:
     result = soundness_sweep(
-        range(args.seeds), budget=args.budget, fuel=cfg.fuel
+        range(args.seeds), budget=args.budget, fuel=cfg.fuel, oracle=oracle
     )
     print(
         f"soundness: {result.passed}/{result.total} generated programs passed, "
@@ -289,7 +297,6 @@ def cmd_soundness(args: argparse.Namespace) -> int:
 
         from lrcheck.typeck import check_program as _check
 
-        oracle = make_oracle(cfg)
         for path in sorted(glob.glob(os.path.join(args.corpus, "*.lr"))):
             try:
                 program = _read_program(path)
@@ -314,7 +321,6 @@ def cmd_soundness(args: argparse.Namespace) -> int:
                 print(f"  corpus {path}: SOUNDNESS BUG: {verdict.detail}",
                       file=sys.stderr)
                 ok = False
-        oracle.close()
     return EXIT_OK if ok else EXIT_REJECTED
 
 

@@ -29,7 +29,6 @@ from .oracle import (
     OracleError,
     Query,
     all_of,
-    any_of,
     dnf,
     linear_form,
 )
@@ -473,15 +472,11 @@ class _Candidates:
         if lits is not None:
             self._literals[name] = [lits[i] for i in indices]
 
-    def negated_conj(self, app: _App) -> Cubes:
-        """The DNF of the negated conjunction of the kept candidates, as
-        applied at `app`."""
-        return any_of(app.negated(lit) for lit in self.literals(app.kvar))
-
 
 class _ClauseRows:
-    """A kvar-headed clause linearized once: the cubes of each concrete
-    hypothesis (expanded on first use) and an `_App` per kvar application."""
+    """A clause linearized once: the cubes of each concrete hypothesis
+    (expanded on first use), an `_App` per kvar application, and the head,
+    an `_App` when it is a kvar application and the formula otherwise."""
 
     def __init__(self, clause: Clause):
         sorts = dict(clause.binders)
@@ -491,8 +486,8 @@ class _ClauseRows:
         self.hyps: List = [
             _App(h, sorts, prods) if isinstance(h, KApp) else h for h in clause.hyps
         ]
-        assert isinstance(clause.head, KApp)
-        self.head = _App(clause.head, sorts, prods)
+        head = clause.head
+        self.head = _App(head, sorts, prods) if isinstance(head, KApp) else head
 
     def hyp_cubes(self, cands: _Candidates) -> Iterator[Cubes]:
         """The DNF of each hypothesis under the current candidates; a kvar
@@ -506,6 +501,10 @@ class _ClauseRows:
                 part = dnf(part, True, self.sorts, self.prods)
                 self.hyps[i] = part
             yield part
+
+    def negated(self, goal: RefExpr) -> Cubes:
+        """The DNF of a concrete goal's negation."""
+        return dnf(goal, False, self.sorts, self.prods)
 
 
 @dataclass
@@ -530,22 +529,23 @@ def solve(
     """Greatest-fixpoint predicate abstraction: start every unknown at the
     conjunction of all qualifier instantiations over its parameters, then
     delete qualifiers a clause fails to establish until all unknown-headed
-    clauses validate; finally check the concrete-headed clauses.
+    clauses validate; finally check the concrete-headed clauses.  The
+    fixpoint validates every unknown-headed clause under the final
+    assignment by construction, so nothing is rechecked.
 
-    The fixpoint runs over linear rows.  A kvar's candidates are
-    linearized once, when a clause first needs that kvar, and each
-    unknown-headed clause once; a sweep splices the substituted rows of
-    the kept candidates and asks `Oracle.valid_rows`.  The concrete-headed
-    clauses are checked on terms through the cached `Oracle.valid`, which
-    also finds counter-models; the unknown-headed clauses are then
-    rechecked, over rows, under the final assignment."""
+    Every clause is linearized once, and a kvar's candidates once, when a
+    clause first needs that kvar.  A sweep splices the substituted rows of
+    the kept candidates and asks `Oracle.valid_rows`; so does each
+    concrete-headed clause, under the final kept candidates.  Only a
+    concrete clause the rows do not prove is built as a term and decided
+    by `Oracle.valid`, which gives the verdict, reason and counter-model.
+    With an SMT backend every concrete clause goes to `Oracle.valid`."""
     norm = normalize(constraint)
     cls = clauses(norm)
     kvars = kvars_of(norm)
     cands = _Candidates(kvars, quals)
     kvar_clauses = [c for c in cls if c.is_kvar_head()]
-    concrete_clauses = [c for c in cls if not c.is_kvar_head()]
-    compiled = {c.cid: _ClauseRows(c) for c in kvar_clauses}
+    compiled = {c.cid: _ClauseRows(c) for c in cls}
 
     # clauses to revisit when a kvar's assignment shrinks
     dependents: Dict[str, List[Clause]] = {k.name: [] for k in kvars}
@@ -584,36 +584,27 @@ def solve(
     for k in kvars:
         solution.assign(k, conj(cands.terms[k.name]))
 
-    for clause in concrete_clauses:
+    for clause in cls:
+        if clause.is_kvar_head():
+            continue
+        if oracle.backend is None:
+            rows = compiled[clause.cid]
+            verdict = oracle.valid_rows(
+                rows.hyp_cubes(cands), [clause.head], rows.negated
+            )[0]
+            if verdict.is_valid:
+                continue
         hyps = tuple(apply_solution_expr(h, solution) for h in clause.hyps)
         verdict = oracle.valid(Query(clause.binders, hyps, clause.head))
-        if verdict.is_invalid:
+        if not verdict.is_valid:
             return SolveResult(
-                "unsat",
+                "unsat" if verdict.is_invalid else "unknown",
                 solution,
                 failed_clause=clause,
+                reason=verdict.reason,
                 deletions=deletions,
                 sweeps=sweeps,
                 counterexample=verdict.model,
-            )
-        if verdict.is_unknown:
-            return SolveResult(
-                "unknown", solution, failed_clause=clause, reason=verdict.reason
-            )
-
-    # re-check the solved clauses clause-by-clause under the final
-    # assignment; a head's goal is the conjunction of its candidates
-    for clause in kvar_clauses:
-        rows = compiled[clause.cid]
-        verdict = oracle.valid_rows(
-            rows.hyp_cubes(cands), [rows.head], cands.negated_conj
-        )[0]
-        if not verdict.is_valid:
-            return SolveResult(
-                "unknown" if verdict.is_unknown else "unsat",
-                solution,
-                failed_clause=clause,
-                reason="post-solve recheck failed",
             )
 
     return SolveResult("sat", solution, deletions=deletions, sweeps=sweeps)

@@ -18,12 +18,15 @@ only when a concrete integer counter-model is found and re-checked by
 evaluation; otherwise the verdict is Unknown.  The row-level one
 (`Oracle.valid_rows`) takes formulas already linearized: the fixpoint
 solver linearizes each qualifier and each clause once and hands over the
-DNF of each hypothesis and of each negated goal.  It has no cache and
-searches no model: a goal it does not refute is Invalid.  Both decide
+DNF of each hypothesis and of each negated goal, for its sweeps and for
+the concrete-headed clauses.  It has no cache and searches no model: a
+goal it does not refute is Invalid, and the solver asks the term-level
+entry about it for the verdict and the counter-model.  Both decide
 through `_decide_rows`.
 
 An external SMT-LIB2 solver can be plugged in over a child-process pipe
-for the term-level entry; see `SmtBackend`.  Nonlinear products are
+for the term-level entry; see `SmtBackend`.  With one plugged in, the
+solver sends every concrete-headed clause to the term-level entry.  Nonlinear products are
 abstracted as opaque variables, which keeps Valid sound and makes some
 queries Unknown.
 """
@@ -233,16 +236,6 @@ def all_of(parts: Iterable[Cubes]) -> Cubes:
                 cube.extend(part[0])
         else:
             cubes = _cross(cubes, part)
-    return cubes
-
-
-def any_of(parts: Iterable[Cubes]) -> Cubes:
-    """The disjunction of DNFs, under the same size limit as `dnf`."""
-    cubes: Cubes = []
-    for part in parts:
-        cubes += part
-        if len(cubes) > MAX_CUBES:
-            raise _TooLarge()
     return cubes
 
 

@@ -162,13 +162,6 @@ class Diagnostic:
 
 
 @dataclass
-class TypingResult:
-    typ: Type
-    out_locs: LocCtx
-    constraints: Constraint
-
-
-@dataclass
 class UnitReport:
     name: str
     constraint: Constraint
@@ -1069,14 +1062,6 @@ class Checker:
                 )
             return t
         raise CheckError("invalid place", span)
-
-
-def synth(checker: Checker, state: CheckState, e: Expr) -> TypingResult:
-    """Synthesize a type for one expression, returning the output location
-    context and the constraints this expression contributed."""
-    mark = len(state.emitted)
-    t = checker.synth(state, e)
-    return TypingResult(t, state.locs, Conj(tuple(state.emitted[mark:])))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,16 @@ def test_soundness_command():
     assert "5/5 generated programs passed" in out
 
 
+def test_soundness_command_uses_the_configured_solver():
+    """`soundness` routes its queries through `--smt` like `check` does: an
+    unavailable solver cannot let every program pass."""
+    code, out, _ = invoke(
+        ["soundness", "--seeds", "2", "--smt", "/nonexistent/solver"]
+    )
+    assert code == 1
+    assert "0/2 generated programs passed" in out
+
+
 def test_soundness_command_with_corpus():
     code, out, _ = invoke(
         [

@@ -1,6 +1,7 @@
 """Shape inference and the liquid fixpoint solver, pinned against the
 worked join-point, vector, and loop-invariant solutions."""
 
+import glob
 import itertools
 import random
 
@@ -13,12 +14,14 @@ from lrcheck.constraints import (
     Implies,
     Provenance,
     Solution,
+    apply_solution_expr,
     clauses,
     default_qualifiers,
     instantiations,
     normalize,
 )
 from lrcheck.errors import ShapeMismatch
+from lrcheck.harness import generate_program
 from lrcheck.infer import (
     KVarSupply,
     fresh_kvar_type,
@@ -26,7 +29,7 @@ from lrcheck.infer import (
     solve,
 )
 from lrcheck.logic import RefCtx, SortError, conj, sortcheck, subst_parallel
-from lrcheck.oracle import Oracle, Query
+from lrcheck.oracle import Oracle, Query, SmtBackend
 from lrcheck.parser import parse_program, parse_refexpr as R, parse_type
 from lrcheck.subtyping import NameSupply
 from lrcheck.syntax import (
@@ -384,3 +387,58 @@ def test_solve_iteration_bound(oracle):
             for k in kvars_of(unit.constraint)
         )
         assert out.sweeps <= kvar_clause_count * (out.deletions + 1) + kvar_clause_count
+
+
+def _solved_units(programs):
+    """Each unit of each program that reached the solver, with its
+    constraint solved afresh."""
+    quals = default_qualifiers()
+    oracle = Oracle()
+    for program in programs:
+        for unit in check_program(program, run_solver=False).units:
+            if unit.status != "error":
+                yield unit, solve(unit.constraint, quals, oracle)
+
+
+def _corpus_and_seeds(seeds):
+    for path in sorted(glob.glob("corpus/*/*.lr")):
+        yield parse_program(open(path).read())
+    for seed in seeds:
+        yield generate_program(seed, 10)
+
+
+def test_sat_solution_validates_every_clause():
+    """A fixed point of the weakening satisfies every clause, so `solve`
+    does not recheck the kvar-headed ones: under the solution, each clause
+    of each sat unit is valid through the term-level entry."""
+    oracle = Oracle()
+    checked = 0
+    for unit, out in _solved_units(_corpus_and_seeds(range(100))):
+        if not out.ok:
+            continue
+        for clause in unit.clauses:
+            hyps = tuple(apply_solution_expr(h, out.solution) for h in clause.hyps)
+            goal = apply_solution_expr(clause.head, out.solution)
+            verdict = oracle.valid(Query(clause.binders, hyps, goal))
+            assert verdict.is_valid, (unit.name, clause, verdict)
+            checked += clause.is_kvar_head()
+    assert checked >= 1000
+
+
+def test_unknown_concrete_clause_reports_the_fixpoint_counts():
+    """A concrete clause the backend cannot decide ends the solve as
+    unknown, with the deletions and sweeps of the fixpoint before it."""
+    program = parse_program(open("corpus/accept/init_zeros.lr").read())
+    unit = check_program(program, run_solver=False).units[0]
+    quals = default_qualifiers()
+    builtin = solve(unit.constraint, quals, Oracle())
+    piped = Oracle(backend=SmtBackend(["/nonexistent/solver-binary"]))
+    try:
+        out = solve(unit.constraint, quals, piped)
+    finally:
+        piped.close()
+    assert out.status == "unknown"
+    assert out.reason.startswith("backend unavailable")
+    assert out.failed_clause is not None and not out.failed_clause.is_kvar_head()
+    assert builtin.ok and builtin.deletions > 0
+    assert (out.deletions, out.sweeps) == (builtin.deletions, builtin.sweeps)
