@@ -278,50 +278,56 @@ def cmd_soundness(args: argparse.Namespace) -> int:
 
 
 def _soundness(args: argparse.Namespace, cfg: Config, oracle: Oracle) -> int:
+    """Exit 1 on a soundness bug, else 3 when the oracle blocked a seed or
+    a corpus program, else 1 on a rejection."""
     result = soundness_sweep(
         range(args.seeds), budget=args.budget, fuel=cfg.fuel, oracle=oracle
     )
     print(
         f"soundness: {result.passed}/{result.total} generated programs passed, "
         f"{len(result.rejected)} rejected by the checker, "
+        f"{len(result.blocked)} blocked on the oracle, "
         f"{len(result.bugs)} soundness bugs"
     )
     for seed, detail in result.bugs:
         print(f"  bug at seed {seed}: {detail}", file=sys.stderr)
+    for seed, detail in result.blocked:
+        print(f"  blocked at seed {seed}: {detail}", file=sys.stderr)
     for seed in result.rejected:
         print(f"  checker rejected seed {seed}", file=sys.stderr)
-    ok = result.ok
+    bug, blocked = bool(result.bugs), bool(result.blocked)
+    rejected = bool(result.rejected)
     if args.corpus:
         import glob
         import os
-
-        from lrcheck.typeck import check_program as _check
 
         for path in sorted(glob.glob(os.path.join(args.corpus, "*.lr"))):
             try:
                 program = _read_program(path)
             except (OSError, ParseError) as exc:
                 print(f"  corpus {path}: {exc}", file=sys.stderr)
-                ok = False
+                rejected = True
                 continue
-            report = _check(program, oracle=oracle)
-            if not report.ok:
+            verdict = run_and_verify(program, fuel=cfg.fuel, oracle=oracle)
+            if verdict.kind == "not-checked":
                 print(f"  corpus {path}: checker rejected", file=sys.stderr)
-                ok = False
-                continue
-            if program.entry is None:
-                print(f"corpus {path}: checked (no entry)")
-                continue
-            verdict = run_and_verify(
-                program, fuel=cfg.fuel, report=report, oracle=oracle
-            )
-            if verdict.passed:
-                print(f"corpus {path}: {verdict.outcome.kind}")
-            else:
+                rejected = True
+            elif verdict.kind == "blocked":
+                print(f"  corpus {path}: blocked: {verdict.detail}", file=sys.stderr)
+                blocked = True
+            elif verdict.kind == "bug":
                 print(f"  corpus {path}: SOUNDNESS BUG: {verdict.detail}",
                       file=sys.stderr)
-                ok = False
-    return EXIT_OK if ok else EXIT_REJECTED
+                bug = True
+            elif verdict.outcome is None:
+                print(f"corpus {path}: checked (no entry)")
+            else:
+                print(f"corpus {path}: {verdict.outcome.kind}")
+    if bug:
+        return EXIT_REJECTED
+    if blocked:
+        return EXIT_ORACLE
+    return EXIT_REJECTED if rejected else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

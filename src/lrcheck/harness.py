@@ -3,7 +3,9 @@ and corpus running.
 
 A checked program is run under the instrumented interpreter; the accepted
 terminal outcomes are a conforming value, an aliasing violation, or fuel
-exhaustion.  A stuck machine on an accepted program is a soundness bug.
+exhaustion.  A stuck machine on an accepted program is a soundness bug.  A
+program whose check or conformance the oracle cannot decide is blocked,
+neither a bug nor a rejection.
 """
 
 from __future__ import annotations
@@ -42,13 +44,17 @@ from .typeck import Report, check_program
 
 @dataclass
 class SoundnessVerdict:
-    kind: str  # "pass" | "bug" | "not-checked"
+    kind: str  # "pass" | "bug" | "blocked" | "not-checked"
     outcome: Optional[RunOutcome] = None
     detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.kind == "pass"
+
+
+class OracleBlocked(Exception):
+    """The oracle could not decide a conformance obligation."""
 
 
 def _stack_grants(state: MachineState, loc: int, tag: int) -> bool:
@@ -73,7 +79,8 @@ def value_conforms(
     checked for validity under the entry's context; obligations mentioning
     context variables are checked for consistency with it (the variables
     stand for values the run actually produced).  Pointer results must be
-    live and granted in the final machine state."""
+    live and granted in the final machine state.  Raises `OracleBlocked`
+    when the oracle answers unknown."""
 
     def resolve(e):
         return apply_solution_expr(e, solution) if solution is not None else e
@@ -86,14 +93,16 @@ def value_conforms(
         from .logic import free_vars
         from .syntax import BoolConst
 
+        def decide(query: Query) -> bool:
+            verdict = oracle.valid(query, want_model=False)
+            if verdict.is_unknown:
+                raise OracleBlocked(verdict.reason)
+            return verdict.is_valid
+
         if not free_vars(goal):
-            verdict = oracle.valid(Query(binders, hyps, goal), want_model=False)
-            return verdict.is_valid, "obligation not valid"
+            return decide(Query(binders, hyps, goal)), "obligation not valid"
         # open obligation: refute inconsistency instead
-        verdict = oracle.valid(
-            Query(binders, hyps + (goal,), BoolConst(False)), want_model=False
-        )
-        if verdict.is_valid:
+        if decide(Query(binders, hyps + (goal,), BoolConst(False))):
             return False, "obligation inconsistent with the entry context"
         return True, ""
 
@@ -154,6 +163,8 @@ def run_and_verify(
     oracle = oracle or Oracle()
     if report is None:
         report = check_program(program, oracle=oracle)
+    if report.blocked_on_oracle:
+        return SoundnessVerdict("blocked", detail="checker blocked on the oracle")
     if not report.ok:
         return SoundnessVerdict("not-checked", detail="checker rejected the program")
     if program.entry is None:
@@ -175,14 +186,18 @@ def run_and_verify(
     entry_unit = report.unit("entry")
     typ = entry_unit.result_type
     assert typ is not None and outcome.value is not None and outcome.state is not None
-    ok, why = value_conforms(
-        outcome.value,
-        typ,
-        outcome.state,
-        oracle,
-        entry_unit.solution,
-        entry_unit.final_ctx,
-    )
+    try:
+        ok, why = value_conforms(
+            outcome.value,
+            typ,
+            outcome.state,
+            oracle,
+            entry_unit.solution,
+            entry_unit.final_ctx,
+        )
+    except OracleBlocked as exc:
+        detail = f"conformance blocked on the oracle: {exc}"
+        return SoundnessVerdict("blocked", outcome=outcome, detail=detail)
     if ok:
         return SoundnessVerdict("pass", outcome=outcome)
     return SoundnessVerdict("bug", outcome=outcome, detail=f"non-conforming value: {why}")
@@ -433,12 +448,13 @@ class CorpusResult:
     total: int = 0
     passed: int = 0
     bugs: List[Tuple[int, str]] = field(default_factory=list)
+    blocked: List[Tuple[int, str]] = field(default_factory=list)
     rejected: List[int] = field(default_factory=list)
     rule_coverage: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.bugs and not self.rejected
+        return not self.bugs and not self.blocked and not self.rejected
 
 
 def soundness_sweep(
@@ -454,12 +470,12 @@ def soundness_sweep(
     for seed in seeds:
         program = generate_program(seed, budget)
         result.total += 1
-        report = check_program(program, oracle=oracle)
-        if not report.ok:
+        verdict = run_and_verify(program, fuel=fuel, oracle=oracle)
+        if verdict.kind == "not-checked":
             result.rejected.append(seed)
-            continue
-        verdict = run_and_verify(program, fuel=fuel, report=report, oracle=oracle)
-        if verdict.passed:
+        elif verdict.kind == "blocked":
+            result.blocked.append((seed, verdict.detail))
+        elif verdict.passed:
             result.passed += 1
             if verdict.outcome is not None and verdict.outcome.state is not None:
                 for rule, count in verdict.outcome.state.rule_counter.items():

@@ -33,16 +33,14 @@ from .oracle import (
     linear_form,
 )
 from .printer import print_type
-from .subtyping import NameSupply, subtype
+from .subtyping import NameSupply, bases_compatible, subtype
 from .syntax import (
     BaseType,
-    BoolBase,
     Cmp,
     Eq,
     Exists,
     FnSig,
     Indexed,
-    IntBase,
     KApp,
     KVarDecl,
     LocCtx,
@@ -95,14 +93,6 @@ def is_template(t: Type) -> bool:
     return isinstance(t, Exists) and isinstance(t.pred, KApp)
 
 
-def _bases_compatible(b1: BaseType, b2: BaseType) -> bool:
-    if isinstance(b1, IntBase) and isinstance(b2, IntBase):
-        return True
-    if isinstance(b1, BoolBase) and isinstance(b2, BoolBase):
-        return True
-    return isinstance(b1, VecBase) and isinstance(b2, VecBase)
-
-
 # ---------------------------------------------------------------------------
 # Join of branch results
 
@@ -148,7 +138,7 @@ def join_types(
         return t2, [(THEN, subtype(ctx, t1, t2, prov, names))]
 
     b1, b2 = base_of(t1), base_of(t2)
-    if b1 is not None and b2 is not None and _bases_compatible(b1, b2):
+    if b1 is not None and b2 is not None and bases_compatible(b1, b2):
         base = _join_base(ctx, kvars, names, b1, b2)
         joined = fresh_kvar_type(kvars, names, ctx, base)
         return joined, [
@@ -164,7 +154,7 @@ def join_types(
 def _compatible_with_template(template: Type, other: Type) -> bool:
     ob = base_of(other)
     tb = base_of(template)
-    return ob is not None and tb is not None and _bases_compatible(tb, ob)
+    return ob is not None and tb is not None and bases_compatible(tb, ob)
 
 
 def _join_base(ctx, kvars, names, b1: BaseType, b2: BaseType) -> BaseType:
@@ -181,7 +171,7 @@ def _join_shape(ctx, kvars, names, t1: Type, t2: Type) -> Type:
     if t1 == t2:
         return t1
     b1, b2 = base_of(t1), base_of(t2)
-    if b1 is not None and b2 is not None and _bases_compatible(b1, b2):
+    if b1 is not None and b2 is not None and bases_compatible(b1, b2):
         return fresh_kvar_type(kvars, names, ctx, _join_base(ctx, kvars, names, b1, b2))
     match (t1, t2):
         case (Ref(m1, p1), Ref(m2, p2)) if m1 == m2:
@@ -250,7 +240,7 @@ def infer_rec_signature(
         eb = base_of(entry_t)
         obs = [base_of(o) for o in others]
         if eb is not None and all(
-            ob is not None and _bases_compatible(eb, ob) for ob in obs
+            ob is not None and bases_compatible(eb, ob) for ob in obs
         ):
             base = eb
             if isinstance(eb, VecBase):

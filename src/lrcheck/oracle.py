@@ -4,31 +4,32 @@ The built-in decision procedure covers linear integer arithmetic with
 booleans and location equality: validity of `hyps => goal` is decided by
 refuting `hyps and not goal` through DNF cube enumeration and
 Fourier-Motzkin elimination (with strict inequalities tightened over the
-integers, so "unsat" is sound for validity).  Goals that share hypotheses
-are decided together: each satisfiable hypothesis cube is deduplicated and
-its unit-coefficient equalities are eliminated once, by exact Gaussian
-substitution; each negated goal cube then only has those substitutions
-applied to its own rows.  A goal row that the cube contradicts or implies
-row by row is settled without Fourier-Motzkin.
+integers, so "unsat" is sound for validity).
 
-There are two entries.  The term-level one (`Oracle.valid`,
-`Oracle.valid_many`) sort-checks and caches queries, linearizes them into
-DNF cubes of rows (`dnf`) and answers a satisfiable relaxation Invalid
-only when a concrete integer counter-model is found and re-checked by
-evaluation; otherwise the verdict is Unknown.  The row-level one
-(`Oracle.valid_rows`) takes formulas already linearized: the fixpoint
-solver linearizes each qualifier and each clause once and hands over the
-DNF of each hypothesis and of each negated goal, for its sweeps and for
-the concrete-headed clauses.  It has no cache and searches no model: a
-goal it does not refute is Invalid, and the solver asks the term-level
-entry about it for the verdict and the counter-model.  Both decide
-through `_decide_rows`.
+There are two entries.  The term-level one (`Oracle.valid`) decides one
+query at a time: it sort-checks the query, caches its verdict under a key
+that names binders by position, linearizes it into DNF cubes of rows
+(`dnf`) and answers a satisfiable relaxation Invalid only when a concrete
+integer counter-model is found and re-checked by evaluation; otherwise the
+verdict is Unknown.  `Oracle.valid_many` only loops over it.  The
+row-level one (`Oracle.valid_rows`) takes formulas already linearized and
+decides goals that share hypotheses together: the fixpoint solver
+linearizes each qualifier and each clause once and hands over the DNF of
+each hypothesis and of each negated goal, for its sweeps and for the
+concrete-headed clauses.  Each satisfiable hypothesis cube is deduplicated
+and its unit-coefficient equalities are eliminated once, by exact Gaussian
+substitution; each negated goal cube then only has those substitutions
+applied to its own rows, and a goal row that the cube contradicts or
+implies row by row is settled without Fourier-Motzkin.  The row entry has
+no cache and searches no model: a goal it does not refute is Invalid, and
+the solver asks the term-level entry about it for the verdict and the
+counter-model.  Both decide through `_decide_rows`.
 
 An external SMT-LIB2 solver can be plugged in over a child-process pipe
 for the term-level entry; see `SmtBackend`.  With one plugged in, the
-solver sends every concrete-headed clause to the term-level entry.  Nonlinear products are
-abstracted as opaque variables, which keeps Valid sound and makes some
-queries Unknown.
+solver sends every concrete-headed clause to the term-level entry.
+Nonlinear products are abstracted as opaque variables, which keeps Valid
+sound and makes some queries Unknown.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import (
     Union,
 )
 
-from .logic import RefCtx, contains_kapp, sortcheck
+from .logic import RefCtx, contains_kapp, sortcheck, subst_parallel
 from .syntax import (
     BinArith,
     BinBool,
@@ -535,39 +536,23 @@ def _decide_rows(
     return out
 
 
-def _decide_many(
-    binders: Tuple[Tuple[str, Sort], ...],
-    hyps: Tuple[RefExpr, ...],
-    goals: Sequence[RefExpr],
-    want_model: bool = True,
-) -> List[Verdict]:
-    """Decide several goals under shared hypotheses: linearize, decide the
-    rows, then look for a counter-model of each goal that was not refuted."""
-    sorts = {name: sort for name, sort in binders}
+def _decide(query: Query, want_model: bool = True) -> Verdict:
+    """Decide one query: linearize it, decide its rows, then, when the rows
+    do not refute the goal and `want_model` is set, look for a concrete
+    counter-model."""
+    sorts = dict(query.binders)
     prods: Dict[RefExpr, str] = {}
-    verdicts = _decide_rows(
-        (dnf(h, True, sorts, prods) for h in hyps),
-        goals,
+    (verdict,) = _decide_rows(
+        (dnf(h, True, sorts, prods) for h in query.hyps),
+        [query.goal],
         lambda goal: dnf(goal, False, sorts, prods),
     )
-    if not want_model:
-        return verdicts
-    out: List[Verdict] = []
-    for goal, verdict in zip(goals, verdicts):
-        if verdict.is_invalid:
-            model = _search_counter_model(Query(binders, hyps, goal), sorts)
-            if model is not None:
-                verdict = Verdict("invalid", model=model)
-            else:
-                verdict = Verdict(
-                    "unknown", reason="satisfiable relaxation, no integer model found"
-                )
-        out.append(verdict)
-    return out
-
-
-def _decide(query: Query, want_model: bool = True) -> Verdict:
-    return _decide_many(query.binders, query.hyps, [query.goal], want_model)[0]
+    if not want_model or not verdict.is_invalid:
+        return verdict
+    model = _search_counter_model(query, sorts)
+    if model is None:
+        return Verdict("unknown", reason="satisfiable relaxation, no integer model found")
+    return Verdict("invalid", model=model)
 
 
 def _search_counter_model(query: Query, sorts) -> Optional[Dict[str, Union[int, bool]]]:
@@ -632,34 +617,12 @@ def _search_counter_model(query: Query, sorts) -> Optional[Dict[str, Union[int, 
 # Canonical cache keys
 
 def _canonical(query: Query) -> str:
-    renaming = {name: f"b{i}" for i, (name, _) in enumerate(query.binders)}
-
-    def cexpr(e: RefExpr) -> str:
-        match e:
-            case Var(n):
-                return renaming.get(n, f"?{n}")
-            case IntConst(v):
-                return str(v)
-            case BoolConst(v):
-                return "T" if v else "F"
-            case LocConst(l):
-                return f"L{l}"
-            case Eq(l, r):
-                return f"(= {cexpr(l)} {cexpr(r)})"
-            case Not(a):
-                return f"(! {cexpr(a)})"
-            case BinBool(op, l, r):
-                return f"({op} {cexpr(l)} {cexpr(r)})"
-            case BinArith(op, l, r):
-                return f"({op} {cexpr(l)} {cexpr(r)})"
-            case Cmp(op, l, r):
-                return f"({op} {cexpr(l)} {cexpr(r)})"
-            case _:
-                return repr(e)
-
-    binders = ",".join(f"{renaming[n]}:{s}" for n, s in query.binders)
-    hyps = ";".join(cexpr(h) for h in query.hyps)
-    return f"[{binders}]{hyps}|-{cexpr(query.goal)}"
+    """A cache key that names binders by position, so queries that differ
+    only in binder names share it."""
+    renaming = {name: Var(f"b{i}") for i, (name, _) in enumerate(query.binders)}
+    binders = ",".join(f"b{i}:{sort}" for i, (_, sort) in enumerate(query.binders))
+    hyps = ";".join(to_smt2(subst_parallel(h, renaming)) for h in query.hyps)
+    return f"[{binders}]{hyps}|-{to_smt2(subst_parallel(query.goal, renaming))}"
 
 
 # ---------------------------------------------------------------------------
@@ -890,31 +853,10 @@ class Oracle:
         binders: Tuple[Tuple[str, Sort], ...],
         hyps: Tuple[RefExpr, ...],
         goals: Sequence[RefExpr],
-        want_model: bool = False,
-        trusted: bool = False,
     ) -> List[Verdict]:
-        """Batched validity under shared hypotheses; hypothesis processing
-        is amortized over the goals.  `trusted` skips sort checking and the
-        cache for queries assembled from already-checked material."""
-        if self.backend is not None:
-            return [
-                self.valid(Query(binders, hyps, g), want_model) for g in goals
-            ]
-        if trusted:
-            self.queries += len(goals)
-            return _decide_many(binders, hyps, goals, want_model)
-        keyed = [(_canonical(Query(binders, hyps, g)), want_model) for g in goals]
-        missing = [i for i, k in enumerate(keyed) if k not in self.cache]
-        if missing:
-            for q in (Query(binders, hyps, goals[i]) for i in missing):
-                self._check_query(q)
-            self.queries += len(missing)
-            verdicts = _decide_many(
-                binders, hyps, [goals[i] for i in missing], want_model
-            )
-            for i, v in zip(missing, verdicts):
-                self.cache[keyed[i]] = v
-        return [self.cache[k] for k in keyed]
+        """Validity of each goal under the same hypotheses, asked through
+        `valid` one goal at a time, without counter-models."""
+        return [self.valid(Query(binders, hyps, g), want_model=False) for g in goals]
 
     @staticmethod
     def _check_query(query: Query):

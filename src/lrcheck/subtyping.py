@@ -14,6 +14,7 @@ from .errors import StructuralError
 from .logic import RefCtx, contains_kapp, getsort, subst
 from .printer import print_loc, print_type
 from .syntax import (
+    BaseType,
     BoolBase,
     BoolConst,
     Eq,
@@ -55,7 +56,7 @@ def subtype(
     return _sub(ctx, lhs, rhs, prov, names)
 
 
-def _base_compatible(b1, b2) -> bool:
+def bases_compatible(b1: BaseType, b2: BaseType) -> bool:
     if isinstance(b1, IntBase) and isinstance(b2, IntBase):
         return True
     if isinstance(b1, BoolBase) and isinstance(b2, BoolBase):
@@ -66,7 +67,7 @@ def _base_compatible(b1, b2) -> bool:
 def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
     match (lhs, rhs):
         case (Indexed(b1, e1), Indexed(b2, e2)):
-            if not _base_compatible(b1, b2):
+            if not bases_compatible(b1, b2):
                 raise StructuralError(
                     f"base mismatch: {print_type(lhs)} vs {print_type(rhs)}"
                 )
@@ -88,7 +89,7 @@ def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
             return ForAll(fresh, sort, hyp, body)
 
         case (Indexed(b1, e1), Exists(a, b2, p)):
-            if not _base_compatible(b1, b2):
+            if not bases_compatible(b1, b2):
                 raise StructuralError(
                     f"base mismatch: {print_type(lhs)} vs {print_type(rhs)}"
                 )

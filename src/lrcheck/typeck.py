@@ -272,30 +272,26 @@ class CheckState:
         if not isinstance(t, Exists):
             return
         fresh = self.names.fresh(t.binder)
-        self.ctx = self.ctx.bind(fresh, getsort(t.base)).assume(
-            subst(t.pred, t.binder, Var(fresh))
-        )
-        self.vals = self.vals.update(x, Indexed(t.base, Var(fresh)))
+        self.vals = self.vals.update(x, self.open_existential(t, fresh))
         self.auto_unpacked[x] = fresh
 
-    def open_existential(self, t: Type) -> Type:
-        """Open a result-position existential into the refinement context."""
+    def open_existential(self, t: Type, name: Optional[str] = None) -> Type:
+        """Open an existential into refinement variable `name` (by default a
+        fresh one named after its binder) and the assumption of its
+        predicate; any other type is returned as it is."""
         if not isinstance(t, Exists):
             return t
-        fresh = self.names.fresh(t.binder)
-        self.ctx = self.ctx.bind(fresh, getsort(t.base)).assume(
-            subst(t.pred, t.binder, Var(fresh))
+        if name is None:
+            name = self.names.fresh(t.binder)
+        self.ctx = self.ctx.bind(name, getsort(t.base)).assume(
+            subst(t.pred, t.binder, Var(name))
         )
-        return Indexed(t.base, Var(fresh))
+        return Indexed(t.base, Var(name))
 
     def open_loc(self, loc: Loc) -> None:
         t = self.locs.lookup(loc)
         if isinstance(t, Exists):
-            fresh = self.names.fresh(t.binder)
-            self.ctx = self.ctx.bind(fresh, getsort(t.base)).assume(
-                subst(t.pred, t.binder, Var(fresh))
-            )
-            self.locs = self.locs.update(loc, Indexed(t.base, Var(fresh)))
+            self.locs = self.locs.update(loc, self.open_existential(t))
 
     def rename_refvar(self, old: str, new: str) -> None:
         entries = []
@@ -345,12 +341,8 @@ def infer_refargs(
                 match actual:
                     case Indexed(_, idx):
                         assigned[p] = idx
-                    case Exists(v, ab, pred):
-                        fresh = state.names.fresh(v)
-                        state.ctx = state.ctx.bind(fresh, getsort(ab)).assume(
-                            subst(pred, v, Var(fresh))
-                        )
-                        assigned[p] = Var(fresh)
+                    case Exists():
+                        assigned[p] = state.open_existential(actual).idx
                 if isinstance(fb, VecBase):
                     ab2 = base_of(actual)
                     if isinstance(ab2, VecBase):
@@ -632,10 +624,7 @@ class Checker:
             raise UnboundVariable(f"unbound variable '{x}'", span)
         if isinstance(t, Exists):
             name = a if state.ctx.sort_of(a) is None else state.names.fresh(a)
-            state.ctx = state.ctx.bind(name, getsort(t.base)).assume(
-                subst(t.pred, t.binder, Var(name))
-            )
-            state.vals = state.vals.update(x, Indexed(t.base, Var(name)))
+            state.vals = state.vals.update(x, state.open_existential(t, name))
             state.auto_unpacked[x] = name
             return
         if isinstance(t, Indexed):

@@ -147,12 +147,14 @@ def test_soundness_command():
 
 def test_soundness_command_uses_the_configured_solver():
     """`soundness` routes its queries through `--smt` like `check` does: an
-    unavailable solver cannot let every program pass."""
+    unavailable solver cannot let every program pass, and what it blocks is
+    no soundness bug."""
     code, out, _ = invoke(
         ["soundness", "--seeds", "2", "--smt", "/nonexistent/solver"]
     )
-    assert code == 1
+    assert code == 3
     assert "0/2 generated programs passed" in out
+    assert "2 blocked on the oracle, 0 soundness bugs" in out
 
 
 def test_soundness_command_with_corpus():

@@ -11,7 +11,7 @@ from lrcheck.harness import (
     run_and_verify,
     soundness_sweep,
 )
-from lrcheck.oracle import Oracle
+from lrcheck.oracle import Oracle, SmtBackend
 from lrcheck.parser import parse_program
 from lrcheck.printer import print_program
 from lrcheck.syntax import IntLit
@@ -163,6 +163,20 @@ def test_nonconforming_value_is_a_bug(oracle):
     verdict = run_and_verify(program, report=report, oracle=oracle)
     assert verdict.kind == "bug"
     assert "index mismatch" in verdict.detail
+
+
+def test_undecided_oracle_blocks_rather_than_rejects_or_fails(oracle):
+    """What the oracle cannot decide is neither a rejection nor a bug."""
+    unavailable = Oracle(backend=SmtBackend(["/nonexistent/solver"]))
+    program = parse_program(open("corpus/accept/decr_driver.lr").read())
+    verdict = run_and_verify(program, oracle=unavailable)
+    assert verdict.kind == "blocked" and "checker" in verdict.detail
+    # checked by the built-in oracle: only the conformance check is blocked
+    program = parse_program("entry 5")
+    report = check_program(program, oracle=oracle)
+    verdict = run_and_verify(program, report=report, oracle=unavailable)
+    assert verdict.kind == "blocked" and "conformance" in verdict.detail
+    assert verdict.outcome.kind == "done"
 
 
 def test_mutants_rejected_or_flagged(oracle):

@@ -189,7 +189,7 @@ def test_row_entry_matches_term_entry_and_brute_force(monkeypatch, max_cubes):
         by_rows += oracle.valid_rows(concrete.hyp_cubes(cands), [head], concrete.negated)
         assert oracle.queries == queries + len(lits) + 1
         hyps, goals = _term_query(clause, cands)
-        by_terms = oracle.valid_many(BINDERS, hyps, goals, trusted=True)
+        by_terms = oracle.valid_many(BINDERS, hyps, goals)
         by_terms.append(oracle.valid(Query(BINDERS, hyps, head)))
         if not all(map(_agree, by_rows, by_terms)):
             disagreements.append((clause, head, "differs from terms", by_rows, by_terms))
@@ -230,7 +230,7 @@ def test_kvar_hypothesis_is_one_conjunction_under_the_cube_limit(monkeypatch):
         rows.hyp_cubes(cands), cands.literals("k1"), rows.head.negated
     )
     hyps, goals = _term_query(clause, cands)
-    by_terms = Oracle().valid_many(BINDERS, hyps, goals[:1], trusted=True)
+    by_terms = Oracle().valid_many(BINDERS, hyps, goals[:1])
     assert by_rows == by_terms == [VALID]
 
 
