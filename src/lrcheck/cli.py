@@ -19,7 +19,7 @@ from .constraints import (
     dump_clauses_json,
     dump_clauses_text,
 )
-from .harness import run_and_verify, soundness_sweep
+from .harness import CorpusResult, run_and_verify, soundness_sweep
 from .interp import run as interp_run
 from .oracle import Oracle, SmtBackend
 from .parser import ParseError, parse_program, parse_refexpr
@@ -277,6 +277,15 @@ def cmd_soundness(args: argparse.Namespace) -> int:
         oracle.close()
 
 
+def _print_failures(result: CorpusResult, what: str) -> None:
+    for key, detail in result.bugs:
+        print(f"  bug at {what} {key}: {detail}", file=sys.stderr)
+    for key, detail in result.blocked:
+        print(f"  blocked at {what} {key}: {detail}", file=sys.stderr)
+    for key in result.rejected:
+        print(f"  checker rejected {what} {key}", file=sys.stderr)
+
+
 def _soundness(args: argparse.Namespace, cfg: Config, oracle: Oracle) -> int:
     """Exit 1 on a soundness bug, else 3 when the oracle blocked a seed or
     a corpus program, else 1 on a rejection."""
@@ -289,14 +298,8 @@ def _soundness(args: argparse.Namespace, cfg: Config, oracle: Oracle) -> int:
         f"{len(result.blocked)} blocked on the oracle, "
         f"{len(result.bugs)} soundness bugs"
     )
-    for seed, detail in result.bugs:
-        print(f"  bug at seed {seed}: {detail}", file=sys.stderr)
-    for seed, detail in result.blocked:
-        print(f"  blocked at seed {seed}: {detail}", file=sys.stderr)
-    for seed in result.rejected:
-        print(f"  checker rejected seed {seed}", file=sys.stderr)
-    bug, blocked = bool(result.bugs), bool(result.blocked)
-    rejected = bool(result.rejected)
+    _print_failures(result, "seed")
+    corpus = CorpusResult()
     if args.corpus:
         import glob
         import os
@@ -306,28 +309,20 @@ def _soundness(args: argparse.Namespace, cfg: Config, oracle: Oracle) -> int:
                 program = _read_program(path)
             except (OSError, ParseError) as exc:
                 print(f"  corpus {path}: {exc}", file=sys.stderr)
-                rejected = True
+                corpus.rejected.append(path)
                 continue
             verdict = run_and_verify(program, fuel=cfg.fuel, oracle=oracle)
-            if verdict.kind == "not-checked":
-                print(f"  corpus {path}: checker rejected", file=sys.stderr)
-                rejected = True
-            elif verdict.kind == "blocked":
-                print(f"  corpus {path}: blocked: {verdict.detail}", file=sys.stderr)
-                blocked = True
-            elif verdict.kind == "bug":
-                print(f"  corpus {path}: SOUNDNESS BUG: {verdict.detail}",
-                      file=sys.stderr)
-                bug = True
-            elif verdict.outcome is None:
-                print(f"corpus {path}: checked (no entry)")
-            else:
-                print(f"corpus {path}: {verdict.outcome.kind}")
-    if bug:
+            corpus.record(path, verdict)
+            if verdict.passed:
+                outcome = verdict.outcome
+                print(f"corpus {path}: "
+                      + ("checked (no entry)" if outcome is None else outcome.kind))
+        _print_failures(corpus, "corpus")
+    if result.bugs or corpus.bugs:
         return EXIT_REJECTED
-    if blocked:
+    if result.blocked or corpus.blocked:
         return EXIT_ORACLE
-    return EXIT_REJECTED if rejected else EXIT_OK
+    return EXIT_REJECTED if result.rejected or corpus.rejected else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

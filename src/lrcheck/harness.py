@@ -445,16 +445,34 @@ def generate_program(seed: int, budget: int = 10) -> Program:
 
 @dataclass
 class CorpusResult:
+    """Verdicts of a set of programs, keyed by seed or by file name."""
+
     total: int = 0
     passed: int = 0
-    bugs: List[Tuple[int, str]] = field(default_factory=list)
-    blocked: List[Tuple[int, str]] = field(default_factory=list)
-    rejected: List[int] = field(default_factory=list)
+    bugs: List[Tuple[object, str]] = field(default_factory=list)
+    blocked: List[Tuple[object, str]] = field(default_factory=list)
+    rejected: List[object] = field(default_factory=list)
     rule_coverage: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.bugs and not self.blocked and not self.rejected
+
+    def record(self, key: object, verdict: SoundnessVerdict) -> None:
+        """Count one program: a check or obligation blocked on the oracle
+        is neither a soundness bug nor a rejection by the checker."""
+        self.total += 1
+        if verdict.kind == "not-checked":
+            self.rejected.append(key)
+        elif verdict.kind == "blocked":
+            self.blocked.append((key, verdict.detail))
+        elif verdict.passed:
+            self.passed += 1
+            if verdict.outcome is not None and verdict.outcome.state is not None:
+                for rule, count in verdict.outcome.state.rule_counter.items():
+                    self.rule_coverage[rule] = self.rule_coverage.get(rule, 0) + count
+        else:
+            self.bugs.append((key, verdict.detail))
 
 
 def soundness_sweep(
@@ -469,19 +487,5 @@ def soundness_sweep(
     oracle = oracle or Oracle()
     for seed in seeds:
         program = generate_program(seed, budget)
-        result.total += 1
-        verdict = run_and_verify(program, fuel=fuel, oracle=oracle)
-        if verdict.kind == "not-checked":
-            result.rejected.append(seed)
-        elif verdict.kind == "blocked":
-            result.blocked.append((seed, verdict.detail))
-        elif verdict.passed:
-            result.passed += 1
-            if verdict.outcome is not None and verdict.outcome.state is not None:
-                for rule, count in verdict.outcome.state.rule_counter.items():
-                    result.rule_coverage[rule] = (
-                        result.rule_coverage.get(rule, 0) + count
-                    )
-        else:
-            result.bugs.append((seed, verdict.detail))
+        result.record(seed, run_and_verify(program, fuel=fuel, oracle=oracle))
     return result

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -625,6 +625,12 @@ def _canonical(query: Query) -> str:
     return f"[{binders}]{hyps}|-{to_smt2(subst_parallel(query.goal, renaming))}"
 
 
+def _rename_model(verdict: Verdict, names: Dict[str, str]) -> Verdict:
+    if not verdict.model:
+        return verdict
+    return replace(verdict, model={names.get(n, n): v for n, v in verdict.model.items()})
+
+
 # ---------------------------------------------------------------------------
 # SMT-LIB2 child-process backend
 
@@ -825,16 +831,20 @@ class Oracle:
     def valid(self, query: Query, want_model: bool = True) -> Verdict:
         self._check_query(query)
         key = (_canonical(query), want_model)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        self.queries += 1
-        if self.backend is not None:
-            verdict = self.backend.valid(query)
-        else:
-            verdict = _decide(query, want_model)
-        self.cache[key] = verdict
-        return verdict
+        names = [name for name, _ in query.binders]
+        verdict = self.cache.get(key)
+        if verdict is None:
+            self.queries += 1
+            if self.backend is not None:
+                verdict = self.backend.valid(query)
+            else:
+                verdict = _decide(query, want_model)
+            # the cache keeps a counter-model under the positional names
+            # of the key, so a hit reads it back over its own binders
+            verdict = self.cache[key] = _rename_model(
+                verdict, {name: f"b{i}" for i, name in enumerate(names)}
+            )
+        return _rename_model(verdict, {f"b{i}": name for i, name in enumerate(names)})
 
     def valid_rows(
         self, hyps: Iterable[Cubes], goals: Sequence[G], negate: Callable[[G], Cubes]

@@ -223,6 +223,7 @@ def test_criterion_6_differential_soundness():
     result = soundness_sweep(range(1000), budget=10, fuel=100_000, oracle=oracle)
     assert result.total == 1000
     assert not result.rejected, result.rejected[:5]
+    assert not result.blocked, result.blocked[:2]
     assert not result.bugs, result.bugs[:2]
     for path in ACCEPT:
         program = parse_program(open(path).read())

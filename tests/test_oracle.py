@@ -50,6 +50,12 @@ def test_queries_differing_only_in_binder_names_share_a_cache_entry():
     reordered = Query((("b", Sort.INT), ("a", Sort.INT)), (R("a < b"),), R("a + 1 <= b"))
     assert oracle.valid(reordered).is_valid
     assert oracle.queries == 2
+    # a shared counter-model is reported over the asking query's binders
+    invalid = Query((("a", Sort.INT),), (R("a >= 0"),), R("a - 1 >= 0"))
+    assert oracle.valid(invalid).model == {"a": 0}
+    verdict = oracle.valid(Query((("b", Sort.INT),), (R("b >= 0"),), R("b - 1 >= 0")))
+    assert oracle.queries == 3
+    assert verdict.is_invalid and verdict.model == {"b": 0}
 
 
 def test_closed_arithmetic(oracle):
