@@ -104,9 +104,6 @@ class RefCtx:
     def assume(self, pred: RefExpr) -> "RefCtx":
         return RefCtx(self.entries + (Assume(pred),))
 
-    def extend(self, other: "RefCtx") -> "RefCtx":
-        return RefCtx(self.entries + other.entries)
-
     def sort_of(self, name: str) -> Optional[Sort]:
         for entry in self.entries:
             if isinstance(entry, Bind) and entry.name == name:
@@ -127,9 +124,6 @@ class RefCtx:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-EMPTY_REFCTX = RefCtx()
 
 
 # ---------------------------------------------------------------------------

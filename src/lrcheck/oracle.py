@@ -7,11 +7,10 @@ Fourier-Motzkin elimination (with strict inequalities tightened over the
 integers, so "unsat" is sound for validity).
 
 There are two entries.  The term-level one (`Oracle.valid`) decides one
-query at a time: it sort-checks the query, caches its verdict under a key
-that names binders by position, linearizes it into DNF cubes of rows
-(`dnf`) and answers a satisfiable relaxation Invalid only when a concrete
-integer counter-model is found and re-checked by evaluation; otherwise the
-verdict is Unknown.  `Oracle.valid_many` only loops over it.  The
+query at a time: it sort-checks the query, linearizes it into DNF cubes of
+rows (`dnf`) and answers a satisfiable relaxation Invalid only when a
+concrete integer counter-model is found and re-checked by evaluation, and
+Unknown otherwise.  `Oracle.valid_many` only loops over it.  The
 row-level one (`Oracle.valid_rows`) takes formulas already linearized and
 decides goals that share hypotheses together: the fixpoint solver
 linearizes each qualifier and each clause once and hands over the DNF of
@@ -20,10 +19,10 @@ concrete-headed clauses.  Each satisfiable hypothesis cube is deduplicated
 and its unit-coefficient equalities are eliminated once, by exact Gaussian
 substitution; each negated goal cube then only has those substitutions
 applied to its own rows, and a goal row that the cube contradicts or
-implies row by row is settled without Fourier-Motzkin.  The row entry has
-no cache and searches no model: a goal it does not refute is Invalid, and
-the solver asks the term-level entry about it for the verdict and the
-counter-model.  Both decide through `_decide_rows`.
+implies row by row is settled without Fourier-Motzkin.  The row entry
+searches no model: a goal it does not refute is Invalid, and the solver
+asks the term-level entry about it for the verdict and the counter-model.
+Both decide through `_decide_rows`.
 
 An external SMT-LIB2 solver can be plugged in over a child-process pipe
 for the term-level entry; see `SmtBackend`.  With one plugged in, the
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -49,7 +48,7 @@ from typing import (
     Union,
 )
 
-from .logic import RefCtx, contains_kapp, sortcheck, subst_parallel
+from .logic import RefCtx, contains_kapp, sortcheck
 from .syntax import (
     BinArith,
     BinBool,
@@ -67,6 +66,7 @@ from .syntax import (
 )
 
 MAX_CUBES = 8192
+MAX_FM_ROWS = 4000
 MAX_MODEL_CANDIDATES = 6000
 
 G = TypeVar("G")
@@ -386,10 +386,10 @@ def _eliminate_equalities(
 def _fm_unsat(rows: List[LinForm]) -> bool:
     """True when the system {row <= 0} has no rational solution.  Because
     strict integer comparisons were tightened to non-strict ones, rational
-    unsatisfiability is sound for integer unsatisfiability."""
+    unsatisfiability is sound for integer unsatisfiability.  Each round
+    checks the constant rows and eliminates one variable."""
     rows = _dedupe(rows)
     while True:
-        rows, _ = _eliminate_equalities(rows)
         if any(const > 0 for coeffs, const in rows if not coeffs):
             return True
         rows = [r for r in rows if r[0]]
@@ -425,8 +425,8 @@ def _fm_unsat(rows: List[LinForm]) -> bool:
                 combined = {v: c for v, c in combined.items() if c != 0}
                 new_rows.append((combined, cl * uconst + cu * lconst))
         rows = _dedupe(new_rows)
-        if len(rows) > 4000:
-            raise _TooLarge()
+        if len(rows) > MAX_FM_ROWS:
+            raise _TooLarge(f"Fourier-Motzkin over {MAX_FM_ROWS} rows")
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +500,8 @@ def _decide_rows(
                 continue
             bounds = {frozenset(c.items()): k for c, k in rows}
             reduced.append((bools, rows, subs, bounds))
-    except _TooLarge:
-        return [Verdict("unknown", reason="built-in oracle blowup") for _ in goals]
+    except _TooLarge as exc:
+        return [Verdict("unknown", reason=str(exc)) for _ in goals]
 
     out: List[Verdict] = []
     for goal in goals:
@@ -529,8 +529,8 @@ def _decide_rows(
                         break
                 if not refuted:
                     break
-        except _TooLarge:
-            out.append(Verdict("unknown", reason="built-in oracle blowup"))
+        except _TooLarge as exc:
+            out.append(Verdict("unknown", reason=str(exc)))
             continue
         out.append(VALID if refuted else INVALID)
     return out
@@ -611,24 +611,6 @@ def _search_counter_model(query: Query, sorts) -> Optional[Dict[str, Union[int, 
         except OracleError:
             return None
     return None
-
-
-# ---------------------------------------------------------------------------
-# Canonical cache keys
-
-def _canonical(query: Query) -> str:
-    """A cache key that names binders by position, so queries that differ
-    only in binder names share it."""
-    renaming = {name: Var(f"b{i}") for i, (name, _) in enumerate(query.binders)}
-    binders = ",".join(f"b{i}:{sort}" for i, (_, sort) in enumerate(query.binders))
-    hyps = ";".join(to_smt2(subst_parallel(h, renaming)) for h in query.hyps)
-    return f"[{binders}]{hyps}|-{to_smt2(subst_parallel(query.goal, renaming))}"
-
-
-def _rename_model(verdict: Verdict, names: Dict[str, str]) -> Verdict:
-    if not verdict.model:
-        return verdict
-    return replace(verdict, model={names.get(n, n): v for n, v in verdict.model.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -820,31 +802,20 @@ def _model_falsifies(query: Query, model) -> bool:
 # Oracle handle
 
 class Oracle:
-    """Validity oracle with a per-handle query cache.  Handles are not
-    shareable across threads; create one per worker."""
+    """Validity oracle: the built-in procedure or an SMT backend, and a
+    count of the queries asked.  Every call decides its query afresh.
+    Handles are not shareable across threads; create one per worker."""
 
     def __init__(self, backend: Optional[SmtBackend] = None):
         self.backend = backend
-        self.cache: Dict[str, Verdict] = {}
         self.queries = 0
 
     def valid(self, query: Query, want_model: bool = True) -> Verdict:
         self._check_query(query)
-        key = (_canonical(query), want_model)
-        names = [name for name, _ in query.binders]
-        verdict = self.cache.get(key)
-        if verdict is None:
-            self.queries += 1
-            if self.backend is not None:
-                verdict = self.backend.valid(query)
-            else:
-                verdict = _decide(query, want_model)
-            # the cache keeps a counter-model under the positional names
-            # of the key, so a hit reads it back over its own binders
-            verdict = self.cache[key] = _rename_model(
-                verdict, {name: f"b{i}" for i, name in enumerate(names)}
-            )
-        return _rename_model(verdict, {f"b{i}": name for i, name in enumerate(names)})
+        self.queries += 1
+        if self.backend is not None:
+            return self.backend.valid(query)
+        return _decide(query, want_model)
 
     def valid_rows(
         self, hyps: Iterable[Cubes], goals: Sequence[G], negate: Callable[[G], Cubes]
@@ -853,8 +824,8 @@ class Oracle:
         callers that keep their formulas linearized (the fixpoint solver):
         `hyps` yields the DNF of each hypothesis conjunct and `negate` gives
         the DNF of a goal's negation (see `dnf`).  Always decided by the
-        built-in procedure, with no cache and no counter-models; a goal
-        that is not refuted is Invalid.  Counts one query per goal."""
+        built-in procedure, with no counter-models; a goal that is not
+        refuted is Invalid.  Counts one query per goal."""
         self.queries += len(goals)
         return _decide_rows(hyps, goals, negate)
 

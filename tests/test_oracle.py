@@ -1,12 +1,14 @@
 """Validity oracle: worked queries, evaluation cross-checks, the
 implication-checking meta-properties, and the SMT-LIB2 subprocess path."""
 
+import itertools
 import random
 import sys
 
 import pytest
 
 from gen import bool_expr, ctx_with_vars
+from lrcheck import oracle as oracle_module
 from lrcheck.logic import RefCtx, free_vars, sortcheck
 from lrcheck.oracle import (
     Oracle,
@@ -37,25 +39,87 @@ def test_guardless_query_invalid_with_model(oracle):
     assert eval_closed(R("a - 1 >= 0"), verdict.model) is False
 
 
-def test_queries_differing_only_in_binder_names_share_a_cache_entry():
+def test_every_valid_call_counts_one_query_and_models_use_its_binders():
     oracle = Oracle()
-    first = Query((("a", Sort.INT), ("b", Sort.INT)), (R("a < b"),), R("a + 1 <= b"))
-    assert oracle.valid(first).is_valid
-    assert oracle.queries == 1
-    # the names swap places: binder by binder, the query is the same
-    renamed = Query((("b", Sort.INT), ("a", Sort.INT)), (R("b < a"),), R("b + 1 <= a"))
-    assert oracle.valid(renamed).is_valid
-    assert oracle.queries == 1
-    # the same names in another binder order make another query
-    reordered = Query((("b", Sort.INT), ("a", Sort.INT)), (R("a < b"),), R("a + 1 <= b"))
-    assert oracle.valid(reordered).is_valid
+    query = Query((("a", Sort.INT), ("b", Sort.INT)), (R("a < b"),), R("a + 1 <= b"))
+    assert oracle.valid(query).is_valid
+    assert oracle.valid(query).is_valid
     assert oracle.queries == 2
-    # a shared counter-model is reported over the asking query's binders
+    # a counter-model is over the binders of the query that asked for it
     invalid = Query((("a", Sort.INT),), (R("a >= 0"),), R("a - 1 >= 0"))
     assert oracle.valid(invalid).model == {"a": 0}
     verdict = oracle.valid(Query((("b", Sort.INT),), (R("b >= 0"),), R("b - 1 >= 0")))
-    assert oracle.queries == 3
+    assert oracle.queries == 4
     assert verdict.is_invalid and verdict.model == {"b": 0}
+
+
+def test_fourier_motzkin_row_limit_is_named_in_unknown(monkeypatch):
+    monkeypatch.setattr(oracle_module, "MAX_FM_ROWS", 2)
+    reason = "Fourier-Motzkin over 2 rows"
+    binders = tuple((n, Sort.INT) for n in "abcde")
+    sorts = dict(binders)
+    # three hypothesis rows fit the limit until the goal's row joins them;
+    # four do not fit it on their own
+    for hyps in (
+        (R("a <= b"), R("b <= c"), R("c <= d")),
+        (R("a <= b"), R("b <= c"), R("c <= d"), R("d <= e")),
+    ):
+        verdict = Oracle().valid(Query(binders, hyps, R("a <= e")))
+        assert verdict.is_unknown and verdict.reason == reason
+        prods = {}
+        verdicts = Oracle().valid_rows(
+            [oracle_module.dnf(h, True, sorts, prods) for h in hyps],
+            [R("a <= e")],
+            lambda goal: oracle_module.dnf(goal, False, sorts, prods),
+        )
+        assert [(v.status, v.reason) for v in verdicts] == [("unknown", reason)]
+
+
+def _fm_rows(rng, names, point):
+    """A small system of rows `coeffs . x + const <= 0`, each of which holds
+    at `point` when one is given.  It includes a cycle u <= m <= v <= u, so
+    u and v are opposite rows only once m is eliminated."""
+    shapes = []
+    for _ in range(rng.randint(0, 4)):
+        picked = rng.sample(names, rng.randint(1, 3))
+        shapes.append({x: rng.choice([-3, -2, -1, 1, 2, 3]) for x in picked})
+    u, m, v = rng.sample(names, 3)
+    shapes += [{u: 1, m: -1}, {m: 1, v: -1}, {v: 1, u: -1}]
+    rows = []
+    for coeffs in shapes:
+        if point is None:
+            const = rng.randint(-2, 2)
+        else:
+            at_point = sum(c * point[x] for x, c in coeffs.items())
+            const = -at_point - rng.choice([0, 0, 1])
+        rows.append((coeffs, const))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_fourier_motzkin_differential_against_brute_force():
+    rng = random.Random(29)
+    names = ["x0", "x1", "x2", "x3"]
+    box = range(-3, 4)
+    unsat = 0
+    for _ in range(300):
+        point = None
+        if rng.random() < 0.5:
+            point = {x: rng.randint(-5, 5) for x in names}
+        rows = _fm_rows(rng, names, point)
+        verdict = oracle_module._fm_unsat(rows)
+        if point is not None:
+            assert not verdict, (rows, point)
+        elif verdict:
+            unsat += 1
+            for values in itertools.product(box, repeat=len(names)):
+                env = dict(zip(names, values))
+                assert not all(
+                    sum(c * env[x] for x, c in coeffs.items()) + const <= 0
+                    for coeffs, const in rows
+                ), (rows, env)
+    # the cycles' constants make a good share of the free systems unsat
+    assert unsat >= 30
 
 
 def test_closed_arithmetic(oracle):
@@ -267,8 +331,6 @@ def test_differential_against_exhaustive_ground_truth():
     """On small-domain queries, the verdict must agree with brute-force
     enumeration: Valid only when no counter-assignment exists in a widened
     box, Invalid only when one does."""
-    import itertools
-
     rng = random.Random(41)
     oracle = Oracle()
     disagreements = []
@@ -321,8 +383,6 @@ def test_batched_differential_against_exhaustive_ground_truth():
     Valid/Invalid rules as the one-goal ground-truth test above.  The goals
     include ones settled by the hypotheses' substitutions alone and ones
     whose negation forms an equality with a hypothesis row."""
-    import itertools
-
     from gen import int_expr
 
     from lrcheck.syntax import BinArith, Cmp
