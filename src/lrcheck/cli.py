@@ -195,7 +195,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_constraints(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
     try:
         program = _read_program(args.path)
     except (OSError, ParseError) as exc:
@@ -333,11 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--smt", help="external SMT-LIB2 solver command")
-        p.add_argument("--timeout", type=float, help="per-query timeout (s)")
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--out", help="write dumps to a file instead of stdout")
+    shared = {
+        "--smt": dict(help="external SMT-LIB2 solver command"),
+        "--timeout": dict(type=float, help="per-query timeout (s)"),
+        "--config": dict(help="key=value config file"),
+        "--out": dict(help="write dumps to a file instead of stdout"),
+    }
+
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_check = sub.add_parser("check", help="type-check and verify programs")
     p_check.add_argument("paths", nargs="*")
@@ -345,25 +349,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--dump-solution", action="store_true")
     p_check.add_argument("--debug-wf", action="store_true")
     p_check.add_argument("--jobs", type=int, default=1)
-    common(p_check)
+    common(p_check, "--smt", "--timeout", "--config", "--out")
     p_check.set_defaults(func=cmd_check)
 
     p_cons = sub.add_parser("constraints", help="dump the constraint clauses")
     p_cons.add_argument("path")
     p_cons.add_argument("--json", action="store_true")
-    common(p_cons)
+    common(p_cons, "--out")
     p_cons.set_defaults(func=cmd_constraints)
 
     p_solve = sub.add_parser("solve", help="dump the inferred solution")
     p_solve.add_argument("path")
-    common(p_solve)
+    common(p_solve, "--smt", "--timeout", "--config", "--out")
     p_solve.set_defaults(func=cmd_solve)
 
     p_run = sub.add_parser("run", help="run a program's entry expression")
     p_run.add_argument("path")
     p_run.add_argument("--fuel", type=int)
     p_run.add_argument("--trace", help="write the event trace to a file")
-    common(p_run)
+    common(p_run, "--config")
     p_run.set_defaults(func=cmd_run)
 
     p_sound = sub.add_parser(
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sound.add_argument(
         "--corpus", help="also run every checked .lr program in this directory"
     )
-    common(p_sound)
+    common(p_sound, "--smt", "--timeout", "--config")
     p_sound.set_defaults(func=cmd_soundness)
 
     return parser

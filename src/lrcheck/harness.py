@@ -22,13 +22,13 @@ from .oracle import Oracle, Query
 from .parser import parse_program
 from .printer import print_type, print_value
 from .syntax import (
+    Closure,
     Exists,
     FnSig,
     Indexed,
     Poison,
     PrimOp,
     Program,
-    RecFn,
     Ref,
     StrongPtr,
     TaggedPtr,
@@ -145,7 +145,7 @@ def value_conforms(
                 return True, ""
             return False, "uninit-typed result is not poison"
         case FnSig():
-            if isinstance(value, (RecFn, PrimOp, VecNew, VecPush, VecIndexMut)):
+            if isinstance(value, (Closure, PrimOp, VecNew, VecPush, VecIndexMut)):
                 return True, ""
             return False, "function-typed result is not a function"
         case _:

@@ -16,11 +16,11 @@ steps.
 
 Locals live in one dict with an undo trail, and each frame records the
 trail height it resumes at.  The entry starts from the global table of
-builtins and top-level declarations.  A call runs the callee's body in a
-fresh environment holding only the function and its parameters: `rec`
-values are closed terms, because a `rec` literal is closed over the
-environment by substitution when it is evaluated, and a declaration over the
-builtins and the earlier declarations.
+builtins and top-level declarations.  A `rec` value is a closure (Landin):
+the function together with the environment its literal was evaluated in, or
+for a declaration the builtins and the earlier declarations.  A call runs
+the callee's body in a copy of that environment extended with the
+parameters and the function's own name.
 
 Each location carries a stack of tagged permission items; reads, writes,
 reborrows, allocation, and deallocation update the stacks and report an
@@ -30,12 +30,12 @@ that affects evaluation gets the machine stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .builtins import BUILTIN_VALUES, prim_apply
-from .logic import SubstError, interp, subst_value_in_expr, subst_value_in_place
+from .logic import interp
 from .syntax import (
     Assign,
     BoolLit,
@@ -43,16 +43,14 @@ from .syntax import (
     BorrowShr,
     BorrowStrong,
     Call,
+    Closure,
     Deref,
     Expr,
     If,
     IntLit,
     Let,
     LetNew,
-    PBad,
-    Place,
     Poison,
-    PPtr,
     PrimOp,
     Program,
     PVar,
@@ -244,14 +242,13 @@ def sb_dealloc(st: MachineState, loc: int, n: int) -> None:
 # ---------------------------------------------------------------------------
 # Rules
 
-def _place_ptr(place: Place, env: Dict[str, Value], what: str) -> Tuple[int, int]:
-    if isinstance(place, PVar) and place.name in env:
-        place = subst_value_in_place(place, place.name, env[place.name])
-    if isinstance(place, PPtr):
-        return place.loc_id, place.tag
-    if isinstance(place, PBad):
-        raise StuckError(f"{what} through a non-pointer: {place.reason}")
-    raise StuckError(f"{what} of an unresolved place")
+def _place_ptr(place: PVar, env: Dict[str, Value], what: str) -> Tuple[int, int]:
+    if place.name not in env:
+        raise StuckError(f"{what} of an unresolved place")
+    ptr = env[place.name]
+    if not isinstance(ptr, TaggedPtr):
+        raise StuckError(f"{what} through non-pointer variable '{place.name}'")
+    return ptr.loc_id, ptr.tag
 
 
 # expression class -> (rule, what it is called in errors, reborrow mode)
@@ -279,17 +276,21 @@ def _access(st: MachineState, e: Expr, env: Dict[str, Value]) -> Value:
     return TaggedPtr(loc, sb_reborrow(st, loc, tag, mode))
 
 
-def _enter_rec(st: MachineState, fn: RecFn, call: Call, args: List[Value]) -> Dict[str, Value]:
+def _enter_rec(
+    st: MachineState, closure: Closure, call: Call, args: List[Value]
+) -> Dict[str, Value]:
     """Fire call-rec: the environment the callee's body runs in.  The
-    function's own name wins over a parameter, and an earlier parameter
-    over a later one of the same name."""
+    function's own name wins over a parameter, an earlier parameter over a
+    later one of the same name, and a parameter over a captured variable."""
     st.count_rule("call-rec")
+    fn = closure.fn
     if len(args) != len(fn.params):
         raise StuckError(f"call of '{fn.fname}' with wrong arity")
     if fn.refparams and len(call.ref_args) not in (0, len(fn.refparams)):
         raise StuckError(f"call of '{fn.fname}' with wrong refinement arity")
-    env = dict(zip(reversed(fn.params), reversed(args)))
-    env[fn.fname] = fn
+    env = dict(closure.env)
+    env.update(zip(reversed(fn.params), reversed(args)))
+    env[fn.fname] = closure
     return env
 
 
@@ -380,72 +381,12 @@ def _vec_index_mut(st: MachineState, args: List[Value]) -> Value:
     return TaggedPtr(target, new_tag)
 
 
-# ---------------------------------------------------------------------------
-# Closing rec literals
-
-def _free_names(fn: RecFn) -> List[str]:
-    """The free program variables of a rec literal, in order of first use."""
-    bound: Dict[str, int] = {}
-    free: Dict[str, None] = {}
-    # expressions and rec values to visit, and (names, +1/-1) scope marks
-    todo: list = [fn]
-
-    def use(x: str) -> None:
-        if not bound.get(x):
-            free[x] = None
-
-    while todo:
-        e = todo.pop()
-        match e:
-            case (names, delta):
-                for x in names:
-                    bound[x] = bound.get(x, 0) + delta
-            case RecFn(fname, _, params, body):
-                names = (fname,) + params
-                todo += [(names, -1), body, (names, 1)]
-            case Val(v):
-                if isinstance(v, RecFn):
-                    todo.append(v)
-            case VarRef(x):
-                use(x)
-            case Let(x, bound_e, body):
-                todo += [((x,), -1), body, ((x,), 1), bound_e]
-            case LetNew(x, _, body):
-                todo += [((x,), -1), body, ((x,), 1)]
-            case Unpack(x, _, body):
-                use(x)
-                todo.append(body)
-            case If(c, t1, t2):
-                todo += [t2, t1, c]
-            case Call(callee, _, args):
-                todo += reversed(args)
-                todo.append(callee)
-            case Assign(place, rhs):
-                if isinstance(place, PVar):
-                    use(place.name)
-                todo.append(rhs)
-            case BorrowStrong(place) | BorrowMut(place) | BorrowShr(place) | Deref(place):
-                if isinstance(place, PVar):
-                    use(place.name)
-    return list(free)
-
-
-def _close(fn: RecFn, env: Dict[str, Value]) -> RecFn:
-    """Substitute the values `env` gives the free variables of `fn`."""
-    body = fn.body
-    for x in _free_names(fn):
-        if x in env:
-            body = subst_value_in_expr(body, x, env[x])
-    return fn if body is fn.body else replace(fn, body=body)
-
-
 def _global_env(program: Program) -> Dict[str, Value]:
     """Builtins and top-level declarations by name; each declaration is
     closed over the builtins and the declarations before it."""
     table: Dict[str, Value] = dict(BUILTIN_VALUES)
     for decl in program.decls:
-        fn = decl.fn if decl.fn.sig is not None else replace(decl.fn, sig=decl.sig)
-        table[decl.name] = _close(fn, table)
+        table[decl.name] = Closure(decl.fn, dict(table))
     return table
 
 
@@ -540,7 +481,7 @@ def run_expr(
                 if t is Val:
                     v, e = e.value, None
                     if isinstance(v, RecFn):
-                        v = _close(v, env)
+                        v = Closure(v, dict(env))
                     continue
                 if t is Unpack:
                     if e.var not in env:
@@ -597,14 +538,13 @@ def run_expr(
                 sb_write(st, loc, tag)
                 st.heap[loc] = v
                 v = Poison()
-            elif kind == _CALL and isinstance(vals[0], RecFn):
-                fn = vals[0]
-                callee_env = _enter_rec(st, fn, call, vals[1:])
+            elif kind == _CALL and isinstance(vals[0], Closure):
+                callee_env = _enter_rec(st, vals[0], call, vals[1:])
                 # a tail call leaves the caller's environment unused
                 if kont and kont[-1][0] != _RESTORE:
                     kont.append((_RESTORE, env, trail))
                 env, trail = callee_env, []
-                e = fn.body
+                e = vals[0].fn.body
             elif kind == _CALL:
                 v = _apply_builtin(st, vals[0], vals[1:])
             elif isinstance(frame[1], LetNew):
@@ -620,7 +560,7 @@ def run_expr(
     except AliasError as err:
         if n < fuel:
             return RunOutcome("alias", error=err, steps=n, state=st)
-    except (StuckError, SubstError) as err:
+    except StuckError as err:
         if n < fuel:
             return RunOutcome("stuck", reason=str(err), steps=n, state=st)
     return RunOutcome("fuel", steps=fuel, state=st)

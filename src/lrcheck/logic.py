@@ -1,66 +1,43 @@
-"""Sort checking, free variables, substitution, and the value/refinement
-bridges (getsort, interp) over the core AST."""
+"""Sort checking, free refinement variables, substitution of refinement
+terms, and the value/refinement bridges (getsort, interp)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Set, Tuple, Union
 
 from .syntax import (
     AbstractLoc,
-    Assign,
     BaseType,
     BinArith,
     BinBool,
     BoolBase,
     BoolConst,
     BoolLit,
-    BorrowMut,
-    BorrowShr,
-    BorrowStrong,
-    Call,
     Cmp,
     ConcreteLoc,
-    Deref,
     Eq,
     Exists,
-    Expr,
     FnSig,
-    If,
     Indexed,
     IntBase,
     IntConst,
     IntLit,
     KApp,
-    Let,
-    LetNew,
     Loc,
     LocConst,
     LocCtx,
     Not,
-    Place,
-    Poison,
-    PPtr,
-    PVar,
-    RecFn,
     Ref,
     RefExpr,
     Sort,
     StrongPtr,
-    TaggedPtr,
     Type,
     Uninit,
-    Unpack,
-    Val,
     Value,
     Var,
-    VarRef,
     VecBase,
-    VecIndexMut,
-    VecNew,
-    VecPush,
     VecVal,
-    PrimOp,
     subterms,
 )
 
@@ -256,37 +233,6 @@ def free_vars(t) -> Set[str]:
                 out |= free_vars(loc) | free_vars(typ)
             return out
 
-        # expressions
-        case Let(_, bound, body):
-            return free_vars(bound) | free_vars(body)
-        case LetNew(_, locvar, body):
-            return free_vars(body) - {locvar}
-        case If(c, t1, t2):
-            return free_vars(c) | free_vars(t1) | free_vars(t2)
-        case Unpack(_, refvar, body):
-            return free_vars(body) - {refvar}
-        case Call(callee, ref_args, _, _):
-            out = free_vars(callee)
-            for ra in ref_args:
-                out |= free_vars(ra)
-            return out
-        case Assign(_, rhs):
-            return free_vars(rhs)
-        case BorrowStrong(_) | BorrowMut(_) | BorrowShr(_) | Deref(_) | VarRef(_):
-            return set()
-        case Val(value):
-            return free_vars(value)
-
-        # values
-        case RecFn(_, refparams, _, body):
-            return free_vars(body) - {name for name, _ in refparams}
-        case BoolLit(_) | IntLit(_) | Poison() | TaggedPtr(_, _) | PrimOp(_):
-            return set()
-        case VecVal(_, payload):
-            return free_vars(payload)
-        case VecNew() | VecPush() | VecIndexMut():
-            return set()
-
         case _:
             raise TypeError(f"free_vars: unsupported node {t!r}")
 
@@ -405,81 +351,6 @@ def _loc_of_refexpr(e: RefExpr) -> Loc:
     if isinstance(e, LocConst):
         return ConcreteLoc(e.loc_id)
     raise SubstError(f"cannot use {e!r} as a location")
-
-
-# ---------------------------------------------------------------------------
-# Substitution of a value for a program variable
-
-def subst_value_in_place(p: Place, name: str, v: Value) -> Place:
-    if isinstance(p, PVar) and p.name == name:
-        if isinstance(v, TaggedPtr):
-            return PPtr(v.loc_id, v.tag)
-        return PBad(f"non-pointer value substituted for place '{name}'")
-    return p
-
-
-def subst_value_in_expr(e: Expr, name: str, v: Value) -> Expr:
-    """Substitute a closed value for a program variable.  An unpack of the
-    variable dissolves, leaving its refinement binder in place (refinement
-    arguments have no runtime effect); SubstError if interp(v) is undefined
-    there.  A chain of `let`s is walked in a loop and rebuilt from the
-    inside out, so its length is not bounded by the recursion limit."""
-    rec = lambda x: subst_value_in_expr(x, name, v)
-    chain = []  # the binders above `e` that keep `name` free, outermost first
-    while True:
-        if isinstance(e, Let) and e.name != name:
-            chain.append(replace(e, bound=rec(e.bound)))
-        elif isinstance(e, LetNew) and e.name != name:
-            chain.append(e)
-        elif isinstance(e, Unpack) and e.var != name:
-            chain.append(e)
-        else:
-            break
-        e = e.body
-    e = _subst_value_node(e, name, v, rec)
-    for node in reversed(chain):
-        e = replace(node, body=e)
-    return e
-
-
-def _subst_value_node(e: Expr, name: str, v: Value, rec) -> Expr:
-    """`subst_value_in_expr` on a node that is not a binder keeping `name`
-    free: a binder here binds `name` itself."""
-    match e:
-        case Unpack(x, refvar, body, span):
-            if interp(v) is None:
-                raise SubstError(
-                    f"unpack of '{x}' against a value with no refinement index"
-                )
-            return rec(body)
-        case Let(x, bound, body, span):
-            return Let(x, rec(bound), body, span)
-        case LetNew(_):
-            return e
-        case VarRef(x, span):
-            return Val(v, span) if x == name else e
-        case If(c, t1, t2, span):
-            return If(rec(c), rec(t1), rec(t2), span)
-        case Call(callee, ref_args, args, type_args, span):
-            return Call(rec(callee), ref_args, tuple(rec(a) for a in args), type_args, span)
-        case Assign(place, rhs, span):
-            return Assign(subst_value_in_place(place, name, v), rec(rhs), span)
-        case BorrowStrong(place, span):
-            return BorrowStrong(subst_value_in_place(place, name, v), span)
-        case BorrowMut(place, span):
-            return BorrowMut(subst_value_in_place(place, name, v), span)
-        case BorrowShr(place, span):
-            return BorrowShr(subst_value_in_place(place, name, v), span)
-        case Deref(place, span):
-            return Deref(subst_value_in_place(place, name, v), span)
-        case Val(RecFn(f, refparams, params, body, sig, vspan), span):
-            if name == f or name in params:
-                return e
-            return Val(RecFn(f, refparams, params, rec(body), sig, vspan), span)
-        case Val(_):
-            return e
-        case _:
-            raise TypeError(f"subst_value_in_expr: unsupported node {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .syntax import (
     BorrowShr,
     BorrowStrong,
     Call,
+    Closure,
     Cmp,
     Deref,
     Eq,
@@ -35,10 +36,7 @@ from .syntax import (
     LocConst,
     LocCtx,
     Not,
-    Place,
     Poison,
-    PPtr,
-    PBad,
     PrimOp,
     Program,
     PVar,
@@ -181,18 +179,14 @@ def print_sig(sig: FnSig) -> str:
     return out
 
 
-def print_place(p: Place) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PPtr):
-        return f"<ptr #{p.loc_id} tag {p.tag}>"
-    if isinstance(p, PBad):
-        return "<bad place>"
-    raise TypeError(f"print_place: {p!r}")
+def print_place(p: PVar) -> str:
+    return p.name
 
 
 def print_value(v: Value) -> str:
     match v:
+        case Closure(fn, _):
+            return print_value(fn)
         case RecFn(fname, refparams, params, body, _sig):
             rp = ""
             if refparams:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 
 class Sort(Enum):
@@ -280,22 +280,6 @@ class PVar(Place):
     name: str
 
 
-@dataclass(frozen=True)
-class PPtr(Place):
-    """Tagged pointer used as a place; run-time only, never parsed."""
-
-    loc_id: int
-    tag: int
-
-
-@dataclass(frozen=True)
-class PBad(Place):
-    """Result of substituting a non-pointer value into a place; evaluating
-    it gets the machine stuck."""
-
-    reason: str
-
-
 class Value:
     pass
 
@@ -338,6 +322,15 @@ class VecVal(Value):
 
     length: int
     payload: Value
+
+
+@dataclass(frozen=True)
+class Closure(Value):
+    """A `rec` value at run time: the function and the environment its
+    literal was evaluated in; run-time only, never parsed."""
+
+    fn: RecFn
+    env: Dict[str, Value]
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,6 @@ from .syntax import (
     Not,
     Place,
     Poison,
-    PPtr,
     PrimOp,
     Program,
     PVar,
@@ -107,7 +106,6 @@ from .syntax import (
     Sort,
     Span,
     StrongPtr,
-    TaggedPtr,
     Type,
     Uninit,
     Unpack,
@@ -119,10 +117,9 @@ from .syntax import (
     VecIndexMut,
     VecNew,
     VecPush,
-    VecVal,
     is_aval,
 )
-from .wellformed import DynCtx, ValCtx, WfError, wf_locctx, wf_refctx, wf_type, wf_valctx
+from .wellformed import ValCtx, WfError, wf_locctx, wf_refctx, wf_type, wf_valctx
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,6 @@ class CheckState:
         self.ctx = ctx
         self.vals = vals
         self.locs = locs
-        self.dyn: DynCtx = {}
         self.kvars = kvars
         self.names = NameSupply()
         self.emitted: List[Constraint] = []
@@ -554,14 +550,6 @@ class Checker:
                 return Indexed(IntBase(), IntConst(z))
             case Poison():
                 return Uninit(1)
-            case TaggedPtr(loc_id, tag):
-                t = state.dyn.get((loc_id, tag))
-                if t is None:
-                    raise CheckError(
-                        f"pointer ({loc_id},{tag}) not covered by the dynamic context",
-                        span,
-                    )
-                return t
             case VecNew():
                 return _VecBuiltin("new")
             case VecPush():
@@ -575,8 +563,6 @@ class Checker:
                 return sig
             case RecFn(_, _, _, _, None):
                 return self.infer_inner_rec(state, v, span)
-            case VecVal(_, _):
-                raise CheckError("vector literals are runtime-only", span)
             case _:
                 raise CheckError(f"cannot type value {v!r}", span)
 
@@ -1036,21 +1022,12 @@ class Checker:
                 )
 
     def place_type(
-        self, state: CheckState, place: Place, span: Optional[Span]
+        self, state: CheckState, place: PVar, span: Optional[Span]
     ) -> Type:
-        if isinstance(place, PVar):
-            t = state.vals.lookup(place.name)
-            if t is None:
-                raise UnboundVariable(f"unbound variable '{place.name}'", span)
-            return t
-        if isinstance(place, PPtr):
-            t = state.dyn.get((place.loc_id, place.tag))
-            if t is None:
-                raise CheckError(
-                    "tagged pointer not covered by the dynamic context", span
-                )
-            return t
-        raise CheckError("invalid place", span)
+        t = state.vals.lookup(place.name)
+        if t is None:
+            raise UnboundVariable(f"unbound variable '{place.name}'", span)
+        return t
 
 
 # ---------------------------------------------------------------------------

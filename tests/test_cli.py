@@ -57,6 +57,21 @@ def test_oracle_unavailable_exit_three():
     assert code == 3
 
 
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys):
+    path = "corpus/accept/decr.lr"
+    for args in [
+        ["run", path, "--out", "x"],
+        ["run", path, "--smt", "x"],
+        ["run", path, "--timeout", "1"],
+        ["constraints", path, "--smt", "x"],
+        ["constraints", path, "--timeout", "1"],
+        ["constraints", path, "--config", "x"],
+        ["soundness", "--seeds", "1", "--out", "x"],
+    ]:
+        assert main(args) == 2, args
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_constraints_dump_decr():
     code, out, _ = invoke(["constraints", "corpus/accept/decr.lr"])
     assert code == 0

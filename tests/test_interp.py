@@ -420,6 +420,36 @@ def test_unpack_of_an_unindexed_value_is_stuck_at_the_unpack():
         )
 
 
+def test_rec_literal_keeps_the_values_of_its_free_variables():
+    """A closure sees the bindings its literal was evaluated in, also a
+    pointer it assigns through, however the names are rebound later."""
+    src = (
+        "entry let p = new(l) in let y = 5 in "
+        "let f = rec f (z) := let t = p := y in *p in "
+        "let y = 7 in let p = 0 in call f(0)"
+    )
+    outcome = run(parse_program(src), check_invariants=True)
+    assert (outcome.kind, outcome.value) == ("done", IntLit(5))
+    assert run(parse_program("entry rec f (x) := x")).render() == (
+        "done: rec f (x) := x after 0 step(s)"
+    )
+
+
+def test_captured_pointer_unpacked_in_a_rec_body_is_stuck_when_called():
+    literal = "entry let c = new(l) in let f = rec f (z) := unpack (c, a) in z in "
+    assert run(parse_program(literal + "5")).value == IntLit(5)
+    outcome = run(parse_program(literal + "let y = 1 in call f(y)"))
+    assert (outcome.kind, outcome.steps) == ("stuck", 4)
+    assert outcome.reason == "unpack of 'c' against a value with no refinement index"
+
+
+def test_place_holding_a_non_pointer_is_stuck_naming_the_variable():
+    for src, what in [("x := 1", "assign"), ("*x", "deref"), ("&mut x", "&mut")]:
+        outcome = run(parse_program(f"entry let x = 5 in {src}"))
+        assert (outcome.kind, outcome.steps) == ("stuck", 1)
+        assert outcome.reason == f"{what} through non-pointer variable 'x'"
+
+
 # tests/data/interp_golden.json holds, for every corpus program with an
 # entry and generator seeds 0-199 at budget 10, one digest per fuel of the
 # outcome the substitution stepper this machine replaced gave.  The machine

@@ -231,7 +231,6 @@ def test_sortcheck_weakening():
 def test_free_vars_examples():
     t = Exists("a", IntBase(), Eq(Var("a"), Var("b")))
     assert free_vars(t) == {"b"}
-    assert free_vars(Poison()) == set()
 
 
 def test_free_vars_binders_disjoint():

@@ -1,11 +1,8 @@
-"""Parser, printer, and substitution tests for the surface language."""
-
-import random
+"""Parser and printer tests for the surface language."""
 
 import pytest
 
 from lrcheck.harness import generate_program
-from lrcheck.logic import SubstError, free_vars, subst_value_in_expr
 from lrcheck.parser import ParseError, parse_expr, parse_program, parse_refexpr
 from lrcheck.printer import print_expr, print_program
 from lrcheck.syntax import (
@@ -18,14 +15,12 @@ from lrcheck.syntax import (
     IntLit,
     Let,
     LetNew,
-    Poison,
     PVar,
     RecFn,
     Span,
     Unpack,
     Val,
     VarRef,
-    VecVal,
 )
 
 DECR = """
@@ -152,49 +147,6 @@ def test_negative_literals():
     r = parse_refexpr("a = -1")
     again = parse_refexpr("a = -1")
     assert r == again
-
-
-# -- value substitution ------------------------------------------------------
-
-
-def test_subst_variable_case():
-    e = parse_expr("x")
-    assert subst_value_in_expr(e, "x", IntLit(7)) == Val(IntLit(7))
-
-
-def test_subst_unpack_dissolves_with_interp():
-    # refinement arguments have no runtime effect and stay as written
-    e = parse_expr("unpack (x, a) in call gt {a, 0} (x, 0)")
-    out = subst_value_in_expr(e, "x", IntLit(5))
-    assert out == parse_expr("call gt {a, 0} (5, 0)")
-
-
-def test_subst_unpack_requires_interpretable_value():
-    e = parse_expr("unpack (x, a) in x")
-    with pytest.raises(SubstError):
-        subst_value_in_expr(e, "x", Poison())
-
-
-def test_subst_unpack_vec_value_uses_length():
-    e = parse_expr("unpack (x, a) in call gt {a, 0} (0, 0)")
-    out = subst_value_in_expr(e, "x", VecVal(3, Poison()))
-    assert out == parse_expr("call gt {a, 0} (0, 0)")
-
-
-def test_subst_rec_binder_shadows():
-    e = parse_expr("rec f (x) := call f(x)")
-    assert subst_value_in_expr(e, "f", IntLit(1)) == e
-    assert subst_value_in_expr(e, "x", IntLit(1)) == e
-
-
-def test_subst_identity_when_not_free():
-    rng = random.Random(7)
-    for seed in range(50):
-        program = generate_program(seed, budget=4)
-        entry = program.entry
-        name = f"zz{rng.randrange(100)}"
-        assert name not in free_vars(entry)
-        assert subst_value_in_expr(entry, name, IntLit(3)) == entry
 
 
 def test_corpus_files_roundtrip():
