@@ -21,6 +21,7 @@ from .constraints import (
 )
 from .harness import CorpusResult, run_and_verify, soundness_sweep
 from .interp import run as interp_run
+from .logic import free_vars, subst_parallel
 from .oracle import Oracle, SmtBackend
 from .parser import ParseError, parse_program, parse_refexpr
 from .syntax import Program, Sort
@@ -101,17 +102,13 @@ def make_qualifiers(cfg: Config) -> List[Qualifier]:
     quals = default_qualifiers()
     for i, text in enumerate(cfg.qualifiers):
         template = parse_refexpr(text)
-        from .logic import free_vars
-
         uses_meta = "m" in free_vars(template)
 
         def build(v, m, template=template, uses_meta=uses_meta):
-            from .logic import subst
-
-            out = subst(template, "v", v)
+            mapping = {"v": v}
             if uses_meta and m is not None:
-                out = subst(out, "m", m)
-            return out
+                mapping["m"] = m
+            return subst_parallel(template, mapping)
 
         quals.append(Qualifier(f"config{i}", Sort.INT, uses_meta, build))
     return quals

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
-    conj,
     conjuncts,
     fold_constants,
     is_trivially_true,

@@ -16,13 +16,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import Solution, apply_solution_expr
 from .interp import MachineState, Perm, RunOutcome, run
-from .logic import interp as value_index
-from .logic import subst
+from .logic import free_vars, interp as value_index, subst
 from .oracle import Oracle, Query
 from .parser import parse_program
 from .printer import print_type, print_value
 from .syntax import (
+    BoolConst,
     Closure,
+    Eq,
     Exists,
     FnSig,
     Indexed,
@@ -90,9 +91,6 @@ def value_conforms(
         hyps = (
             tuple(resolve(a) for a in ctx.assumptions()) if ctx is not None else ()
         )
-        from .logic import free_vars
-        from .syntax import BoolConst
-
         def decide(query: Query) -> bool:
             verdict = oracle.valid(query, want_model=False)
             if verdict.is_unknown:
@@ -111,8 +109,6 @@ def value_conforms(
             iv = value_index(value)
             if iv is None:
                 return False, f"value {print_value(value)} has no refinement index"
-            from .syntax import Eq
-
             ok, why = check_obligation(Eq(resolve(idx), iv))
             if not ok:
                 return False, (

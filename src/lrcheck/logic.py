@@ -398,7 +398,8 @@ def fold_constants(e: RefExpr) -> RefExpr:
 
 
 def is_trivially_true(e: RefExpr) -> bool:
-    e = fold_constants(e)
+    """Whether `e` holds syntactically.  `e` must already be folded by
+    `fold_constants`: `0 + 1 = 1` unfolded is not recognized."""
     if isinstance(e, BoolConst):
         return e.value
     if isinstance(e, Eq) and e.lhs == e.rhs:

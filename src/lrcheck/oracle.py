@@ -321,17 +321,23 @@ def _sort_of_term(e: RefExpr, sorts: Dict[str, Sort]) -> Sort:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin refutation of a cube
 
-def _dedupe(rows: List[LinForm]) -> List[LinForm]:
-    """Keep only the tightest row per coefficient vector (coeffs.x + c <= 0
-    with larger c subsumes smaller).  Every row built here carries no zero
-    coefficient, so equal vectors have equal keys."""
-    best: Dict[frozenset, Tuple[Dict[str, int], int]] = {}
+def _keep_tightest(
+    best: Dict[frozenset, LinForm], rows: Iterable[LinForm]
+) -> Dict[frozenset, LinForm]:
+    """Add `rows` to `best` and return it, keeping only the tightest row per coefficient
+    vector (coeffs.x + c <= 0 with larger c subsumes smaller).  Every row
+    built here carries no zero coefficient, so equal vectors have equal
+    keys."""
     for coeffs, const in rows:
         key = frozenset(coeffs.items())
         prev = best.get(key)
         if prev is None or const > prev[1]:
             best[key] = (coeffs, const)
-    return list(best.values())
+    return best
+
+
+def _dedupe(rows: List[LinForm]) -> List[LinForm]:
+    return list(_keep_tightest({}, rows).values())
 
 
 # var := coeffs . vars + const
@@ -387,31 +393,29 @@ def _fm_unsat(rows: List[LinForm]) -> bool:
     """True when the system {row <= 0} has no rational solution.  Because
     strict integer comparisons were tightened to non-strict ones, rational
     unsatisfiability is sound for integer unsatisfiability.  Each round
-    checks the constant rows and eliminates one variable."""
-    rows = _dedupe(rows)
+    checks the constant rows and eliminates one variable; the rows without
+    that variable keep their keys into the next round."""
+    best = _keep_tightest({}, rows)
     while True:
-        if any(const > 0 for coeffs, const in rows if not coeffs):
+        constant = best.pop(frozenset(), None)
+        if constant is not None and constant[1] > 0:
             return True
-        rows = [r for r in rows if r[0]]
-        if not rows:
+        if not best:
             return False
         # pick the variable minimizing the upper*lower product
         stats: Dict[str, Tuple[int, int]] = {}
-        for coeffs, _ in rows:
+        for coeffs, _ in best.values():
             for v, c in coeffs.items():
                 up, lo = stats.get(v, (0, 0))
                 stats[v] = (up + (c > 0), lo + (c < 0))
         var = min(sorted(stats), key=lambda v: stats[v][0] * stats[v][1])
-        uppers, lowers, rest = [], [], []
-        for coeffs, const in rows:
+        uppers, lowers = [], []
+        for key, (coeffs, const) in list(best.items()):
             c = coeffs.get(var, 0)
-            if c > 0:
-                uppers.append((coeffs, const))
-            elif c < 0:
-                lowers.append((coeffs, const))
-            else:
-                rest.append((coeffs, const))
-        new_rows = rest
+            if c:
+                del best[key]
+                (uppers if c > 0 else lowers).append((coeffs, const))
+        new_rows = []
         for ucoef, uconst in uppers:
             cu = ucoef[var]
             for lcoef, lconst in lowers:
@@ -424,8 +428,8 @@ def _fm_unsat(rows: List[LinForm]) -> bool:
                 combined.pop(var, None)
                 combined = {v: c for v, c in combined.items() if c != 0}
                 new_rows.append((combined, cl * uconst + cu * lconst))
-        rows = _dedupe(new_rows)
-        if len(rows) > MAX_FM_ROWS:
+        _keep_tightest(best, new_rows)
+        if len(best) > MAX_FM_ROWS:
             raise _TooLarge(f"Fourier-Motzkin over {MAX_FM_ROWS} rows")
 
 

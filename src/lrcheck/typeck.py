@@ -3,8 +3,9 @@
 Synthesizes types while threading the flow-sensitive location context,
 emitting Horn constraints at the subtyping seams (call arguments,
 assignments, declared-signature boundaries, and join points).  Each emitted
-constraint is closed under the refinement context at the emission point, so
-clauses are self-contained.
+constraint is normalized and then closed under the refinement context at the
+emission point, so clauses are self-contained; one that normalizes to
+nothing is dropped unclosed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .constraints import (
     Provenance,
     Qualifier,
     Solution,
+    TRIVIAL,
     clauses as constraint_clauses,
     default_qualifiers,
     normalize,
@@ -41,6 +43,7 @@ from .errors import (
 from .infer import (
     ELSE,
     KVarSupply,
+    PLAIN,
     THEN,
     fresh_kvar_type,
     infer_rec_signature,
@@ -233,21 +236,16 @@ class CheckState:
     def restore(self, snap) -> None:
         self.ctx, self.vals, self.locs = snap
 
-    def emit(self, c: Constraint) -> None:
+    def emit(self, c: Constraint, hyp: Optional[RefExpr] = None) -> None:
+        """Emit `c` (under `hyp`, if given) closed under the current context;
+        an obligation that normalizes to nothing is dropped before closing."""
         if self.shape_mode:
-            return
-        if isinstance(c, Conj) and not c.parts:
-            return
-        self.emitted.append(_wrap_ctx(self.ctx, c))
-
-    def emit_under(self, base_ctx: RefCtx, hyp: Optional[RefExpr], c: Constraint):
-        if self.shape_mode:
-            return
-        if isinstance(c, Conj) and not c.parts:
             return
         if hyp is not None:
             c = Implies(hyp, c)
-        self.emitted.append(_wrap_ctx(base_ctx, c))
+        c = normalize(c)
+        if c != TRIVIAL:
+            self.emitted.append(_wrap_ctx(self.ctx, c))
 
     def assert_wf(self) -> None:
         if not self.debug_wf or self.shape_mode:
@@ -647,14 +645,13 @@ class Checker:
             )
         guard = cond_t.idx
         snap = state.snapshot()
-        base_ctx = state.ctx
 
-        state.ctx = base_ctx.assume(guard)
+        state.ctx = state.ctx.assume(guard)
         t1 = self.synth(state, e.then)
         locs1 = state.locs
 
         state.restore(snap)
-        state.ctx = base_ctx.assume(Not(guard))
+        state.ctx = state.ctx.assume(Not(guard))
         t2 = self.synth(state, e.els)
         locs2 = state.locs
 
@@ -674,13 +671,9 @@ class Checker:
             )
         except StructuralError as exc:
             raise exc.at(e.span)
+        hyps = {THEN: guard, ELSE: Not(guard), PLAIN: None}
         for tag, c in emissions + loc_emissions:
-            if tag == THEN:
-                state.emit_under(base_ctx, guard, c)
-            elif tag == ELSE:
-                state.emit_under(base_ctx, Not(guard), c)
-            else:
-                state.emit_under(base_ctx, None, c)
+            state.emit(c, hyps[tag])
         state.locs = joined_locs
         return joined_t
 

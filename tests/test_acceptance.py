@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from lrcheck.constraints import default_qualifiers, instantiations
 from lrcheck.harness import run_and_verify, soundness_sweep
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_program

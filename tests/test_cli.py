@@ -3,9 +3,10 @@
 import subprocess
 import sys
 
-import pytest
-
-from lrcheck.cli import main
+from lrcheck.cli import Config, main, make_qualifiers
+from lrcheck.constraints import instantiations
+from lrcheck.parser import parse_refexpr as R
+from lrcheck.syntax import KVarDecl, Sort
 
 RUN = [sys.executable, "-m", "lrcheck.cli"]
 
@@ -250,6 +251,16 @@ def test_config_qualifier_extends_vocabulary(tmp_path):
     cfg.write_text("qualifier = v = 0\n")
     code, _, _ = invoke(["check", str(path), "--config", str(cfg)])
     assert code == 0
+
+
+def test_config_qualifier_instantiates_both_parameters_at_once():
+    """A value parameter named `m` is not rewritten again by the
+    metavariable's substitution."""
+    kvar = KVarDecl("k0", (("m", Sort.INT), ("a", Sort.INT)))
+    quals = make_qualifiers(Config(qualifiers=["v <= m + 1"]))
+    insts = instantiations(kvar, quals)
+    assert R("m <= a + 1") in insts and R("a <= m + 1") in insts
+    assert R("a <= a + 1") not in insts
 
 
 def test_reject_diagnostic_shows_counterexample():

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from lrcheck.constraints import (
-    Clause,
     Conj,
     ForAll,
     Head,

@@ -132,7 +132,7 @@ def test_soundness_bug_fixture(monkeypatch, oracle):
     original = typeck.Checker.synth_deref
 
     def unsound(self, state, place, span):
-        from lrcheck.syntax import BoolBase, BoolConst, Indexed, StrongPtr, Uninit
+        from lrcheck.syntax import BoolBase, BoolConst, Indexed
 
         try:
             return original(self, state, place, span)

@@ -2,8 +2,6 @@
 worked join-point, vector, and loop-invariant solutions."""
 
 import glob
-import itertools
-import random
 
 import pytest
 
@@ -11,14 +9,10 @@ from lrcheck.constraints import (
     Conj,
     ForAll,
     Head,
-    Implies,
     Provenance,
-    Solution,
     apply_solution_expr,
-    clauses,
     default_qualifiers,
     instantiations,
-    normalize,
 )
 from lrcheck.errors import ShapeMismatch
 from lrcheck.harness import generate_program
@@ -28,7 +22,7 @@ from lrcheck.infer import (
     infer_rec_signature,
     solve,
 )
-from lrcheck.logic import RefCtx, SortError, conj, sortcheck, subst_parallel
+from lrcheck.logic import RefCtx, SortError, conj, sortcheck
 from lrcheck.oracle import Oracle, Query, SmtBackend
 from lrcheck.parser import parse_program, parse_refexpr as R, parse_type
 from lrcheck.subtyping import NameSupply

@@ -24,7 +24,7 @@ from lrcheck.interp import (
     sb_write,
 )
 from lrcheck.parser import parse_expr, parse_program
-from lrcheck.syntax import BoolLit, IntLit, Poison, Program, TaggedPtr, VecVal
+from lrcheck.syntax import BoolLit, IntLit, Poison, TaggedPtr, VecVal
 
 DECR = open("corpus/accept/decr.lr").read()
 

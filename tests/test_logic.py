@@ -26,7 +26,6 @@ from lrcheck.syntax import (
     BoolBase,
     BoolConst,
     BoolLit,
-    Cmp,
     Eq,
     Exists,
     Indexed,

@@ -9,7 +9,6 @@ import pytest
 
 from gen import bool_expr, ctx_with_vars
 from lrcheck import oracle as oracle_module
-from lrcheck.logic import RefCtx, free_vars, sortcheck
 from lrcheck.oracle import (
     Oracle,
     OracleError,

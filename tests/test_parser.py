@@ -7,11 +7,9 @@ from lrcheck.parser import ParseError, parse_expr, parse_program, parse_refexpr
 from lrcheck.printer import print_expr, print_program
 from lrcheck.syntax import (
     Assign,
-    BinArith,
     Call,
     Expr,
     If,
-    IntConst,
     IntLit,
     Let,
     LetNew,
@@ -89,14 +87,7 @@ def test_every_expr_node_has_span():
 
 
 def _children(e: Expr):
-    from lrcheck.syntax import (
-        Assign,
-        BorrowMut,
-        BorrowShr,
-        BorrowStrong,
-        Deref,
-        Val,
-    )
+    from lrcheck.syntax import Assign, Val
 
     match e:
         case Let(_, bound, body):

@@ -21,9 +21,6 @@ from lrcheck.parser import parse_type
 from lrcheck.subtyping import NameSupply, ctx_include, subtype
 from lrcheck.syntax import (
     AbstractLoc,
-    Indexed,
-    IntBase,
-    IntConst,
     LocCtx,
     Sort,
     Uninit,

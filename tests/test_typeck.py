@@ -1,11 +1,12 @@
 """The typing engine: rule-level behavior, worked derivations, and the
 framing/value-refinement/well-formedness property suites."""
 
+import glob
 import random
 
 import pytest
 
-from lrcheck.constraints import dump_clauses_text
+from lrcheck.constraints import Conj, clauses, normalize
 from lrcheck.errors import (
     AssignThroughShared,
     CheckError,
@@ -13,11 +14,11 @@ from lrcheck.errors import (
     DerefUninit,
     EscapeError,
     InstError,
-    StructuralError,
     UnboundVariable,
 )
+from lrcheck.harness import generate_program
 from lrcheck.infer import KVarSupply
-from lrcheck.logic import RefCtx, fold_constants, free_vars, interp
+from lrcheck.logic import RefCtx, fold_constants, interp
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_expr, parse_program, parse_refexpr, parse_type
 from lrcheck.syntax import (
@@ -29,7 +30,6 @@ from lrcheck.syntax import (
     KApp,
     LocCtx,
     Program,
-    PVar,
     Ref,
     Sort,
     StrongPtr,
@@ -37,7 +37,6 @@ from lrcheck.syntax import (
     Var,
 )
 from lrcheck.typeck import CheckState, Checker, build_globals, check_program
-from lrcheck.wellformed import ValCtx
 
 R = parse_refexpr
 
@@ -103,6 +102,45 @@ def test_checking_continues_across_functions(oracle):
     assert report.unit("bad").status == "rejected"
     assert report.unit("decr").status == "verified"
     assert not report.ok
+
+
+# -- emission ------------------------------------------------------------------
+
+
+def _emitted_parts(program):
+    """The parts of every constraint the checker returns for `program`;
+    a unit that fails structurally contributes none."""
+    checker = Checker(build_globals(program), KVarSupply())
+    units = [lambda d=d: checker.check_fn(d)[0] for d in program.decls]
+    if program.entry is not None:
+        units.append(lambda: checker.check_entry(program.entry)[1])
+    parts = []
+    for unit in units:
+        try:
+            parts.extend(unit().parts)
+        except CheckError:
+            pass
+    return parts
+
+
+def test_every_emitted_obligation_yields_a_clause():
+    programs = [parse_program(open(p).read()) for p in sorted(glob.glob("corpus/*/*.lr"))]
+    programs += [generate_program(seed, 10) for seed in range(60)]
+    parts = [part for program in programs for part in _emitted_parts(program)]
+    assert parts
+    assert all(clauses(normalize(part)) for part in parts)
+
+
+def test_long_let_chain_emits_no_obligation():
+    lines = ["let x0 = 0 in", "let c = new(lc) in", "let w0 = c := 0 in"]
+    for i in range(1, 100):
+        lines += [
+            f"let x{i} = call add(x{i - 1}, {i % 7}) in",
+            f"let w{i} = c := x{i} in",
+            f"let m{i} = *c in",
+        ]
+    program = parse_program("entry\n  " + "\n  ".join(lines) + "\n  *c\n")
+    assert _emitted_parts(program) == []
 
 
 # -- synthesis of values -------------------------------------------------------
@@ -291,8 +329,6 @@ def test_assign_weak_update_emits_obligation(oracle):
     state.vals = state.vals.bind("r", parse_type("&mut {v. int[v] | v >= 0}"))
     state.vals = state.vals.bind("y", parse_type("int[ay]"))
     checker.synth(state, parse_expr("r := call sub {ay, 1} (y, 1)"))
-    from lrcheck.constraints import Conj, clauses, normalize
-
     cls = clauses(normalize(Conj(tuple(state.emitted))))
     heads = [c.head for c in cls]
     assert R("ay - 1 >= 0") in heads
