@@ -2,10 +2,12 @@
 vocabulary and solution plumbing for the fixpoint solver.
 
 Predicates are plain refinement expressions; unknown-predicate applications
-are `KApp` nodes, conjunction is the boolean `and`.  A constraint is a tree
-of universals, implications, conjunctions, and provenance-tagged heads.
-After `normalize`, the tree is a conjunction of root-to-head paths whose
-heads are single atoms (concrete or one KApp).
+are `KApp` nodes, conjunction is the boolean `and`.  A constraint has three
+node kinds: a provenance-tagged `Head`, a `Conj` of constraints, and a
+`ForAll(binders, hyps, body)`, which binds sorted names and assumes
+hypotheses over its body.  After `normalize`, a constraint is a conjunction
+of single-atom heads (concrete or one KApp), each under at most one
+`ForAll` whose hypotheses are atoms: one part per Horn clause.
 """
 
 from __future__ import annotations
@@ -59,16 +61,9 @@ class Head(Constraint):
 
 
 @dataclass(frozen=True)
-class Implies(Constraint):
-    hyp: RefExpr
-    body: Constraint
-
-
-@dataclass(frozen=True)
 class ForAll(Constraint):
-    binder: str
-    sort: Sort
-    hyp: RefExpr
+    binders: Tuple[Tuple[str, Sort], ...]
+    hyps: Tuple[RefExpr, ...]
     body: Constraint
 
 
@@ -88,8 +83,9 @@ class MissingKVar(Exception):
 # Normalization and clause extraction
 
 def normalize(c: Constraint) -> Constraint:
-    """Flatten conjunctions, split conjunctive heads, hoist universals and
-    implications over conjunctions, and drop trivially-true heads."""
+    """Flatten conjunctions, split conjunctive heads and hypotheses, drop
+    trivially-true atoms, and merge nested universals: the result is a
+    conjunction of heads, each under at most one `ForAll`."""
     parts = tuple(_normalize(c))
     return parts[0] if len(parts) == 1 else Conj(parts)
 
@@ -102,23 +98,23 @@ def _normalize(c: Constraint) -> List[Constraint]:
                 out.extend(_normalize(p))
             return out
         case Head(goal, prov):
+            return [Head(atom, prov) for atom in _atoms(goal)]
+        case ForAll(binders, hyps, body):
+            hyps = tuple(atom for hyp in hyps for atom in _atoms(hyp))
             out = []
-            for atom in conjuncts(fold_constants(goal)):
-                if not is_trivially_true(atom):
-                    out.append(Head(atom, prov))
+            for b in _normalize(body):
+                if isinstance(b, ForAll):
+                    b = ForAll(binders + b.binders, hyps + b.hyps, b.body)
+                elif binders or hyps:
+                    b = ForAll(binders, hyps, b)
+                out.append(b)
             return out
-        case Implies(hyp, body):
-            hyp = fold_constants(hyp)
-            inner = _normalize(body)
-            if is_trivially_true(hyp):
-                return inner
-            return [Implies(hyp, b) for b in inner]
-        case ForAll(binder, sort, hyp, body):
-            hyp = fold_constants(hyp)
-            inner = _normalize(body)
-            return [ForAll(binder, sort, hyp, b) for b in inner]
         case _:
             raise TypeError(f"normalize: {c!r}")
+
+
+def _atoms(e: RefExpr) -> List[RefExpr]:
+    return [a for a in conjuncts(fold_constants(e)) if not is_trivially_true(a)]
 
 
 @dataclass(frozen=True)
@@ -134,29 +130,17 @@ class Clause:
 
 
 def clauses(c: Constraint) -> List[Clause]:
-    """Root-to-head flattening of a normalized constraint."""
+    """The clause list of a normalized constraint, one clause per head."""
     out: List[Clause] = []
-
-    def walk(node: Constraint, binders, hyps):
-        match node:
-            case Conj(parts):
-                for p in parts:
-                    walk(p, binders, hyps)
+    for part in c.parts if isinstance(c, Conj) else (c,):
+        match part:
             case Head(goal, prov):
-                out.append(Clause(len(out), tuple(binders), tuple(hyps), goal, prov))
-            case Implies(hyp, body):
-                walk(body, binders, hyps + _hyp_list(hyp))
-            case ForAll(binder, sort, hyp, body):
-                walk(body, binders + [(binder, sort)], hyps + _hyp_list(hyp))
+                out.append(Clause(len(out), (), (), goal, prov))
+            case ForAll(binders, hyps, Head(goal, prov)):
+                out.append(Clause(len(out), binders, hyps, goal, prov))
             case _:
-                raise TypeError(f"clauses: {node!r}")
-
-    walk(c, [], [])
+                raise TypeError(f"clauses: not normalized: {part!r}")
     return out
-
-
-def _hyp_list(hyp: RefExpr) -> List[RefExpr]:
-    return [h for h in conjuncts(hyp) if not is_trivially_true(h)]
 
 
 def kvars_in(exprs: Iterable[RefExpr]) -> Dict[str, KVarDecl]:
@@ -181,8 +165,8 @@ def kvars_of(c: Constraint) -> List[KVarDecl]:
                     walk(p)
             case Head(goal, _):
                 exprs.append(goal)
-            case Implies(hyp, body) | ForAll(_, _, hyp, body):
-                exprs.append(hyp)
+            case ForAll(_, hyps, body):
+                exprs.extend(hyps)
                 walk(body)
 
     walk(c)
@@ -248,11 +232,11 @@ def apply_solution(c: Constraint, sol: Solution) -> Constraint:
             return Conj(tuple(apply_solution(p, sol) for p in parts))
         case Head(goal, prov):
             return Head(apply_solution_expr(goal, sol), prov)
-        case Implies(hyp, body):
-            return Implies(apply_solution_expr(hyp, sol), apply_solution(body, sol))
-        case ForAll(binder, sort, hyp, body):
+        case ForAll(binders, hyps, body):
             return ForAll(
-                binder, sort, apply_solution_expr(hyp, sol), apply_solution(body, sol)
+                binders,
+                tuple(apply_solution_expr(h, sol) for h in hyps),
+                apply_solution(body, sol),
             )
         case _:
             raise TypeError(f"apply_solution: {c!r}")

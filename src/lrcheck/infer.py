@@ -121,29 +121,29 @@ def join_types(
         case (Ref("mut", p1), Ref("mut", p2)):
             joined = _join_shape(ctx, kvars, names, p1, p2)
             out: JoinOut = [
-                (PLAIN, subtype(ctx, t1, Ref("mut", joined), prov, names)),
-                (PLAIN, subtype(ctx, t2, Ref("mut", joined), prov, names)),
+                (PLAIN, subtype(t1, Ref("mut", joined), prov, names)),
+                (PLAIN, subtype(t2, Ref("mut", joined), prov, names)),
             ]
             return Ref("mut", joined), out
         case (Ref("shr", p1), Ref("shr", p2)):
             joined = _join_shape(ctx, kvars, names, p1, p2)
             return Ref("shr", joined), [
-                (THEN, subtype(ctx, t1, Ref("shr", joined), prov, names)),
-                (ELSE, subtype(ctx, t2, Ref("shr", joined), prov, names)),
+                (THEN, subtype(t1, Ref("shr", joined), prov, names)),
+                (ELSE, subtype(t2, Ref("shr", joined), prov, names)),
             ]
 
     if is_template(t1) and _compatible_with_template(t1, t2):
-        return t1, [(ELSE, subtype(ctx, t2, t1, prov, names))]
+        return t1, [(ELSE, subtype(t2, t1, prov, names))]
     if is_template(t2) and _compatible_with_template(t2, t1):
-        return t2, [(THEN, subtype(ctx, t1, t2, prov, names))]
+        return t2, [(THEN, subtype(t1, t2, prov, names))]
 
     b1, b2 = base_of(t1), base_of(t2)
     if b1 is not None and b2 is not None and bases_compatible(b1, b2):
         base = _join_base(ctx, kvars, names, b1, b2)
         joined = fresh_kvar_type(kvars, names, ctx, base)
         return joined, [
-            (THEN, subtype(ctx, t1, joined, prov, names)),
-            (ELSE, subtype(ctx, t2, joined, prov, names)),
+            (THEN, subtype(t1, joined, prov, names)),
+            (ELSE, subtype(t2, joined, prov, names)),
         ]
 
     raise StructuralError(
@@ -206,13 +206,6 @@ def join_locctx(
 # ---------------------------------------------------------------------------
 # Rec-signature templates (loop invariants)
 
-@dataclass
-class RecTemplate:
-    sig: FnSig
-    fresh_params: Tuple[Tuple[str, Sort], ...]
-    kvar: KVarDecl
-
-
 def infer_rec_signature(
     ctx: RefCtx,
     kvars: KVarSupply,
@@ -221,7 +214,7 @@ def infer_rec_signature(
     site_locs: Sequence[LocCtx],
     arg_count: int,
     ret_shape: Optional[Type],
-) -> RecTemplate:
+) -> FnSig:
     """Unify the entry context with every recursive-call context: matching
     parts are preserved, mismatching indices become fresh universally bound
     refinement variables related by one unknown predicate over those
@@ -315,7 +308,7 @@ def infer_rec_signature(
             fresh_kvar_type(kvars, names, body_ctx, rb) if rb is not None else ret_shape
         )
 
-    sig = FnSig(
+    return FnSig(
         refparams=tuple(fresh_params),
         requires=requires,
         in_locs=in_locs,
@@ -323,7 +316,6 @@ def infer_rec_signature(
         ret=ret,
         out_locs=LocCtx(),
     )
-    return RecTemplate(sig, tuple(fresh_params), kvar)
 
 
 @dataclass(frozen=True)

@@ -553,13 +553,13 @@ def _decide(query: Query, want_model: bool = True) -> Verdict:
     )
     if not want_model or not verdict.is_invalid:
         return verdict
-    model = _search_counter_model(query, sorts)
+    model = _search_counter_model(query)
     if model is None:
         return Verdict("unknown", reason="satisfiable relaxation, no integer model found")
     return Verdict("invalid", model=model)
 
 
-def _search_counter_model(query: Query, sorts) -> Optional[Dict[str, Union[int, bool]]]:
+def _search_counter_model(query: Query) -> Optional[Dict[str, Union[int, bool]]]:
     """Bounded enumeration of integer/boolean assignments, checked by
     evaluation of the original formula."""
     consts = set()
@@ -743,7 +743,7 @@ class SmtBackend:
             model = None
             if answer == "sat":
                 self._send("(get-model)")
-                model = self._read_model(dict(query.binders))
+                model = self._read_model()
             self._send("(pop 1)")
             if answer == "unsat":
                 return VALID
@@ -758,7 +758,7 @@ class SmtBackend:
             self.close()
             return Verdict("unknown", reason=f"backend failure: {exc}")
 
-    def _read_model(self, sorts) -> Optional[Dict[str, Union[int, bool]]]:
+    def _read_model(self) -> Optional[Dict[str, Union[int, bool]]]:
         # read until the closing paren of the model block, depth-counted
         text = ""
         depth = 0

@@ -459,18 +459,8 @@ class Parser:
 
     def parse_expr(self) -> Expr:
         tok = self.peek()
-        if self.at_kw("let"):
+        if self.at_kw("let") or self.at_kw("unpack"):
             return self.parse_let()
-        if self.at_kw("unpack"):
-            self.next()
-            self.expect("(")
-            x = self.expect_ident().text
-            self.expect(",")
-            a = self.expect_ident().text
-            self.expect(")")
-            self.expect_kw("in")
-            body = self.parse_expr()
-            return Unpack(x, a, body, span=self._span_from(tok))
         if self.at_kw("if"):
             self.next()
             cond = self.parse_expr()
@@ -520,30 +510,34 @@ class Parser:
         )
 
     def parse_let(self) -> Expr:
-        """A chain of `let` heads is read in a loop and nested from the
-        inside out, so its length is not bounded by the recursion limit.
-        Each let spans from its own `let` to the end of the whole chain."""
+        """A chain of `let` and `unpack` heads is read in a loop and nested
+        from the inside out, so its length is not bounded by the recursion
+        limit.  Each head spans from its own keyword to the end of the whole
+        chain."""
         heads = []
-        while self.at_kw("let"):
+        while self.at_kw("let") or self.at_kw("unpack"):
             start = self.next()
-            x = self.expect_ident().text
-            self.expect("=")
-            if self.at_kw("new"):
-                self.next()
+            if start.text == "unpack":
                 self.expect("(")
-                locvar = self.expect_ident().text
+                x = self.expect_ident().text
+                self.expect(",")
+                a = self.expect_ident().text
                 self.expect(")")
-                heads.append((start, x, locvar, None))
+                heads.append((start, Unpack, x, a))
             else:
-                heads.append((start, x, None, self.parse_expr()))
+                x = self.expect_ident().text
+                self.expect("=")
+                if self.at_kw("new"):
+                    self.next()
+                    self.expect("(")
+                    heads.append((start, LetNew, x, self.expect_ident().text))
+                    self.expect(")")
+                else:
+                    heads.append((start, Let, x, self.parse_expr()))
             self.expect_kw("in")
         body = self.parse_expr()
-        for start, x, locvar, bound in reversed(heads):
-            span = self._span_from(start)
-            if bound is None:
-                body = LetNew(x, locvar, body, span=span)
-            else:
-                body = Let(x, bound, body, span=span)
+        for start, node, x, arg in reversed(heads):
+            body = node(x, arg, body, span=self._span_from(start))
         return body
 
     def parse_call(self) -> Expr:

@@ -217,20 +217,20 @@ def print_value(v: Value) -> str:
 
 def print_expr(e: Expr, indent: int = 0) -> str:
     pad = "  " * indent
-    # a let chain is printed in a loop, so its length is not bounded by the
-    # recursion limit
+    # a let/unpack chain is printed in a loop, so its length is not bounded
+    # by the recursion limit
     heads = []
-    while isinstance(e, (Let, LetNew)):
+    while isinstance(e, (Let, LetNew, Unpack)):
         if isinstance(e, LetNew):
             heads.append(f"let {e.name} = new({e.locvar}) in\n{pad}")
+        elif isinstance(e, Unpack):
+            heads.append(f"unpack ({e.var}, {e.refvar}) in\n{pad}")
         else:
             heads.append(f"let {e.name} = {print_expr(e.bound, indent)} in\n{pad}")
         e = e.body
     if heads:
         return "".join(heads) + print_expr(e, indent)
     match e:
-        case Unpack(x, a, body):
-            return f"unpack ({x}, {a}) in\n{pad}{print_expr(body, indent)}"
         case If(c, t1, t2):
             inner = "  " * (indent + 1)
             return (
@@ -268,17 +268,11 @@ def print_program(p: Program) -> str:
     chunks = []
     for decl in p.decls:
         chunks.append(
-            f"fn {decl.name} {print_sig(decl.sig)} :=\n  {print_expr(decl.fn.body, 1)}"
-            if _plain_rec(decl)
-            else f"fn {decl.name} {print_sig(decl.sig)} :=\n  {print_value_decl(decl.fn, 1)}"
+            f"fn {decl.name} {print_sig(decl.sig)} :=\n  {print_value_decl(decl.fn, 1)}"
         )
     if p.entry is not None:
         chunks.append(f"entry {print_expr(p.entry, 0)}")
     return "\n\n".join(chunks) + "\n"
-
-
-def _plain_rec(decl) -> bool:
-    return False
 
 
 def print_value_decl(fn: RecFn, indent: int) -> str:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .constraints import Conj, Constraint, ForAll, Head, Implies, Provenance, TRIVIAL
+from .constraints import Conj, Constraint, ForAll, Head, Provenance, TRIVIAL
 from .errors import StructuralError
-from .logic import RefCtx, contains_kapp, getsort, subst
+from .logic import contains_kapp, getsort, subst
 from .printer import print_loc, print_type
 from .syntax import (
     BaseType,
     BoolBase,
-    BoolConst,
     Eq,
     Exists,
     FnSig,
@@ -46,14 +45,13 @@ class NameSupply:
 
 
 def subtype(
-    ctx: RefCtx,
     lhs: Type,
     rhs: Type,
     prov: Provenance,
     names: Optional[NameSupply] = None,
 ) -> Constraint:
     names = names or NameSupply()
-    return _sub(ctx, lhs, rhs, prov, names)
+    return _sub(lhs, rhs, prov, names)
 
 
 def bases_compatible(b1: BaseType, b2: BaseType) -> bool:
@@ -64,7 +62,7 @@ def bases_compatible(b1: BaseType, b2: BaseType) -> bool:
     return isinstance(b1, VecBase) and isinstance(b2, VecBase)
 
 
-def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
+def _sub(lhs, rhs, prov, names) -> Constraint:
     match (lhs, rhs):
         case (Indexed(b1, e1), Indexed(b2, e2)):
             if not bases_compatible(b1, b2):
@@ -73,7 +71,7 @@ def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
                 )
             parts = [Head(Eq(e1, e2), prov)]
             if isinstance(b1, VecBase):
-                parts.append(_sub(ctx, b1.elem, b2.elem, prov, names))
+                parts.append(_sub(b1.elem, b2.elem, prov, names))
             return Conj(tuple(parts))
 
         case (Exists(a, b1, p), _):
@@ -82,11 +80,9 @@ def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
                     f"cannot relate {print_type(lhs)} to {print_type(rhs)}"
                 )
             fresh = names.fresh(a)
-            sort = getsort(b1)
             hyp = subst(p, a, Var(fresh))
-            inner_ctx = ctx.bind(fresh, sort).assume(hyp)
-            body = _sub(inner_ctx, Indexed(b1, Var(fresh)), rhs, prov, names)
-            return ForAll(fresh, sort, hyp, body)
+            body = _sub(Indexed(b1, Var(fresh)), rhs, prov, names)
+            return ForAll(((fresh, getsort(b1)),), (hyp,), body)
 
         case (Indexed(b1, e1), Exists(a, b2, p)):
             if not bases_compatible(b1, b2):
@@ -95,14 +91,16 @@ def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
                 )
             parts = []
             if isinstance(b1, VecBase):
-                parts.append(_sub(ctx, b1.elem, b2.elem, prov, names))
+                parts.append(_sub(b1.elem, b2.elem, prov, names))
             if contains_kapp(p) and not isinstance(e1, Var):
                 # keep unknown predicates applied to a plain binder
                 fresh = names.fresh("v")
-                sort = getsort(b1)
-                hyp = Eq(Var(fresh), e1)
                 parts.append(
-                    ForAll(fresh, sort, hyp, Head(subst(p, a, Var(fresh)), prov))
+                    ForAll(
+                        ((fresh, getsort(b1)),),
+                        (Eq(Var(fresh), e1),),
+                        Head(subst(p, a, Var(fresh)), prov),
+                    )
                 )
             else:
                 parts.append(Head(subst(p, a, e1), prov))
@@ -122,18 +120,18 @@ def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
             return TRIVIAL
 
         case (Ref("shr", t1), Ref("shr", t2)):
-            return _sub(ctx, t1, t2, prov, names)
+            return _sub(t1, t2, prov, names)
 
         case (Ref("mut", t1), Ref("mut", t2)):
             return Conj(
                 (
-                    _sub(ctx, t1, t2, prov, names),
-                    _sub(ctx, t2, t1, prov, names),
+                    _sub(t1, t2, prov, names),
+                    _sub(t2, t1, prov, names),
                 )
             )
 
         case (FnSig() as f1, FnSig() as f2):
-            return _sub_fun(ctx, f1, f2, prov, names)
+            return _sub_fun(f1, f2, prov, names)
 
         case _:
             raise StructuralError(
@@ -141,7 +139,7 @@ def _sub(ctx, lhs, rhs, prov, names) -> Constraint:
             )
 
 
-def _sub_fun(ctx, f1: FnSig, f2: FnSig, prov, names) -> Constraint:
+def _sub_fun(f1: FnSig, f2: FnSig, prov, names) -> Constraint:
     if len(f1.refparams) != len(f2.refparams):
         raise StructuralError("signatures declare different refinement parameters")
     for (_, s1), (_, s2) in zip(f1.refparams, f2.refparams):
@@ -173,25 +171,16 @@ def _sub_fun(ctx, f1: FnSig, f2: FnSig, prov, names) -> Constraint:
     req1, in1, args1, ret1, out1 = rename(f1)
     req2, in2, args2, ret2, out2 = rename(f2)
 
-    inner_ctx = ctx
-    for n, s in shared:
-        inner_ctx = inner_ctx.bind(n, s)
-
-    parts = [Implies(req2, Head(req1, prov))]
-    parts.append(ctx_include(inner_ctx, in2, in1, prov, names))
+    parts = [ForAll((), (req2,), Head(req1, prov))]
+    parts.append(ctx_include(in2, in1, prov, names))
     for a2, a1 in zip(args2, args1):
-        parts.append(_sub(inner_ctx, a2, a1, prov, names))
-    parts.append(_sub(inner_ctx, ret1, ret2, prov, names))
-    parts.append(ctx_include(inner_ctx, out1, out2, prov, names))
-
-    body: Constraint = Conj(tuple(parts))
-    for n, s in reversed(shared):
-        body = ForAll(n, s, BoolConst(True), body)
-    return body
+        parts.append(_sub(a2, a1, prov, names))
+    parts.append(_sub(ret1, ret2, prov, names))
+    parts.append(ctx_include(out1, out2, prov, names))
+    return ForAll(tuple(shared), (), Conj(tuple(parts)))
 
 
 def ctx_include(
-    ctx: RefCtx,
     lhs: LocCtx,
     rhs: LocCtx,
     prov: Provenance,
@@ -209,5 +198,5 @@ def ctx_include(
     for loc, want in rhs:
         have = lhs.lookup(loc)
         assert have is not None
-        parts.append(_sub(ctx, have, want, prov, names))
+        parts.append(_sub(have, want, prov, names))
     return Conj(tuple(parts))

@@ -116,7 +116,6 @@ class KVarDecl:
 
 
 TRUE = BoolConst(True)
-FALSE = BoolConst(False)
 
 
 def children(e: RefExpr) -> Tuple[RefExpr, ...]:
@@ -263,9 +262,6 @@ class LocCtx:
 
     def __bool__(self) -> bool:
         return bool(self.items)
-
-
-EMPTY_LOCS = LocCtx()
 
 
 # ---------------------------------------------------------------------------

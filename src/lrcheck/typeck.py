@@ -3,9 +3,9 @@
 Synthesizes types while threading the flow-sensitive location context,
 emitting Horn constraints at the subtyping seams (call arguments,
 assignments, declared-signature boundaries, and join points).  Each emitted
-constraint is normalized and then closed under the refinement context at the
-emission point, so clauses are self-contained; one that normalizes to
-nothing is dropped unclosed.
+constraint is normalized and then closed by one `ForAll` over the binders
+and assumptions of the refinement context at the emission point, so clauses
+are self-contained; one that normalizes to nothing is dropped unclosed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .constraints import (
     Constraint,
     ForAll,
     Head,
-    Implies,
     Provenance,
     Qualifier,
     Solution,
@@ -242,7 +241,7 @@ class CheckState:
         if self.shape_mode:
             return
         if hyp is not None:
-            c = Implies(hyp, c)
+            c = ForAll((), (hyp,), c)
         c = normalize(c)
         if c != TRIVIAL:
             self.emitted.append(_wrap_ctx(self.ctx, c))
@@ -305,12 +304,8 @@ class CheckState:
 
 
 def _wrap_ctx(ctx: RefCtx, c: Constraint) -> Constraint:
-    for entry in reversed(ctx.entries):
-        if isinstance(entry, Bind):
-            c = ForAll(entry.name, entry.sort, BoolConst(True), c)
-        else:
-            c = Implies(entry.pred, c)
-    return c
+    binders = tuple((b.name, b.sort) for b in ctx.binds())
+    return ForAll(binders, ctx.assumptions(), c)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +461,8 @@ class Checker:
         prov = Provenance("fn-def", span, note=fn.fname)
         body_t = self.synth(state, fn.body)
         try:
-            state.emit(subtype(state.ctx, body_t, sig.ret, prov, state.names))
-            state.emit(
-                ctx_include(state.ctx, state.locs, sig.out_locs, prov, state.names)
-            )
+            state.emit(subtype(body_t, sig.ret, prov, state.names))
+            state.emit(ctx_include(state.locs, sig.out_locs, prov, state.names))
         except StructuralError as exc:
             raise exc.at(span)
         state.restore(snap)
@@ -755,7 +748,7 @@ class Checker:
                         e.span,
                     )
                 try:
-                    state.emit(subtype(state.ctx, have, want, prov, state.names))
+                    state.emit(subtype(have, want, prov, state.names))
                 except StructuralError as exc:
                     raise exc.at(e.span)
                 state.locs = state.locs.remove(loc)
@@ -771,7 +764,7 @@ class Checker:
             ):
                 continue
             try:
-                state.emit(subtype(state.ctx, actual, want, prov, state.names))
+                state.emit(subtype(actual, want, prov, state.names))
             except StructuralError as exc:
                 raise exc.at(e.span)
 
@@ -911,7 +904,7 @@ class Checker:
             ret_shape = None
         sites = state.probes.pop(probe_id)
 
-        template = infer_rec_signature(
+        sig = infer_rec_signature(
             state.ctx,
             state.kvars,
             state.names,
@@ -920,8 +913,8 @@ class Checker:
             len(fn.params),
             ret_shape,
         )
-        self._check_recfn(state, fn, template.sig, span)
-        return template.sig
+        self._check_recfn(state, fn, sig, span)
+        return sig
 
 
     # -- assignment ----------------------------------------------------------------
@@ -945,9 +938,7 @@ class Checker:
                 prov = Provenance("assign", span)
                 if not (state.shape_mode and isinstance(rhs_t, _Hole)):
                     try:
-                        state.emit(
-                            subtype(state.ctx, rhs_t, pointee, prov, state.names)
-                        )
+                        state.emit(subtype(rhs_t, pointee, prov, state.names))
                     except StructuralError as exc:
                         raise exc.at(span)
                 return Uninit(1)
@@ -978,7 +969,7 @@ class Checker:
                     return Ref("mut", cur)
                 weakened = state.fresh_template(base)
                 prov = Provenance("borrow-mut", span)
-                state.emit(subtype(state.ctx, cur, weakened, prov, state.names))
+                state.emit(subtype(cur, weakened, prov, state.names))
                 state.locs = state.locs.update(loc, weakened)
                 return Ref("mut", weakened)
             case Ref("mut", _):
@@ -1027,11 +1018,7 @@ class Checker:
 # Shape-mode joins
 
 def _shape_join(t1: Type, t2: Type) -> Type:
-    if isinstance(t1, _Hole):
-        return t2
-    if isinstance(t2, _Hole):
-        return t1
-    return t1
+    return t2 if isinstance(t1, _Hole) else t1
 
 
 def _shape_join_locs(l1: LocCtx, l2: LocCtx) -> LocCtx:

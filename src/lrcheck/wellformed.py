@@ -54,9 +54,6 @@ class ValCtx:
     def __iter__(self):
         return iter(self.items)
 
-
-EMPTY_VALCTX = ValCtx()
-
 # Dynamic context: (concrete location, tag) -> pointer type.
 DynCtx = Dict[Tuple[int, int], Type]
 

@@ -1,7 +1,24 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture
+def shallow_stack():
+    """Set the recursion limit to 200 frames above the current depth for
+    one test, so that code recursing once per `let`, `unpack` or context
+    entry fails on a few hundred of them, and fast."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    yield
+    sys.setrecursionlimit(old)
+
 
 _CRITERIA = {}
 

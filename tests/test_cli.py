@@ -5,8 +5,11 @@ import sys
 
 from lrcheck.cli import Config, main, make_qualifiers
 from lrcheck.constraints import instantiations
+from lrcheck.harness import run_and_verify
+from lrcheck.parser import parse_program
 from lrcheck.parser import parse_refexpr as R
-from lrcheck.syntax import KVarDecl, Sort
+from lrcheck.printer import print_program
+from lrcheck.syntax import KVarDecl, Let, Sort, Unpack
 
 RUN = [sys.executable, "-m", "lrcheck.cli"]
 
@@ -353,3 +356,81 @@ def test_fn_body_1000_let_chain_checks_and_runs(tmp_path):
     assert code == 0, err[-500:]
     assert out == "done: 1004 after 2001 step(s)\n"
     assert err == ""
+
+
+def _nat_chain(n):
+    """A `fn` body of n lets, each passing the last result to `nat`.  Every
+    call opens an existential, so the context at the return grows with n."""
+    lines = [
+        "fn nat {}( {v. int[v] | true} ) -> {v. int[v] | v >= 0} :=",
+        "  rec nat (x) := 0",
+        "",
+        "fn g {}( int[5] ) -> {v. int[v] | v >= 0} :=",
+        "  rec g (x0) :=",
+    ]
+    lines += [f"    let x{i + 1} = call nat(x{i}) in" for i in range(n)]
+    lines += [f"    x{n}", "", "entry call g(5)"]
+    return "\n".join(lines) + "\n"
+
+
+def _unpack_chain(n):
+    """A `fn` body of n pairs of a read through a reference and an unpack
+    of the value read."""
+    lines = [
+        "fn f {}( &mut {v. int[v] | v >= 0} ) -> int[0] :=",
+        "  rec f (x) :=",
+    ]
+    for i in range(n):
+        lines += [f"    let y{i} = *x in", f"    unpack (y{i}, a{i}) in"]
+    lines += ["    0", "", "entry"]
+    lines += ["  let c = new(l) in", "  let t = c := 3 in", "  let r = &mut c in"]
+    lines += ["  call f(r)"]
+    return "\n".join(lines) + "\n"
+
+
+def test_600_let_nat_chain_checks_and_runs(tmp_path):
+    path = tmp_path / "nat.lr"
+    path.write_text(_nat_chain(600))
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+    verdict = run_and_verify(parse_program(_nat_chain(600)))
+    assert verdict.passed, verdict.detail
+
+
+def test_600_pair_unpack_chain_checks_and_round_trips(tmp_path):
+    path = tmp_path / "unpack.lr"
+    path.write_text(_unpack_chain(600))
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+    program = parse_program(_unpack_chain(600))
+    e, heads = program.decls[0].fn.body, []
+    while isinstance(e, (Let, Unpack)):
+        heads.append(e)
+        e = e.body
+    assert [type(h) for h in heads] == [Let, Unpack] * 600
+    # each head spans from its own keyword to the end of the chain
+    assert [(h.span.line, h.span.col) for h in heads] == [
+        (3 + i, 5) for i in range(1200)
+    ]
+    assert {(h.span.end_line, h.span.end_col) for h in heads} == {(1203, 6)}
+    # compare text: dataclass equality recurses down the chain
+    printed = print_program(program)
+    assert print_program(parse_program(printed)) == printed
+
+
+def test_nat_chain_checks_and_runs_on_a_shallow_stack(tmp_path, shallow_stack):
+    path = tmp_path / "nat.lr"
+    path.write_text(_nat_chain(300))
+    assert main(["check", str(path)]) == 0
+    verdict = run_and_verify(parse_program(_nat_chain(300)))
+    assert verdict.passed, verdict.detail
+
+
+def test_unpack_chain_checks_and_prints_on_a_shallow_stack(tmp_path, shallow_stack):
+    path = tmp_path / "unpack.lr"
+    path.write_text(_unpack_chain(300))
+    assert main(["check", str(path)]) == 0
+    printed = print_program(parse_program(_unpack_chain(300)))
+    assert print_program(parse_program(printed)) == printed

@@ -10,7 +10,6 @@ from lrcheck.constraints import (
     Conj,
     ForAll,
     Head,
-    Implies,
     MissingKVar,
     Provenance,
     Solution,
@@ -38,6 +37,7 @@ from lrcheck.syntax import (
 )
 
 PROV = Provenance("test")
+V = (("v", Sort.INT),)
 
 
 def H(expr):
@@ -66,10 +66,9 @@ def test_normalize_prunes_trivial_heads():
 
 def test_clauses_counts_heads():
     c = ForAll(
-        "v",
-        Sort.INT,
-        R("v >= 0"),
-        Conj((H(R("v > 0")), Implies(R("v > 1"), H(R("v > 0"))))),
+        (("v", Sort.INT),),
+        (R("v >= 0"),),
+        Conj((H(R("v > 0")), ForAll((), (R("v > 1"),), H(R("v > 0"))))),
     )
     cls = clauses(normalize(c))
     assert len(cls) == 2
@@ -93,9 +92,9 @@ def test_make_vec_constraint_has_three_clauses():
     v = Var("v")
     c = Conj(
         (
-            ForAll("v", Sort.INT, KApp(k1, (v,)), H(KApp(k2, (v,)))),
-            ForAll("v", Sort.INT, Eq(v, IntConst(42)), H(KApp(k2, (v,)))),
-            ForAll("v", Sort.INT, KApp(k2, (v,)), H(Cmp(">", v, IntConst(0)))),
+            ForAll(V, (KApp(k1, (v,)),), H(KApp(k2, (v,)))),
+            ForAll(V, (Eq(v, IntConst(42)),), H(KApp(k2, (v,)))),
+            ForAll(V, (KApp(k2, (v,)),), H(Cmp(">", v, IntConst(0)))),
         )
     )
     cls = clauses(normalize(c))
@@ -113,7 +112,7 @@ def test_apply_solution_example():
 
 
 def test_apply_solution_empty_on_kvar_free_is_identity():
-    c = ForAll("v", Sort.INT, R("v > 1"), H(R("v > 0")))
+    c = ForAll(V, (R("v > 1"),), H(R("v > 0")))
     assert apply_solution(c, Solution()) == c
 
 
@@ -133,8 +132,8 @@ def test_apply_then_clauses_commutes():
         for _ in range(rng.randrange(1, 4)):
             body = H(KApp(k, (Var("v"),))) if rng.random() < 0.5 else H(R("v > 0"))
             if rng.random() < 0.5:
-                body = Implies(KApp(k, (Var("v"),)), body)
-            parts.append(ForAll("v", Sort.INT, BoolConst(True), body))
+                body = ForAll((), (KApp(k, (Var("v"),)),), body)
+            parts.append(ForAll(V, (BoolConst(True),), body))
         c = Conj(tuple(parts))
         via_constraint = clauses(normalize(apply_solution(c, sol)))
         direct = clauses(normalize(c))
@@ -164,10 +163,8 @@ def test_clause_validity_matches_nested_validity():
                 return all(nested_valid(p, binders, hyps) for p in parts)
             case Head(goal, _):
                 return oracle.valid(Query(tuple(binders), tuple(hyps), goal)).is_valid
-            case Implies(hyp, body):
-                return nested_valid(c.body, binders, hyps + [hyp])
-            case ForAll(binder, sort, hyp, body):
-                return nested_valid(body, binders + [(binder, sort)], hyps + [hyp])
+            case ForAll(bs, hs, body):
+                return nested_valid(body, binders + list(bs), hyps + list(hs))
 
     agreements = 0
     for _ in range(60):
@@ -181,7 +178,7 @@ def test_clause_validity_matches_nested_validity():
             hyp = rng.choice(
                 [R("v > 3"), R("v >= 0"), KApp(k, (Var("v"),)), BoolConst(True)]
             )
-            parts.append(ForAll("v", Sort.INT, hyp, Head(goal, PROV)))
+            parts.append(ForAll(V, (hyp,), Head(goal, PROV)))
         c = apply_solution(Conj(tuple(parts)), sol)
         via_tree = nested_valid(c, [], [])
         via_clauses = all(
@@ -211,7 +208,7 @@ def test_qualifier_instantiations_cover_spec_vocabulary():
 
 
 def test_text_dump_shape():
-    cls = clauses(normalize(ForAll("v", Sort.INT, R("v >= 0"), H(R("v + 1 > 0")))))
+    cls = clauses(normalize(ForAll(V, (R("v >= 0"),), H(R("v + 1 > 0")))))
     text = dump_clauses_text(cls)
     assert text.startswith("clause 0 [v:int] [v >= 0] => v + 1 > 0 @")
 
@@ -222,8 +219,8 @@ def test_json_dump_roundtrip():
     k = KVarDecl("k", (("v", Sort.INT),))
     c = Conj(
         (
-            ForAll("v", Sort.INT, KApp(k, (Var("v"),)), H(R("v > 0"))),
-            ForAll("v", Sort.INT, R("v = 3"), H(KApp(k, (Var("v"),)))),
+            ForAll(V, (KApp(k, (Var("v"),)),), H(R("v > 0"))),
+            ForAll(V, (R("v = 3"),), H(KApp(k, (Var("v"),)))),
         )
     )
     cls = clauses(normalize(c))

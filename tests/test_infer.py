@@ -115,31 +115,26 @@ def _loop_contexts():
 def test_infer_rec_signature_loop_template():
     ctx = RefCtx().bind("n", Sort.INT)
     entry, site = _loop_contexts()
-    template = infer_rec_signature(
-        ctx, KVarSupply(), NameSupply(), entry, [site], 1, None
-    )
+    sig = infer_rec_signature(ctx, KVarSupply(), NameSupply(), entry, [site], 1, None)
     # two fresh variables related by one unknown over them plus the scope
-    assert [s for _, s in template.fresh_params] == [Sort.INT, Sort.INT]
-    assert [s for _, s in template.kvar.params] == [Sort.INT, Sort.INT, Sort.INT]
-    sig = template.sig
+    assert [s for _, s in sig.refparams] == [Sort.INT, Sort.INT]
+    assert isinstance(sig.requires, KApp)
+    assert [s for _, s in sig.requires.kvar.params] == [Sort.INT, Sort.INT, Sort.INT]
     # the unmodified location keeps its index, the others generalize
     assert sig.in_locs.lookup(AbstractLoc("ln")) == parse_type("int[n]")
-    b, c = (name for name, _ in template.fresh_params)
+    b, c = (name for name, _ in sig.refparams)
     assert sig.in_locs.lookup(AbstractLoc("li")) == Indexed(IntBase(), Var(b))
     vec_t = sig.in_locs.lookup(AbstractLoc("lv"))
     assert isinstance(vec_t, Indexed) and vec_t.idx == Var(c)
-    assert isinstance(sig.requires, KApp)
     assert sig.requires.args[:2] == (Var(b), Var(c))
 
 
 def test_infer_rec_signature_identical_contexts_no_fresh_vars():
     ctx = RefCtx().bind("n", Sort.INT)
     entry, _ = _loop_contexts()
-    template = infer_rec_signature(
-        ctx, KVarSupply(), NameSupply(), entry, [entry], 1, None
-    )
-    assert template.fresh_params == ()
-    assert template.sig.in_locs == entry
+    sig = infer_rec_signature(ctx, KVarSupply(), NameSupply(), entry, [entry], 1, None)
+    assert sig.refparams == ()
+    assert sig.in_locs == entry
 
 
 def test_infer_rec_signature_shape_mismatch():
@@ -235,8 +230,8 @@ def test_solve_unsat_reports_minimal_clause(oracle):
     v = Var("v")
     c = Conj(
         (
-            ForAll("v", Sort.INT, R("v = 0 - 1"), Head(KApp(k, (v,)), PROV)),
-            ForAll("v", Sort.INT, KApp(k, (v,)), Head(R("v >= 0"), PROV)),
+            ForAll((("v", Sort.INT),), (R("v = 0 - 1"),), Head(KApp(k, (v,)), PROV)),
+            ForAll((("v", Sort.INT),), (KApp(k, (v,)),), Head(R("v >= 0"), PROV)),
         )
     )
     out = solve(c, default_qualifiers(), oracle)
@@ -255,18 +250,8 @@ def test_solve_maximality_by_deletion_replay(oracle):
     hyp1 = (R("m >= 1"), R("v = m"))
     constraint = Conj(
         (
-            ForAll(
-                "v",
-                Sort.INT,
-                BoolConst(True),
-                ForAll("m", Sort.INT, conj(list(hyp1)), Head(KApp(k, (v, m)), PROV)),
-            ),
-            ForAll(
-                "v",
-                Sort.INT,
-                BoolConst(True),
-                ForAll("m", Sort.INT, KApp(k, (v, m)), Head(R("v >= 1"), PROV)),
-            ),
+            ForAll(binders, (conj(list(hyp1)),), Head(KApp(k, (v, m)), PROV)),
+            ForAll(binders, (KApp(k, (v, m)),), Head(R("v >= 1"), PROV)),
         )
     )
     out = solve(constraint, default_qualifiers(), oracle)
@@ -310,44 +295,21 @@ def test_two_phase_queries_from_supplementary(oracle):
         (
             # entry: n >= 0 |- k(0, 0, n)
             ForAll(
-                "n",
-                Sort.INT,
-                R("n >= 0"),
+                (("n", Sort.INT),),
+                (R("n >= 0"),),
                 Head(apply_at(IntConst(0), IntConst(0)), PROV),
             ),
             # preservation: k(b, c, n), b < n |- k(b+1, c+1, n)
             ForAll(
-                "n",
-                Sort.INT,
-                R("n >= 0"),
-                ForAll(
-                    "b",
-                    Sort.INT,
-                    BoolConst(True),
-                    ForAll(
-                        "c",
-                        Sort.INT,
-                        conj([apply_at(b, c), R("b < n")]),
-                        Head(apply_at(inc(b), inc(c)), PROV),
-                    ),
-                ),
+                (("n", Sort.INT), ("b", Sort.INT), ("c", Sort.INT)),
+                (R("n >= 0"), apply_at(b, c), R("b < n")),
+                Head(apply_at(inc(b), inc(c)), PROV),
             ),
             # exit: k(b, c, n), not (b < n) |- c = n
             ForAll(
-                "n",
-                Sort.INT,
-                R("n >= 0"),
-                ForAll(
-                    "b",
-                    Sort.INT,
-                    BoolConst(True),
-                    ForAll(
-                        "c",
-                        Sort.INT,
-                        conj([apply_at(b, c), R("!(b < n)")]),
-                        Head(R("c = n"), PROV),
-                    ),
-                ),
+                (("n", Sort.INT), ("b", Sort.INT), ("c", Sort.INT)),
+                (R("n >= 0"), apply_at(b, c), R("!(b < n)")),
+                Head(R("c = n"), PROV),
             ),
         )
     )

@@ -14,7 +14,6 @@ from lrcheck.constraints import (
     normalize,
 )
 from lrcheck.errors import StructuralError
-from lrcheck.logic import RefCtx
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_refexpr as R
 from lrcheck.parser import parse_type
@@ -50,10 +49,7 @@ def constraint_valid(c, oracle, extra_binders=(), extra_hyps=()) -> bool:
 
 
 def test_decr_assignment_query(oracle):
-    ctx = (
-        RefCtx().bind("a", Sort.INT).assume(R("a >= 0")).assume(R("a > 0"))
-    )
-    c = subtype(ctx, parse_type("int[a - 1]"), parse_type("{b. int[b] | b >= 0}"), PROV)
+    c = subtype(parse_type("int[a - 1]"), parse_type("{b. int[b] | b >= 0}"), PROV)
     cls = clauses(normalize(c))
     assert len(cls) == 1
     assert cls[0].head == R("a - 1 >= 0")
@@ -68,27 +64,27 @@ def test_decr_assignment_query(oracle):
 
 def test_ptr_mismatch_is_structural():
     with pytest.raises(StructuralError):
-        subtype(RefCtx(), parse_type("ptr(l1)"), parse_type("ptr(l2)"), PROV)
+        subtype(parse_type("ptr(l1)"), parse_type("ptr(l2)"), PROV)
 
 
 def test_uninit_sizes_must_match():
-    subtype(RefCtx(), Uninit(2), Uninit(2), PROV)
+    subtype(Uninit(2), Uninit(2), PROV)
     with pytest.raises(StructuralError):
-        subtype(RefCtx(), Uninit(1), Uninit(2), PROV)
+        subtype(Uninit(1), Uninit(2), PROV)
 
 
 def test_head_constructor_mismatch():
     with pytest.raises(StructuralError):
-        subtype(RefCtx(), parse_type("int[0]"), parse_type("&mut int[0]"), PROV)
+        subtype(parse_type("int[0]"), parse_type("&mut int[0]"), PROV)
 
 
 def test_shared_refs_covariant_mut_invariant(oracle):
     shr = subtype(
-        RefCtx(), parse_type("&shr int[1]"), parse_type("&shr {v. int[v] | v >= 0}"), PROV
+        parse_type("&shr int[1]"), parse_type("&shr {v. int[v] | v >= 0}"), PROV
     )
     assert constraint_valid(shr, oracle)
     mut = subtype(
-        RefCtx(), parse_type("&mut int[1]"), parse_type("&mut {v. int[v] | v >= 0}"), PROV
+        parse_type("&mut int[1]"), parse_type("&mut {v. int[v] | v >= 0}"), PROV
     )
     # the reverse inclusion {v >= 0} <= int[1] is not valid
     assert not constraint_valid(mut, oracle)
@@ -97,16 +93,15 @@ def test_shared_refs_covariant_mut_invariant(oracle):
 def test_fnsig_contravariance(oracle):
     stronger = parse_type("fn {a: int | a > 0}( int[a] ) -> {v. int[v] | v > 0}")
     weaker = parse_type("fn {a: int | a > 1}( int[a] ) -> {v. int[v] | v >= 0}")
-    ok = subtype(RefCtx(), stronger, weaker, PROV)
+    ok = subtype(stronger, weaker, PROV)
     assert constraint_valid(ok, oracle)
     with pytest.raises(StructuralError):
         subtype(
-            RefCtx(),
             stronger,
             parse_type("fn {a: bool}( int[0] ) -> int[0]"),
             PROV,
         )
-    bad = subtype(RefCtx(), weaker, stronger, PROV)
+    bad = subtype(weaker, stronger, PROV)
     assert not constraint_valid(bad, oracle)
 
 
@@ -120,7 +115,7 @@ def test_subtyping_reflexive(oracle):
     rng = random.Random(41)
     for _ in range(200):
         ctx, (t,) = _sample_ctx_and_types(rng, 1)
-        c = subtype(ctx, t, t, PROV, NameSupply())
+        c = subtype(t, t, PROV, NameSupply())
         binders = tuple((b.name, b.sort) for b in ctx.binds())
         assert constraint_valid(c, oracle, binders), t
 
@@ -129,12 +124,12 @@ def test_subtyping_transitive_on_base_types(oracle):
     rng = random.Random(42)
     checked = 0
 
-    def attempt(ctx, binders, t1, t2, t3):
+    def attempt(binders, t1, t2, t3):
         nonlocal checked
         names = NameSupply()
         try:
-            c12 = subtype(ctx, t1, t2, PROV, names)
-            c23 = subtype(ctx, t2, t3, PROV, names)
+            c12 = subtype(t1, t2, PROV, names)
+            c23 = subtype(t2, t3, PROV, names)
         except StructuralError:
             return
         if not (
@@ -142,14 +137,14 @@ def test_subtyping_transitive_on_base_types(oracle):
             and constraint_valid(c23, oracle, binders)
         ):
             return
-        c13 = subtype(ctx, t1, t3, PROV, names)
+        c13 = subtype(t1, t3, PROV, names)
         assert constraint_valid(c13, oracle, binders), (t1, t2, t3)
         checked += 1
 
     for _ in range(400):
         ctx, ints, _, _ = ctx_with_vars(rng, n_int=2)
         binders = tuple((b.name, b.sort) for b in ctx.binds())
-        attempt(ctx, binders, *(base_type(rng, ints, ["p"]) for _ in range(3)))
+        attempt(binders, *(base_type(rng, ints, ["p"]) for _ in range(3)))
     # constructed chains int[k] <= {v >= a} <= {v >= b} with k >= a >= b
     for _ in range(200):
         b = rng.randrange(-4, 3)
@@ -158,7 +153,7 @@ def test_subtyping_transitive_on_base_types(oracle):
         t1 = parse_type(f"int[{k}]" if k >= 0 else f"int[0 - {-k}]")
         t2 = parse_type(f"{{v. int[v] | v >= {a}}}" if a >= 0 else f"{{v. int[v] | v >= 0 - {-a}}}")
         t3 = parse_type(f"{{v. int[v] | v >= {b}}}" if b >= 0 else f"{{v. int[v] | v >= 0 - {-b}}}")
-        attempt(RefCtx(), (), t1, t2, t3)
+        attempt((), t1, t2, t3)
     assert checked >= 200
 
 
@@ -171,7 +166,7 @@ def test_subtyping_weakening(oracle):
         t1 = base_type(rng, ints, ["p"])
         t2 = base_type(rng, ints, ["p"])
         try:
-            c = subtype(ctx, t1, t2, PROV, NameSupply())
+            c = subtype(t1, t2, PROV, NameSupply())
         except StructuralError:
             continue
         if not constraint_valid(c, oracle, binders):
@@ -183,7 +178,6 @@ def test_subtyping_weakening(oracle):
 
 
 def test_ctx_include_weaken(oracle):
-    ctx = RefCtx().bind("l", Sort.LOC).bind("k", Sort.LOC)
     l1 = LocCtx(
         (
             (AbstractLoc("l"), parse_type("int[1]")),
@@ -191,12 +185,11 @@ def test_ctx_include_weaken(oracle):
         )
     )
     l2 = LocCtx(((AbstractLoc("l"), parse_type("int[1]")),))
-    c = ctx_include(ctx, l1, l2, PROV)
+    c = ctx_include(l1, l2, PROV)
     assert constraint_valid(c, oracle)
 
 
 def test_ctx_include_missing_location():
-    ctx = RefCtx().bind("l", Sort.LOC).bind("k", Sort.LOC)
     l1 = LocCtx(((AbstractLoc("l"), parse_type("int[1]")),))
     l2 = LocCtx(
         (
@@ -205,7 +198,7 @@ def test_ctx_include_missing_location():
         )
     )
     with pytest.raises(StructuralError):
-        ctx_include(ctx, l1, l2, PROV)
+        ctx_include(l1, l2, PROV)
 
 
 def test_ctx_include_permutation(oracle):
@@ -220,26 +213,25 @@ def test_ctx_include_permutation(oracle):
         rng.shuffle(perm)
         permuted = LocCtx(tuple(perm))
         binders = tuple((b.name, b.sort) for b in ctx.binds())
-        c = ctx_include(ctx, locs_ctx, permuted, PROV, NameSupply())
+        c = ctx_include(locs_ctx, permuted, PROV, NameSupply())
         assert constraint_valid(c, oracle, binders)
-        back = ctx_include(ctx, permuted, locs_ctx, PROV, NameSupply())
+        back = ctx_include(permuted, locs_ctx, PROV, NameSupply())
         assert constraint_valid(back, oracle, binders)
 
 
 def test_ctx_include_nat_weakening(oracle):
     # int[1] flows into the nat cell shape: reduces to the obligation 1 >= 0,
     # which normalization prunes as trivially true
-    ctx = RefCtx().bind("l", Sort.LOC)
     l1 = LocCtx(((AbstractLoc("l"), parse_type("int[1]")),))
     l2 = LocCtx(((AbstractLoc("l"), parse_type("{b. int[b] | b >= 0}")),))
-    c = ctx_include(ctx, l1, l2, PROV)
+    c = ctx_include(l1, l2, PROV)
     assert _raw_heads(c) == [R("1 >= 0")]
     assert clauses(normalize(c)) == []
     assert constraint_valid(c, oracle)
 
 
 def _raw_heads(c):
-    from lrcheck.constraints import Conj, ForAll, Head, Implies
+    from lrcheck.constraints import Conj, ForAll, Head
 
     out = []
 
@@ -250,7 +242,7 @@ def _raw_heads(c):
             case Conj(parts):
                 for p in parts:
                     walk(p)
-            case Implies(_, body) | ForAll(_, _, _, body):
+            case ForAll(_, _, body):
                 walk(body)
 
     walk(c)
@@ -278,8 +270,8 @@ def test_ctx_include_transitive_on_equal_domains(oracle):
         l1, l2, l3 = (LocCtx(((AbstractLoc("l0"), t),)) for t in ts)
         names = NameSupply()
         try:
-            c12 = ctx_include(ctx, l1, l2, PROV, names)
-            c23 = ctx_include(ctx, l2, l3, PROV, names)
+            c12 = ctx_include(l1, l2, PROV, names)
+            c23 = ctx_include(l2, l3, PROV, names)
         except StructuralError:
             continue
         if not (
@@ -287,7 +279,7 @@ def test_ctx_include_transitive_on_equal_domains(oracle):
             and constraint_valid(c23, oracle, binders)
         ):
             continue
-        c13 = ctx_include(ctx, l1, l3, PROV, names)
+        c13 = ctx_include(l1, l3, PROV, names)
         assert constraint_valid(c13, oracle, binders)
         checked += 1
     assert checked >= 150

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lrcheck.constraints import Conj, clauses, normalize
+from lrcheck.constraints import Conj, ForAll, Head, clauses, normalize
 from lrcheck.errors import (
     AssignThroughShared,
     CheckError,
@@ -129,6 +129,23 @@ def test_every_emitted_obligation_yields_a_clause():
     parts = [part for program in programs for part in _emitted_parts(program)]
     assert parts
     assert all(clauses(normalize(part)) for part in parts)
+
+
+def test_normalized_constraint_is_a_list_of_closed_heads(oracle):
+    """After `normalize`, every part of a unit's constraint is one clause:
+    a head, or a head under one non-empty `ForAll`."""
+    programs = [parse_program(open(p).read()) for p in sorted(glob.glob("corpus/*/*.lr"))]
+    programs += [generate_program(seed, 10) for seed in range(60)]
+    closed = 0
+    for program in programs:
+        for unit in check_program(program, oracle=oracle, run_solver=False).units:
+            c = unit.constraint
+            for part in c.parts if isinstance(c, Conj) else (c,):
+                if isinstance(part, ForAll):
+                    assert part.binders or part.hyps
+                    part, closed = part.body, closed + 1
+                assert isinstance(part, Head), part
+    assert closed
 
 
 def test_long_let_chain_emits_no_obligation():
