@@ -19,7 +19,10 @@ concrete-headed clauses.  Each satisfiable hypothesis cube is deduplicated
 and its unit-coefficient equalities are eliminated once, by exact Gaussian
 substitution; each negated goal cube then only has those substitutions
 applied to its own rows, and a goal row that the cube contradicts or
-implies row by row is settled without Fourier-Motzkin.  The row entry
+implies row by row is settled without Fourier-Motzkin.  Each reduced cube
+also keeps integer points that satisfy it, found by back-substitution
+after a satisfiable elimination; a goal cube whose remaining rows hold at
+one of them is not refuted, with no elimination of its own.  The row entry
 searches no model: a goal it does not refute is Invalid, and the solver
 asks the term-level entry about it for the verdict and the counter-model.
 Both decide through `_decide_rows`.
@@ -33,6 +36,7 @@ sound and makes some queries Unknown.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -389,32 +393,87 @@ def _eliminate_equalities(
         rows = _dedupe([_substitute(r, (sub,)) for r in rows])
 
 
-def _fm_unsat(rows: List[LinForm]) -> bool:
+# var -> the keys of the rows that bound it from above (positive
+# coefficient) and from below (negative coefficient)
+Occurrences = Dict[str, Tuple[set, set]]
+
+
+def _fm_insert(
+    best: Dict[frozenset, LinForm],
+    occurs: Occurrences,
+    rows: Iterable[LinForm],
+    touched: set,
+) -> None:
+    """`_keep_tightest` that also indexes each new key under its variables
+    and adds them to `touched`; a tighter row with a known key changes no
+    index."""
+    for coeffs, const in rows:
+        key = frozenset(coeffs.items())
+        prev = best.get(key)
+        if prev is None:
+            for v, c in coeffs.items():
+                occ = occurs.get(v)
+                if occ is None:
+                    occ = occurs[v] = (set(), set())
+                occ[c < 0].add(key)
+                touched.add(v)
+        elif const <= prev[1]:
+            continue
+        best[key] = (coeffs, const)
+
+
+def _fm_unsat(
+    rows: List[LinForm], points: Optional[List[Dict[str, int]]] = None
+) -> bool:
     """True when the system {row <= 0} has no rational solution.  Because
     strict integer comparisons were tightened to non-strict ones, rational
     unsatisfiability is sound for integer unsatisfiability.  Each round
-    checks the constant rows and eliminates one variable; the rows without
-    that variable keep their keys into the next round."""
-    best = _keep_tightest({}, rows)
+    checks the constant rows and eliminates the variable with the fewest
+    upper*lower bound pairs (the first by name among ties), found in a heap
+    whose entries are dropped when their count is out of date.  When
+    `points` is given and the system is satisfiable, an integer solution
+    found by back-substitution is appended to it, if one is found."""
+    best: Dict[frozenset, LinForm] = {}
+    occurs: Occurrences = {}
+    touched: set = set()
+    _fm_insert(best, occurs, rows, touched)
+    heap: List[Tuple[int, str]] = []
+    eliminated: List[Tuple[str, List[LinForm]]] = []
     while True:
+        for v in touched:
+            occ = occurs.get(v)
+            if occ is not None:
+                heapq.heappush(heap, (len(occ[0]) * len(occ[1]), v))
+        touched.clear()
         constant = best.pop(frozenset(), None)
         if constant is not None and constant[1] > 0:
             return True
         if not best:
+            if points is not None:
+                point = _back_substitute(eliminated)
+                if point is not None:
+                    points.append(point)
             return False
-        # pick the variable minimizing the upper*lower product
-        stats: Dict[str, Tuple[int, int]] = {}
-        for coeffs, _ in best.values():
-            for v, c in coeffs.items():
-                up, lo = stats.get(v, (0, 0))
-                stats[v] = (up + (c > 0), lo + (c < 0))
-        var = min(sorted(stats), key=lambda v: stats[v][0] * stats[v][1])
+        while True:
+            product, var = heapq.heappop(heap)
+            occ = occurs.get(var)
+            if occ is not None and len(occ[0]) * len(occ[1]) == product:
+                break
+        del occurs[var]
         uppers, lowers = [], []
-        for key, (coeffs, const) in list(best.items()):
-            c = coeffs.get(var, 0)
-            if c:
-                del best[key]
-                (uppers if c > 0 else lowers).append((coeffs, const))
+        for side, keys in zip((uppers, lowers), occ):
+            for key in keys:
+                row = best.pop(key)
+                side.append(row)
+                for v, c in row[0].items():
+                    if v != var:
+                        other = occurs[v]
+                        other[c < 0].discard(key)
+                        touched.add(v)
+                        if not other[0] and not other[1]:
+                            del occurs[v]
+        if points is not None:
+            eliminated.append((var, uppers + lowers))
         new_rows = []
         for ucoef, uconst in uppers:
             cu = ucoef[var]
@@ -428,9 +487,55 @@ def _fm_unsat(rows: List[LinForm]) -> bool:
                 combined.pop(var, None)
                 combined = {v: c for v, c in combined.items() if c != 0}
                 new_rows.append((combined, cl * uconst + cu * lconst))
-        _keep_tightest(best, new_rows)
+        _fm_insert(best, occurs, new_rows, touched)
         if len(best) > MAX_FM_ROWS:
             raise _TooLarge(f"Fourier-Motzkin over {MAX_FM_ROWS} rows")
+
+
+def _back_substitute(
+    eliminated: Sequence[Tuple[str, List[LinForm]]],
+) -> Optional[Dict[str, int]]:
+    """An integer point of a system that Fourier-Motzkin found satisfiable,
+    from its eliminated variables and the rows that bounded each when it
+    was eliminated.  In reverse order of elimination, each variable takes
+    the integer nearest 0 between its largest lower and smallest upper
+    bound.  Every other variable of those rows was eliminated later, so it
+    already has a value, or was left in no row, so it is 0 and stays
+    unbound.  None when some interval holds no integer."""
+    point: Dict[str, int] = {}
+    for var, bounding in reversed(eliminated):
+        lo = hi = None
+        for coeffs, const in bounding:
+            # a*var + rest <= 0
+            a = coeffs[var]
+            rest = const + sum(
+                c * point.get(v, 0) for v, c in coeffs.items() if v != var
+            )
+            if a > 0:
+                bound = (-rest) // a
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                bound = -(rest // a)
+                lo = bound if lo is None else max(lo, bound)
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        if lo is not None and lo > 0:
+            point[var] = lo
+        elif hi is not None and hi < 0:
+            point[var] = hi
+        else:
+            point[var] = 0
+    return point
+
+
+def _holds(point: Dict[str, int], rows: Iterable[LinForm]) -> bool:
+    """Every row holds at `point`, where an unbound variable reads as 0."""
+    for coeffs, const in rows:
+        for v, c in coeffs.items():
+            const += c * point.get(v, 0)
+        if const > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +586,17 @@ def _decide_rows(
     hypothesis conjunct and, through `negate`, the DNF of each goal's
     negation.  Both are consumed here, so a DNF over the size limit turns
     into an unknown verdict.  A goal that is not refuted is Invalid with no
-    model."""
+    model.
+
+    Each reduced hypothesis cube keeps a list of integer points, starting
+    with the one its own satisfiability check found.  A goal cube's open
+    rows are tested at those points, newest first, before any elimination,
+    and a satisfiable elimination adds its point to the list.  Every point
+    satisfies the cube's rows, so one that also satisfies the open rows is
+    an integer solution of both, and Fourier-Motzkin would have found them
+    satisfiable: the verdict is the same, except that a goal whose
+    elimination would have gone over `MAX_FM_ROWS` is Invalid instead of
+    unknown."""
     try:
         hyp_cubes = all_of(hyps)
     except _TooLarge:
@@ -500,10 +615,11 @@ def _decide_rows(
                 continue
             bools, rows = split
             rows, subs = _eliminate_equalities(_dedupe(rows))
-            if _fm_unsat(rows):
+            points: List[Dict[str, int]] = []
+            if _fm_unsat(rows, points):
                 continue
             bounds = {frozenset(c.items()): k for c, k in rows}
-            reduced.append((bools, rows, subs, bounds))
+            reduced.append((bools, rows, subs, bounds, points))
     except _TooLarge as exc:
         return [Verdict("unknown", reason=str(exc)) for _ in goals]
 
@@ -520,7 +636,7 @@ def _decide_rows(
         neg_splits = [sp for sp in map(_cube_consistent, neg_cubes) if sp is not None]
         refuted = True
         try:
-            for bools, rows, subs, bounds in reduced:
+            for bools, rows, subs, bounds, points in reduced:
                 for gbools, grows in neg_splits:
                     if any(bools.get(n, v) != v for n, v in gbools.items()):
                         continue
@@ -528,7 +644,11 @@ def _decide_rows(
                     if open_rows is None:
                         continue
                     # with no goal row left, the cube alone is satisfiable
-                    if not open_rows or not _fm_unsat(rows + open_rows):
+                    if (
+                        not open_rows
+                        or any(_holds(p, open_rows) for p in reversed(points))
+                        or not _fm_unsat(rows + open_rows, points)
+                    ):
                         refuted = False
                         break
                 if not refuted:

@@ -16,8 +16,10 @@ from lrcheck.oracle import (
     SmtBackend,
     eval_closed,
 )
+from lrcheck.parser import parse_program
 from lrcheck.parser import parse_refexpr as R
 from lrcheck.syntax import BoolConst, Eq, IntConst, Not, Sort, Var
+from lrcheck.typeck import check_program
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +102,28 @@ def test_fourier_motzkin_differential_against_brute_force():
     rng = random.Random(29)
     names = ["x0", "x1", "x2", "x3"]
     box = range(-3, 4)
-    unsat = 0
+    unsat = around_point = found_points = 0
     for _ in range(300):
         point = None
         if rng.random() < 0.5:
             point = {x: rng.randint(-5, 5) for x in names}
         rows = _fm_rows(rng, names, point)
         verdict = oracle_module._fm_unsat(rows)
+        points = []
+        assert oracle_module._fm_unsat(rows, points) == verdict
+        if points:
+            # back-substitution's point is an integer solution; a variable
+            # it does not bind reads as 0
+            (found,) = points
+            assert not verdict
+            assert all(
+                sum(c * found.get(x, 0) for x, c in coeffs.items()) + const <= 0
+                for coeffs, const in rows
+            ), (rows, found)
         if point is not None:
             assert not verdict, (rows, point)
+            around_point += 1
+            found_points += len(points)
         elif verdict:
             unsat += 1
             for values in itertools.product(box, repeat=len(names)):
@@ -119,6 +134,114 @@ def test_fourier_motzkin_differential_against_brute_force():
                 ), (rows, env)
     # the cycles' constants make a good share of the free systems unsat
     assert unsat >= 30
+    # each system built around a point has an integer solution, and
+    # rounding to integers rarely leaves an interval of one empty
+    assert found_points >= 0.9 * around_point, (found_points, around_point)
+
+
+def _fewest_pairs_order(rows):
+    """The order in which Fourier-Motzkin eliminates the variables of a
+    satisfiable system when each round recounts every variable's bounds
+    over every row and takes the fewest upper*lower pairs, the first by
+    name among ties."""
+    best = oracle_module._keep_tightest({}, rows)
+    order = []
+    while True:
+        best.pop(frozenset(), None)
+        if not best:
+            return order
+        counts = {}
+        for coeffs, _ in best.values():
+            for x, c in coeffs.items():
+                up, lo = counts.get(x, (0, 0))
+                counts[x] = (up + (c > 0), lo + (c < 0))
+        var = min(sorted(counts), key=lambda x: counts[x][0] * counts[x][1])
+        order.append(var)
+        bounding = [best.pop(k) for k, (co, _) in list(best.items()) if var in co]
+        combined = []
+        for ucoef, uconst in [r for r in bounding if r[0][var] > 0]:
+            for lcoef, lconst in [r for r in bounding if r[0][var] < 0]:
+                cu, cl = ucoef[var], -lcoef[var]
+                coeffs = {
+                    x: cl * ucoef.get(x, 0) + cu * lcoef.get(x, 0)
+                    for x in {**ucoef, **lcoef}
+                }
+                coeffs = {x: c for x, c in coeffs.items() if c}
+                combined.append((coeffs, cl * uconst + cu * lconst))
+        oracle_module._keep_tightest(best, combined)
+
+
+def test_fourier_motzkin_eliminates_the_variable_with_fewest_pairs(monkeypatch):
+    # back-substitution walks the variables in reverse order of elimination
+    seen = []
+    back_substitute = oracle_module._back_substitute
+
+    def recorded(eliminated):
+        seen.append([var for var, _ in eliminated])
+        return back_substitute(eliminated)
+
+    monkeypatch.setattr(oracle_module, "_back_substitute", recorded)
+    rng = random.Random(31)
+    names = [f"x{i}" for i in range(6)]
+    for _ in range(200):
+        # two systems that hold at one point: satisfiable, with two cycles
+        point = {x: rng.randint(-5, 5) for x in names}
+        rows = _fm_rows(rng, names, point) + _fm_rows(rng, names, point)
+        seen.clear()
+        assert not oracle_module._fm_unsat(rows, [])
+        assert seen == [_fewest_pairs_order(rows)], rows
+
+
+def test_fourier_motzkin_appends_no_point_when_no_integer_fits():
+    # 2x = 1 has the rational solution 1/2 and no integer one
+    rows = [({"x": 2}, -1), ({"x": -2}, 1)]
+    points = []
+    assert not oracle_module._fm_unsat(rows, points)
+    assert points == []
+
+
+def test_fourier_motzkin_point_of_a_3000_row_chain():
+    n = 3000
+    chain = [({f"x{i}": 1, f"x{i + 1}": -1}, 0) for i in range(n)]
+    # x0 >= 1 and x3000 <= 0 contradict x0 <= x1 <= ... <= x3000
+    assert oracle_module._fm_unsat(chain + [({"x0": -1}, 1), ({f"x{n}": 1}, 0)], [])
+    # without them it is satisfiable, and with x0 >= 1 alone every
+    # variable of the point must be positive
+    for rows in (chain, chain + [({"x0": -1}, 1)]):
+        points = []
+        assert not oracle_module._fm_unsat(rows, points)
+        (found,) = points
+        assert all(
+            sum(c * found.get(x, 0) for x, c in coeffs.items()) + const <= 0
+            for coeffs, const in rows
+        )
+
+
+def test_borrow_chain_settles_most_goals_at_known_points(monkeypatch):
+    """Six successive `&mut` borrows of one cell: the goals share
+    satisfiable hypothesis cubes, so most are settled at a point that an
+    earlier Fourier-Motzkin call found, with no call of their own."""
+    lines = ["let c = new(lc) in", "let t0 = c := 0 in"]
+    for i in range(1, 7):
+        lines += [
+            f"let r{i} = &mut c in",
+            f"let y{i} = *r{i} in",
+            f"let u{i} = r{i} := call add(y{i}, 1) in",
+        ]
+    source = "entry\n  " + "\n  ".join(lines + ["*c"]) + "\n"
+    calls = []
+    fm_unsat = oracle_module._fm_unsat
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return fm_unsat(*args)
+
+    monkeypatch.setattr(oracle_module, "_fm_unsat", counted)
+    oracle = Oracle()
+    assert check_program(parse_program(source), oracle=oracle).ok
+    assert oracle.queries == 553
+    # one call per goal and cube would be 522
+    assert len(calls) < 100
 
 
 def test_closed_arithmetic(oracle):
