@@ -422,17 +422,15 @@ def _fm_insert(
         best[key] = (coeffs, const)
 
 
-def _fm_unsat(
-    rows: List[LinForm], points: Optional[List[Dict[str, int]]] = None
-) -> bool:
+def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
     """True when the system {row <= 0} has no rational solution.  Because
     strict integer comparisons were tightened to non-strict ones, rational
     unsatisfiability is sound for integer unsatisfiability.  Each round
     checks the constant rows and eliminates the variable with the fewest
     upper*lower bound pairs (the first by name among ties), found in a heap
-    whose entries are dropped when their count is out of date.  When
-    `points` is given and the system is satisfiable, an integer solution
-    found by back-substitution is appended to it, if one is found."""
+    whose entries are dropped when their count is out of date.  When the
+    system is satisfiable, the integer solution that back-substitution
+    finds, if it finds one, is appended to `points`."""
     best: Dict[frozenset, LinForm] = {}
     occurs: Occurrences = {}
     touched: set = set()
@@ -449,10 +447,9 @@ def _fm_unsat(
         if constant is not None and constant[1] > 0:
             return True
         if not best:
-            if points is not None:
-                point = _back_substitute(eliminated)
-                if point is not None:
-                    points.append(point)
+            point = _back_substitute(eliminated)
+            if point is not None:
+                points.append(point)
             return False
         while True:
             product, var = heapq.heappop(heap)
@@ -472,8 +469,7 @@ def _fm_unsat(
                         touched.add(v)
                         if not other[0] and not other[1]:
                             del occurs[v]
-        if points is not None:
-            eliminated.append((var, uppers + lowers))
+        eliminated.append((var, uppers + lowers))
         new_rows = []
         for ucoef, uconst in uppers:
             cu = ucoef[var]

@@ -33,18 +33,6 @@ def test_check_reject_exit_one_with_diagnostic():
     assert "4:5" in err  # the offending assignment's span
 
 
-def test_python_m_lrcheck_exits_as_each_expect_file_says():
-    for path in ("corpus/accept/decr.lr", "corpus/reject/neg_into_nat.lr"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lrcheck", "check", path],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        with open(path + ".expect") as handle:
-            assert f"exit: {proc.returncode}" in handle.read().splitlines(), proc.stderr
-
-
 def test_check_no_args_exit_two():
     code, _, _ = invoke(["check"])
     assert code == 2

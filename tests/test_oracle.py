@@ -108,9 +108,8 @@ def test_fourier_motzkin_differential_against_brute_force():
         if rng.random() < 0.5:
             point = {x: rng.randint(-5, 5) for x in names}
         rows = _fm_rows(rng, names, point)
-        verdict = oracle_module._fm_unsat(rows)
         points = []
-        assert oracle_module._fm_unsat(rows, points) == verdict
+        verdict = oracle_module._fm_unsat(rows, points)
         if points:
             # back-substitution's point is an integer solution; a variable
             # it does not bind reads as 0
