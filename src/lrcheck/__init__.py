@@ -3,7 +3,7 @@ interpreter for the .lr core language."""
 
 from .harness import generate_program, run_and_verify
 from .interp import run
-from .oracle import Oracle, Query, SmtBackend, Verdict
+from .oracle import Oracle, Query, Verdict
 from .parser import ParseError, parse_program
 from .printer import print_program
 from .typeck import Report, check_program
@@ -15,7 +15,6 @@ __all__ = [
     "ParseError",
     "Query",
     "Report",
-    "SmtBackend",
     "Verdict",
     "check_program",
     "generate_program",

@@ -1,8 +1,9 @@
 """Command-line front end: check, constraints, solve, run, soundness.
 
-Exit codes: 0 verified, 1 type/verification errors, 2 usage or I/O errors,
-3 oracle unavailable or unknown-blocked, 4 internal error (a one-line
-`lrcheck: internal error: ...` on stderr, never a traceback).
+Exit codes: 0 verified, 1 type/verification errors, 2 usage or I/O errors
+(a bad flag or config file included), 3 the oracle could not decide (a size
+limit, or no integer model of a satisfiable relaxation), 4 internal error
+(a one-line `lrcheck: internal error: ...` on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .constraints import (
     Qualifier,
@@ -21,8 +22,7 @@ from .constraints import (
 )
 from .harness import CorpusResult, run_and_verify, soundness_sweep
 from .interp import run as interp_run
-from .logic import free_vars, subst_parallel
-from .oracle import Oracle, SmtBackend
+from .logic import RefCtx, SortError, free_vars, sortcheck, subst_parallel
 from .parser import ParseError, parse_program, parse_refexpr
 from .syntax import Program, Sort
 from .typeck import Report, check_program
@@ -36,47 +36,73 @@ EXIT_INTERNAL = 4
 
 @dataclass
 class Config:
-    smt: Optional[str] = None
-    timeout: float = 10.0
     fuel: int = 100_000
     qualifiers: List[str] = field(default_factory=list)
     debug_wf: bool = False
     jobs: int = 1
-    transcript_dir: Optional[str] = None
 
 
-def load_config_file(path: str) -> Dict[str, List[str]]:
-    out: Dict[str, List[str]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
+class ConfigError(Exception):
+    """A config file that cannot be read or holds a bad line."""
+
+
+# the parameters a configured qualifier may name, both integers
+QUALIFIER_CTX = RefCtx().bind("v", Sort.INT).bind("m", Sort.INT)
+
+
+def non_negative(text: str) -> int:
+    """An argparse type for counts and step bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def read_config_file(path: str) -> Config:
+    """`key = value` lines, blank lines and `#` comments.  The keys are
+    `fuel` (the last one counts) and `qualifier` (repeatable), a formula
+    over `v` and `m`; anything else is an error that names the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read: {reason}") from None
+    cfg = Config()
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{number}"
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected key = value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ("fuel", "qualifier"):
+            raise ConfigError(
+                f"{where}: unknown key {key!r} (the keys are fuel and qualifier)"
+            )
+        try:
+            if key == "fuel":
+                cfg.fuel = non_negative(value)
                 continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out.setdefault(key.strip(), []).append(value.strip())
-    return out
+            sort = sortcheck(QUALIFIER_CTX, parse_refexpr(value))
+        except (argparse.ArgumentTypeError, ParseError, SortError) as exc:
+            raise ConfigError(f"{where}: {key} = {value}: {exc}") from None
+        if sort != Sort.BOOL:
+            raise ConfigError(
+                f"{where}: {key} = {value}: not a formula: its sort is {sort}"
+            )
+        cfg.qualifiers.append(value)
+    return cfg
 
 
 def build_config(args: argparse.Namespace) -> Config:
     """Flags override the config file, which overrides defaults."""
-    cfg = Config()
-    if getattr(args, "config", None):
-        file_cfg = load_config_file(args.config)
-        if "smt" in file_cfg:
-            cfg.smt = file_cfg["smt"][-1]
-        if "timeout" in file_cfg:
-            cfg.timeout = float(file_cfg["timeout"][-1])
-        if "fuel" in file_cfg:
-            cfg.fuel = int(file_cfg["fuel"][-1])
-        if "transcript_dir" in file_cfg:
-            cfg.transcript_dir = file_cfg["transcript_dir"][-1]
-        cfg.qualifiers.extend(file_cfg.get("qualifier", []))
-    if getattr(args, "smt", None):
-        cfg.smt = args.smt
-    if getattr(args, "timeout", None) is not None:
-        cfg.timeout = args.timeout
+    config = getattr(args, "config", None)
+    cfg = read_config_file(config) if config else Config()
     if getattr(args, "fuel", None) is not None:
         cfg.fuel = args.fuel
     if getattr(args, "debug_wf", False):
@@ -84,18 +110,6 @@ def build_config(args: argparse.Namespace) -> Config:
     if getattr(args, "jobs", None):
         cfg.jobs = max(1, args.jobs)
     return cfg
-
-
-def make_oracle(cfg: Config) -> Oracle:
-    if cfg.smt:
-        return Oracle(
-            backend=SmtBackend(
-                cfg.smt.split(),
-                timeout=cfg.timeout,
-                transcript_dir=cfg.transcript_dir,
-            )
-        )
-    return Oracle()
 
 
 def make_qualifiers(cfg: Config) -> List[Qualifier]:
@@ -138,13 +152,7 @@ def _check_one(
         return path, None, [f"{path}: io error: {exc}"]
     except ParseError as exc:
         return path, None, [f"{path}: parse error: {exc}"]
-    oracle = make_oracle(cfg)
-    try:
-        report = check_program(
-            program, oracle=oracle, quals=quals, debug_wf=cfg.debug_wf
-        )
-    finally:
-        oracle.close()
+    report = check_program(program, quals=quals, debug_wf=cfg.debug_wf)
     for diag in report.diagnostics():
         diagnostics.append(diag.render(path))
     return path, report, diagnostics
@@ -222,9 +230,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (OSError, ParseError) as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    oracle = make_oracle(cfg)
-    report = check_program(program, oracle=oracle, quals=quals)
-    oracle.close()
+    report = check_program(program, quals=quals)
     chunks = []
     code = EXIT_OK
     for unit in report.units:
@@ -264,15 +270,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_soundness(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    oracle = make_oracle(cfg)
-    try:
-        return _soundness(args, cfg, oracle)
-    finally:
-        oracle.close()
-
-
 def _print_failures(result: CorpusResult, what: str) -> None:
     for key, detail in result.bugs:
         print(f"  bug at {what} {key}: {detail}", file=sys.stderr)
@@ -282,12 +279,11 @@ def _print_failures(result: CorpusResult, what: str) -> None:
         print(f"  checker rejected {what} {key}", file=sys.stderr)
 
 
-def _soundness(args: argparse.Namespace, cfg: Config, oracle: Oracle) -> int:
+def cmd_soundness(args: argparse.Namespace) -> int:
     """Exit 1 on a soundness bug, else 3 when the oracle blocked a seed or
     a corpus program, else 1 on a rejection."""
-    result = soundness_sweep(
-        range(args.seeds), budget=args.budget, fuel=cfg.fuel, oracle=oracle
-    )
+    cfg = build_config(args)
+    result = soundness_sweep(range(args.seeds), budget=args.budget, fuel=cfg.fuel)
     print(
         f"soundness: {result.passed}/{result.total} generated programs passed, "
         f"{len(result.rejected)} rejected by the checker, "
@@ -307,7 +303,7 @@ def _soundness(args: argparse.Namespace, cfg: Config, oracle: Oracle) -> int:
                 print(f"  corpus {path}: {exc}", file=sys.stderr)
                 corpus.rejected.append(path)
                 continue
-            verdict = run_and_verify(program, fuel=cfg.fuel, oracle=oracle)
+            verdict = run_and_verify(program, fuel=cfg.fuel)
             corpus.record(path, verdict)
             if verdict.passed:
                 outcome = verdict.outcome
@@ -330,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--smt": dict(help="external SMT-LIB2 solver command"),
-        "--timeout": dict(type=float, help="per-query timeout (s)"),
         "--config": dict(help="key=value config file"),
         "--out": dict(help="write dumps to a file instead of stdout"),
     }
@@ -346,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--dump-solution", action="store_true")
     p_check.add_argument("--debug-wf", action="store_true")
     p_check.add_argument("--jobs", type=int, default=1)
-    common(p_check, "--smt", "--timeout", "--config", "--out")
+    common(p_check, "--config", "--out")
     p_check.set_defaults(func=cmd_check)
 
     p_cons = sub.add_parser("constraints", help="dump the constraint clauses")
@@ -357,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="dump the inferred solution")
     p_solve.add_argument("path")
-    common(p_solve, "--smt", "--timeout", "--config", "--out")
+    common(p_solve, "--config", "--out")
     p_solve.set_defaults(func=cmd_solve)
 
     p_run = sub.add_parser("run", help="run a program's entry expression")
     p_run.add_argument("path")
-    p_run.add_argument("--fuel", type=int)
+    p_run.add_argument("--fuel", type=non_negative)
     p_run.add_argument("--trace", help="write the event trace to a file")
     common(p_run, "--config")
     p_run.set_defaults(func=cmd_run)
@@ -370,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sound = sub.add_parser(
         "soundness", help="differential soundness sweep over generated programs"
     )
-    p_sound.add_argument("--seeds", type=int, default=100)
-    p_sound.add_argument("--budget", type=int, default=10)
-    p_sound.add_argument("--fuel", type=int)
+    p_sound.add_argument("--seeds", type=non_negative, default=100)
+    p_sound.add_argument("--budget", type=non_negative, default=10)
+    p_sound.add_argument("--fuel", type=non_negative)
     p_sound.add_argument(
         "--corpus", help="also run every checked .lr program in this directory"
     )
-    common(p_sound, "--smt", "--timeout", "--config")
+    common(p_sound, "--config")
     p_sound.set_defaults(func=cmd_soundness)
 
     return parser
@@ -390,6 +384,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"lrcheck: config file {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # a crash must not read as a verdict
         message = " ".join(str(exc).split())
         print(

@@ -520,8 +520,7 @@ def solve(
     the kept candidates and asks `Oracle.valid_rows`; so does each
     concrete-headed clause, under the final kept candidates.  Only a
     concrete clause the rows do not prove is built as a term and decided
-    by `Oracle.valid`, which gives the verdict, reason and counter-model.
-    With an SMT backend every concrete clause goes to `Oracle.valid`."""
+    by `Oracle.valid`, which gives the verdict, reason and counter-model."""
     norm = normalize(constraint)
     cls = clauses(norm)
     kvars = kvars_of(norm)
@@ -569,13 +568,12 @@ def solve(
     for clause in cls:
         if clause.is_kvar_head():
             continue
-        if oracle.backend is None:
-            rows = compiled[clause.cid]
-            verdict = oracle.valid_rows(
-                rows.hyp_cubes(cands), [clause.head], rows.negated
-            )[0]
-            if verdict.is_valid:
-                continue
+        rows = compiled[clause.cid]
+        verdict = oracle.valid_rows(
+            rows.hyp_cubes(cands), [clause.head], rows.negated
+        )[0]
+        if verdict.is_valid:
+            continue
         hyps = tuple(apply_solution_expr(h, solution) for h in clause.hyps)
         verdict = oracle.valid(Query(clause.binders, hyps, clause.head))
         if not verdict.is_valid:

@@ -27,9 +27,6 @@ searches no model: a goal it does not refute is Invalid, and the solver
 asks the term-level entry about it for the verdict and the counter-model.
 Both decide through `_decide_rows`.
 
-An external SMT-LIB2 solver can be plugged in over a child-process pipe
-for the term-level entry; see `SmtBackend`.  With one plugged in, the
-solver sends every concrete-headed clause to the term-level entry.
 Nonlinear products are abstracted as opaque variables, which keeps Valid
 sound and makes some queries Unknown.
 """
@@ -734,207 +731,19 @@ def _search_counter_model(query: Query) -> Optional[Dict[str, Union[int, bool]]]
 
 
 # ---------------------------------------------------------------------------
-# SMT-LIB2 child-process backend
-
-def to_smt2(e: RefExpr) -> str:
-    match e:
-        case Var(n):
-            return f"|{n}|"
-        case IntConst(v):
-            return str(v) if v >= 0 else f"(- {-v})"
-        case BoolConst(v):
-            return "true" if v else "false"
-        case LocConst(l):
-            return str(l)
-        case Eq(l, r):
-            return f"(= {to_smt2(l)} {to_smt2(r)})"
-        case Not(a):
-            return f"(not {to_smt2(a)})"
-        case BinBool(op, l, r):
-            return f"({'and' if op == 'and' else 'or'} {to_smt2(l)} {to_smt2(r)})"
-        case BinArith(op, l, r):
-            return f"({op} {to_smt2(l)} {to_smt2(r)})"
-        case Cmp(op, l, r):
-            return f"({op} {to_smt2(l)} {to_smt2(r)})"
-        case _:
-            raise OracleError(f"to_smt2: {e!r}")
-
-
-class SmtBackend:
-    """Textual SMT-LIB2 over a child-process pipe; one push/pop per query.
-    Transcripts of failed queries can be dumped to a directory."""
-
-    def __init__(
-        self,
-        command: Sequence[str],
-        timeout: float = 10.0,
-        transcript_dir: Optional[str] = None,
-    ):
-        self.command = list(command)
-        self.timeout = timeout
-        self.transcript_dir = transcript_dir
-        self.dumped = 0
-        self.proc = None
-        self.transcript: List[str] = []
-        self._rxbuf = ""
-
-    def _ensure_started(self):
-        import subprocess
-
-        if self.proc is not None and self.proc.poll() is None:
-            return
-        self._rxbuf = ""
-        self.proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-        self._send("(set-logic QF_LIA)")
-
-    def _send(self, line: str):
-        self.transcript.append(f"> {line}")
-        assert self.proc is not None and self.proc.stdin is not None
-        self.proc.stdin.write(line + "\n")
-        self.proc.stdin.flush()
-
-    def _recv(self) -> str:
-        import os
-        import select
-
-        assert self.proc is not None and self.proc.stdout is not None
-        fd = self.proc.stdout.fileno()
-        while "\n" not in self._rxbuf:
-            ready, _, _ = select.select([fd], [], [], self.timeout)
-            if not ready:
-                self.proc.kill()
-                self.proc = None
-                raise OSError(f"solver timed out after {self.timeout}s")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise OSError("solver closed its output")
-            self._rxbuf += chunk.decode("utf-8", errors="replace")
-        line, self._rxbuf = self._rxbuf.split("\n", 1)
-        line = line.strip()
-        self.transcript.append(f"< {line}")
-        return line
-
-    def _dump_transcript(self) -> None:
-        if self.transcript_dir is None:
-            return
-        import os
-
-        os.makedirs(self.transcript_dir, exist_ok=True)
-        path = os.path.join(self.transcript_dir, f"query-{self.dumped:04d}.smt2")
-        self.dumped += 1
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(self.transcript) + "\n")
-
-    def close(self):
-        if self.proc is not None and self.proc.poll() is None:
-            try:
-                self._send("(exit)")
-                self.proc.wait(timeout=2)
-            except Exception:
-                self.proc.kill()
-        self.proc = None
-
-    def valid(self, query: Query) -> Verdict:
-        try:
-            self._ensure_started()
-        except OSError as exc:
-            return Verdict("unknown", reason=f"backend unavailable: {exc}")
-        self.transcript = []
-        try:
-            self._send("(push 1)")
-            for name, sort in query.binders:
-                smt_sort = {"int": "Int", "bool": "Bool", "loc": "Int"}[sort.value]
-                self._send(f"(declare-const |{name}| {smt_sort})")
-            for h in query.hyps:
-                self._send(f"(assert {to_smt2(h)})")
-            self._send(f"(assert (not {to_smt2(query.goal)}))")
-            self._send("(check-sat)")
-            answer = self._recv()
-            model = None
-            if answer == "sat":
-                self._send("(get-model)")
-                model = self._read_model()
-            self._send("(pop 1)")
-            if answer == "unsat":
-                return VALID
-            if answer == "sat":
-                if model is not None and _model_falsifies(query, model):
-                    return Verdict("invalid", model=model)
-                return Verdict("invalid", model=None)
-            self._dump_transcript()
-            return Verdict("unknown", reason=f"backend said {answer!r}")
-        except (BrokenPipeError, OSError) as exc:
-            self._dump_transcript()
-            self.close()
-            return Verdict("unknown", reason=f"backend failure: {exc}")
-
-    def _read_model(self) -> Optional[Dict[str, Union[int, bool]]]:
-        # read until the closing paren of the model block, depth-counted
-        text = ""
-        depth = 0
-        started = False
-        for _ in range(10000):
-            line = self._recv()
-            if not line and started:
-                break
-            text += " " + line
-            depth += line.count("(") - line.count(")")
-            started = started or "(" in line
-            if started and depth <= 0:
-                break
-        import re
-
-        model: Dict[str, Union[int, bool]] = {}
-        pattern = re.compile(
-            r"\(define-fun\s+\|?([^|\s]+)\|?\s*\(\)\s+(Int|Bool)\s+([^)]*)\)"
-        )
-        for name, smt_sort, value in pattern.findall(text):
-            value = value.strip()
-            if smt_sort == "Bool":
-                model[name] = value == "true"
-            else:
-                if value.startswith("(-"):
-                    model[name] = -int(value[2:].strip(" ()"))
-                else:
-                    try:
-                        model[name] = int(value)
-                    except ValueError:
-                        return None
-        return model or None
-
-
-def _model_falsifies(query: Query, model) -> bool:
-    try:
-        return all(eval_closed(h, model) for h in query.hyps) and not eval_closed(
-            query.goal, model
-        )
-    except (OracleError, KeyError):
-        return False
-
-
-# ---------------------------------------------------------------------------
 # Oracle handle
 
 class Oracle:
-    """Validity oracle: the built-in procedure or an SMT backend, and a
-    count of the queries asked.  Every call decides its query afresh.
-    Handles are not shareable across threads; create one per worker."""
+    """Validity oracle over the built-in procedure, with a count of the
+    queries asked.  Every call decides its query afresh.  Handles are not
+    shareable across threads; create one per worker."""
 
-    def __init__(self, backend: Optional[SmtBackend] = None):
-        self.backend = backend
+    def __init__(self):
         self.queries = 0
 
     def valid(self, query: Query, want_model: bool = True) -> Verdict:
         self._check_query(query)
         self.queries += 1
-        if self.backend is not None:
-            return self.backend.valid(query)
         return _decide(query, want_model)
 
     def valid_rows(
@@ -943,9 +752,9 @@ class Oracle:
         """Row-level validity of each goal under shared hypotheses, for
         callers that keep their formulas linearized (the fixpoint solver):
         `hyps` yields the DNF of each hypothesis conjunct and `negate` gives
-        the DNF of a goal's negation (see `dnf`).  Always decided by the
-        built-in procedure, with no counter-models; a goal that is not
-        refuted is Invalid.  Counts one query per goal."""
+        the DNF of a goal's negation (see `dnf`).  Decided with no
+        counter-models: a goal that is not refuted is Invalid.  Counts one
+        query per goal."""
         self.queries += len(goals)
         return _decide_rows(hyps, goals, negate)
 
@@ -977,7 +786,3 @@ class Oracle:
             raise OracleError("unknown predicate in goal")
         if sortcheck(ctx, query.goal) != Sort.BOOL:
             raise OracleError("goal is not boolean")
-
-    def close(self):
-        if self.backend is not None:
-            self.backend.close()

@@ -11,7 +11,7 @@ from typing import Dict, Optional
 
 from .constraints import Conj, Constraint, ForAll, Head, Provenance, TRIVIAL
 from .errors import StructuralError
-from .logic import contains_kapp, getsort, subst
+from .logic import contains_kapp, getsort, subst, subst_parallel
 from .printer import print_loc, print_type
 from .syntax import (
     BaseType,
@@ -152,21 +152,14 @@ def _sub_fun(f1: FnSig, f2: FnSig, prov, names) -> Constraint:
     shared = [(names.fresh(n), s) for n, s in f1.refparams]
 
     def rename(sig: FnSig):
-        req, in_locs, args, ret, out_locs = (
-            sig.requires,
-            sig.in_locs,
-            sig.args,
-            sig.ret,
-            sig.out_locs,
+        mapping = {old: Var(new) for (old, _), (new, _) in zip(sig.refparams, shared)}
+        return (
+            subst_parallel(sig.requires, mapping),
+            subst_parallel(sig.in_locs, mapping),
+            tuple(subst_parallel(a, mapping) for a in sig.args),
+            subst_parallel(sig.ret, mapping),
+            subst_parallel(sig.out_locs, mapping),
         )
-        for (old, _), (new, _) in zip(sig.refparams, shared):
-            repl = Var(new)
-            req = subst(req, old, repl)
-            in_locs = subst(in_locs, old, repl)
-            args = tuple(subst(a, old, repl) for a in args)
-            ret = subst(ret, old, repl)
-            out_locs = subst(out_locs, old, repl)
-        return req, in_locs, args, ret, out_locs
 
     req1, in1, args1, ret1, out1 = rename(f1)
     req2, in2, args2, ret2, out2 = rename(f2)

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from lrcheck.cli import Config, main, make_qualifiers
 from lrcheck.constraints import instantiations
 from lrcheck.harness import run_and_verify
@@ -12,6 +14,13 @@ from lrcheck.printer import print_program
 from lrcheck.syntax import KVarDecl, Let, Sort, Unpack
 
 RUN = [sys.executable, "-m", "lrcheck.cli"]
+
+# `a * a = 2` has a rational but no integer solution, so the oracle finds
+# the relaxation satisfiable, finds no integer model, and cannot decide
+SQ = (
+    "fn sq {a: int | a * a = 2}( int[a] ) -> {v. int[v] | v >= 0} :=\n"
+    "  rec sq (x) := x"
+)
 
 
 def invoke(args):
@@ -54,16 +63,23 @@ def test_check_parse_error_exit_two():
     assert "parse error" in err
 
 
-def test_oracle_unavailable_exit_three():
-    code, _, _ = invoke(
-        ["check", "corpus/accept/decr.lr", "--smt", "/nonexistent/solver"]
-    )
+def test_oracle_undecided_exit_three(tmp_path):
+    path = tmp_path / "sq.lr"
+    path.write_text(SQ)
+    code, _, err = invoke(["check", str(path)])
     assert code == 3
+    assert (
+        "fn-def: oracle could not decide: satisfiable relaxation, "
+        "no integer model found [clause 0]"
+    ) in err
 
 
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys):
     path = "corpus/accept/decr.lr"
     for args in [
+        ["check", path, "--smt", "x"],
+        ["solve", path, "--timeout", "1"],
+        ["soundness", "--smt", "x"],
         ["run", path, "--out", "x"],
         ["run", path, "--smt", "x"],
         ["run", path, "--timeout", "1"],
@@ -164,16 +180,16 @@ def test_soundness_command():
     assert "5/5 generated programs passed" in out
 
 
-def test_soundness_command_uses_the_configured_solver():
-    """`soundness` routes its queries through `--smt` like `check` does: an
-    unavailable solver cannot let every program pass, and what it blocks is
-    no soundness bug."""
-    code, out, _ = invoke(
-        ["soundness", "--seeds", "2", "--smt", "/nonexistent/solver"]
+def test_soundness_command_uses_the_configured_solver(tmp_path):
+    """`soundness` checks its corpus with the oracle `check` uses: a program
+    the oracle cannot decide is blocked, which is no soundness bug."""
+    (tmp_path / "sq.lr").write_text(SQ)
+    code, out, err = invoke(
+        ["soundness", "--seeds", "2", "--corpus", str(tmp_path)]
     )
     assert code == 3
-    assert "0/2 generated programs passed" in out
-    assert "2 blocked on the oracle, 0 soundness bugs" in out
+    assert "2/2 generated programs passed" in out
+    assert f"blocked at corpus {tmp_path / 'sq.lr'}" in err
 
 
 def test_soundness_command_with_corpus():
@@ -204,30 +220,6 @@ def test_main_entry_in_process(capsys):
     assert main(["check", "corpus/mutants/decr_noguard.lr"]) == 1
 
 
-def test_check_through_smt_pipe():
-    """Whole verification routed over the SMT-LIB2 child-process protocol."""
-    code, _, _ = invoke(
-        [
-            "check",
-            "corpus/accept/decr.lr",
-            "corpus/accept/ref_join.lr",
-            "--smt",
-            f"{sys.executable} -m lrcheck.smt_server",
-        ]
-    )
-    assert code == 0
-    code, _, err = invoke(
-        [
-            "check",
-            "corpus/mutants/decr_noguard.lr",
-            "--smt",
-            f"{sys.executable} -m lrcheck.smt_server",
-        ]
-    )
-    assert code == 1
-    assert "cannot prove clause" in err
-
-
 def test_config_qualifier_extends_vocabulary(tmp_path):
     """An exact-zero postcondition is out of reach for the default
     qualifiers but provable once the config adds `v = 0`."""
@@ -254,6 +246,43 @@ def test_config_qualifier_extends_vocabulary(tmp_path):
     cfg.write_text("qualifier = v = 0\n")
     code, _, _ = invoke(["check", str(path), "--config", str(cfg)])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (None, "lr.conf: cannot read: No such file or directory"),
+        ("fuel 10", "lr.conf:2: expected key = value, got 'fuel 10'"),
+        ("fuel = many", "lr.conf:2: fuel = many: not an integer: 'many'"),
+        ("qualifier = v <=", "lr.conf:2: qualifier = v <=: 1:5: unexpected"),
+        ("qualifier = v + 1", "qualifier = v + 1: not a formula: its sort is int"),
+        ("qualifier = x > 0", "unbound refinement variable 'x'"),
+        ("smtt = z3", "lr.conf:2: unknown key 'smtt'"),
+        ("smt = z3", "lr.conf:2: unknown key 'smt'"),
+        ("timeout = 10", "lr.conf:2: unknown key 'timeout'"),
+        ("transcript_dir = out", "lr.conf:2: unknown key 'transcript_dir'"),
+    ],
+)
+def test_a_bad_config_file_is_a_usage_error(tmp_path, capsys, text, problem):
+    """One line on stderr that names the file, the line and the problem."""
+    path = tmp_path / "lr.conf"
+    if text is not None:
+        path.write_text(f"# settings\n{text}\n")
+    assert main(["check", "corpus/accept/decr.lr", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lrcheck: config file {tmp_path}")
+    assert problem in err and err.count("\n") == 1, err
+
+
+def test_a_negative_count_is_a_usage_error(capsys):
+    for args in [
+        ["run", "corpus/accept/decr_driver.lr", "--fuel", "-5"],
+        ["soundness", "--seeds", "-3"],
+        ["soundness", "--budget", "-1"],
+        ["soundness", "--fuel", "-1"],
+    ]:
+        assert main(args) == 2, args
+        assert "must not be negative" in capsys.readouterr().err
 
 
 def test_config_qualifier_instantiates_both_parameters_at_once():

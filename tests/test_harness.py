@@ -11,7 +11,7 @@ from lrcheck.harness import (
     run_and_verify,
     soundness_sweep,
 )
-from lrcheck.oracle import Oracle, SmtBackend
+from lrcheck.oracle import Oracle, Verdict
 from lrcheck.parser import parse_program
 from lrcheck.printer import print_program
 from lrcheck.syntax import IntLit
@@ -165,16 +165,27 @@ def test_nonconforming_value_is_a_bug(oracle):
     assert "index mismatch" in verdict.detail
 
 
+class UndecidedOracle(Oracle):
+    """Answers every term-level query unknown."""
+
+    def valid(self, query, want_model=True):
+        return Verdict("unknown", reason="undecided")
+
+
 def test_undecided_oracle_blocks_rather_than_rejects_or_fails(oracle):
     """What the oracle cannot decide is neither a rejection nor a bug."""
-    unavailable = Oracle(backend=SmtBackend(["/nonexistent/solver"]))
-    program = parse_program(open("corpus/accept/decr_driver.lr").read())
-    verdict = run_and_verify(program, oracle=unavailable)
+    # `a * a = 2` has no integer solution, and no integer model is found
+    program = parse_program(
+        "fn sq {a: int | a * a = 2}( int[a] ) -> {v. int[v] | v >= 0} :=\n"
+        "  rec sq (x) := x\n"
+        "entry 5\n"
+    )
+    verdict = run_and_verify(program, oracle=oracle)
     assert verdict.kind == "blocked" and "checker" in verdict.detail
-    # checked by the built-in oracle: only the conformance check is blocked
+    # checked by the oracle: only the conformance check is blocked
     program = parse_program("entry 5")
     report = check_program(program, oracle=oracle)
-    verdict = run_and_verify(program, report=report, oracle=unavailable)
+    verdict = run_and_verify(program, report=report, oracle=UndecidedOracle())
     assert verdict.kind == "blocked" and "conformance" in verdict.detail
     assert verdict.outcome.kind == "done"
 

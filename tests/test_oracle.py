@@ -1,9 +1,8 @@
 """Validity oracle: worked queries, evaluation cross-checks, the
-implication-checking meta-properties, and the SMT-LIB2 subprocess path."""
+implication-checking meta-properties."""
 
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -13,12 +12,11 @@ from lrcheck.oracle import (
     Oracle,
     OracleError,
     Query,
-    SmtBackend,
     eval_closed,
 )
 from lrcheck.parser import parse_program
 from lrcheck.parser import parse_refexpr as R
-from lrcheck.syntax import BoolConst, Eq, IntConst, Not, Sort, Var
+from lrcheck.syntax import Eq, IntConst, Not, Sort, Var
 from lrcheck.typeck import check_program
 
 
@@ -404,48 +402,6 @@ def test_meta_substitution(oracle):
         assert oracle.valid(inst).is_valid
         count += 1
     assert count >= 30
-
-
-# -- external solver path ----------------------------------------------------
-
-
-def test_smt_pipe_agrees_with_builtin():
-    backend = SmtBackend([sys.executable, "-m", "lrcheck.smt_server"])
-    piped = Oracle(backend=backend)
-    local = Oracle()
-    try:
-        for query in _sample_queries(40, seed=31):
-            a = piped.valid(query)
-            b = local.valid(query)
-            if "unknown" not in (a.status, b.status):
-                assert a.status == b.status, (query, a, b)
-    finally:
-        piped.close()
-
-
-def test_smt_pipe_decr_with_model():
-    backend = SmtBackend([sys.executable, "-m", "lrcheck.smt_server"])
-    oracle = Oracle(backend=backend)
-    try:
-        valid = oracle.valid(
-            Query((("a", Sort.INT),), (R("a >= 0"), R("a > 0")), R("a - 1 >= 0"))
-        )
-        assert valid.is_valid
-        invalid = oracle.valid(
-            Query((("a", Sort.INT),), (R("a >= 0"),), R("a - 1 >= 0"))
-        )
-        assert invalid.is_invalid
-        assert invalid.model is not None
-        assert eval_closed(R("a - 1 >= 0"), invalid.model) is False
-    finally:
-        oracle.close()
-
-
-def test_backend_unavailable_is_unknown():
-    oracle = Oracle(backend=SmtBackend(["/nonexistent/solver-binary"]))
-    verdict = oracle.valid(Query((), (), BoolConst(True)))
-    assert verdict.is_unknown
-    assert "unavailable" in verdict.reason or "failure" in verdict.reason
 
 
 def test_differential_against_exhaustive_ground_truth():
