@@ -50,15 +50,21 @@ class ConfigError(Exception):
 QUALIFIER_CTX = RefCtx().bind("v", Sort.INT).bind("m", Sort.INT)
 
 
-def non_negative(text: str) -> int:
-    """An argparse type for counts and step bounds."""
+def non_negative(text: str, least: int = 0) -> int:
+    """An argparse type for counts and step bounds of at least `least`."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    if value < least:
+        need = f"be at least {least}" if least else "not be negative"
+        raise argparse.ArgumentTypeError(f"must {need}: {value}")
     return value
+
+
+def positive(text: str) -> int:
+    """An argparse type for counts of 1 or more."""
+    return non_negative(text, least=1)
 
 
 def read_config_file(path: str) -> Config:
@@ -107,8 +113,7 @@ def build_config(args: argparse.Namespace) -> Config:
         cfg.fuel = args.fuel
     if getattr(args, "debug_wf", False):
         cfg.debug_wf = True
-    if getattr(args, "jobs", None):
-        cfg.jobs = max(1, args.jobs)
+    cfg.jobs = getattr(args, "jobs", cfg.jobs)
     return cfg
 
 
@@ -283,7 +288,10 @@ def cmd_soundness(args: argparse.Namespace) -> int:
     """Exit 1 on a soundness bug, else 3 when the oracle blocked a seed or
     a corpus program, else 1 on a rejection."""
     cfg = build_config(args)
-    result = soundness_sweep(range(args.seeds), budget=args.budget, fuel=cfg.fuel)
+    quals = make_qualifiers(cfg)
+    result = soundness_sweep(
+        range(args.seeds), budget=args.budget, fuel=cfg.fuel, quals=quals
+    )
     print(
         f"soundness: {result.passed}/{result.total} generated programs passed, "
         f"{len(result.rejected)} rejected by the checker, "
@@ -303,7 +311,7 @@ def cmd_soundness(args: argparse.Namespace) -> int:
                 print(f"  corpus {path}: {exc}", file=sys.stderr)
                 corpus.rejected.append(path)
                 continue
-            verdict = run_and_verify(program, fuel=cfg.fuel)
+            verdict = run_and_verify(program, fuel=cfg.fuel, quals=quals)
             corpus.record(path, verdict)
             if verdict.passed:
                 outcome = verdict.outcome
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--dump-constraints", action="store_true")
     p_check.add_argument("--dump-solution", action="store_true")
     p_check.add_argument("--debug-wf", action="store_true")
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--jobs", type=positive, default=1)
     common(p_check, "--config", "--out")
     p_check.set_defaults(func=cmd_check)
 

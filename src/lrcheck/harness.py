@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .constraints import Solution, apply_solution_expr
+from .constraints import Qualifier, Solution, apply_solution_expr
 from .interp import MachineState, Perm, RunOutcome, run
 from .logic import free_vars, interp as value_index, subst
 from .oracle import Oracle, Query
@@ -153,12 +153,14 @@ def run_and_verify(
     fuel: int = 100_000,
     report: Optional[Report] = None,
     oracle: Optional[Oracle] = None,
+    quals: Optional[Sequence[Qualifier]] = None,
 ) -> SoundnessVerdict:
     """Empirical soundness check for one program: the checker must accept,
-    and the instrumented run must not get stuck."""
+    with the qualifiers `quals` (the default ones if None), and the
+    instrumented run must not get stuck."""
     oracle = oracle or Oracle()
     if report is None:
-        report = check_program(program, oracle=oracle)
+        report = check_program(program, oracle=oracle, quals=quals)
     if report.blocked_on_oracle:
         return SoundnessVerdict("blocked", detail="checker blocked on the oracle")
     if not report.ok:
@@ -476,12 +478,14 @@ def soundness_sweep(
     budget: int = 10,
     fuel: int = 100_000,
     oracle: Optional[Oracle] = None,
+    quals: Optional[Sequence[Qualifier]] = None,
 ) -> CorpusResult:
-    """Generate one program per seed; every program must check and must not
-    get stuck when run."""
+    """Generate one program per seed; every program must check with `quals`
+    and must not get stuck when run."""
     result = CorpusResult()
     oracle = oracle or Oracle()
     for seed in seeds:
         program = generate_program(seed, budget)
-        result.record(seed, run_and_verify(program, fuel=fuel, oracle=oracle))
+        verdict = run_and_verify(program, fuel=fuel, oracle=oracle, quals=quals)
+        result.record(seed, verdict)
     return result

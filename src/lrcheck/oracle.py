@@ -6,26 +6,24 @@ refuting `hyps and not goal` through DNF cube enumeration and
 Fourier-Motzkin elimination (with strict inequalities tightened over the
 integers, so "unsat" is sound for validity).
 
-There are two entries.  The term-level one (`Oracle.valid`) decides one
-query at a time: it sort-checks the query, linearizes it into DNF cubes of
-rows (`dnf`) and answers a satisfiable relaxation Invalid only when a
-concrete integer counter-model is found and re-checked by evaluation, and
-Unknown otherwise.  `Oracle.valid_many` only loops over it.  The
-row-level one (`Oracle.valid_rows`) takes formulas already linearized and
-decides goals that share hypotheses together: the fixpoint solver
-linearizes each qualifier and each clause once and hands over the DNF of
-each hypothesis and of each negated goal, for its sweeps and for the
-concrete-headed clauses.  Each satisfiable hypothesis cube is deduplicated
-and its unit-coefficient equalities are eliminated once, by exact Gaussian
+There are two entries, and both decide through `_decide_rows`.  The
+term-level one (`Oracle.valid`) decides one query at a time, linearized
+into DNF cubes of rows (`dnf`): a satisfiable relaxation is Invalid with
+the integer point that showed it so, if evaluation confirms that the point
+falsifies the query, and otherwise Unknown, unless a query with opaque
+products finds a model by enumeration.  `Oracle.valid_many` only loops over
+it.  The row-level one (`Oracle.valid_rows`) takes formulas already
+linearized and decides goals that share hypotheses together, with no model:
+the fixpoint solver linearizes each qualifier and each clause once, and
+asks the term-level entry about a concrete clause that the rows do not
+prove.  Each satisfiable hypothesis cube is deduplicated and its
+unit-coefficient equalities are eliminated once, by exact Gaussian
 substitution; each negated goal cube then only has those substitutions
 applied to its own rows, and a goal row that the cube contradicts or
 implies row by row is settled without Fourier-Motzkin.  Each reduced cube
-also keeps integer points that satisfy it, found by back-substitution
-after a satisfiable elimination; a goal cube whose remaining rows hold at
-one of them is not refuted, with no elimination of its own.  The row entry
-searches no model: a goal it does not refute is Invalid, and the solver
-asks the term-level entry about it for the verdict and the counter-model.
-Both decide through `_decide_rows`.
+also keeps integer points that satisfy it, found by back-substitution after
+a satisfiable elimination; a goal cube whose remaining rows hold at one of
+them is not refuted, with no elimination of its own.
 
 Nonlinear products are abstracted as opaque variables, which keeps Valid
 sound and makes some queries Unknown.
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -343,6 +340,8 @@ def _dedupe(rows: List[LinForm]) -> List[LinForm]:
 
 # var := coeffs . vars + const
 Substitution = Tuple[str, Dict[str, int], int]
+# a goal's point, the booleans of its cube and goal cube, the cube's substitutions
+Witness = Tuple[Dict[str, int], Dict[str, bool], Sequence[Substitution]]
 
 
 def _substitute(row: LinForm, subs: Sequence[Substitution]) -> LinForm:
@@ -573,23 +572,25 @@ def _against_cube(
 
 
 def _decide_rows(
-    hyps: Iterable[Cubes], goals: Sequence[G], negate: Callable[[G], Cubes]
+    hyps: Iterable[Cubes],
+    goals: Sequence[G],
+    negate: Callable[[G], Cubes],
+    witnesses: Optional[Dict[int, Witness]] = None,
 ) -> List[Verdict]:
     """Decide goals under shared hypotheses, given as the DNF of each
     hypothesis conjunct and, through `negate`, the DNF of each goal's
     negation.  Both are consumed here, so a DNF over the size limit turns
     into an unknown verdict.  A goal that is not refuted is Invalid with no
-    model.
+    model; `witnesses`, if given, maps its index to the point that settled
+    it, if any (see `Witness`).
 
-    Each reduced hypothesis cube keeps a list of integer points, starting
+    Each reduced hypothesis cube keeps integer points of its rows, starting
     with the one its own satisfiability check found.  A goal cube's open
-    rows are tested at those points, newest first, before any elimination,
-    and a satisfiable elimination adds its point to the list.  Every point
-    satisfies the cube's rows, so one that also satisfies the open rows is
-    an integer solution of both, and Fourier-Motzkin would have found them
-    satisfiable: the verdict is the same, except that a goal whose
-    elimination would have gone over `MAX_FM_ROWS` is Invalid instead of
-    unknown."""
+    rows are tested at them, newest first, before any elimination, and a
+    satisfiable elimination adds its point.  A point where the open rows
+    hold is an integer solution, so the verdict is the one Fourier-Motzkin
+    would give, except that a goal whose elimination would have gone over
+    `MAX_FM_ROWS` is Invalid instead of unknown."""
     try:
         hyp_cubes = all_of(hyps)
     except _TooLarge:
@@ -617,7 +618,7 @@ def _decide_rows(
         return [Verdict("unknown", reason=str(exc)) for _ in goals]
 
     out: List[Verdict] = []
-    for goal in goals:
+    for index, goal in enumerate(goals):
         if not reduced:
             out.append(VALID)  # hypotheses are unsatisfiable
             continue
@@ -637,13 +638,17 @@ def _decide_rows(
                     if open_rows is None:
                         continue
                     # with no goal row left, the cube alone is satisfiable
-                    if (
-                        not open_rows
-                        or any(_holds(p, open_rows) for p in reversed(points))
-                        or not _fm_unsat(rows + open_rows, points)
-                    ):
-                        refuted = False
-                        break
+                    held = (p for p in reversed(points) if _holds(p, open_rows))
+                    point = next(held, None)
+                    if point is None and open_rows:
+                        known = len(points)
+                        if _fm_unsat(rows + open_rows, points):
+                            continue
+                        point = points[-1] if len(points) > known else None
+                    if witnesses is not None and point is not None:
+                        witnesses[index] = (point, {**bools, **gbools}, subs)
+                    refuted = False
+                    break
                 if not refuted:
                     break
         except _TooLarge as exc:
@@ -654,27 +659,54 @@ def _decide_rows(
 
 
 def _decide(query: Query, want_model: bool = True) -> Verdict:
-    """Decide one query: linearize it, decide its rows, then, when the rows
-    do not refute the goal and `want_model` is set, look for a concrete
-    counter-model."""
+    """Decide one query over its rows.  With `want_model`, an Invalid
+    goal's counter-model is the point that settled it; only opaque products
+    enumerate assignments, when that point does not falsify the query."""
     sorts = dict(query.binders)
     prods: Dict[RefExpr, str] = {}
+    witnesses: Dict[int, Witness] = {}
     (verdict,) = _decide_rows(
         (dnf(h, True, sorts, prods) for h in query.hyps),
         [query.goal],
         lambda goal: dnf(goal, False, sorts, prods),
+        witnesses if want_model else None,
     )
     if not want_model or not verdict.is_invalid:
         return verdict
-    model = _search_counter_model(query)
+    model = _model_at(query, witnesses[0]) if 0 in witnesses else None
+    if model is None and prods:
+        model = _search_counter_model(query)
     if model is None:
         return Verdict("unknown", reason="satisfiable relaxation, no integer model found")
     return Verdict("invalid", model=model)
 
 
+def _falsifies(query: Query, env: Dict[str, Union[int, bool]]) -> bool:
+    """The hypotheses hold at `env` and the goal does not."""
+    return all(eval_closed(h, env) for h in query.hyps) and not eval_closed(
+        query.goal, env
+    )
+
+
+def _model_at(query: Query, witness: Witness) -> Optional[Dict[str, Union[int, bool]]]:
+    """The witness's point extended through its substitutions in reverse
+    order, over the query's binders (an unbound int is 0, an unbound bool
+    false), if it falsifies the query."""
+    point, bools, subs = witness
+    point = dict(point)
+    for var, lin, k in reversed(subs):
+        point[var] = k + sum(c * point.get(v, 0) for v, c in lin.items())
+    env: Dict[str, Union[int, bool]] = {
+        n: bools.get(n, False) if s == Sort.BOOL else point.get(n, 0)
+        for n, s in query.binders
+    }
+    return env if _falsifies(query, env) else None
+
+
 def _search_counter_model(query: Query) -> Optional[Dict[str, Union[int, bool]]]:
-    """Bounded enumeration of integer/boolean assignments, checked by
-    evaluation of the original formula."""
+    """The first of `MAX_MODEL_CANDIDATES` assignments that falsifies the
+    query, for factors of opaque products: each int ranges over -2..2 and
+    the query's constants and their neighbours, small magnitudes first."""
     consts = set()
     for e in (*query.hyps, query.goal):
         for x in subterms(e):
@@ -682,51 +714,19 @@ def _search_counter_model(query: Query) -> Optional[Dict[str, Union[int, bool]]]
                 consts.add(x.value)
             elif isinstance(x, LocConst):
                 consts.add(x.loc_id)
-
-    # small magnitudes first so the reported model is simple
-    candidates = sorted(
-        set(
-            itertools.chain(
-                range(-2, 3), consts, (c + 1 for c in consts), (c - 1 for c in consts)
-            )
-        ),
-        key=lambda v: (abs(v), v),
-    )
+    near = {c + d for c in consts for d in (-1, 0, 1)}
+    candidates = sorted(near.union(range(-2, 3)), key=lambda v: (abs(v), v))
     int_vars = [n for n, s in query.binders if s in (Sort.INT, Sort.LOC)]
     bool_vars = [n for n, s in query.binders if s == Sort.BOOL]
-
-    total = (len(candidates) ** len(int_vars)) * (2 ** len(bool_vars))
-    rng = random.Random(0)
-
-    def assignments():
-        if total <= MAX_MODEL_CANDIDATES:
-            for ints in itertools.product(candidates, repeat=len(int_vars)):
-                for bools in itertools.product((False, True), repeat=len(bool_vars)):
-                    yield ints, bools
-        else:
-            short = candidates[:6] or [0]
-            for ints in itertools.islice(
-                itertools.product(short, repeat=len(int_vars)),
-                MAX_MODEL_CANDIDATES // 2,
-            ):
-                for bools in itertools.product((False, True), repeat=len(bool_vars)):
-                    yield ints, bools
-            for _ in range(MAX_MODEL_CANDIDATES // 2):
-                yield (
-                    tuple(rng.choice(candidates) for _ in int_vars),
-                    tuple(rng.choice((False, True)) for _ in bool_vars),
-                )
-
-    for ints, bools in assignments():
+    assignments = itertools.product(
+        itertools.product(candidates, repeat=len(int_vars)),
+        itertools.product((False, True), repeat=len(bool_vars)),
+    )
+    for ints, bools in itertools.islice(assignments, MAX_MODEL_CANDIDATES):
         env: Dict[str, Union[int, bool]] = dict(zip(int_vars, ints))
         env.update(zip(bool_vars, bools))
-        try:
-            if all(eval_closed(h, env) for h in query.hyps) and not eval_closed(
-                query.goal, env
-            ):
-                return env
-        except OracleError:
-            return None
+        if _falsifies(query, env):
+            return env
     return None
 
 

@@ -8,7 +8,7 @@ are rejected here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .syntax import (
     AbstractLoc,
@@ -163,13 +163,15 @@ class Parser:
     def at_kw(self, word: str) -> bool:
         return self.at("kw", word)
 
+    @staticmethod
+    def unexpected(tok: Token, *expected: str) -> ParseError:
+        """The error for an unexpected token; the eof token is `end of input`."""
+        what = "end of input" if tok.kind == "eof" else repr(tok.text)
+        return ParseError(f"unexpected {what}", tok.line, tok.col, expected=expected)
+
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         if not self.at(kind, text):
-            tok = self.peek()
-            want = text or kind
-            raise ParseError(
-                f"unexpected {tok.text!r}", tok.line, tok.col, expected=(want,)
-            )
+            raise self.unexpected(self.peek(), text or kind)
         return self.next()
 
     def expect_kw(self, word: str) -> Token:
@@ -177,10 +179,7 @@ class Parser:
 
     def expect_ident(self) -> Token:
         if not self.at("ident"):
-            tok = self.peek()
-            raise ParseError(
-                f"unexpected {tok.text!r}", tok.line, tok.col, expected=("identifier",)
-            )
+            raise self.unexpected(self.peek(), "identifier")
         return self.next()
 
     def _span_from(self, tok: Token) -> Span:
@@ -272,9 +271,7 @@ class Parser:
         if self.at_kw("loc"):
             self.next()
             return Sort.LOC
-        raise ParseError(
-            f"unexpected {tok.text!r}", tok.line, tok.col, expected=("int", "bool", "loc")
-        )
+        raise self.unexpected(tok, "int", "bool", "loc")
 
     def _at_locctx(self) -> bool:
         return self.at("ident") and self.peek(1).kind == "->"
@@ -338,10 +335,7 @@ class Parser:
             if self.at_kw("mut") or self.at_kw("shr"):
                 self.next()
                 return Ref(mode_tok.text, self.parse_type())
-            raise ParseError(
-                f"unexpected {mode_tok.text!r}", mode_tok.line, mode_tok.col,
-                expected=("mut", "shr"),
-            )
+            raise self.unexpected(mode_tok, "mut", "shr")
         if self.at_kw("uninit"):
             self.next()
             self.expect("(")
@@ -351,9 +345,8 @@ class Parser:
         if self.at_kw("fn"):
             self.next()
             return self.parse_sig()
-        raise ParseError(
-            f"unexpected {tok.text!r}", tok.line, tok.col,
-            expected=("int", "bool", "Vec", "{", "ptr", "&", "uninit", "fn"),
+        raise self.unexpected(
+            tok, "int", "bool", "Vec", "{", "ptr", "&", "uninit", "fn"
         )
 
     def parse_existbase(self):
@@ -370,10 +363,7 @@ class Parser:
             elem = self.parse_type()
             self.expect(">")
             return VecBase(elem)
-        raise ParseError(
-            f"unexpected {tok.text!r}", tok.line, tok.col,
-            expected=("int", "bool", "Vec"),
-        )
+        raise self.unexpected(tok, "int", "bool", "Vec")
 
     # -- refinement expressions ---------------------------------------------
 
@@ -450,9 +440,8 @@ class Parser:
             inner = self.parse_refexpr()
             self.expect(")")
             return inner
-        raise ParseError(
-            f"unexpected {tok.text!r}", tok.line, tok.col,
-            expected=("identifier", "integer", "true", "false", "!", "(", "-"),
+        raise self.unexpected(
+            tok, "identifier", "integer", "true", "false", "!", "(", "-"
         )
 
     # -- expressions ---------------------------------------------------------
@@ -486,10 +475,7 @@ class Parser:
                 if mode.text == "mut":
                     return BorrowMut(place, span=span)
                 return BorrowShr(place, span=span)
-            raise ParseError(
-                f"unexpected {mode.text!r}", mode.line, mode.col,
-                expected=("strg", "mut", "shr"),
-            )
+            raise self.unexpected(mode, "strg", "mut", "shr")
         if self.at("*"):
             self.next()
             place = PVar(self.expect_ident().text)
@@ -504,9 +490,8 @@ class Parser:
         value = self.try_parse_value()
         if value is not None:
             return Val(value, span=self._span_from(tok))
-        raise ParseError(
-            f"unexpected {tok.text!r}", tok.line, tok.col,
-            expected=("let", "unpack", "if", "call", "&", "*", "identifier", "value"),
+        raise self.unexpected(
+            tok, "let", "unpack", "if", "call", "&", "*", "identifier", "value"
         )
 
     def parse_let(self) -> Expr:
@@ -661,28 +646,26 @@ def parse_program(source: str) -> Program:
     return Parser(source).parse_program()
 
 
-def parse_expr(source: str) -> Expr:
+T = TypeVar("T")
+
+
+def _parse_all(source: str, parse: Callable[[Parser], T]) -> T:
+    """`parse` over the whole of `source`, which must leave no input."""
     parser = Parser(source)
-    e = parser.parse_expr()
+    result = parse(parser)
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return e
+    return result
+
+
+def parse_expr(source: str) -> Expr:
+    return _parse_all(source, Parser.parse_expr)
 
 
 def parse_refexpr(source: str) -> RefExpr:
-    parser = Parser(source)
-    e = parser.parse_refexpr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return e
+    return _parse_all(source, Parser.parse_refexpr)
 
 
 def parse_type(source: str) -> Type:
-    parser = Parser(source)
-    t = parser.parse_type()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    return _parse_all(source, Parser.parse_type)

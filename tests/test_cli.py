@@ -23,6 +23,33 @@ SQ = (
 )
 
 
+# the only counter-models have a > 200 and b > 200, out of the reach of a
+# search over small values and the query's constants
+DISTANT = (
+    "fn f {a: int, b: int | a + b = 1000 && a > 200 && b > 200}"
+    "( int[a], int[b] ) -> {v. int[v] | v > 300} :=\n"
+    "  rec f (x y) := x"
+)
+
+# an exact-zero postcondition is out of reach for the default qualifiers
+# but provable once the config adds `v = 0`
+COUNTDOWN = (
+    "fn countdown {n: int | n >= 0}( int[n] ) -> {v. int[v] | v = 0} :=\n"
+    "  rec cd {n: int} (nv) :=\n"
+    "    let ip = new(li) in\n"
+    "    let t1 = ip := nv in\n"
+    "    let loop = rec loop (u) :=\n"
+    "      let iv = *ip in\n"
+    "      if call gt (iv, 0) {\n"
+    "        let t3 = ip := call sub (iv, 1) in\n"
+    "        call loop(poison)\n"
+    "      } else {\n"
+    "        *ip\n"
+    "      }\n"
+    "    in call loop(poison)\n"
+)
+
+
 def invoke(args):
     proc = subprocess.run(
         RUN + args, capture_output=True, text=True, timeout=300
@@ -72,6 +99,20 @@ def test_oracle_undecided_exit_three(tmp_path):
         "fn-def: oracle could not decide: satisfiable relaxation, "
         "no integer model found [clause 0]"
     ) in err
+
+
+def test_a_distant_counter_model_is_a_rejection(tmp_path):
+    """The counterexample is the integer point that decided the clause, so
+    it need not be small."""
+    path = tmp_path / "distant.lr"
+    path.write_text(DISTANT)
+    code, _, err = invoke(["check", str(path)])
+    assert code == 1, err
+    assert "cannot prove clause" in err
+    text = err.split("counterexample: ")[1].strip()
+    model = dict(item.split(" = ") for item in text.split(", "))
+    a, b = int(model["a"]), int(model["b"])
+    assert a + b == 1000 and a > 200 and b > 200 and a <= 300
 
 
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys):
@@ -221,31 +262,28 @@ def test_main_entry_in_process(capsys):
 
 
 def test_config_qualifier_extends_vocabulary(tmp_path):
-    """An exact-zero postcondition is out of reach for the default
-    qualifiers but provable once the config adds `v = 0`."""
-    src = (
-        "fn countdown {n: int | n >= 0}( int[n] ) -> {v. int[v] | v = 0} :=\n"
-        "  rec cd {n: int} (nv) :=\n"
-        "    let ip = new(li) in\n"
-        "    let t1 = ip := nv in\n"
-        "    let loop = rec loop (u) :=\n"
-        "      let iv = *ip in\n"
-        "      if call gt (iv, 0) {\n"
-        "        let t3 = ip := call sub (iv, 1) in\n"
-        "        call loop(poison)\n"
-        "      } else {\n"
-        "        *ip\n"
-        "      }\n"
-        "    in call loop(poison)\n"
-    )
     path = tmp_path / "countdown.lr"
-    path.write_text(src)
+    path.write_text(COUNTDOWN)
     code, _, _ = invoke(["check", str(path)])
     assert code == 1
     cfg = tmp_path / "lr.conf"
     cfg.write_text("qualifier = v = 0\n")
     code, _, _ = invoke(["check", str(path), "--config", str(cfg)])
     assert code == 0
+
+
+def test_soundness_checks_the_corpus_with_configured_qualifiers(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "countdown.lr").write_text(COUNTDOWN)
+    cfg = tmp_path / "lr.conf"
+    cfg.write_text("qualifier = v = 0\n")
+    args = ["soundness", "--seeds", "0", "--corpus", str(corpus)]
+    assert main(args) == 1
+    assert "checker rejected corpus" in capsys.readouterr().err
+    assert main(args + ["--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert "countdown.lr: checked (no entry)" in out and err == ""
 
 
 @pytest.mark.parametrize(
@@ -283,6 +321,20 @@ def test_a_negative_count_is_a_usage_error(capsys):
     ]:
         assert main(args) == 2, args
         assert "must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    assert main(["check", "corpus/accept/decr.lr", "--jobs", jobs]) == 2
+    assert f"must be at least 1: {jobs}" in capsys.readouterr().err
+
+
+def test_a_parse_error_at_the_end_names_the_end_of_input(tmp_path, capsys):
+    path = tmp_path / "lr.conf"
+    path.write_text("qualifier = v <=\n")
+    assert main(["check", "corpus/accept/decr.lr", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "1:5: unexpected end of input (expected one of: " in err, err
 
 
 def test_config_qualifier_instantiates_both_parameters_at_once():

@@ -38,6 +38,49 @@ def test_guardless_query_invalid_with_model(oracle):
     assert eval_closed(R("a - 1 >= 0"), verdict.model) is False
 
 
+def _int_query(names, hyps, goal):
+    return Query(tuple((n, Sort.INT) for n in names), tuple(map(R, hyps)), R(goal))
+
+
+def _falsified(query, model):
+    return all(eval_closed(h, model) for h in query.hyps) and not eval_closed(
+        query.goal, model
+    )
+
+
+@pytest.mark.parametrize(
+    "names, hyps, goal",
+    [
+        ("ab", ["a + b = 1000", "a > 200", "b > 200"], "a > 300"),
+        ("xyz", ["x = y + z", "y > 100", "z > 100"], "x > 250"),
+        ("ab", ["a >= 0"], "a - 1 >= 0"),
+    ],
+)
+def test_counter_model_is_the_point_that_decided_the_goal(
+    monkeypatch, names, hyps, goal
+):
+    """A product-free query's model needs no search, also when it is far
+    from 0 and from the query's constants."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("counter-model search on a product-free query")
+
+    monkeypatch.setattr(oracle_module, "_search_counter_model", no_search)
+    query = _int_query(names, hyps, goal)
+    verdict = Oracle().valid(query)
+    assert verdict.is_invalid and _falsified(query, verdict.model), verdict
+
+
+def test_opaque_products_enumerate_their_factors(oracle):
+    query = _int_query("xy", ["x * y = 6", "x > 1"], "y > 3")
+    verdict = oracle.valid(query)
+    assert verdict.is_invalid and _falsified(query, verdict.model), verdict
+    # a rational but no integer solution: no point and no assignment
+    verdict = oracle.valid(_int_query("a", ["a * a = 2"], "a >= 0"))
+    assert verdict.is_unknown
+    assert verdict.reason == "satisfiable relaxation, no integer model found"
+
+
 def test_every_valid_call_counts_one_query_and_models_use_its_binders():
     oracle = Oracle()
     query = Query((("a", Sort.INT), ("b", Sort.INT)), (R("a < b"),), R("a + 1 <= b"))

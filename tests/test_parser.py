@@ -3,7 +3,13 @@
 import pytest
 
 from lrcheck.harness import generate_program
-from lrcheck.parser import ParseError, parse_expr, parse_program, parse_refexpr
+from lrcheck.parser import (
+    ParseError,
+    parse_expr,
+    parse_program,
+    parse_refexpr,
+    parse_type,
+)
 from lrcheck.printer import print_expr, print_program
 from lrcheck.syntax import (
     Assign,
@@ -73,6 +79,21 @@ def test_parse_error_reports_position_and_expectations():
     assert err.value.line == 1
     assert err.value.col > 0
     assert err.value.expected
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_program, "fn f {}( int[0] ) -> int[0] :="),
+        (parse_expr, "let x ="),
+        (parse_refexpr, "v <="),
+        (parse_type, "&"),
+    ],
+)
+def test_parse_error_at_the_end_names_the_end_of_input(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert f"1:{len(text) + 1}: unexpected end of input (expected" in str(err.value)
 
 
 def test_every_expr_node_has_span():
