@@ -50,21 +50,23 @@ class ConfigError(Exception):
 QUALIFIER_CTX = RefCtx().bind("v", Sort.INT).bind("m", Sort.INT)
 
 
-def non_negative(text: str, least: int = 0) -> int:
-    """An argparse type for counts and step bounds of at least `least`."""
+def non_negative(text: str) -> int:
+    """An argparse type for counts and step bounds."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < least:
-        need = f"be at least {least}" if least else "not be negative"
-        raise argparse.ArgumentTypeError(f"must {need}: {value}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
 
 
 def positive(text: str) -> int:
     """An argparse type for counts of 1 or more."""
-    return non_negative(text, least=1)
+    value = non_negative(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
 
 
 def read_config_file(path: str) -> Config:

@@ -630,29 +630,30 @@ def _decide_rows(
         neg_splits = [sp for sp in map(_cube_consistent, neg_cubes) if sp is not None]
         refuted = True
         try:
-            for bools, rows, subs, bounds, points in reduced:
-                for gbools, grows in neg_splits:
-                    if any(bools.get(n, v) != v for n, v in gbools.items()):
+            pairs = itertools.product(reduced, neg_splits)
+            for (bools, rows, subs, bounds, points), (gbools, grows) in pairs:
+                if any(bools.get(n, v) != v for n, v in gbools.items()):
+                    continue
+                open_rows = _against_cube(grows, subs, bounds)
+                if open_rows is None:
+                    continue
+                # with no goal row left, the cube alone is satisfiable
+                held = (p for p in reversed(points) if _holds(p, open_rows))
+                point = next(held, None)
+                if point is None and open_rows:
+                    known = len(points)
+                    if _fm_unsat(rows + open_rows, points):
                         continue
-                    open_rows = _against_cube(grows, subs, bounds)
-                    if open_rows is None:
-                        continue
-                    # with no goal row left, the cube alone is satisfiable
-                    held = (p for p in reversed(points) if _holds(p, open_rows))
-                    point = next(held, None)
-                    if point is None and open_rows:
-                        known = len(points)
-                        if _fm_unsat(rows + open_rows, points):
-                            continue
-                        point = points[-1] if len(points) > known else None
-                    if witnesses is not None and point is not None:
-                        witnesses[index] = (point, {**bools, **gbools}, subs)
-                    refuted = False
+                    point = points[-1] if len(points) > known else None
+                refuted = False
+                # a wanted witness is sought past pairs with no integer point
+                if witnesses is None:
                     break
-                if not refuted:
+                if point is not None:
+                    witnesses[index] = (point, {**bools, **gbools}, subs)
                     break
         except _TooLarge as exc:
-            out.append(Verdict("unknown", reason=str(exc)))
+            out.append(INVALID if not refuted else Verdict("unknown", reason=str(exc)))
             continue
         out.append(VALID if refuted else INVALID)
     return out
@@ -683,9 +684,8 @@ def _decide(query: Query, want_model: bool = True) -> Verdict:
 
 def _falsifies(query: Query, env: Dict[str, Union[int, bool]]) -> bool:
     """The hypotheses hold at `env` and the goal does not."""
-    return all(eval_closed(h, env) for h in query.hyps) and not eval_closed(
-        query.goal, env
-    )
+    hyps_hold = all(eval_closed(h, env) for h in query.hyps)
+    return hyps_hold and not eval_closed(query.goal, env)
 
 
 def _model_at(query: Query, witness: Witness) -> Optional[Dict[str, Union[int, bool]]]:
@@ -707,24 +707,24 @@ def _search_counter_model(query: Query) -> Optional[Dict[str, Union[int, bool]]]
     """The first of `MAX_MODEL_CANDIDATES` assignments that falsifies the
     query, for factors of opaque products: each int ranges over -2..2 and
     the query's constants and their neighbours, small magnitudes first."""
-    consts = set()
-    for e in (*query.hyps, query.goal):
-        for x in subterms(e):
-            if isinstance(x, IntConst):
-                consts.add(x.value)
-            elif isinstance(x, LocConst):
-                consts.add(x.loc_id)
+    consts = {
+        x.value if isinstance(x, IntConst) else x.loc_id
+        for e in (*query.hyps, query.goal)
+        for x in subterms(e)
+        if isinstance(x, (IntConst, LocConst))
+    }
     near = {c + d for c in consts for d in (-1, 0, 1)}
     candidates = sorted(near.union(range(-2, 3)), key=lambda v: (abs(v), v))
     int_vars = [n for n, s in query.binders if s in (Sort.INT, Sort.LOC)]
     bool_vars = [n for n, s in query.binders if s == Sort.BOOL]
-    assignments = itertools.product(
-        itertools.product(candidates, repeat=len(int_vars)),
-        itertools.product((False, True), repeat=len(bool_vars)),
+    # nested lazily: `product` would build each of its inputs in full
+    assignments = (
+        (ints, bools)
+        for ints in itertools.product(candidates, repeat=len(int_vars))
+        for bools in itertools.product((False, True), repeat=len(bool_vars))
     )
     for ints, bools in itertools.islice(assignments, MAX_MODEL_CANDIDATES):
-        env: Dict[str, Union[int, bool]] = dict(zip(int_vars, ints))
-        env.update(zip(bool_vars, bools))
+        env: Dict[str, Union[int, bool]] = dict(zip(int_vars + bool_vars, ints + bools))
         if _falsifies(query, env):
             return env
     return None

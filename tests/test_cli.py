@@ -323,10 +323,12 @@ def test_a_negative_count_is_a_usage_error(capsys):
         assert "must not be negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+@pytest.mark.parametrize(
+    "jobs, message", [("0", "must be at least 1: 0"), ("-3", "must not be negative: -3")]
+)
+def test_jobs_below_one_is_a_usage_error(capsys, jobs, message):
     assert main(["check", "corpus/accept/decr.lr", "--jobs", jobs]) == 2
-    assert f"must be at least 1: {jobs}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_a_parse_error_at_the_end_names_the_end_of_input(tmp_path, capsys):

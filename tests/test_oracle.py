@@ -3,6 +3,7 @@ implication-checking meta-properties."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,8 @@ def _falsified(query, model):
         ("ab", ["a + b = 1000", "a > 200", "b > 200"], "a > 300"),
         ("xyz", ["x = y + z", "y > 100", "z > 100"], "x > 250"),
         ("ab", ["a >= 0"], "a - 1 >= 0"),
+        # the first hypothesis cube has no integer point; the second has one
+        ("xy", ["x + x = 1 || y > 5"], "y <= 5"),
     ],
 )
 def test_counter_model_is_the_point_that_decided_the_goal(
@@ -79,6 +82,23 @@ def test_opaque_products_enumerate_their_factors(oracle):
     verdict = oracle.valid(_int_query("a", ["a * a = 2"], "a >= 0"))
     assert verdict.is_unknown
     assert verdict.reason == "satisfiable relaxation, no integer model found"
+
+
+def test_product_enumeration_builds_no_assignment_list():
+    """The point (a = -1, a * a = 2) does not falsify the query, so the
+    enumeration runs over its 6 candidates for each of 7 ints, and finds
+    nothing.  It must take its assignments one at a time: the 6**7 tuples
+    built in one go would take some 30 MB, and at 12 ints all memory."""
+    names = ["a", *(f"b{i}" for i in range(6))]
+    query = _int_query(names, ["a * a = 2"], "a >= 0")
+    tracemalloc.start()
+    try:
+        verdict = Oracle().valid(query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_unknown, verdict
+    assert peak < 2_000_000, peak
 
 
 def test_every_valid_call_counts_one_query_and_models_use_its_binders():
