@@ -4,7 +4,7 @@ terms, and the value/refinement bridges (getsort, interp)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from .syntax import (
     AbstractLoc,
@@ -69,23 +69,119 @@ class Assume:
 CtxEntry = Union[Bind, Assume]
 
 
-@dataclass(frozen=True)
-class RefCtx:
-    """Ordered refinement context of sort bindings and assumptions."""
+class PersistentCtx:
+    """Base of the ordered contexts `RefCtx` and `ValCtx`: an immutable
+    sequence of entries, some of them under a name, that grows in amortized
+    constant time and finds the newest entry under a name in constant time.
 
-    entries: Tuple[CtxEntry, ...] = ()
+    A context is a view of the first `_len` rows of a log, a list it shares
+    with the contexts extended from it.  Extending the context that ends
+    the log appends a row, so a straight-line body never copies.  Extending
+    a context that some other extension has outgrown (one that
+    `CheckState.restore` brought back) first copies its own rows to a
+    fresh log.  Rows are never changed, so a view keeps the entries it had.
+
+    A row is `(name, entry, prev)`.  `_index` maps each name to its newest
+    row in the log, and `prev` links the row before it under the same
+    name, so a view that ends before that row steps back along the links.
+    Equality, hashing and `repr` see only the entries, never the log.
+    Extending one context from two threads at once is a race on the log.
+    """
+
+    __slots__ = ("_log", "_len", "_index", "_entries")
+
+    def __init__(self, entries: Iterable = ()):
+        self._log: list = []
+        self._index: Dict[str, int] = {}
+        self._entries = tuple(entries)
+        for entry in self._entries:
+            self._push(entry)
+        self._len = len(self._log)
+
+    @staticmethod
+    def _name(entry) -> Optional[str]:
+        raise NotImplementedError
+
+    @staticmethod
+    def _view(rows: list) -> tuple:
+        """The entries of a view from its rows."""
+        raise NotImplementedError
+
+    def _push(self, entry) -> None:
+        name, prev = self._name(entry), None
+        if name is not None:
+            prev = self._index.get(name)
+            self._index[name] = len(self._log)
+        self._log.append((name, entry, prev))
+
+    def _find(self, name: str):
+        """The newest entry under `name` in this view, or None."""
+        i = self._index.get(name)
+        while i is not None and i >= self._len:
+            i = self._log[i][2]
+        return None if i is None else self._log[i][1]
+
+    def _extended(self, entry):
+        new = object.__new__(type(self))
+        if len(self._log) == self._len:
+            new._log, new._index = self._log, self._index
+        else:
+            # the rows are this context's own, and their links stay in it
+            new._log = log = self._log[: self._len]
+            new._index = {row[0]: i for i, row in enumerate(log) if row[0] is not None}
+        new._entries = None
+        new._push(entry)
+        new._len = len(new._log)
+        return new
+
+    def _all(self) -> tuple:
+        if self._entries is None:
+            self._entries = self._view(self._log[: self._len])
+        return self._entries
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._all() == other._all()
+
+    def __hash__(self) -> int:
+        return hash(self._all())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__match_args__[0]}={self._all()!r})"
+
+
+class RefCtx(PersistentCtx):
+    """Ordered refinement context of sort bindings and assumptions.  A name
+    bound twice (which `wf_refctx` rejects) resolves to its later binding."""
+
+    __slots__ = ()
+    __match_args__ = ("entries",)
+
+    @staticmethod
+    def _name(entry) -> Optional[str]:
+        return entry.name if isinstance(entry, Bind) else None
+
+    @staticmethod
+    def _view(rows: list) -> tuple:
+        return tuple(entry for _, entry, _ in rows)
+
+    @property
+    def entries(self) -> Tuple[CtxEntry, ...]:
+        return self._all()
 
     def bind(self, name: str, sort: Sort) -> "RefCtx":
-        return RefCtx(self.entries + (Bind(name, sort),))
+        return self._extended(Bind(name, sort))
 
     def assume(self, pred: RefExpr) -> "RefCtx":
-        return RefCtx(self.entries + (Assume(pred),))
+        return self._extended(Assume(pred))
 
     def sort_of(self, name: str) -> Optional[Sort]:
-        for entry in self.entries:
-            if isinstance(entry, Bind) and entry.name == name:
-                return entry.sort
-        return None
+        entry = self._find(name)
+        return None if entry is None else entry.sort
 
     def domain(self) -> Tuple[str, ...]:
         return tuple(e.name for e in self.entries if isinstance(e, Bind))
@@ -96,11 +192,8 @@ class RefCtx:
     def assumptions(self) -> Tuple[RefExpr, ...]:
         return tuple(e.pred for e in self.entries if isinstance(e, Assume))
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._len
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import (
     Union,
 )
 
-from .logic import RefCtx, contains_kapp, sortcheck
+from .logic import Bind, RefCtx, contains_kapp, sortcheck
 from .syntax import (
     BinArith,
     BinBool,
@@ -770,13 +770,12 @@ class Oracle:
 
     @staticmethod
     def _check_query(query: Query):
-        ctx = RefCtx()
         seen = set()
-        for name, sort in query.binders:
+        for name, _ in query.binders:
             if name in seen:
                 raise OracleError(f"duplicate binder {name!r} in query")
             seen.add(name)
-            ctx = ctx.bind(name, sort)
+        ctx = RefCtx(tuple(Bind(name, sort) for name, sort in query.binders))
         for h in query.hyps:
             if contains_kapp(h):
                 raise OracleError("unknown predicate in hypothesis")

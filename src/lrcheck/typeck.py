@@ -56,6 +56,7 @@ from .logic import (
     RefCtx,
     SortError,
     base_of,
+    fold_constants,
     free_vars,
     getsort,
     sortcheck,
@@ -377,6 +378,12 @@ def infer_refargs(
     return [assigned[p] for p in params]
 
 
+def _fold_index(t: Type) -> Type:
+    if isinstance(t, Indexed):
+        return Indexed(t.base, fold_constants(t.idx))
+    return t
+
+
 def _loc_expr(loc: Loc) -> RefExpr:
     if isinstance(loc, AbstractLoc):
         return Var(loc.name)
@@ -446,15 +453,7 @@ class Checker:
         for name, sort in sig.refparams:
             ctx = ctx.bind(name, sort)
         ctx = ctx.assume(sig.requires)
-        vals = state.vals
-        for pname, ptype in zip(fn.params, sig.args):
-            vals = vals.bind(pname, ptype)
-        if vals.lookup(fn.fname) is None:
-            vals = vals.bind(fn.fname, sig)
-        else:
-            # the top-level declaration already binds this name to the
-            # same signature
-            vals = vals.update(fn.fname, sig)
+        vals = _bind_rec(state.vals, fn, sig.args, sig, span)
         state.ctx, state.vals, state.locs = ctx, vals, sig.in_locs
         state.assert_wf()
 
@@ -771,12 +770,14 @@ class Checker:
         requires = theta(sig.requires)
         state.emit(Head(requires, Provenance("requires", e.span)))
 
+        # fold each index the call builds, so that a chain of calls rooted
+        # at a constant keeps a constant index instead of a growing sum
         out_locs = theta(sig.out_locs)
         items = list(state.locs.items)
         for loc, t in out_locs:
-            items.append((loc, t))
+            items.append((loc, _fold_index(t)))
         state.locs = LocCtx(tuple(items))
-        return theta(sig.ret)
+        return _fold_index(theta(sig.ret))
 
     def _record_probe(self, state: CheckState, probe: _ProbeSig, e: Call) -> Type:
         if len(e.args) != probe.arity:
@@ -890,10 +891,8 @@ class Checker:
         snap = state.snapshot()
         was_shape = state.shape_mode
         state.shape_mode = True
-        vals = state.vals
-        for pname in fn.params:
-            vals = vals.bind(pname, Uninit(1))
-        state.vals = vals.bind(fn.fname, probe)
+        params = [Uninit(1)] * len(fn.params)
+        state.vals = _bind_rec(state.vals, fn, params, probe, span)
         ret_shape: Optional[Type]
         try:
             ret_shape = self.synth(state, fn.body)
@@ -1012,6 +1011,26 @@ class Checker:
         if t is None:
             raise UnboundVariable(f"unbound variable '{place.name}'", span)
         return t
+
+
+def _bind_rec(
+    vals: ValCtx,
+    fn: RecFn,
+    params: Sequence[Type],
+    self_type: Type,
+    span: Optional[Span],
+) -> ValCtx:
+    """`vals` extended for the body of `fn`: its parameters at `params`,
+    then its own name at `self_type`.  As in the interpreter's call-rec,
+    the function's own name wins over a parameter and over an outer
+    binding; a parameter may not shadow a bound name."""
+    for pname, ptype in zip(fn.params, params):
+        if vals.lookup(pname) is not None:
+            raise CheckError(f"shadowing of '{pname}' is not supported", span)
+        vals = vals.bind(pname, ptype)
+    if vals.lookup(fn.fname) is None:
+        return vals.bind(fn.fname, self_type)
+    return vals.update(fn.fname, self_type)
 
 
 # ---------------------------------------------------------------------------

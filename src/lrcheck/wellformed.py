@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .logic import RefCtx, SortError, getsort, sortcheck
+from .logic import PersistentCtx, RefCtx, SortError, getsort, sortcheck
 from .syntax import (
     AbstractLoc,
     ConcreteLoc,
@@ -30,29 +29,42 @@ class WfError(Exception):
         self.msg = msg
 
 
-@dataclass(frozen=True)
-class ValCtx:
-    """Ordered value context; duplicate names are rejected on extension."""
+class ValCtx(PersistentCtx):
+    """Ordered value context.  Its names are unique: the checker rejects a
+    `let`, `new` or parameter that shadows a bound name, and `bind` asserts
+    it.  `update` appends a row under the same name, so `items` lists each
+    name once, where it was bound, with its newest type."""
 
-    items: Tuple[Tuple[str, Type], ...] = ()
+    __slots__ = ()
+    __match_args__ = ("items",)
+
+    @staticmethod
+    def _name(entry) -> Optional[str]:
+        return entry[0]
+
+    @staticmethod
+    def _view(rows: list) -> tuple:
+        return tuple({name: item for name, item, _ in rows}.values())
+
+    @property
+    def items(self) -> Tuple[Tuple[str, Type], ...]:
+        return self._all()
 
     def lookup(self, name: str) -> Optional[Type]:
-        for n, t in self.items:
-            if n == name:
-                return t
-        return None
+        item = self._find(name)
+        return None if item is None else item[1]
 
     def bind(self, name: str, typ: Type) -> "ValCtx":
-        return ValCtx(self.items + ((name, typ),))
+        assert self._find(name) is None, f"'{name}' is already bound"
+        return self._extended((name, typ))
 
     def update(self, name: str, typ: Type) -> "ValCtx":
-        return ValCtx(tuple((n, typ if n == name else t) for n, t in self.items))
+        if self._find(name) is None:
+            return self
+        return self._extended((name, typ))
 
     def domain(self) -> Tuple[str, ...]:
         return tuple(n for n, _ in self.items)
-
-    def __iter__(self):
-        return iter(self.items)
 
 # Dynamic context: (concrete location, tag) -> pointer type.
 DynCtx = Dict[Tuple[int, int], Type]

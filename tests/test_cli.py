@@ -517,3 +517,39 @@ def test_unpack_chain_checks_and_prints_on_a_shallow_stack(tmp_path, shallow_sta
     assert main(["check", str(path)]) == 0
     printed = print_program(parse_program(_unpack_chain(300)))
     assert print_program(parse_program(printed)) == printed
+
+
+def test_4000_pair_unpack_chain_checks(tmp_path):
+    """Contexts find names in constant time and grow without copying, so
+    long chains check in time linear in their length."""
+    path = tmp_path / "unpack.lr"
+    path.write_text(_unpack_chain(4000))
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+
+
+def test_4000_let_nat_chain_checks(tmp_path):
+    path = tmp_path / "nat.lr"
+    path.write_text(_nat_chain(4000))
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+
+
+def test_parameter_named_like_a_builtin_is_one_diagnostic_not_a_soundness_bug(tmp_path):
+    """Parameters are bound over the globals when the program runs, so the
+    checker may not type `add` below as the builtin (it used to accept, and
+    the run got stuck calling 5)."""
+    path = tmp_path / "shadow.lr"
+    path.write_text(
+        "fn f {}( int[5] ) -> int[3] :=\n  rec f (add) := call add(1, 2)\n\nentry call f(5)\n"
+    )
+    code, _, err = invoke(["check", str(path)])
+    assert code == 1
+    assert err.splitlines() == [
+        f"{path}:1:1: error: CheckError: shadowing of 'add' is not supported"
+    ]
+    code, _, err = invoke(["soundness", "--seeds", "0", "--corpus", str(tmp_path)])
+    assert code == 1
+    assert err.splitlines() == [f"  checker rejected corpus {path}"]

@@ -256,3 +256,54 @@ def test_subst_parallel_is_simultaneous():
     # sequential substitution would have collapsed both to the same name
     seq = subst(subst(e, "a", Var("b")), "b", Var("a"))
     assert seq == R("a = a + 1")
+
+
+# -- refinement contexts -----------------------------------------------------------
+
+
+def test_refctx_branches_that_bind_at_one_position_keep_their_own_names():
+    """What `CheckState.restore` does: extend a snapshot, go back to it and
+    extend it again at the same position with another name."""
+    snap = RefCtx().bind("a", Sort.INT).assume(parse_refexpr("a >= 0"))
+    then = snap.bind("t", Sort.BOOL).assume(parse_refexpr("t"))
+    els = snap.bind("e", Sort.LOC)
+    after = snap.bind("t", Sort.INT)
+    assert then.sort_of("t") == Sort.BOOL and then.sort_of("e") is None
+    assert els.sort_of("e") == Sort.LOC and els.sort_of("t") is None
+    assert after.sort_of("t") == Sort.INT and after.sort_of("e") is None
+    assert snap.sort_of("t") is None and snap.sort_of("a") == Sort.INT
+    assert then.entries[:2] == els.entries[:2] == snap.entries
+    assert len(then) == 4 and len(els) == 3 and len(snap) == 2
+
+
+def test_refctx_equality_hash_and_repr_see_only_the_entries():
+    grown = RefCtx().bind("a", Sort.INT).assume(parse_refexpr("a >= 0"))
+    RefCtx().bind("b", Sort.INT)  # another context, with its own log
+    built = RefCtx((Bind("a", Sort.INT), Assume(parse_refexpr("a >= 0"))))
+    assert grown == built and hash(grown) == hash(built)
+    assert repr(grown) == repr(built) == f"RefCtx(entries={built.entries!r})"
+    assert grown != RefCtx((Bind("a", Sort.INT),))
+    assert RefCtx() == RefCtx(()) and not RefCtx()
+
+
+def test_refctx_matches_a_scan_of_its_entries_under_any_order_of_extensions():
+    """Random extensions of random earlier contexts, as snapshots and
+    restores make them, against a plain tuple scanned from the end."""
+    rng = random.Random(5)
+    names = ["a", "b", "c", "d", "e"]
+    for _ in range(50):
+        pool = [(RefCtx(), ())]
+        for _ in range(40):
+            ctx, model = rng.choice(pool)
+            if rng.random() < 0.7:
+                name, sort = rng.choice(names), rng.choice(list(Sort))
+                ctx, model = ctx.bind(name, sort), model + (Bind(name, sort),)
+            else:
+                pred = BoolConst(rng.random() < 0.5)
+                ctx, model = ctx.assume(pred), model + (Assume(pred),)
+            pool.append((ctx, model))
+        for ctx, model in pool:
+            assert ctx.entries == model
+            for name in names:
+                binds = [e.sort for e in model if isinstance(e, Bind) and e.name == name]
+                assert ctx.sort_of(name) == (binds[-1] if binds else None)

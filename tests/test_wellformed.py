@@ -134,3 +134,71 @@ def test_wf_implies_free_vars_in_domain():
         assert free_vars(t) <= set(ctx.domain())
         checked += 1
     assert checked >= 150
+
+
+INT3, INT4 = parse_type("int[3]"), parse_type("int[4]")
+
+
+def test_valctx_branches_that_bind_at_one_position_keep_their_own_names():
+    """What `CheckState.restore` does: extend a snapshot, go back to it and
+    extend it again at the same position with another name."""
+    snap = ValCtx().bind("x", Uninit(1))
+    then = snap.bind("y", INT3)
+    els = snap.bind("z", INT4)
+    assert then.lookup("y") == INT3 and then.lookup("z") is None
+    assert els.lookup("z") == INT4 and els.lookup("y") is None
+    assert snap.lookup("y") is None and snap.lookup("z") is None
+    assert then.bind("w", INT4).lookup("y") == INT3
+    assert els.bind("w", INT3).lookup("w") == INT3
+    assert [ctx.domain() for ctx in (snap, then, els)] == [("x",), ("x", "y"), ("x", "z")]
+
+
+def test_valctx_update_on_one_snapshot_does_not_show_through_another():
+    snap = ValCtx().bind("x", Uninit(1)).bind("y", INT3)
+    one = snap.update("x", INT3)
+    two = snap.update("x", INT4)
+    three = one.update("y", INT4)
+    assert snap.lookup("x") == Uninit(1) and snap.lookup("y") == INT3
+    assert one.lookup("x") == INT3 and one.lookup("y") == INT3
+    assert two.lookup("x") == INT4 and two.lookup("y") == INT3
+    assert three.lookup("x") == INT3 and three.lookup("y") == INT4
+    assert three.items == (("x", INT3), ("y", INT4))
+    assert snap.update("absent", INT3) == snap
+
+
+def test_valctx_bind_rejects_a_bound_name():
+    with pytest.raises(AssertionError):
+        ValCtx().bind("x", INT3).update("x", INT4).bind("x", INT3)
+
+
+def test_valctx_equality_hash_and_repr_see_only_the_items():
+    grown = ValCtx().bind("x", Uninit(1)).bind("y", INT3).update("x", INT4)
+    built = ValCtx((("x", INT4), ("y", INT3)))
+    assert grown == built and hash(grown) == hash(built)
+    assert repr(grown) == repr(built) == f"ValCtx(items={built.items!r})"
+    assert grown != ValCtx((("y", INT3), ("x", INT4)))
+
+
+def test_valctx_matches_a_scan_of_its_items_under_any_order_of_extensions():
+    """Random binds and updates of random earlier contexts, as snapshots
+    and restores make them, against a plain tuple of items."""
+    import random
+
+    rng = random.Random(7)
+    names = ["a", "b", "c", "d", "e", "f"]
+    types = [INT3, INT4, Uninit(1)]
+    for _ in range(50):
+        pool = [(ValCtx(), ())]
+        for _ in range(40):
+            ctx, model = rng.choice(pool)
+            name, typ = rng.choice(names), rng.choice(types)
+            if name in dict(model):
+                model = tuple((n, typ if n == name else t) for n, t in model)
+                ctx = ctx.update(name, typ)
+            else:
+                ctx, model = ctx.bind(name, typ), model + ((name, typ),)
+            pool.append((ctx, model))
+        for ctx, model in pool:
+            assert ctx.items == model
+            for name in names:
+                assert ctx.lookup(name) == dict(model).get(name)
