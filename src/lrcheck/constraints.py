@@ -299,13 +299,7 @@ def instantiations(kvar: KVarDecl, quals: Sequence[Qualifier]) -> List[RefExpr]:
                     continue
                 out.append(q.instantiate(nu, Var(mname)))
     # deduplicate, preserving order
-    seen = set()
-    uniq = []
-    for e in out:
-        if e not in seen:
-            seen.add(e)
-            uniq.append(e)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .oracle import (
     OracleError,
     Query,
     all_of,
+    cmp_row,
     dnf,
     linear_form,
 )
@@ -44,7 +45,6 @@ from .syntax import (
     KApp,
     KVarDecl,
     LocCtx,
-    Not,
     Ref,
     RefExpr,
     Sort,
@@ -326,52 +326,39 @@ class _TemplateSlot(Type):
 # ---------------------------------------------------------------------------
 # Liquid fixpoint solving over linear rows
 #
-# Each candidate qualifier of a kvar is linearized once over the kvar's
-# parameters, into one positive literal:
-#   ("le", a, b, e)     a - b + e <= 0
-#   ("eq", l, r)        l = r over integers: the rows l - r <= 0, r - l <= 0
-#   ("bool", p, truth)  the boolean parameter p when truth, else its negation
-#   ("term", e)         any other formula, substituted and expanded on use
-# where a, b, l and r are linear forms over the parameters.  Its negated
-# cubes are derived from it: a - b + e <= 0 fails exactly when
-# b - a + 1 - e <= 0.  A kvar application maps each parameter to its
-# argument, an integer argument as its linear form; substituting a literal
-# splices the argument forms into its rows.
-
-ParamForm = Tuple[Tuple[Tuple[str, int], ...], int]
-
-
-def _param_form(e: RefExpr, int_params: Dict[str, Sort], prods) -> ParamForm:
-    coeffs, const = linear_form(e, prods)
-    if prods or any(int_params.get(p) is not Sort.INT for p in coeffs):
-        raise OracleError("not linear over the integer parameters")
-    return tuple(coeffs.items()), const
+# Each candidate qualifier of a kvar is turned once into one positive
+# literal over the kvar's parameters.  Its row, terms . params + k <= 0, is
+# built by the oracle's `cmp_row`, as the oracle builds every row:
+#   ("le", terms, k)    a comparison l op r: the row of l op r
+#   ("eq", terms, k)    an integer equality l = r: the row of l <= r, and
+#                       l = r holds when row <= 0 and -row <= 0
+#   ("term", e)         any other formula, or a comparison whose row
+#                       mentions a product or a non-integer parameter:
+#                       substituted and expanded on use
+# `terms` is a tuple of (parameter, coefficient) pairs, so a literal is
+# hashable and equal rows are equal literals: `a <= b` and `b >= a` give
+# one.  A row fails exactly when -row + 1 <= 0.  A kvar application maps
+# each parameter to its argument, an integer argument as its linear form;
+# substituting a literal splices the argument forms into its row.
 
 
 def _literal(cand: RefExpr, sorts: Dict[str, Sort]) -> Tuple:
-    """One candidate as a literal over its kvar's parameters (`sorts`).  A
-    comparison or equality is a row literal only when both sides are linear
-    over integer parameters."""
+    """One candidate as a literal over its kvar's parameters (`sorts`)."""
+    match cand:
+        case Cmp(op, l, r):
+            kind = "le"
+        case Eq(l, r):
+            kind, op = "eq", "<="
+        case _:
+            return ("term", cand)
     prods: Dict[RefExpr, str] = {}
     try:
-        match cand:
-            case Cmp(op, l, r):
-                # as the oracle reads it: a - b + e <= 0
-                a, b, e = {
-                    "<": (l, r, 1), "<=": (l, r, 0), ">": (r, l, 1), ">=": (r, l, 0)
-                }[op]
-                a, b = _param_form(a, sorts, prods), _param_form(b, sorts, prods)
-                return ("le", a, b, e)
-            case Eq(l, r):
-                l, r = _param_form(l, sorts, prods), _param_form(r, sorts, prods)
-                return ("eq", l, r)
-            case Var(p) if sorts.get(p) is Sort.BOOL:
-                return ("bool", p, True)
-            case Not(Var(p)) if sorts.get(p) is Sort.BOOL:
-                return ("bool", p, False)
+        coeffs, k = cmp_row(op, l, r, prods)
     except OracleError:
-        pass
-    return ("term", cand)
+        return ("term", cand)
+    if prods or any(sorts.get(p) is not Sort.INT for p in coeffs):
+        return ("term", cand)
+    return (kind, tuple(coeffs.items()), k)
 
 
 class _App:
@@ -391,38 +378,35 @@ class _App:
         self.sorts = sorts
         self.prods = prods
 
-    def _row(self, a: ParamForm, b: ParamForm, extra: int) -> LinForm:
-        """a - b + extra with the arguments' forms spliced in."""
+    def _row(self, lit: Tuple, sign: int, extra: int) -> LinForm:
+        """sign * (the literal's row) + extra, with the arguments' forms
+        spliced in."""
+        _, terms, k = lit
         lins = self.lins
         coeffs: Dict[str, int] = {}
-        const = a[1] - b[1] + extra
-        for terms, sign in ((a[0], 1), (b[0], -1)):
-            for p, c in terms:
-                pcoeffs, pconst = lins[p]
-                factor = sign * c
-                const += factor * pconst
-                for v, x in pcoeffs.items():
-                    total = coeffs.get(v, 0) + factor * x
-                    if total:
-                        coeffs[v] = total
-                    else:
-                        del coeffs[v]
+        const = sign * k + extra
+        for p, c in terms:
+            pcoeffs, pconst = lins[p]
+            factor = sign * c
+            const += factor * pconst
+            for v, x in pcoeffs.items():
+                total = coeffs.get(v, 0) + factor * x
+                if total:
+                    coeffs[v] = total
+                else:
+                    del coeffs[v]
         return coeffs, const
 
     def cubes(self, lit: Tuple, positive: bool) -> Cubes:
         """The DNF of the literal substituted here, or of its negation."""
         kind = lit[0]
         if kind == "le":
-            _, a, b, e = lit
-            row = self._row(a, b, e) if positive else self._row(b, a, 1 - e)
+            row = self._row(lit, 1, 0) if positive else self._row(lit, -1, 1)
             return [[("le", row)]]
         if kind == "eq":
-            _, l, r = lit
             if positive:
-                return [[("le", self._row(l, r, 0)), ("le", self._row(r, l, 0))]]
-            return [[("le", self._row(l, r, 1))], [("le", self._row(r, l, 1))]]
-        if kind == "bool":
-            return dnf(self.args[lit[1]], lit[2] == positive, self.sorts, self.prods)
+                return [[("le", self._row(lit, 1, 0)), ("le", self._row(lit, -1, 0))]]
+            return [[("le", self._row(lit, 1, 1))], [("le", self._row(lit, -1, 1))]]
         return dnf(subst_parallel(lit[1], self.args), positive, self.sorts, self.prods)
 
     def negated(self, lit: Tuple) -> Cubes:

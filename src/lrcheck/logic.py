@@ -417,25 +417,9 @@ def subst_parallel(target, mapping: dict):
 
 
 def subst(target, name: str, repl: RefExpr):
-    """Capture-avoiding substitution [repl/name]; binders shadow.  A
-    refinement context also drops the substituted binder; every other node
-    gets exactly subst_parallel(target, {name: repl})."""
-    mapping = {name: repl}
-    match target:
-        case RefCtx(entries):
-            out = []
-            for entry in entries:
-                if isinstance(entry, Bind):
-                    if entry.name == name:
-                        # the paper's table drops the substituted binder
-                        continue
-                    out.append(entry)
-                else:
-                    out.append(Assume(subst_parallel(entry.pred, mapping)))
-            return RefCtx(tuple(out))
-
-        case _:
-            return subst_parallel(target, mapping)
+    """Capture-avoiding substitution [repl/name]; binders shadow.  Exactly
+    subst_parallel(target, {name: repl})."""
+    return subst_parallel(target, {name: repl})
 
 
 def _loc_of_refexpr(e: RefExpr) -> Loc:

@@ -14,16 +14,18 @@ falsifies the query, and otherwise Unknown, unless a query with opaque
 products finds a model by enumeration.  `Oracle.valid_many` only loops over
 it.  The row-level one (`Oracle.valid_rows`) takes formulas already
 linearized and decides goals that share hypotheses together, with no model:
-the fixpoint solver linearizes each qualifier and each clause once, and
-asks the term-level entry about a concrete clause that the rows do not
-prove.  Each satisfiable hypothesis cube is deduplicated and its
-unit-coefficient equalities are eliminated once, by exact Gaussian
-substitution; each negated goal cube then only has those substitutions
-applied to its own rows, and a goal row that the cube contradicts or
-implies row by row is settled without Fourier-Motzkin.  Each reduced cube
-also keeps integer points that satisfy it, found by back-substitution after
-a satisfiable elimination; a goal cube whose remaining rows hold at one of
-them is not refuted, with no elimination of its own.
+the fixpoint solver linearizes each clause once, and each candidate
+qualifier into one row by `cmp_row`, the rule by which `dnf` makes every
+comparison a row, so every row is built here.  It asks the term-level
+entry about a concrete clause that the rows do not prove.  Each
+satisfiable hypothesis cube is deduplicated and its unit-coefficient
+equalities are eliminated once, by exact Gaussian substitution; each
+negated goal cube then only has those substitutions applied to its own
+rows, and a goal row that the cube contradicts or implies row by row is
+settled without Fourier-Motzkin.  Each reduced cube also keeps integer
+points that satisfy it, found by back-substitution after a satisfiable
+elimination; a goal cube whose remaining rows hold at one of them is not
+refuted, with no elimination of its own.
 
 Nonlinear products are abstracted as opaque variables, which keeps Valid
 sound and makes some queries Unknown.
@@ -186,10 +188,13 @@ def _lin_add(a: LinForm, b: LinForm, sign: int) -> LinForm:
     return (coeffs, a[1] + sign * b[1])
 
 
-def _le_zero(lhs: RefExpr, rhs: RefExpr, extra: int, prods) -> LinForm:
-    """lhs - rhs + extra <= 0"""
-    form = _lin_add(linear_form(lhs, prods), linear_form(rhs, prods), -1)
-    return (form[0], form[1] + extra)
+def cmp_row(op: str, l: RefExpr, r: RefExpr, prods) -> LinForm:
+    """The row of `l op r`, as lhs - rhs + extra <= 0: `<` and `<=` give
+    l - r (+ 1), `>` and `>=` give r - l (+ 1).  Every comparison becomes
+    a row here, the fixpoint's candidates included."""
+    lhs, rhs = (l, r) if op in ("<", "<=") else (r, l)
+    coeffs, const = _lin_add(linear_form(lhs, prods), linear_form(rhs, prods), -1)
+    return coeffs, const + (1 if op in ("<", ">") else 0)
 
 
 # Literals: ("le", LinForm) or ("bool", name, value); a cube is a list of
@@ -253,13 +258,7 @@ def _atom_cubes(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods) -> Cu
         case Cmp(op, l, r):
             if not positive:
                 op = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}[op]
-            if op == "<":
-                return [[("le", _le_zero(l, r, 1, prods))]]
-            if op == "<=":
-                return [[("le", _le_zero(l, r, 0, prods))]]
-            if op == ">":
-                return [[("le", _le_zero(r, l, 1, prods))]]
-            return [[("le", _le_zero(r, l, 0, prods))]]
+            return [[("le", cmp_row(op, l, r, prods))]]
         case Eq(l, r):
             lsort = _sort_of_term(l, sorts)
             if lsort == Sort.BOOL:
@@ -278,14 +277,9 @@ def _atom_cubes(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods) -> Cu
                     dnf(l, False, sorts, prods), dnf(r, True, sorts, prods)
                 )
                 return forward + backward
-            if positive:
-                return [
-                    [("le", _le_zero(l, r, 0, prods)), ("le", _le_zero(r, l, 0, prods))]
-                ]
-            return [
-                [("le", _le_zero(l, r, 1, prods))],
-                [("le", _le_zero(r, l, 1, prods))],
-            ]
+            ops = ("<=", ">=") if positive else ("<", ">")
+            rows = [("le", cmp_row(op, l, r, prods)) for op in ops]
+            return [rows] if positive else [[row] for row in rows]
         case KApp(_, _):
             raise OracleError("unknown predicate in oracle query")
         case _:

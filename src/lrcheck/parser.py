@@ -80,6 +80,10 @@ class Token:
     line: int
     col: int
 
+    def describe(self) -> str:
+        """The token as a diagnostic names it; the eof token is `end of input`."""
+        return "end of input" if self.kind == "eof" else repr(self.text)
+
 
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int, expected: Tuple[str, ...] = ()):
@@ -165,9 +169,10 @@ class Parser:
 
     @staticmethod
     def unexpected(tok: Token, *expected: str) -> ParseError:
-        """The error for an unexpected token; the eof token is `end of input`."""
-        what = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return ParseError(f"unexpected {what}", tok.line, tok.col, expected=expected)
+        """The error for an unexpected token."""
+        return ParseError(
+            f"unexpected {tok.describe()}", tok.line, tok.col, expected=expected
+        )
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         if not self.at(kind, text):
@@ -587,7 +592,7 @@ class Parser:
         if value is not None:
             return Val(value, span=self._span_from(tok))
         raise ParseError(
-            f"call arguments must be variables or values, got {tok.text!r}",
+            f"call arguments must be variables or values, got {tok.describe()}",
             tok.line, tok.col, expected=("identifier", "value"),
         )
 

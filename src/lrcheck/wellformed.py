@@ -1,8 +1,8 @@
-"""Well-formedness checks for types and the four kinds of contexts."""
+"""Well-formedness checks for types and the three kinds of contexts."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .logic import PersistentCtx, RefCtx, SortError, getsort, sortcheck
 from .syntax import (
@@ -65,9 +65,6 @@ class ValCtx(PersistentCtx):
 
     def domain(self) -> Tuple[str, ...]:
         return tuple(n for n, _ in self.items)
-
-# Dynamic context: (concrete location, tag) -> pointer type.
-DynCtx = Dict[Tuple[int, int], Type]
 
 
 def _check_loc(ctx: RefCtx, loc: Loc) -> None:
@@ -160,15 +157,6 @@ def wf_locctx(ctx: RefCtx, locs: LocCtx) -> None:
             raise WfError("wf-bind", f"duplicate location {loc!r}")
         seen.add(loc)
         _check_loc(ctx, loc)
-        wf_type(ctx, typ)
-
-
-def wf_dynctx(ctx: RefCtx, dyn: DynCtx) -> None:
-    for (loc_id, tag), typ in dyn.items():
-        if not isinstance(typ, (StrongPtr, Ref)):
-            raise WfError(
-                "wf-dyn", f"({loc_id},{tag}) maps to a non-pointer type"
-            )
         wf_type(ctx, typ)
 
 

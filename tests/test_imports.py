@@ -1,9 +1,13 @@
-"""Every imported name is read somewhere in the module that imports it.
+"""Every imported name is read somewhere in the module that imports it,
+and every module-level definition of the package somewhere in the package.
 
 A plain `ast` scan, since no linter is a dependency: names bound by
 `import` and `from ... import` must appear as a loaded `Name` somewhere in
 the module (or in its `__all__`, which is how `lrcheck/__init__.py`
-re-exports).  `from __future__` imports are exempt.
+re-exports).  `from __future__` imports are exempt.  A module-level
+function or class of `src/lrcheck` must be read somewhere in
+`src/lrcheck`, as a loaded `Name` or an attribute, or be listed in an
+`__all__`: code that only tests reach is dead.
 """
 
 import ast
@@ -20,10 +24,26 @@ FILES = sorted(
 )
 
 
+def _reads(tree, attributes: bool):
+    """The names `tree` loads or lists in an `__all__`, and with
+    `attributes` the attribute names it reads as well."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
 def unused_imports(source: str):
     tree = ast.parse(source)
     imported = []
-    read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -31,14 +51,22 @@ def unused_imports(source: str):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported.append((alias.asname or alias.name, node.lineno))
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        ):
-            read.update(ast.literal_eval(node.value))
+    read = _reads(tree, attributes=False)
     return [(name, line) for name, line in imported if name not in read]
+
+
+def unread_definitions(sources):
+    """The module-level functions and classes of `sources` (path -> text)
+    that none of them reads, as (path, name, line)."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set().union(*(_reads(tree, attributes=True) for tree in trees.values()))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (path, node.name, node.lineno)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defs) and node.name not in read
+    ]
 
 
 @pytest.mark.parametrize("path", FILES)
@@ -56,3 +84,24 @@ def test_scan_flags_an_unread_import_and_spares_reads_and_reexports():
         "print(os.sep, c)\n"
     )
     assert unused_imports(source) == [("ch", 2), ("a", 3)]
+
+
+def test_every_package_definition_is_read_in_the_package():
+    sources = {}
+    for path in FILES:
+        if path.startswith(os.path.join("src", "lrcheck")):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+                sources[path] = handle.read()
+    assert sources
+    assert unread_definitions(sources) == []
+
+
+def test_scan_flags_an_unread_definition_and_spares_reads_and_exports():
+    sources = {
+        "a.py": "def used(): pass\ndef dead(): pass\nclass Shown: pass\n",
+        "b.py": (
+            "import a\n__all__ = ['Shown']\nclass Method:\n"
+            "    def m(self): return a.used()\n"
+        ),
+    }
+    assert unread_definitions(sources) == [("a.py", "dead", 2), ("b.py", "Method", 3)]

@@ -138,14 +138,6 @@ def test_subst_is_subst_parallel_outside_refinement_contexts():
                 assert subst(target, name, r) == subst_parallel(target, {name: r})
 
 
-def test_subst_drops_the_substituted_binder_of_a_refinement_context():
-    ctx = RefCtx().bind("a", Sort.INT).assume(R("a >= 0")).bind("b", Sort.INT)
-    ctx = ctx.assume(R("a < b"))
-    assert subst(ctx, "a", IntConst(3)) == RefCtx(
-        (Assume(R("3 >= 0")), Bind("b", Sort.INT), Assume(R("3 < b")))
-    )
-
-
 def test_subst_indexed():
     t = parse_type("int[a]")
     assert subst(t, "a", IntConst(5)) == parse_type("int[5]")

@@ -96,6 +96,16 @@ def test_parse_error_at_the_end_names_the_end_of_input(parse, text):
     assert f"1:{len(text) + 1}: unexpected end of input (expected" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["entry call add(", "entry call add(1,"])
+def test_call_cut_off_at_the_end_names_the_end_of_input(text):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == (
+        f"1:{len(text) + 1}: call arguments must be variables or values, "
+        "got end of input (expected one of: identifier, value)"
+    )
+
+
 def test_every_expr_node_has_span():
     program = parse_program(DECR)
 

@@ -20,10 +20,11 @@ from lrcheck.constraints import (
     Solution,
     apply_solution_expr,
     default_qualifiers,
+    instantiations,
 )
-from lrcheck.infer import _Candidates, _ClauseRows
+from lrcheck.infer import _App, _Candidates, _ClauseRows, _literal
 from lrcheck.logic import conj, subst_parallel
-from lrcheck.oracle import VALID, Oracle, Query, eval_closed
+from lrcheck.oracle import VALID, Oracle, Query, dnf, eval_closed
 from lrcheck.parser import parse_program
 from lrcheck.syntax import (
     BinArith,
@@ -248,3 +249,56 @@ def test_accepted_corpus_needs_no_term_query(monkeypatch):
     for path in paths:
         report = check_program(parse_program(open(path).read()), oracle=Oracle())
         assert report.ok, path
+
+
+def _canonical(cubes):
+    """Cubes with each row as its coefficient items plus its constant, so
+    that rows built in a different order compare equal."""
+    return [
+        [
+            ("le", frozenset(lit[1][0].items()), lit[1][1]) if lit[0] == "le" else lit
+            for lit in cube
+        ]
+        for cube in cubes
+    ]
+
+
+def test_spliced_literal_cubes_are_the_substituted_candidate_cubes():
+    """A candidate's literal, spliced at an application, has exactly the
+    cubes the oracle gives the substituted candidate, in both polarities:
+    row literals, the equalities among them, and term literals alike."""
+    ints = (("v", Sort.INT), ("a", Sort.INT), ("c", Sort.INT))
+    kvar = KVarDecl("k2", ints + (("p", Sort.BOOL), ("q", Sort.BOOL)))
+    params = dict(kvar.params)
+    cands = instantiations(kvar, QUALS)
+    literals = [_literal(c, params) for c in cands]
+    kinds = Counter(lit[0] for lit in literals)
+    assert kinds["le"] and kinds["eq"] and kinds["term"], kinds
+    sorts = dict(BINDERS)
+    rng = random.Random(19)
+    products = 0
+    for _ in range(60):
+        args = tuple(
+            _int_arg(rng) if sort is Sort.INT else _bool_arg(rng)
+            for _, sort in kvar.params
+        )
+        products += any(isinstance(a, BinArith) and a.op == "*" for a in args)
+        prods = {}
+        app = _App(KApp(kvar, args), sorts, prods)
+        for cand, lit in zip(cands, literals):
+            for positive in (True, False):
+                spliced = app.cubes(lit, positive)
+                expanded = dnf(subst_parallel(cand, app.args), positive, sorts, prods)
+                assert _canonical(spliced) == _canonical(expanded), (cand, args)
+    assert products >= 10
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_comparison_literal_is_its_own_canonical_key(strict):
+    sorts = {"a": Sort.INT, "b": Sort.INT}
+    a, b = Var("a"), Var("b")
+    le, ge = ("<", ">") if strict else ("<=", ">=")
+    key = _literal(Cmp(le, a, b), sorts)
+    assert key[0] == "le"
+    assert {key, _literal(Cmp(ge, b, a), sorts)} == {key}
+    assert key != _literal(Cmp(ge, a, b), sorts)

@@ -7,19 +7,13 @@ from lrcheck.parser import parse_refexpr as R
 from lrcheck.parser import parse_type
 from lrcheck.syntax import (
     AbstractLoc,
-    Indexed,
-    IntBase,
-    IntConst,
     LocCtx,
-    Ref,
     Sort,
-    StrongPtr,
     Uninit,
 )
 from lrcheck.wellformed import (
     ValCtx,
     WfError,
-    wf_dynctx,
     wf_locctx,
     wf_refctx,
     wf_type,
@@ -103,16 +97,6 @@ def test_valctx_duplicates():
     bad = ValCtx(((("x"), Uninit(1)), (("x"), Uninit(1))))
     with pytest.raises(WfError):
         wf_valctx(ctx, bad)
-
-
-def test_dynctx_requires_pointer_types():
-    from lrcheck.syntax import ConcreteLoc
-
-    ctx = RefCtx()
-    wf_dynctx(ctx, {(0, 0): StrongPtr(ConcreteLoc(0))})
-    wf_dynctx(ctx, {(0, 1): Ref("mut", Uninit(1))})
-    with pytest.raises(WfError):
-        wf_dynctx(ctx, {(0, 0): Indexed(IntBase(), IntConst(1))})
 
 
 def test_wf_implies_free_vars_in_domain():
