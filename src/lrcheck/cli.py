@@ -9,6 +9,7 @@ limit, or no integer model of a satisfiable relaxation), 4 internal error
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -136,8 +137,15 @@ def make_qualifiers(cfg: Config) -> List[Qualifier]:
 
 
 def _read_program(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_program(handle.read())
+    """Parse the program at `path`; a file that is not UTF-8 raises an
+    `OSError` that names it, like a file that cannot be opened."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_program(handle.read())
+    except UnicodeDecodeError as exc:
+        raise OSError(
+            errno.EILSEQ, f"not UTF-8: {exc.reason} at byte {exc.start}", path
+        ) from None
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

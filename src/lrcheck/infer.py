@@ -111,44 +111,22 @@ def join_types(
     prov: Provenance,
 ) -> Tuple[Type, JoinOut]:
     """Common supertype of two branch results.  Existing unknown-predicate
-    templates are reused (the other side flows into them); otherwise a fresh
-    template is created and both sides flow in.  Mutable-reference pointees
-    are unified invariantly under no branch hypothesis."""
+    templates are reused (the other side flows into them); otherwise both
+    sides flow into the shape `_join_shape` builds, under their branch
+    hypotheses, except that a mutable reference's pointee is unified
+    invariantly and so under neither."""
     if t1 == t2:
         return t1, []
-
-    match (t1, t2):
-        case (Ref("mut", p1), Ref("mut", p2)):
-            joined = _join_shape(ctx, kvars, names, p1, p2)
-            out: JoinOut = [
-                (PLAIN, subtype(t1, Ref("mut", joined), prov, names)),
-                (PLAIN, subtype(t2, Ref("mut", joined), prov, names)),
-            ]
-            return Ref("mut", joined), out
-        case (Ref("shr", p1), Ref("shr", p2)):
-            joined = _join_shape(ctx, kvars, names, p1, p2)
-            return Ref("shr", joined), [
-                (THEN, subtype(t1, Ref("shr", joined), prov, names)),
-                (ELSE, subtype(t2, Ref("shr", joined), prov, names)),
-            ]
-
     if is_template(t1) and _compatible_with_template(t1, t2):
         return t1, [(ELSE, subtype(t2, t1, prov, names))]
     if is_template(t2) and _compatible_with_template(t2, t1):
         return t2, [(THEN, subtype(t1, t2, prov, names))]
-
-    b1, b2 = base_of(t1), base_of(t2)
-    if b1 is not None and b2 is not None and bases_compatible(b1, b2):
-        base = _join_base(ctx, kvars, names, b1, b2)
-        joined = fresh_kvar_type(kvars, names, ctx, base)
-        return joined, [
-            (THEN, subtype(t1, joined, prov, names)),
-            (ELSE, subtype(t2, joined, prov, names)),
-        ]
-
-    raise StructuralError(
-        f"branches produce incompatible types: {print_type(t1)} vs {print_type(t2)}"
-    )
+    joined = _join_shape(ctx, kvars, names, t1, t2)
+    mutable = isinstance(joined, Ref) and joined.mode == "mut"
+    return joined, [
+        (PLAIN if mutable else THEN, subtype(t1, joined, prov, names)),
+        (PLAIN if mutable else ELSE, subtype(t2, joined, prov, names)),
+    ]
 
 
 def _compatible_with_template(template: Type, other: Type) -> bool:

@@ -420,13 +420,15 @@ def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
     upper*lower bound pairs (the first by name among ties), found in a heap
     whose entries are dropped when their count is out of date.  When the
     system is satisfiable, the integer solution that back-substitution
-    finds, if it finds one, is appended to `points`."""
+    finds, if it finds one, is appended to `points`.  Past `MAX_FM_ROWS`
+    rows created by the eliminations, the query is too large."""
     best: Dict[frozenset, LinForm] = {}
     occurs: Occurrences = {}
     touched: set = set()
     _fm_insert(best, occurs, rows, touched)
     heap: List[Tuple[int, str]] = []
     eliminated: List[Tuple[str, List[LinForm]]] = []
+    created = 0
     while True:
         for v in touched:
             occ = occurs.get(v)
@@ -460,6 +462,9 @@ def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
                         if not other[0] and not other[1]:
                             del occurs[v]
         eliminated.append((var, uppers + lowers))
+        created += len(uppers) * len(lowers)
+        if created > MAX_FM_ROWS:
+            raise _TooLarge(f"Fourier-Motzkin over {MAX_FM_ROWS} rows")
         new_rows = []
         for ucoef, uconst in uppers:
             cu = ucoef[var]
@@ -474,8 +479,6 @@ def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
                 combined = {v: c for v, c in combined.items() if c != 0}
                 new_rows.append((combined, cl * uconst + cu * lconst))
         _fm_insert(best, occurs, new_rows, touched)
-        if len(best) > MAX_FM_ROWS:
-            raise _TooLarge(f"Fourier-Motzkin over {MAX_FM_ROWS} rows")
 
 
 def _back_substitute(

@@ -51,8 +51,6 @@ from .infer import (
     solve,
 )
 from .logic import (
-    Assume,
-    Bind,
     RefCtx,
     SortError,
     base_of,
@@ -226,7 +224,6 @@ class CheckState:
         self.shape_mode = False
         self.probes: Dict[int, List[LocCtx]] = {}
         self.next_probe = 0
-        self.auto_unpacked: Dict[str, str] = {}
 
     # -- context bookkeeping -------------------------------------------------
 
@@ -263,11 +260,8 @@ class CheckState:
         """Open an existential binding into a fresh refinement variable and
         an assumption; no-op on non-existential bindings, idempotent."""
         t = self.vals.lookup(x)
-        if not isinstance(t, Exists):
-            return
-        fresh = self.names.fresh(t.binder)
-        self.vals = self.vals.update(x, self.open_existential(t, fresh))
-        self.auto_unpacked[x] = fresh
+        if isinstance(t, Exists):
+            self.vals = self.vals.update(x, self.open_existential(t))
 
     def open_existential(self, t: Type, name: Optional[str] = None) -> Type:
         """Open an existential into refinement variable `name` (by default a
@@ -286,22 +280,6 @@ class CheckState:
         t = self.locs.lookup(loc)
         if isinstance(t, Exists):
             self.locs = self.locs.update(loc, self.open_existential(t))
-
-    def rename_refvar(self, old: str, new: str) -> None:
-        entries = []
-        for entry in self.ctx:
-            if isinstance(entry, Bind):
-                entries.append(Bind(new, entry.sort) if entry.name == old else entry)
-            else:
-                entries.append(Assume(subst(entry.pred, old, Var(new))))
-        self.ctx = RefCtx(tuple(entries))
-        self.vals = ValCtx(
-            tuple((n, subst(t, old, Var(new))) for n, t in self.vals)
-        )
-        self.locs = subst(self.locs, old, Var(new))
-        self.auto_unpacked = {
-            x: (new if v == old else v) for x, v in self.auto_unpacked.items()
-        }
 
 
 def _wrap_ctx(ctx: RefCtx, c: Constraint) -> Constraint:
@@ -327,21 +305,17 @@ def infer_refargs(
 
     def unify(formal: Type, actual: Type) -> None:
         match (formal, actual):
-            case (Indexed(fb, Var(p)), _) if p in params and p not in assigned:
-                match actual:
-                    case Indexed(_, idx):
-                        assigned[p] = idx
-                    case Exists():
-                        assigned[p] = state.open_existential(actual).idx
-                if isinstance(fb, VecBase):
-                    ab2 = base_of(actual)
-                    if isinstance(ab2, VecBase):
-                        unify(fb.elem, ab2.elem)
-            case (Indexed(fb, _), _):
-                if isinstance(fb, VecBase):
-                    ab2 = base_of(actual)
-                    if isinstance(ab2, VecBase):
-                        unify(fb.elem, ab2.elem)
+            case (Indexed(fb, fidx), _):
+                p = fidx.name if isinstance(fidx, Var) else None
+                if p in params and p not in assigned:
+                    match actual:
+                        case Indexed(_, idx):
+                            assigned[p] = idx
+                        case Exists():
+                            assigned[p] = state.open_existential(actual).idx
+                ab = base_of(actual)
+                if isinstance(fb, VecBase) and isinstance(ab, VecBase):
+                    unify(fb.elem, ab.elem)
             case (StrongPtr(AbstractLoc(p)), StrongPtr(loc)) if p in params:
                 assigned.setdefault(p, _loc_expr(loc))
             case (Ref(m1, fp), Ref(m2, ap)) if m1 == m2:
@@ -595,35 +569,20 @@ class Checker:
     # -- unpack ----------------------------------------------------------------
 
     def do_unpack(self, state: CheckState, x: str, a: str, span: Optional[Span]):
+        """Open the type of `x` into refinement variable `a` (a fresh name
+        if `a` is bound).  An indexed type `b[e]` is the singleton
+        existential `{v. b[v] | v = e}`, so it opens into an alias of `e`."""
         t = state.vals.lookup(x)
         if t is None:
             raise UnboundVariable(f"unbound variable '{x}'", span)
-        if isinstance(t, Exists):
-            name = a if state.ctx.sort_of(a) is None else state.names.fresh(a)
-            state.vals = state.vals.update(x, state.open_existential(t, name))
-            state.auto_unpacked[x] = name
-            return
-        if isinstance(t, Indexed):
-            # already unpacked on the fly: rename the generated variable to
-            # the program's name when possible, otherwise alias it
-            prev = state.auto_unpacked.get(x)
-            if (
-                prev is not None
-                and t.idx == Var(prev)
-                and state.ctx.sort_of(a) is None
-            ):
-                state.rename_refvar(prev, a)
-                state.auto_unpacked[x] = a
-                return
-            name = a if state.ctx.sort_of(a) is None else state.names.fresh(a)
-            state.ctx = state.ctx.bind(name, getsort(t.base)).assume(
-                Eq(Var(name), t.idx)
+        if not isinstance(t, (Indexed, Exists)):
+            raise StructuralError(
+                f"unpack of '{x}' at non-base type {print_type(t)}", span
             )
-            state.vals = state.vals.update(x, Indexed(t.base, Var(name)))
-            return
-        raise StructuralError(
-            f"unpack of '{x}' at non-base type {print_type(t)}", span
-        )
+        name = a if state.ctx.sort_of(a) is None else state.names.fresh(a)
+        if isinstance(t, Indexed):
+            t = Exists(name, t.base, Eq(Var(name), t.idx))
+        state.vals = state.vals.update(x, state.open_existential(t, name))
 
     # -- if / join -------------------------------------------------------------
 

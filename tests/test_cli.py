@@ -312,6 +312,22 @@ def test_a_bad_config_file_is_a_usage_error(tmp_path, capsys, text, problem):
     assert problem in err and err.count("\n") == 1, err
 
 
+def test_a_program_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
+    """Exit 2 with one line naming the file in every subcommand that reads
+    one; `soundness --corpus` counts it like an unreadable file."""
+    path = tmp_path / "bad.lr"
+    path.write_bytes(b"entry \xff 1\n")
+    for command in ("check", "constraints", "solve", "run"):
+        assert main([command, str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert str(path) in err and "not UTF-8" in err, err
+        assert err.count("\n") == 1, err
+    assert main(["soundness", "--seeds", "0", "--corpus", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"corpus {path}: " in err and "not UTF-8" in err, err
+    assert f"checker rejected corpus {path}" in err, err
+
+
 def test_a_negative_count_is_a_usage_error(capsys):
     for args in [
         ["run", "corpus/accept/decr_driver.lr", "--fuel", "-5"],
@@ -532,6 +548,16 @@ def test_4000_pair_unpack_chain_checks(tmp_path):
 def test_4000_let_nat_chain_checks(tmp_path):
     path = tmp_path / "nat.lr"
     path.write_text(_nat_chain(4000))
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+
+
+def test_8000_let_nat_chain_checks(tmp_path):
+    """The return clause has 8000 one-variable hypothesis rows, more than
+    `MAX_FM_ROWS`; eliminating them creates no row, so none counts."""
+    path = tmp_path / "nat.lr"
+    path.write_text(_nat_chain(8000))
     code, _, err = invoke(["check", str(path)])
     assert code == 0, err[-500:]
     assert err == ""

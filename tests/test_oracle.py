@@ -116,25 +116,32 @@ def test_every_valid_call_counts_one_query_and_models_use_its_binders():
 
 
 def test_fourier_motzkin_row_limit_is_named_in_unknown(monkeypatch):
+    """The limit bounds the rows the eliminations create."""
     monkeypatch.setattr(oracle_module, "MAX_FM_ROWS", 2)
     reason = "Fourier-Motzkin over 2 rows"
-    binders = tuple((n, Sort.INT) for n in "abcde")
+    binders = (("x", Sort.INT),)
     sorts = dict(binders)
-    # three hypothesis rows fit the limit until the goal's row joins them;
-    # four do not fit it on their own
+    goal = R("3 * x <= 17")
+    # one lower and two upper bounds on x create two rows, within the
+    # limit, until the goal's negation adds a second lower bound; two
+    # lower and two upper bounds go over it on their own
     for hyps in (
-        (R("a <= b"), R("b <= c"), R("c <= d")),
-        (R("a <= b"), R("b <= c"), R("c <= d"), R("d <= e")),
+        (R("x >= 0"), R("x <= 5"), R("2 * x <= 11")),
+        (R("x >= 0"), R("2 * x >= 1"), R("x <= 5"), R("2 * x <= 11")),
     ):
-        verdict = Oracle().valid(Query(binders, hyps, R("a <= e")))
+        verdict = Oracle().valid(Query(binders, hyps, goal))
         assert verdict.is_unknown and verdict.reason == reason
         prods = {}
         verdicts = Oracle().valid_rows(
             [oracle_module.dnf(h, True, sorts, prods) for h in hyps],
-            [R("a <= e")],
+            [goal],
             lambda goal: oracle_module.dnf(goal, False, sorts, prods),
         )
         assert [(v.status, v.reason) for v in verdicts] == [("unknown", reason)]
+    # rows in one variable each are eliminated without creating any
+    hyps = tuple(R(f"{n} >= 0") for n in "abcde")
+    chain = Query(tuple((n, Sort.INT) for n in "abcde"), hyps, R("e >= 0"))
+    assert Oracle().valid(chain).is_valid
 
 
 def _fm_rows(rng, names, point):

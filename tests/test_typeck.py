@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lrcheck.constraints import Conj, ForAll, Head, clauses, normalize
+from lrcheck.constraints import Conj, ForAll, Head, clauses, dump_clauses_text, normalize
 from lrcheck.errors import (
     AssignThroughShared,
     CheckError,
@@ -21,6 +21,7 @@ from lrcheck.infer import KVarSupply
 from lrcheck.logic import RefCtx, fold_constants, interp
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_expr, parse_program, parse_refexpr, parse_type
+from lrcheck.printer import print_refexpr
 from lrcheck.syntax import (
     AbstractLoc,
     BoolConst,
@@ -267,14 +268,50 @@ def test_explicit_unpack_binds_program_name():
     assert R("ay >= 0") in state.ctx.assumptions()
 
 
-def test_explicit_unpack_after_auto_unpack_renames():
+def test_explicit_unpack_after_auto_unpack_aliases():
+    """`y` is already `int[b%0]`, the singleton existential of `b%0`, so
+    the unpack binds `ay` to it with an equality."""
     checker = fresh_checker()
     state = fresh_state(checker)
     state.vals = state.vals.bind("y", parse_type("{b. int[b] | b >= 0}"))
     state.unpack_on_the_fly("y")
     t = checker.synth(state, parse_expr("unpack (y, ay) in y"))
     assert t == parse_type("int[ay]")
-    assert R("ay >= 0") in state.ctx.assumptions()
+    assert [b.name for b in state.ctx.binds()] == ["b%0", "ay"]
+    assert [print_refexpr(h) for h in state.ctx.assumptions()] == [
+        "b%0 >= 0",
+        "ay = b%0",
+    ]
+
+
+CALL_THEN_UNPACK = """\
+fn f {}( &mut {v. int[v] | v >= 0} ) -> {v. int[v] | v >= 0} :=
+  rec f (x) :=
+    let y = *x in
+    let b = call gt(y, 0) in
+    unpack (y, ay) in
+    call add {ay, 1} (y, 1)
+
+entry
+  let c = new(l) in
+  let t = c := 3 in
+  let r = &mut c in
+  call f(r)
+"""
+
+
+def test_unpack_after_a_call_aliases_the_opened_index(oracle):
+    """The call opens `y` into `v%0`; the later unpack names it `ay`."""
+    program = parse_program(CALL_THEN_UNPACK)
+    report = check_program(program, oracle=oracle)
+    assert report.ok, report.diagnostics()
+    assert dump_clauses_text(report.unit("f").clauses) == (
+        "clause 0 [v%0:int ay:int] [v%0 >= 0; ay = v%0] => ay + 1 >= 0"
+        " @ 1:1 fn-def"
+    )
+    verdict = run_and_verify(program, report=report)
+    assert verdict.passed, verdict.detail
+    assert verdict.outcome.render() == "done: 4 after 11 step(s)"
 
 
 # -- refinement-parameter instantiation -------------------------------------------
@@ -634,26 +671,3 @@ def test_inner_rec_named_like_an_outer_binding_calls_itself():
     assert report.ok, report.diagnostics()
     verdict = run_and_verify(program, report=report, fuel=1000)
     assert verdict.passed and verdict.outcome.kind == "fuel"
-
-
-def test_rename_refvar_keeps_every_lookup():
-    checker = fresh_checker()
-    state = fresh_state(checker)
-    state.vals = state.vals.bind("y", parse_type("{b. int[b] | b >= 0}"))
-    state.vals = state.vals.bind("z", parse_type("int[3]"))
-    state.ctx = state.ctx.bind("k", Sort.INT)
-    state.unpack_on_the_fly("y")
-    old = state.auto_unpacked["y"]
-    state.rename_refvar(old, "ay")
-    assert state.vals.lookup("y") == parse_type("int[ay]")
-    assert state.vals.lookup("z") == parse_type("int[3]")
-    for name, t in checker.globals:
-        assert state.vals.lookup(name) == t
-    assert state.ctx.sort_of("ay") == Sort.INT and state.ctx.sort_of(old) is None
-    assert state.ctx.sort_of("k") == Sort.INT
-    # the renamed contexts keep growing
-    state.vals = state.vals.bind("w", parse_type("int[ay]"))
-    state.ctx = state.ctx.bind("m", Sort.LOC)
-    assert state.vals.lookup("w") == parse_type("int[ay]")
-    assert state.vals.lookup("y") == parse_type("int[ay]")
-    assert state.ctx.sort_of("m") == Sort.LOC and state.ctx.sort_of("ay") == Sort.INT
