@@ -9,7 +9,6 @@ limit, or no integer model of a satisfiable relaxation), 4 internal error
 from __future__ import annotations
 
 import argparse
-import errno
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +44,10 @@ class Config:
 
 class ConfigError(Exception):
     """A config file that cannot be read or holds a bad line."""
+
+
+class LoadError(Exception):
+    """A program file that cannot be read or parsed; the text names it."""
 
 
 # the parameters a configured qualifier may name, both integers
@@ -137,15 +140,18 @@ def make_qualifiers(cfg: Config) -> List[Qualifier]:
 
 
 def _read_program(path: str) -> Program:
-    """Parse the program at `path`; a file that is not UTF-8 raises an
-    `OSError` that names it, like a file that cannot be opened."""
+    """Parse the program at `path`.  A file that cannot be read, is not
+    UTF-8 or does not parse raises a `LoadError` that names it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_program(handle.read())
     except UnicodeDecodeError as exc:
-        raise OSError(
-            errno.EILSEQ, f"not UTF-8: {exc.reason} at byte {exc.start}", path
-        ) from None
+        reason = f"not UTF-8: {exc.reason} at byte {exc.start}"
+        raise LoadError(f"{path}: io error: {reason}") from None
+    except OSError as exc:
+        raise LoadError(f"{path}: io error: {exc}") from None
+    except ParseError as exc:
+        raise LoadError(f"{path}: parse error: {exc}") from None
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -163,10 +169,8 @@ def _check_one(
     diagnostics: List[str] = []
     try:
         program = _read_program(path)
-    except OSError as exc:
-        return path, None, [f"{path}: io error: {exc}"]
-    except ParseError as exc:
-        return path, None, [f"{path}: parse error: {exc}"]
+    except LoadError as exc:
+        return path, None, [str(exc)]
     report = check_program(program, quals=quals, debug_wf=cfg.debug_wf)
     for diag in report.diagnostics():
         diagnostics.append(diag.render(path))
@@ -215,11 +219,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_constraints(args: argparse.Namespace) -> int:
-    try:
-        program = _read_program(args.path)
-    except (OSError, ParseError) as exc:
-        print(f"constraints: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _read_program(args.path)
     report = check_program(program, run_solver=False)
     chunks = []
     for unit in report.units:
@@ -240,11 +240,7 @@ def cmd_constraints(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     quals = make_qualifiers(cfg)
-    try:
-        program = _read_program(args.path)
-    except (OSError, ParseError) as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _read_program(args.path)
     report = check_program(program, quals=quals)
     chunks = []
     code = EXIT_OK
@@ -266,11 +262,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    try:
-        program = _read_program(args.path)
-    except (OSError, ParseError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _read_program(args.path)
     if program.entry is None:
         print("run: program has no entry expression", file=sys.stderr)
         return EXIT_USAGE
@@ -296,7 +288,8 @@ def _print_failures(result: CorpusResult, what: str) -> None:
 
 def cmd_soundness(args: argparse.Namespace) -> int:
     """Exit 1 on a soundness bug, else 3 when the oracle blocked a seed or
-    a corpus program, else 1 on a rejection."""
+    a corpus program, else 2 when a corpus file could not be loaded, else
+    1 on a rejection."""
     cfg = build_config(args)
     quals = make_qualifiers(cfg)
     result = soundness_sweep(
@@ -310,6 +303,7 @@ def cmd_soundness(args: argparse.Namespace) -> int:
     )
     _print_failures(result, "seed")
     corpus = CorpusResult()
+    unloadable = False
     if args.corpus:
         import glob
         import os
@@ -317,9 +311,9 @@ def cmd_soundness(args: argparse.Namespace) -> int:
         for path in sorted(glob.glob(os.path.join(args.corpus, "*.lr"))):
             try:
                 program = _read_program(path)
-            except (OSError, ParseError) as exc:
-                print(f"  corpus {path}: {exc}", file=sys.stderr)
-                corpus.rejected.append(path)
+            except LoadError as exc:
+                print(f"  corpus {exc}", file=sys.stderr)
+                unloadable = True
                 continue
             verdict = run_and_verify(program, fuel=cfg.fuel, quals=quals)
             corpus.record(path, verdict)
@@ -332,6 +326,8 @@ def cmd_soundness(args: argparse.Namespace) -> int:
         return EXIT_REJECTED
     if result.blocked or corpus.blocked:
         return EXIT_ORACLE
+    if unloadable:
+        return EXIT_USAGE
     return EXIT_REJECTED if result.rejected or corpus.rejected else EXIT_OK
 
 
@@ -404,6 +400,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"lrcheck: config file {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except LoadError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a crash must not read as a verdict
         message = " ".join(str(exc).split())

@@ -224,24 +224,6 @@ def apply_solution_expr(e: RefExpr, sol: Solution) -> RefExpr:
             return e
 
 
-def apply_solution(c: Constraint, sol: Solution) -> Constraint:
-    """Replace every unknown-predicate application by its assigned predicate
-    instantiated at the application arguments."""
-    match c:
-        case Conj(parts):
-            return Conj(tuple(apply_solution(p, sol) for p in parts))
-        case Head(goal, prov):
-            return Head(apply_solution_expr(goal, sol), prov)
-        case ForAll(binders, hyps, body):
-            return ForAll(
-                binders,
-                tuple(apply_solution_expr(h, sol) for h in hyps),
-                apply_solution(body, sol),
-            )
-        case _:
-            raise TypeError(f"apply_solution: {c!r}")
-
-
 # ---------------------------------------------------------------------------
 # Qualifiers
 

@@ -7,12 +7,20 @@ are rejected here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .syntax import (
+    ATOM_LEVEL,
+    CMP_LEVEL,
+    LEVELS,
+    NOT_LEVEL,
+    TRUE,
     AbstractLoc,
     Assign,
+    BaseType,
     BinArith,
     BinBool,
     BoolBase,
@@ -66,11 +74,32 @@ KEYWORDS = {
     "int", "bool", "loc", "ptr", "uninit", "Vec", "mut", "shr", "strg",
 }
 
-_PUNCT = [
-    ":=", "->", "&&", "||", "!=", "<=", ">=",
-    "{", "}", "(", ")", "[", "]", "<", ">", ",", ".", "|", "=", "!",
-    "+", "-", "*", "&", ";", ":",
-]
+# one alternative per token class, tried in this order at each position;
+# punctuation longest first, and any other character is an error
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)"
+    r"|(?P<int>[0-9]+)|(?P<word>\w+)"
+    r"|(?P<punct>:=|->|&&|\|\||!=|<=|>=|[-{}()\[\]<>,.|=!+*&;:])|(?P<other>.)"
+)
+
+# the node each binary operator of `LEVELS` builds from its operands
+BINARY = {
+    "||": partial(BinBool, "or"),
+    "&&": partial(BinBool, "and"),
+    "=": Eq,
+    "!=": lambda lhs, rhs: Not(Eq(lhs, rhs)),
+    **{op: partial(Cmp, op) for op in ("<", "<=", ">", ">=")},
+    **{op: partial(BinArith, op) for op in ("+", "-", "*")},
+}
+
+KEYWORD_VALUES = {
+    "true": BoolLit(True),
+    "false": BoolLit(False),
+    "poison": Poison(),
+    "vec_new": VecNew(),
+    "vec_push": VecPush(),
+    "vec_index_mut": VecIndexMut(),
+}
 
 
 @dataclass(frozen=True)
@@ -83,6 +112,9 @@ class Token:
     def describe(self) -> str:
         """The token as a diagnostic names it; the eof token is `end of input`."""
         return "end of input" if self.kind == "eof" else repr(self.text)
+
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -99,47 +131,23 @@ class ParseError(Exception):
 
 def lex(source: str) -> List[Token]:
     tokens: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, col = 1, 1
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":  # `col` stays at its start
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token("int", source[start:i], line, col))
-            col += i - start
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
+        if kind == "other" or (kind == "word" and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        if kind == "word":
             kind = "kw" if text in KEYWORDS else "ident"
+        elif kind == "punct":
+            kind = text
+        if kind != "blank":
             tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+        col += len(text)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -187,6 +195,25 @@ class Parser:
             raise self.unexpected(self.peek(), "identifier")
         return self.next()
 
+    def comma_list(self, parse: Callable[[], T], nonempty: bool = True) -> Tuple[T, ...]:
+        """Items read by `parse`, separated by commas; none at all unless
+        `nonempty`, which the caller decides from the next token."""
+        items = [parse()] if nonempty else []
+        while items and self.at(","):
+            self.next()
+            items.append(parse())
+        return tuple(items)
+
+    def enclosed(
+        self, opener: str, parse: Callable[[], T], closer: str, nonempty: bool = True
+    ) -> Tuple[T, ...]:
+        """A comma list between `opener` and `closer`, empty only if not
+        `nonempty`."""
+        self.expect(opener)
+        items = self.comma_list(parse, nonempty or not self.at(closer))
+        self.expect(closer)
+        return items
+
     def _span_from(self, tok: Token) -> Span:
         prev = self.tokens[max(self.pos - 1, 0)]
         return Span(tok.line, tok.col, prev.line, prev.col + len(prev.text))
@@ -226,13 +253,8 @@ class Parser:
 
     def parse_sig(self) -> FnSig:
         self.expect("{")
-        refparams: List[Tuple[str, Sort]] = []
-        if self.at("ident"):
-            refparams.append(self.parse_rparam())
-            while self.at(","):
-                self.next()
-                refparams.append(self.parse_rparam())
-        requires: RefExpr = BoolConst(True)
+        refparams = self.comma_list(self.parse_rparam, self.at("ident"))
+        requires: RefExpr = TRUE
         in_locs = LocCtx()
         if self.at("|"):
             self.next()
@@ -244,21 +266,14 @@ class Parser:
                     self.next()
                     in_locs = self.parse_locctx()
         self.expect("}")
-        self.expect("(")
-        args: List[Type] = []
-        if not self.at(")"):
-            args.append(self.parse_type())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_type())
-        self.expect(")")
+        args = self.enclosed("(", self.parse_type, ")", nonempty=False)
         self.expect("->")
         ret = self.parse_type()
         out_locs = LocCtx()
         if self.at(";"):
             self.next()
             out_locs = self.parse_locctx()
-        return FnSig(tuple(refparams), requires, in_locs, tuple(args), ret, out_locs)
+        return FnSig(refparams, requires, in_locs, args, ret, out_locs)
 
     def parse_rparam(self) -> Tuple[str, Sort]:
         name = self.expect_ident().text
@@ -267,26 +282,15 @@ class Parser:
 
     def parse_sort(self) -> Sort:
         tok = self.peek()
-        if self.at_kw("int"):
-            self.next()
-            return Sort.INT
-        if self.at_kw("bool"):
-            self.next()
-            return Sort.BOOL
-        if self.at_kw("loc"):
-            self.next()
-            return Sort.LOC
-        raise self.unexpected(tok, "int", "bool", "loc")
+        if tok.kind != "kw" or tok.text not in ("int", "bool", "loc"):
+            raise self.unexpected(tok, "int", "bool", "loc")
+        return Sort(self.next().text)
 
     def _at_locctx(self) -> bool:
         return self.at("ident") and self.peek(1).kind == "->"
 
     def parse_locctx(self) -> LocCtx:
-        items = [self.parse_locbind()]
-        while self.at(","):
-            self.next()
-            items.append(self.parse_locbind())
-        return LocCtx(tuple(items))
+        return LocCtx(self.comma_list(self.parse_locbind))
 
     def parse_locbind(self):
         name = self.expect_ident().text
@@ -295,30 +299,15 @@ class Parser:
 
     def parse_type(self) -> Type:
         tok = self.peek()
-        if self.at_kw("int") or self.at_kw("bool"):
-            base = IntBase() if tok.text == "int" else BoolBase()
-            self.next()
-            self.expect("[")
-            idx = self.parse_refexpr()
-            self.expect("]")
-            return Indexed(base, idx)
-        if self.at_kw("Vec"):
-            self.next()
-            self.expect("<")
-            elem = self.parse_type()
-            self.expect(">")
-            self.expect("[")
-            idx = self.parse_refexpr()
-            self.expect("]")
-            return Indexed(VecBase(elem), idx)
+        if self.at_base():
+            return self.parse_indexed(self.parse_base())
         if self.at("{"):
             self.next()
             binder = self.expect_ident().text
             self.expect(".")
-            base = self.parse_existbase()
+            base = self.parse_base()
             self.expect("[")
-            inner = self.expect_ident().text
-            if inner != binder:
+            if self.expect_ident().text != binder:
                 raise ParseError(
                     f"existential index must repeat binder {binder!r}",
                     tok.line, tok.col,
@@ -354,68 +343,47 @@ class Parser:
             tok, "int", "bool", "Vec", "{", "ptr", "&", "uninit", "fn"
         )
 
-    def parse_existbase(self):
+    def at_base(self) -> bool:
         tok = self.peek()
-        if self.at_kw("int"):
-            self.next()
-            return IntBase()
-        if self.at_kw("bool"):
-            self.next()
-            return BoolBase()
-        if self.at_kw("Vec"):
-            self.next()
+        return tok.kind == "kw" and tok.text in ("int", "bool", "Vec")
+
+    def parse_base(self) -> BaseType:
+        """`int`, `bool` or `Vec<T>`."""
+        tok = self.peek()
+        if not self.at_base():
+            raise self.unexpected(tok, "int", "bool", "Vec")
+        self.next()
+        if tok.text == "Vec":
             self.expect("<")
             elem = self.parse_type()
             self.expect(">")
             return VecBase(elem)
-        raise self.unexpected(tok, "int", "bool", "Vec")
+        return IntBase() if tok.text == "int" else BoolBase()
+
+    def parse_indexed(self, base: BaseType) -> Indexed:
+        self.expect("[")
+        idx = self.parse_refexpr()
+        self.expect("]")
+        return Indexed(base, idx)
 
     # -- refinement expressions ---------------------------------------------
 
-    def parse_refexpr(self) -> RefExpr:
-        return self.parse_ref_or()
-
-    def parse_ref_or(self) -> RefExpr:
-        lhs = self.parse_ref_and()
-        while self.at("||"):
-            self.next()
-            lhs = BinBool("or", lhs, self.parse_ref_and())
-        return lhs
-
-    def parse_ref_and(self) -> RefExpr:
-        lhs = self.parse_ref_cmp()
-        while self.at("&&"):
-            self.next()
-            lhs = BinBool("and", lhs, self.parse_ref_cmp())
-        return lhs
-
-    def parse_ref_cmp(self) -> RefExpr:
-        lhs = self.parse_ref_add()
-        tok = self.peek()
-        if tok.kind in ("<", "<=", ">", ">="):
-            self.next()
-            return Cmp(tok.kind, lhs, self.parse_ref_add())
-        if tok.kind == "=":
-            self.next()
-            return Eq(lhs, self.parse_ref_add())
-        if tok.kind == "!=":
-            self.next()
-            return Not(Eq(lhs, self.parse_ref_add()))
-        return lhs
-
-    def parse_ref_add(self) -> RefExpr:
-        lhs = self.parse_ref_mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            lhs = BinArith(op, lhs, self.parse_ref_mul())
-        return lhs
-
-    def parse_ref_mul(self) -> RefExpr:
+    def parse_refexpr(self, prec: int = 1) -> RefExpr:
+        """Precedence climbing over `LEVELS`: a term whose binary operators
+        are all of level `prec` or above.  An operator applies only if its
+        level is at most that of the operator applied last, and after a
+        comparison only `&&` and `||` may, so `a < b < c` stops at the
+        second `<`."""
         lhs = self.parse_ref_atom()
-        while self.at("*"):
+        last = ATOM_LEVEL
+        while True:
+            op = self.peek().kind
+            level = LEVELS.get(op)
+            if level is None or not prec <= level <= last:
+                return lhs
             self.next()
-            lhs = BinArith("*", lhs, self.parse_ref_atom())
-        return lhs
+            lhs = BINARY[op](lhs, self.parse_refexpr(level + 1))
+            last = NOT_LEVEL if level == CMP_LEVEL else level
 
     def parse_ref_atom(self) -> RefExpr:
         tok = self.peek()
@@ -431,12 +399,8 @@ class Parser:
             if isinstance(inner, IntConst):
                 return IntConst(-inner.value)
             return BinArith("-", IntConst(0), inner)
-        if self.at_kw("true"):
-            self.next()
-            return BoolConst(True)
-        if self.at_kw("false"):
-            self.next()
-            return BoolConst(False)
+        if self.at_kw("true") or self.at_kw("false"):
+            return BoolConst(self.next().text == "true")
         if self.at("!"):
             self.next()
             return Not(self.parse_ref_atom())
@@ -533,55 +497,18 @@ class Parser:
     def parse_call(self) -> Expr:
         start = self.expect_kw("call")
         callee = self.parse_expr()
-        type_args: List[Type] = []
-        if self.at("<"):
-            self.next()
-            type_args.append(self.parse_typearg())
-            while self.at(","):
-                self.next()
-                type_args.append(self.parse_typearg())
-            self.expect(">")
-        ref_args: List[RefExpr] = []
-        if self.at("{"):
-            self.next()
-            ref_args.append(self.parse_refexpr())
-            while self.at(","):
-                self.next()
-                ref_args.append(self.parse_refexpr())
-            self.expect("}")
-        self.expect("(")
-        args: List[Expr] = []
-        if not self.at(")"):
-            args.append(self.parse_aval())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_aval())
-        self.expect(")")
-        return Call(
-            callee, tuple(ref_args), tuple(args), tuple(type_args),
-            span=self._span_from(start),
-        )
+        type_args = self.enclosed("<", self.parse_typearg, ">") if self.at("<") else ()
+        ref_args = self.enclosed("{", self.parse_refexpr, "}") if self.at("{") else ()
+        args = self.enclosed("(", self.parse_aval, ")", nonempty=False)
+        return Call(callee, ref_args, args, type_args, span=self._span_from(start))
 
     def parse_typearg(self) -> Type:
-        """Type argument of a call; bare `int`, `bool`, or `Vec<T>` are
-        shorthand for the unconstrained existential over that base."""
-        if self.at_kw("int") and self.peek(1).kind != "[":
-            self.next()
-            return Exists("v", IntBase(), BoolConst(True))
-        if self.at_kw("bool") and self.peek(1).kind != "[":
-            self.next()
-            return Exists("v", BoolBase(), BoolConst(True))
-        if self.at_kw("Vec"):
-            save = self.pos
-            self.next()
-            self.expect("<")
-            elem = self.parse_type()
-            self.expect(">")
-            if self.at("["):
-                self.pos = save
-                return self.parse_type()
-            return Exists("v", VecBase(elem), BoolConst(True))
-        return self.parse_type()
+        """Type argument of a call; a bare base `int`, `bool` or `Vec<T>` is
+        shorthand for the unconstrained existential over it."""
+        if not self.at_base():
+            return self.parse_type()
+        base = self.parse_base()
+        return self.parse_indexed(base) if self.at("[") else Exists("v", base, TRUE)
 
     def parse_aval(self) -> Expr:
         tok = self.peek()
@@ -598,41 +525,19 @@ class Parser:
 
     def try_parse_value(self) -> Optional[Value]:
         tok = self.peek()
-        if self.at_kw("true"):
+        if tok.kind == "kw" and tok.text in KEYWORD_VALUES:
             self.next()
-            return BoolLit(True)
-        if self.at_kw("false"):
-            self.next()
-            return BoolLit(False)
+            return KEYWORD_VALUES[tok.text]
         if self.at("int"):
             self.next()
             return IntLit(int(tok.text))
         if self.at("-") and self.peek(1).kind == "int":
             self.next()
             return IntLit(-int(self.next().text))
-        if self.at_kw("poison"):
-            self.next()
-            return Poison()
-        if self.at_kw("vec_new"):
-            self.next()
-            return VecNew()
-        if self.at_kw("vec_push"):
-            self.next()
-            return VecPush()
-        if self.at_kw("vec_index_mut"):
-            self.next()
-            return VecIndexMut()
         if self.at_kw("rec"):
             self.next()
             fname = self.expect_ident().text
-            refparams: List[Tuple[str, Sort]] = []
-            if self.at("{"):
-                self.next()
-                refparams.append(self.parse_rparam())
-                while self.at(","):
-                    self.next()
-                    refparams.append(self.parse_rparam())
-                self.expect("}")
+            refparams = self.enclosed("{", self.parse_rparam, "}") if self.at("{") else ()
             self.expect("(")
             params: List[str] = []
             while self.at("ident"):
@@ -641,17 +546,13 @@ class Parser:
             self.expect(":=")
             body = self.parse_expr()
             return RecFn(
-                fname, tuple(refparams), tuple(params), body,
-                span=self._span_from(tok),
+                fname, refparams, tuple(params), body, span=self._span_from(tok)
             )
         return None
 
 
 def parse_program(source: str) -> Program:
     return Parser(source).parse_program()
-
-
-T = TypeVar("T")
 
 
 def _parse_all(source: str, parse: Callable[[Parser], T]) -> T:

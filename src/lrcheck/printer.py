@@ -6,6 +6,10 @@ print_program(parse_program(src)) re-parses to a structurally equal tree.
 from __future__ import annotations
 
 from .syntax import (
+    ATOM_LEVEL,
+    CMP_LEVEL,
+    LEVELS,
+    NOT_LEVEL,
     AbstractLoc,
     Assign,
     BinArith,
@@ -59,63 +63,55 @@ from .syntax import (
     VecVal,
 )
 
-# Precedence levels, loosest first: || < && < ! < (=, !=, <, <=, >, >=) < +- < *
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_CMP = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
-_PREC_ATOM = 7
+def _binary(e: RefExpr):
+    """The `LEVELS` operator that builds `e`, with its operands, or None."""
+    match e:
+        case BinBool(op, lhs, rhs):
+            return ("&&" if op == "and" else "||"), lhs, rhs
+        case BinArith(op, lhs, rhs) | Cmp(op, lhs, rhs):
+            return op, lhs, rhs
+        case Eq(lhs, rhs):
+            return "=", lhs, rhs
+        case Not(Eq(lhs, rhs)):
+            return "!=", lhs, rhs
+    return None
 
 
 def print_refexpr(e: RefExpr, prec: int = 0) -> str:
-    def wrap(s: str, p: int) -> str:
-        return f"({s})" if p < prec else s
-
+    """`e` as text that parses back to `e`, in parentheses if its operator
+    binds more loosely than level `prec` of `LEVELS`."""
+    binary = _binary(e)
+    if binary is not None:
+        op, lhs, rhs = binary
+        level = LEVELS[op]
+        left_prec = level + 1 if level == CMP_LEVEL else level
+        # a chain of one operator nested on its left operand, as `conj`
+        # builds it, is printed in a loop, so its length is not bounded by
+        # the recursion limit
+        rights = [rhs]
+        while left_prec == level and (inner := _binary(lhs)) and inner[0] == op:
+            _, lhs, rhs = inner
+            rights.append(rhs)
+        operands = [print_refexpr(lhs, left_prec)]
+        operands.extend(print_refexpr(r, level + 1) for r in reversed(rights))
+        s = f" {op} ".join(operands)
+        return f"({s})" if level < prec else s
     match e:
         case Var(name):
             return name
         case IntConst(v):
-            return str(v) if v >= 0 else wrap(str(v), _PREC_CMP)
+            return str(v) if v >= 0 or prec <= CMP_LEVEL else f"({v})"
         case BoolConst(v):
             return "true" if v else "false"
         case LocConst(l):
             return f"#{l}"
-        case Not(Eq(l, r)):
-            s = f"{print_refexpr(l, _PREC_ADD)} != {print_refexpr(r, _PREC_ADD)}"
-            return wrap(s, _PREC_CMP)
-        case Eq(l, r):
-            s = f"{print_refexpr(l, _PREC_ADD)} = {print_refexpr(r, _PREC_ADD)}"
-            return wrap(s, _PREC_CMP)
-        case Cmp(op, l, r):
-            s = f"{print_refexpr(l, _PREC_ADD)} {op} {print_refexpr(r, _PREC_ADD)}"
-            return wrap(s, _PREC_CMP)
         case Not(a):
-            return wrap(f"!{print_refexpr(a, _PREC_ATOM)}", _PREC_NOT)
-        case BinBool("and", l, r):
-            s = f"{print_refexpr(l, _PREC_AND)} && {print_refexpr(r, _PREC_AND + 1) if _is_and(r) else print_refexpr(r, _PREC_AND)}"
-            return wrap(s, _PREC_AND)
-        case BinBool("or", l, r):
-            s = f"{print_refexpr(l, _PREC_OR)} || {print_refexpr(r, _PREC_OR)}"
-            return wrap(s, _PREC_OR)
-        case BinArith("+", l, r):
-            s = f"{print_refexpr(l, _PREC_ADD)} + {print_refexpr(r, _PREC_MUL)}"
-            return wrap(s, _PREC_ADD)
-        case BinArith("-", l, r):
-            s = f"{print_refexpr(l, _PREC_ADD)} - {print_refexpr(r, _PREC_MUL)}"
-            return wrap(s, _PREC_ADD)
-        case BinArith("*", l, r):
-            s = f"{print_refexpr(l, _PREC_MUL)} * {print_refexpr(r, _PREC_ATOM)}"
-            return wrap(s, _PREC_MUL)
+            s = f"!{print_refexpr(a, ATOM_LEVEL)}"
+            return f"({s})" if NOT_LEVEL < prec else s
         case KApp(kvar, args):
             return f"${kvar.name}({', '.join(print_refexpr(a) for a in args)})"
         case _:
             raise TypeError(f"print_refexpr: {e!r}")
-
-
-def _is_and(e: RefExpr) -> bool:
-    return isinstance(e, BinBool) and e.op == "and"
 
 
 def print_loc(loc: Loc) -> str:

@@ -117,6 +117,23 @@ class KVarDecl:
 
 TRUE = BoolConst(True)
 
+# The operator grammar of refinement terms, read by the parser and the
+# printer: the level of each binary operator, loosest first.  Every level
+# associates to the left, and a comparison takes no comparison as an
+# operand.  Atoms (names, constants, parentheses, `!a`, `-a`) bind
+# tightest; the printer puts `!a` in parentheses above NOT_LEVEL.
+CMP_LEVEL = 4
+LEVELS = {
+    "||": 1,
+    "&&": 2,
+    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">="), CMP_LEVEL),
+    "+": 5,
+    "-": 5,
+    "*": 6,
+}
+NOT_LEVEL = 3
+ATOM_LEVEL = 7
+
 
 def children(e: RefExpr) -> Tuple[RefExpr, ...]:
     """The immediate refinement subterms of `e`, left to right.  This is the

@@ -7,7 +7,7 @@ import pytest
 
 from lrcheck.cli import Config, main, make_qualifiers
 from lrcheck.constraints import instantiations
-from lrcheck.harness import run_and_verify
+from lrcheck.harness import generate_program, run_and_verify
 from lrcheck.parser import parse_program
 from lrcheck.parser import parse_refexpr as R
 from lrcheck.printer import print_program
@@ -314,18 +314,66 @@ def test_a_bad_config_file_is_a_usage_error(tmp_path, capsys, text, problem):
 
 def test_a_program_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
     """Exit 2 with one line naming the file in every subcommand that reads
-    one; `soundness --corpus` counts it like an unreadable file."""
+    one; `soundness --corpus` reports it, but not as a rejection."""
     path = tmp_path / "bad.lr"
     path.write_bytes(b"entry \xff 1\n")
     for command in ("check", "constraints", "solve", "run"):
         assert main([command, str(path)]) == 2, command
         err = capsys.readouterr().err
-        assert str(path) in err and "not UTF-8" in err, err
+        assert err.startswith(f"{path}: io error: not UTF-8"), err
         assert err.count("\n") == 1, err
-    assert main(["soundness", "--seeds", "0", "--corpus", str(tmp_path)]) == 1
+    assert main(["soundness", "--seeds", "0", "--corpus", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"corpus {path}: " in err and "not UTF-8" in err, err
-    assert f"checker rejected corpus {path}" in err, err
+    assert f"  corpus {path}: io error: not UTF-8" in err, err
+    assert "checker rejected" not in err, err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (None, "io error: [Errno 2] No such file or directory"),
+        ("entry let x = in x", "parse error: 1:15: unexpected 'in' (expected one of:"),
+    ],
+)
+def test_every_subcommand_reports_an_unloadable_program_in_one_line(
+    tmp_path, capsys, text, problem
+):
+    """`PATH: io error: ...` or `PATH: parse error: ...` and exit 2; in
+    `soundness --corpus` as well, where it is no rejection."""
+    path = tmp_path / "prog.lr"
+    if text is not None:
+        path.write_text(text)
+    for command in ("check", "constraints", "solve", "run"):
+        assert main([command, str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: {problem}") and err.count("\n") == 1, err
+    if text is not None:
+        assert main(["soundness", "--seeds", "0", "--corpus", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"  corpus {path}: {problem}" in err and "rejected" not in err, err
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_non_ascii_digit_is_an_unexpected_character(tmp_path, capsys, digit, command):
+    """Only 0-9 make an integer: `²` used to reach `int()` and exit 4, and
+    the Arabic-Indic `٣` used to run as 3."""
+    path = tmp_path / "digit.lr"
+    path.write_text(f"entry {digit}\n", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{path}: parse error: 1:7: unexpected character {digit!r}\n"
+
+
+def test_dumps_a_long_conjunction_of_a_solution(tmp_path, capsys):
+    """A solution entry of `generate_program(3, 160)` is a conjunction
+    longer than the recursion limit allows a recursive printer."""
+    path = tmp_path / "gen.lr"
+    path.write_text(print_program(generate_program(3, 160)))
+    assert main(["check", str(path), "--dump-solution"]) == 0
+    out = capsys.readouterr().out
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.count(" && ") == out.count(" && ") > 1000
 
 
 def test_a_negative_count_is_a_usage_error(capsys):

@@ -13,7 +13,6 @@ from lrcheck.constraints import (
     MissingKVar,
     Provenance,
     Solution,
-    apply_solution,
     apply_solution_expr,
     clauses,
     default_qualifiers,
@@ -38,6 +37,23 @@ from lrcheck.syntax import (
 
 PROV = Provenance("test")
 V = (("v", Sort.INT),)
+
+
+def apply_solution(c, sol: Solution):
+    """`c` with every unknown-predicate application replaced by its assigned
+    predicate at the application's arguments: a reference on constraint
+    trees for the solver, which resolves clause by clause."""
+    match c:
+        case Conj(parts):
+            return Conj(tuple(apply_solution(p, sol) for p in parts))
+        case Head(goal, prov):
+            return Head(apply_solution_expr(goal, sol), prov)
+        case ForAll(binders, hyps, body):
+            return ForAll(
+                binders,
+                tuple(apply_solution_expr(h, sol) for h in hyps),
+                apply_solution(body, sol),
+            )
 
 
 def H(expr):
@@ -119,7 +135,7 @@ def test_apply_solution_empty_on_kvar_free_is_identity():
 def test_apply_solution_missing_kvar():
     k = KVarDecl("k", (("p0", Sort.INT),))
     with pytest.raises(MissingKVar):
-        apply_solution(H(KApp(k, (Var("a"),))), Solution())
+        apply_solution_expr(KApp(k, (Var("a"),)), Solution())
 
 
 def test_apply_then_clauses_commutes():

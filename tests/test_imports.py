@@ -6,8 +6,8 @@ A plain `ast` scan, since no linter is a dependency: names bound by
 the module (or in its `__all__`, which is how `lrcheck/__init__.py`
 re-exports).  `from __future__` imports are exempt.  A module-level
 function or class of `src/lrcheck` must be read somewhere in
-`src/lrcheck`, as a loaded `Name` or an attribute, or be listed in an
-`__all__`: code that only tests reach is dead.
+`src/lrcheck` outside its own body, as a loaded `Name` or an attribute,
+or be listed in an `__all__`: code that only tests reach is dead.
 """
 
 import ast
@@ -57,15 +57,19 @@ def unused_imports(source: str):
 
 def unread_definitions(sources):
     """The module-level functions and classes of `sources` (path -> text)
-    that none of them reads, as (path, name, line)."""
-    trees = {path: ast.parse(source) for path, source in sources.items()}
-    read = set().union(*(_reads(tree, attributes=True) for tree in trees.values()))
+    that none of them reads outside the definition itself, as
+    (path, name, line): a recursive function read only by itself is dead."""
+    statements = [
+        (path, node, _reads(node, attributes=True))
+        for path, source in sources.items()
+        for node in ast.parse(source).body
+    ]
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return [
         (path, node.name, node.lineno)
-        for path, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, defs) and node.name not in read
+        for path, node, _ in statements
+        if isinstance(node, defs)
+        and not any(node.name in read for _, other, read in statements if other is not node)
     ]
 
 
@@ -98,10 +102,15 @@ def test_every_package_definition_is_read_in_the_package():
 
 def test_scan_flags_an_unread_definition_and_spares_reads_and_exports():
     sources = {
-        "a.py": "def used(): pass\ndef dead(): pass\nclass Shown: pass\n",
+        "a.py": (
+            "def used(): pass\ndef dead(): pass\nclass Shown: pass\n"
+            "def loop(n): return loop(n - 1)\n"
+        ),
         "b.py": (
             "import a\n__all__ = ['Shown']\nclass Method:\n"
             "    def m(self): return a.used()\n"
         ),
     }
-    assert unread_definitions(sources) == [("a.py", "dead", 2), ("b.py", "Method", 3)]
+    assert unread_definitions(sources) == [
+        ("a.py", "dead", 2), ("a.py", "loop", 4), ("b.py", "Method", 3)
+    ]

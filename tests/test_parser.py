@@ -1,8 +1,12 @@
 """Parser and printer tests for the surface language."""
 
+import random
+
 import pytest
 
+from gen import bool_expr, int_expr
 from lrcheck.harness import generate_program
+from lrcheck.logic import conj
 from lrcheck.parser import (
     ParseError,
     parse_expr,
@@ -10,7 +14,7 @@ from lrcheck.parser import (
     parse_refexpr,
     parse_type,
 )
-from lrcheck.printer import print_expr, print_program
+from lrcheck.printer import print_expr, print_program, print_refexpr
 from lrcheck.syntax import (
     Assign,
     Call,
@@ -230,3 +234,25 @@ def test_long_let_chain_parses_and_roundtrips():
         assert (e1.bound if isinstance(e1, Let) else e1.locvar) == (
             e2.bound if isinstance(e2, Let) else e2.locvar
         )
+
+
+def test_printed_refinement_terms_parse_back_to_themselves():
+    """Over random terms, including right-nested `||`, `&&` and `-`."""
+    failures = []
+    for seed in range(2000):
+        rng = random.Random(seed)
+        if seed % 2:
+            e = int_expr(rng, ["a", "b"], depth=4)
+        else:
+            e = bool_expr(rng, ["a", "b"], ["p", "q"], depth=4)
+        if parse_refexpr(print_refexpr(e)) != e:
+            failures.append((seed, print_refexpr(e)))
+    assert not failures, failures[:3]
+
+
+def test_a_long_conjunction_prints_on_a_shallow_stack(shallow_stack):
+    """`conj` nests on the left; the printer walks such a chain in a loop."""
+    atoms = [parse_refexpr("a >= -1"), parse_refexpr("p || !q")] * 2500
+    printed = print_refexpr(conj(atoms))
+    assert printed.count(" && ") == 4999 and "&& (p || !q) &&" in printed
+    assert print_refexpr(parse_refexpr(printed)) == printed

@@ -6,13 +6,7 @@ import random
 import pytest
 
 from gen import any_type, base_type, ctx_with_vars, loc_ctx
-from lrcheck.constraints import (
-    Provenance,
-    Solution,
-    apply_solution,
-    clauses,
-    normalize,
-)
+from lrcheck.constraints import Provenance, Solution, clauses, normalize
 from lrcheck.errors import StructuralError
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_refexpr as R
@@ -24,6 +18,7 @@ from lrcheck.syntax import (
     Sort,
     Uninit,
 )
+from test_constraints import apply_solution
 
 PROV = Provenance("test")
 
