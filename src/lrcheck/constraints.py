@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
     conjuncts,
     fold_constants,
+    free_vars,
     is_trivially_true,
     subst_parallel,
 )
@@ -227,6 +229,11 @@ def apply_solution_expr(e: RefExpr, sol: Solution) -> RefExpr:
 # ---------------------------------------------------------------------------
 # Qualifiers
 
+# The reserved names a qualifier's template is built over: no parameter is
+# named so, since neither is an identifier nor a fresh name.
+NU, META = "$v", "$m"
+
+
 @dataclass(frozen=True)
 class Qualifier:
     """Atomic predicate template over a value symbol and an optional
@@ -240,15 +247,33 @@ class Qualifier:
     def instantiate(self, nu: RefExpr, meta: Optional[RefExpr]) -> RefExpr:
         return self.build(nu, meta)
 
+    @cached_property
+    def template(self) -> RefExpr:
+        """The qualifier over `NU` and, with a metavariable, `META`; built
+        on first use and kept with the qualifier."""
+        return self.build(Var(NU), Var(META) if self.uses_meta else None)
+
+    @cached_property
+    def shape(self) -> Optional[Tuple[int, int]]:
+        """The hashes of the template and of the template with `NU` and
+        `META` swapped, when the template mentions exactly the reserved
+        names it is given; None otherwise (see `_may_repeat`)."""
+        names = free_vars(self.template)
+        if names != ({NU, META} if self.uses_meta else {NU}):
+            return None
+        swapped = subst_parallel(self.template, {NU: Var(META), META: Var(NU)})
+        return hash(self.template), hash(swapped)
+
 
 def _q(name: str, nu_sort: Sort, uses_meta: bool, build) -> Qualifier:
     return Qualifier(name, nu_sort, uses_meta, build)
 
 
-def default_qualifiers() -> List[Qualifier]:
+@cache
+def _defaults() -> Tuple[Qualifier, ...]:
     zero = IntConst(0)
     one = IntConst(1)
-    return [
+    return (
         _q("nonneg", Sort.INT, False, lambda v, m: Cmp(">=", v, zero)),
         _q("pos", Sort.INT, False, lambda v, m: Cmp(">", v, zero)),
         _q("eq", Sort.INT, True, lambda v, m: Eq(v, m)),
@@ -260,28 +285,62 @@ def default_qualifiers() -> List[Qualifier]:
         _q("eq-pred", Sort.INT, True, lambda v, m: Eq(v, BinArith("-", m, one))),
         _q("holds", Sort.BOOL, False, lambda v, m: v),
         _q("fails", Sort.BOOL, False, lambda v, m: Not(v)),
-    ]
+    )
 
 
-def instantiations(kvar: KVarDecl, quals: Sequence[Qualifier]) -> List[RefExpr]:
+def default_qualifiers() -> List[Qualifier]:
+    """A fresh list of the same default qualifiers on every call, so that
+    their templates are built once per process."""
+    return list(_defaults())
+
+
+# (qualifier, value parameter, metavariable parameter or None)
+Candidate = Tuple[Qualifier, str, Optional[str]]
+
+
+def instance(cand: Candidate) -> RefExpr:
+    """The candidate's qualifier instantiated at its parameters."""
+    q, nu, meta = cand
+    return q.instantiate(Var(nu), None if meta is None else Var(meta))
+
+
+def instantiations(kvar: KVarDecl, quals: Sequence[Qualifier]) -> List[Candidate]:
     """All well-sorted qualifier instantiations over a kvar's parameters:
     each parameter may play the value symbol, metavariables range over the
-    remaining same-sort parameters."""
-    out: List[RefExpr] = []
+    remaining same-sort parameters.  Of instantiations with equal terms,
+    only the first is kept."""
+    out: List[Candidate] = []
     for i, (pname, psort) in enumerate(kvar.params):
-        nu = Var(pname)
         for q in quals:
             if q.nu_sort != psort:
                 continue
             if not q.uses_meta:
-                out.append(q.instantiate(nu, None))
+                out.append((q, pname, None))
                 continue
             for j, (mname, msort) in enumerate(kvar.params):
-                if j == i or msort != psort:
-                    continue
-                out.append(q.instantiate(nu, Var(mname)))
-    # deduplicate, preserving order
-    return list(dict.fromkeys(out))
+                if j != i and msort == psort:
+                    out.append((q, pname, mname))
+    if not _may_repeat(quals):
+        return out
+    first: Dict[RefExpr, Candidate] = {}
+    for cand in out:
+        first.setdefault(instance(cand), cand)
+    return list(first.values())
+
+
+def _may_repeat(quals: Sequence[Qualifier]) -> bool:
+    """False when no two instantiations can have equal terms.  That holds
+    when every template mentions exactly its reserved names, and the
+    templates and their swaps are all distinct: then an instance's term
+    gives back its template, up to a swap, and its parameters.  The check
+    compares hashes, so a collision only costs building the terms."""
+    hashes = set()
+    for q in quals:
+        shape = q.shape
+        if shape is None:
+            return True
+        hashes.update(shape)
+    return len(hashes) < 2 * len(quals)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .constraints import (
+    META,
+    NU,
+    Candidate,
     Clause,
     Constraint,
     Provenance,
@@ -15,6 +19,7 @@ from .constraints import (
     Solution,
     apply_solution_expr,
     clauses,
+    instance,
     instantiations,
     kvars_in,
     kvars_of,
@@ -304,24 +309,47 @@ class _TemplateSlot(Type):
 # ---------------------------------------------------------------------------
 # Liquid fixpoint solving over linear rows
 #
-# Each candidate qualifier of a kvar is turned once into one positive
-# literal over the kvar's parameters.  Its row, terms . params + k <= 0, is
-# built by the oracle's `cmp_row`, as the oracle builds every row:
+# A kvar's candidates are (qualifier, value parameter, metavariable
+# parameter) triples, in `instantiations` order.  Each is turned once into
+# one positive literal over the kvar's parameters, whose row, terms .
+# params + k <= 0, is the one the oracle's `cmp_row` builds:
 #   ("le", terms, k)    a comparison l op r: the row of l op r
 #   ("eq", terms, k)    an integer equality l = r: the row of l <= r, and
 #                       l = r holds when row <= 0 and -row <= 0
 #   ("term", e)         any other formula, or a comparison whose row
 #                       mentions a product or a non-integer parameter:
 #                       substituted and expanded on use
-# `terms` is a tuple of (parameter, coefficient) pairs, so a literal is
-# hashable and equal rows are equal literals: `a <= b` and `b >= a` give
-# one.  A row fails exactly when -row + 1 <= 0.  A kvar application maps
-# each parameter to its argument, an integer argument as its linear form;
-# substituting a literal splices the argument forms into its row.
+# An integer qualifier is compiled once, on first use, into such a literal
+# over the reserved names `NU` and `META` (`_template_row`), and a
+# candidate's literal is that template with the two names replaced by its
+# parameters.  A template that is a term, or whose row mentions any other
+# name, is not compiled: its candidates build their term and go through
+# `_literal`.  A candidate's term is built only for the survivors, which
+# `Solution` needs.
+#
+# `terms` is a sorted tuple of (parameter, coefficient) pairs, and an
+# equality's first coefficient is positive, so a literal is its own
+# canonical key: `a <= b` and `b >= a` give one literal, and so do
+# `a = b + 1` and `b = a - 1`.  The fixpoint decides each distinct literal
+# of a kvar once and deletes all its candidates with it.  A row fails
+# exactly when -row + 1 <= 0.  A kvar application maps each parameter to
+# its argument, an integer argument as its linear form; substituting a
+# literal splices the argument forms into its row, and evaluating it at a
+# point evaluates the forms there (`_App.holds_at`).
+
+
+def _row_literal(kind: str, terms: Iterable[Tuple[str, int]], k: int) -> Tuple:
+    """A row literal with its terms sorted and, for an equality, the sign
+    that makes its first coefficient positive."""
+    terms = sorted(terms)
+    if kind == "eq" and terms and terms[0][1] < 0:
+        terms = [(p, -c) for p, c in terms]
+        k = -k
+    return (kind, tuple(terms), k)
 
 
 def _literal(cand: RefExpr, sorts: Dict[str, Sort]) -> Tuple:
-    """One candidate as a literal over its kvar's parameters (`sorts`)."""
+    """One candidate term as a literal over its kvar's parameters (`sorts`)."""
     match cand:
         case Cmp(op, l, r):
             kind = "le"
@@ -336,7 +364,34 @@ def _literal(cand: RefExpr, sorts: Dict[str, Sort]) -> Tuple:
         return ("term", cand)
     if prods or any(sorts.get(p) is not Sort.INT for p in coeffs):
         return ("term", cand)
-    return (kind, tuple(coeffs.items()), k)
+    return _row_literal(kind, coeffs.items(), k)
+
+
+@lru_cache(maxsize=None)
+def _template_row(template: RefExpr) -> Optional[Tuple]:
+    """An integer qualifier's template as a row literal over `NU` and
+    `META`, or None when it is not one."""
+    lit = _literal(template, {NU: Sort.INT, META: Sort.INT})
+    return None if lit[0] == "term" else lit
+
+
+def _candidate_literals(
+    cands: Sequence[Candidate], sorts: Dict[str, Sort]
+) -> Iterator[Tuple]:
+    """The literal of each candidate of a kvar with parameters `sorts`."""
+    templates: Dict[int, Optional[Tuple]] = {}  # by the qualifier's id
+    for cand in cands:
+        q, nu, meta = cand
+        if id(q) not in templates:
+            int_sorted = q.nu_sort is Sort.INT
+            templates[id(q)] = _template_row(q.template) if int_sorted else None
+        template = templates[id(q)]
+        if template is None:
+            yield _literal(instance(cand), sorts)
+            continue
+        kind, terms, k = template
+        names = {NU: nu, META: meta}
+        yield _row_literal(kind, [(names[p], c) for p, c in terms], k)
 
 
 class _App:
@@ -390,31 +445,72 @@ class _App:
     def negated(self, lit: Tuple) -> Cubes:
         return self.cubes(lit, False)
 
+    def holds_at(self, lit: Tuple, point: Dict[str, int]) -> bool:
+        """Whether the literal substituted here holds at `point`, where an
+        unbound variable reads as 0.  A term literal is not evaluated, and
+        holds."""
+        kind = lit[0]
+        if kind == "term":
+            return True
+        _, terms, row = lit
+        for p, c in terms:
+            coeffs, const = self.lins[p]
+            for v, x in coeffs.items():
+                const += x * point.get(v, 0)
+            row += c * const
+        return row <= 0 if kind == "le" else row == 0
+
 
 class _Candidates:
-    """The fixpoint's state: each kvar's kept candidate qualifiers, and
-    their literals, built when a clause first needs that kvar and dropped
-    with the candidates the kvar deletes."""
+    """The fixpoint's state: each kvar's kept candidates, and its distinct
+    literals with the index of each candidate's literal among them, built
+    when a clause first needs that kvar.  Deleting a literal deletes every
+    candidate that has it."""
 
     def __init__(self, kvars: Sequence[KVarDecl], quals: Sequence[Qualifier]):
         self.params = {k.name: dict(k.params) for k in kvars}
-        self.terms: Dict[str, List[RefExpr]] = {
+        self.kept: Dict[str, List[Candidate]] = {
             k.name: instantiations(k, quals) for k in kvars
         }
-        self._literals: Dict[str, List[Tuple]] = {}
+        self._literals: Dict[str, Tuple[List[Tuple], List[int]]] = {}
+
+    def _compiled(self, name: str) -> Tuple[List[Tuple], List[int]]:
+        entry = self._literals.get(name)
+        if entry is None:
+            index: Dict[Tuple, int] = {}
+            owner = [
+                index.setdefault(lit, len(index))
+                for lit in _candidate_literals(self.kept[name], self.params[name])
+            ]
+            entry = self._literals[name] = (list(index), owner)
+        return entry
 
     def literals(self, name: str) -> List[Tuple]:
-        lits = self._literals.get(name)
-        if lits is None:
-            sorts = self.params[name]
-            lits = self._literals[name] = [_literal(c, sorts) for c in self.terms[name]]
-        return lits
+        """The kvar's distinct literals, in the order of their first
+        candidate."""
+        return self._compiled(name)[0]
 
-    def keep(self, name: str, indices: Sequence[int]) -> None:
-        self.terms[name] = [self.terms[name][i] for i in indices]
-        lits = self._literals.get(name)
-        if lits is not None:
-            self._literals[name] = [lits[i] for i in indices]
+    def keep(self, name: str, valid: Sequence[bool]) -> int:
+        """Keep the candidates whose literal is valid, by the literals'
+        order; return how many candidates were deleted."""
+        lits, owner = self._compiled(name)
+        renumber: Dict[int, int] = {}
+        for i, ok in enumerate(valid):
+            if ok:
+                renumber[i] = len(renumber)
+        cands: List[Candidate] = []
+        owners: List[int] = []
+        for cand, o in zip(self.kept[name], owner):
+            if o in renumber:
+                cands.append(cand)
+                owners.append(renumber[o])
+        self.kept[name] = cands
+        self._literals[name] = ([lits[i] for i in renumber], owners)
+        return len(owner) - len(owners)
+
+    def terms(self, name: str) -> List[RefExpr]:
+        """The terms of the kvar's kept candidates."""
+        return [instance(c) for c in self.kept[name]]
 
 
 class _ClauseRows:
@@ -478,11 +574,14 @@ def solve(
     assignment by construction, so nothing is rechecked.
 
     Every clause is linearized once, and a kvar's candidates once, when a
-    clause first needs that kvar.  A sweep splices the substituted rows of
-    the kept candidates and asks `Oracle.valid_rows`; so does each
-    concrete-headed clause, under the final kept candidates.  Only a
-    concrete clause the rows do not prove is built as a term and decided
-    by `Oracle.valid`, which gives the verdict, reason and counter-model."""
+    clause first needs that kvar.  A sweep asks `Oracle.valid_rows` about
+    each distinct literal of the head kvar once, under the spliced rows of
+    the hypothesis kvars' distinct literals; a literal false at a point the
+    oracle keeps for a hypothesis cube is deleted with no splice of its
+    own.  Each concrete-headed clause is asked the same way, under the
+    final kept candidates.  Only a concrete clause the rows do not prove is
+    built as a term and decided by `Oracle.valid`, which gives the verdict,
+    reason and counter-model."""
     norm = normalize(constraint)
     cls = clauses(norm)
     kvars = kvars_of(norm)
@@ -497,8 +596,8 @@ def solve(
             dependents[name].append(c)
 
     # termination: every re-enqueue follows at least one deletion, and the
-    # total deletion budget is the number of initial instantiations
-    budget = sum(len(v) for v in cands.terms.values())
+    # total deletion budget is the number of initial candidates
+    budget = sum(len(v) for v in cands.kept.values())
     deletions = 0
     sweeps = 0
     worklist = deque(kvar_clauses)
@@ -509,23 +608,23 @@ def solve(
         sweeps += 1
         assert sweeps <= len(kvar_clauses) * (budget + 1), "fixpoint did not descend"
         rows = compiled[clause.cid]
-        kname = rows.head.kvar
-        if not cands.terms[kname]:
+        head = rows.head
+        if not cands.kept[head.kvar]:
             continue
-        lits = cands.literals(kname)
-        verdicts = oracle.valid_rows(rows.hyp_cubes(cands), lits, rows.head.negated)
-        kept = [i for i, v in enumerate(verdicts) if v.is_valid]
-        if len(kept) != len(lits):
-            deletions += len(lits) - len(kept)
-            cands.keep(kname, kept)
-            for dep in dependents[kname]:
+        verdicts = oracle.valid_rows(
+            rows.hyp_cubes(cands), cands.literals(head.kvar), head.negated, head.holds_at
+        )
+        valid = [v.is_valid for v in verdicts]
+        if not all(valid):
+            deletions += cands.keep(head.kvar, valid)
+            for dep in dependents[head.kvar]:
                 if dep.cid not in queued:
                     queued.add(dep.cid)
                     worklist.append(dep)
 
     solution = Solution()
     for k in kvars:
-        solution.assign(k, conj(cands.terms[k.name]))
+        solution.assign(k, conj(cands.terms(k.name)))
 
     for clause in cls:
         if clause.is_kvar_head():

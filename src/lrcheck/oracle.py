@@ -13,10 +13,12 @@ the integer point that showed it so, if evaluation confirms that the point
 falsifies the query, and otherwise Unknown, unless a query with opaque
 products finds a model by enumeration.  `Oracle.valid_many` only loops over
 it.  The row-level one (`Oracle.valid_rows`) takes formulas already
-linearized and decides goals that share hypotheses together, with no model:
-the fixpoint solver linearizes each clause once, and each candidate
-qualifier into one row by `cmp_row`, the rule by which `dnf` makes every
-comparison a row, so every row is built here.  It asks the term-level
+linearized and decides goals that share hypotheses together, with no model.
+The fixpoint solver linearizes each clause once.  It compiles each
+qualifier once into a row template by `cmp_row`, the rule by which `dnf`
+makes every comparison a row, so every row is built here; a candidate's
+literal is its qualifier's template at the candidate's parameters, keyed
+so that equal rows are one goal, decided once.  It asks the term-level
 entry about a concrete clause that the rows do not prove.  Each
 satisfiable hypothesis cube is deduplicated and its unit-coefficient
 equalities are eliminated once, by exact Gaussian substitution; each
@@ -25,7 +27,10 @@ rows, and a goal row that the cube contradicts or implies row by row is
 settled without Fourier-Motzkin.  Each reduced cube also keeps integer
 points that satisfy it, found by back-substitution after a satisfiable
 elimination; a goal cube whose remaining rows hold at one of them is not
-refuted, with no elimination of its own.
+refuted, with no elimination of its own.  A caller that can evaluate a
+goal at a point (the fixpoint, for its literals) has it evaluated first at
+each kept point, extended through its cube's substitutions: a goal false
+at one is Invalid before its negation is built or substituted.
 
 Nonlinear products are abstracted as opaque variables, which keeps Valid
 sound and makes some queries Unknown.
@@ -568,11 +573,35 @@ def _against_cube(
     return out
 
 
+def _extend(point: Dict[str, int], subs: Sequence[Substitution]) -> Dict[str, int]:
+    """A copy of `point` extended through a cube's substitutions in reverse
+    order, so that it satisfies the cube's rows from before they were
+    eliminated."""
+    point = dict(point)
+    for var, lin, k in reversed(subs):
+        point[var] = k + sum(c * point.get(v, 0) for v, c in lin.items())
+    return point
+
+
+def _false_at_a_point(reduced, goal: G, holds_at: Callable[[G, Dict[str, int]], bool]):
+    """Whether `holds_at` finds the goal false at a point of a reduced
+    hypothesis cube; each point is extended through its cube's
+    substitutions the first time it is needed, and kept so."""
+    for _, _, subs, _, points, extended in reduced:
+        for point in points[len(extended):]:
+            extended.append(_extend(point, subs))
+        for point in extended:
+            if not holds_at(goal, point):
+                return True
+    return False
+
+
 def _decide_rows(
     hyps: Iterable[Cubes],
     goals: Sequence[G],
     negate: Callable[[G], Cubes],
     witnesses: Optional[Dict[int, Witness]] = None,
+    holds_at: Optional[Callable[[G, Dict[str, int]], bool]] = None,
 ) -> List[Verdict]:
     """Decide goals under shared hypotheses, given as the DNF of each
     hypothesis conjunct and, through `negate`, the DNF of each goal's
@@ -580,6 +609,12 @@ def _decide_rows(
     into an unknown verdict.  A goal that is not refuted is Invalid with no
     model; `witnesses`, if given, maps its index to the point that settled
     it, if any (see `Witness`).
+
+    `holds_at(goal, point)`, if given, tells whether a goal holds at a
+    point over the hypotheses' variables.  A goal false at a stored point
+    of some cube, extended through the cube's substitutions, is Invalid
+    before its negation is built: that point satisfies the cube and the
+    goal's negation.
 
     Each reduced hypothesis cube keeps integer points of its rows, starting
     with the one its own satisfiability check found.  A goal cube's open
@@ -610,7 +645,8 @@ def _decide_rows(
             if _fm_unsat(rows, points):
                 continue
             bounds = {frozenset(c.items()): k for c, k in rows}
-            reduced.append((bools, rows, subs, bounds, points))
+            # the last list holds the points extended through `subs`
+            reduced.append((bools, rows, subs, bounds, points, []))
     except _TooLarge as exc:
         return [Verdict("unknown", reason=str(exc)) for _ in goals]
 
@@ -618,6 +654,9 @@ def _decide_rows(
     for index, goal in enumerate(goals):
         if not reduced:
             out.append(VALID)  # hypotheses are unsatisfiable
+            continue
+        if holds_at is not None and _false_at_a_point(reduced, goal, holds_at):
+            out.append(INVALID)
             continue
         try:
             neg_cubes = negate(goal)
@@ -628,7 +667,7 @@ def _decide_rows(
         refuted = True
         try:
             pairs = itertools.product(reduced, neg_splits)
-            for (bools, rows, subs, bounds, points), (gbools, grows) in pairs:
+            for (bools, rows, subs, bounds, points, _), (gbools, grows) in pairs:
                 if any(bools.get(n, v) != v for n, v in gbools.items()):
                     continue
                 open_rows = _against_cube(grows, subs, bounds)
@@ -690,9 +729,7 @@ def _model_at(query: Query, witness: Witness) -> Optional[Dict[str, Union[int, b
     order, over the query's binders (an unbound int is 0, an unbound bool
     false), if it falsifies the query."""
     point, bools, subs = witness
-    point = dict(point)
-    for var, lin, k in reversed(subs):
-        point[var] = k + sum(c * point.get(v, 0) for v, c in lin.items())
+    point = _extend(point, subs)
     env: Dict[str, Union[int, bool]] = {
         n: bools.get(n, False) if s == Sort.BOOL else point.get(n, 0)
         for n, s in query.binders
@@ -744,16 +781,21 @@ class Oracle:
         return _decide(query, want_model)
 
     def valid_rows(
-        self, hyps: Iterable[Cubes], goals: Sequence[G], negate: Callable[[G], Cubes]
+        self,
+        hyps: Iterable[Cubes],
+        goals: Sequence[G],
+        negate: Callable[[G], Cubes],
+        holds_at: Optional[Callable[[G, Dict[str, int]], bool]] = None,
     ) -> List[Verdict]:
         """Row-level validity of each goal under shared hypotheses, for
         callers that keep their formulas linearized (the fixpoint solver):
         `hyps` yields the DNF of each hypothesis conjunct and `negate` gives
-        the DNF of a goal's negation (see `dnf`).  Decided with no
+        the DNF of a goal's negation (see `dnf`); `holds_at`, if given,
+        evaluates a goal at a point (see `_decide_rows`).  Decided with no
         counter-models: a goal that is not refuted is Invalid.  Counts one
         query per goal."""
         self.queries += len(goals)
-        return _decide_rows(hyps, goals, negate)
+        return _decide_rows(hyps, goals, negate, holds_at=holds_at)
 
     def valid_many(
         self,

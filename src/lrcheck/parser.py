@@ -137,15 +137,13 @@ def lex(source: str) -> List[Token]:
         if kind == "newline":
             line, col = line + 1, 1
             continue
-        if kind == "comment":  # `col` stays at its start
-            continue
         if kind == "other" or (kind == "word" and not (text[0].isalpha() or text[0] == "_")):
             raise ParseError(f"unexpected character {text[0]!r}", line, col)
         if kind == "word":
             kind = "kw" if text in KEYWORDS else "ident"
         elif kind == "punct":
             kind = text
-        if kind != "blank":
+        if kind not in ("blank", "comment"):
             tokens.append(Token(kind, text, line, col))
         col += len(text)
     tokens.append(Token("eof", "", line, col))

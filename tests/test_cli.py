@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from lrcheck.cli import Config, main, make_qualifiers
-from lrcheck.constraints import instantiations
+from lrcheck.constraints import instance, instantiations
 from lrcheck.harness import generate_program, run_and_verify
 from lrcheck.parser import parse_program
 from lrcheck.parser import parse_refexpr as R
@@ -408,7 +408,7 @@ def test_config_qualifier_instantiates_both_parameters_at_once():
     metavariable's substitution."""
     kvar = KVarDecl("k0", (("m", Sort.INT), ("a", Sort.INT)))
     quals = make_qualifiers(Config(qualifiers=["v <= m + 1"]))
-    insts = instantiations(kvar, quals)
+    insts = [instance(c) for c in instantiations(kvar, quals)]
     assert R("m <= a + 1") in insts and R("a <= m + 1") in insts
     assert R("a <= a + 1") not in insts
 

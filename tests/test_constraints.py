@@ -18,6 +18,7 @@ from lrcheck.constraints import (
     default_qualifiers,
     dump_clauses_json,
     dump_clauses_text,
+    instance,
     instantiations,
     kvars_of,
     normalize,
@@ -208,7 +209,7 @@ def test_clause_validity_matches_nested_validity():
 
 def test_qualifier_instantiations_cover_spec_vocabulary():
     k = KVarDecl("k", (("v", Sort.INT), ("m", Sort.INT), ("b", Sort.BOOL)))
-    insts = instantiations(k, default_qualifiers())
+    insts = [instance(c) for c in instantiations(k, default_qualifiers())]
     texts = {repr(i) for i in insts}
     v, m = Var("v"), Var("m")
     assert Cmp(">=", v, IntConst(0)) in insts

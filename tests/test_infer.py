@@ -2,19 +2,26 @@
 worked join-point, vector, and loop-invariant solutions."""
 
 import glob
+import random
 
 import pytest
 
+from gen import bool_expr, int_expr
+
+from lrcheck.cli import Config, make_qualifiers
 from lrcheck.constraints import (
     Conj,
     ForAll,
     Head,
     Provenance,
+    Solution,
     apply_solution_expr,
     clauses,
     default_qualifiers,
     dump_clauses_text,
+    instance,
     instantiations,
+    kvars_of,
     normalize,
 )
 from lrcheck.errors import ShapeMismatch, StructuralError
@@ -26,8 +33,8 @@ from lrcheck.infer import (
     join_types,
     solve,
 )
-from lrcheck.logic import RefCtx, SortError, conj, sortcheck
-from lrcheck.oracle import Oracle, Query, Verdict
+from lrcheck.logic import RefCtx, SortError, conj, sortcheck, subst_parallel
+from lrcheck.oracle import Oracle, Query, Verdict, eval_closed
 from lrcheck.printer import print_type
 from lrcheck.parser import parse_program, parse_refexpr as R, parse_type
 from lrcheck.subtyping import NameSupply
@@ -41,6 +48,7 @@ from lrcheck.syntax import (
     KApp,
     KVarDecl,
     LocCtx,
+    Not,
     Sort,
     Var,
 )
@@ -52,6 +60,57 @@ PROV = Provenance("test")
 @pytest.fixture(scope="module")
 def oracle():
     return Oracle()
+
+
+def reference_instantiations(kvar, quals):
+    """The candidate terms of a kvar, as `instantiations` built them when
+    candidates were terms: a reference for its order and deduplication."""
+    out = []
+    for i, (pname, psort) in enumerate(kvar.params):
+        nu = Var(pname)
+        for q in quals:
+            if q.nu_sort != psort:
+                continue
+            if not q.uses_meta:
+                out.append(q.instantiate(nu, None))
+                continue
+            for j, (mname, msort) in enumerate(kvar.params):
+                if j == i or msort != psort:
+                    continue
+                out.append(q.instantiate(nu, Var(mname)))
+    return list(dict.fromkeys(out))
+
+
+def reference_fixpoint(constraint, quals):
+    """The greatest fixpoint over candidate terms, each goal asked through
+    the term-level oracle entry: each kvar's kept terms, and the number of
+    terms deleted."""
+    norm = normalize(constraint)
+    kvars = kvars_of(norm)
+    kept = {k.name: reference_instantiations(k, quals) for k in kvars}
+    oracle = Oracle()
+    deletions = 0
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses(norm):
+            if not clause.is_kvar_head():
+                continue
+            solution = Solution()
+            for k in kvars:
+                solution.assign(k, conj(kept[k.name]))
+            hyps = tuple(apply_solution_expr(h, solution) for h in clause.hyps)
+            head = clause.head
+            at = {p: a for (p, _), a in zip(head.kvar.params, head.args)}
+            terms = kept[head.kvar.name]
+            goals = [subst_parallel(t, at) for t in terms]
+            verdicts = oracle.valid_many(clause.binders, hyps, goals)
+            survivors = [t for t, v in zip(terms, verdicts) if v.is_valid]
+            if len(survivors) < len(terms):
+                deletions += len(terms) - len(survivors)
+                kept[head.kvar.name] = survivors
+                changed = True
+    return kept, deletions
 
 
 def test_fresh_kvar_type_includes_scope():
@@ -308,11 +367,10 @@ def test_solve_monotone_descent(oracle):
         parse_program(open("corpus/accept/ref_join.lr").read()), oracle=oracle
     )
     unit = report.unit("ref_join")
-    from lrcheck.constraints import kvars_of
     from lrcheck.logic import conjuncts
 
     for kvar in kvars_of(unit.constraint):
-        initial = set(instantiations(kvar, default_qualifiers()))
+        initial = set(reference_instantiations(kvar, default_qualifiers()))
         final = set(conjuncts(unit.solution.assignment[kvar.name]))
         final.discard(BoolConst(True))
         assert final <= initial
@@ -352,7 +410,8 @@ def test_solve_maximality_by_deletion_replay(oracle):
     from lrcheck.logic import conjuncts
 
     kept = [q for q in conjuncts(out.solution.assignment["k"]) if q != BoolConst(True)]
-    deleted = [q for q in instantiations(k, default_qualifiers()) if q not in kept]
+    initial = reference_instantiations(k, default_qualifiers())
+    deleted = [q for q in initial if q not in kept]
 
     def clauses_valid(assignment):
         pred = conj(assignment)
@@ -365,7 +424,7 @@ def test_solve_maximality_by_deletion_replay(oracle):
         assert not clauses_valid(kept + [q]), q
     # brute-force cross-check on the defining clause alone: the kept set is
     # exactly the individually-preservable qualifiers
-    for q in instantiations(k, default_qualifiers()):
+    for q in initial:
         individually_ok = clauses_valid(kept) and oracle.valid(
             Query(binders, hyp1, q)
         ).is_valid and oracle.valid(
@@ -416,7 +475,6 @@ def test_two_phase_queries_from_supplementary(oracle):
 
 def test_solve_iteration_bound(oracle):
     """Sweeps are bounded by clauses x (deletions + 1): descent is monotone."""
-    from lrcheck.constraints import kvars_of
 
     for path in [
         "corpus/accept/ref_join.lr",
@@ -496,3 +554,78 @@ def test_unknown_concrete_clause_reports_the_fixpoint_counts():
     assert out.failed_clause == builtin.failed_clause
     assert not out.failed_clause.is_kvar_head()
     assert (out.deletions, out.sweeps) == (builtin.deletions, builtin.sweeps)
+
+
+# the defaults, and configuration lists whose instantiations repeat a term:
+# a repeated qualifier, `v = m` beside `m = v` and the default `eq`, and
+# `v >= 0` beside the default `nonneg`
+QUALIFIER_LISTS = [
+    default_qualifiers(),
+    make_qualifiers(Config(qualifiers=["v <= m + 1"])),
+    make_qualifiers(Config(qualifiers=["v = m", "m = v"])),
+    make_qualifiers(Config(qualifiers=["v <= m + 1", "v >= 0", "v <= m + 1"])),
+]
+P_INTS = ["x0", "x1", "x2"]
+P_BOOLS = ["b0", "b1"]
+P_BINDERS = tuple((n, Sort.INT) for n in P_INTS) + tuple((n, Sort.BOOL) for n in P_BOOLS)
+
+
+def _fixpoint_case(rng):
+    """One kvar of 1-6 int and bool parameters under an entry clause whose
+    hypotheses hold at a random point, one or two step clauses and an exit
+    clause."""
+    params = tuple(
+        (f"p{i}", Sort.INT if rng.random() < 0.7 else Sort.BOOL)
+        for i in range(rng.randrange(1, 7))
+    )
+    kvar = KVarDecl("k", params)
+
+    def app():
+        return KApp(kvar, tuple(
+            int_expr(rng, P_INTS, 1) if sort is Sort.INT
+            else Var(rng.choice(P_BOOLS)) if rng.random() < 0.5
+            else bool_expr(rng, P_INTS, P_BOOLS, 1)
+            for _, sort in params
+        ))
+
+    env = {n: rng.randrange(-2, 3) for n in P_INTS}
+    env.update({n: rng.random() < 0.5 for n in P_BOOLS})
+    facts = [bool_expr(rng, P_INTS, P_BOOLS, 1) for _ in range(rng.randrange(3))]
+    facts = [f if eval_closed(f, env) else Not(f) for f in facts]
+    parts = [ForAll(P_BINDERS, tuple(facts), Head(app(), PROV))]
+    for _ in range(rng.randrange(1, 3)):
+        guard = bool_expr(rng, P_INTS, P_BOOLS, 1)
+        parts.append(ForAll(P_BINDERS, (app(), guard), Head(app(), PROV)))
+    exit_head = bool_expr(rng, P_INTS, P_BOOLS, 1)
+    parts.append(ForAll(P_BINDERS, (app(),), Head(exit_head, PROV)))
+    return kvar, Conj(tuple(parts))
+
+
+@pytest.mark.parametrize("which", range(len(QUALIFIER_LISTS)))
+def test_candidates_match_the_term_reference(which):
+    """Candidates as qualifier triples, decided once per distinct literal
+    and refuted at known points first, keep the terms the term-level
+    fixpoint keeps, in its order, after as many deletions; and they
+    instantiate to its candidate terms, repeats dropped."""
+    quals = QUALIFIER_LISTS[which]
+    rng = random.Random(23 + which)
+    repeats = deleted = kept = 0
+    for _ in range(40):
+        kvar, constraint = _fixpoint_case(rng)
+        terms = reference_instantiations(kvar, quals)
+        assert [instance(c) for c in instantiations(kvar, quals)] == terms
+        sorts = [s for _, s in kvar.params]
+        repeats += sum(
+            1 if not q.uses_meta else sorts.count(s) - 1
+            for s in sorts
+            for q in quals
+            if q.nu_sort == s
+        ) - len(terms)
+        out = solve(constraint, quals, Oracle())
+        survivors, deletions = reference_fixpoint(constraint, quals)
+        assert out.solution.assignment["k"] == conj(survivors["k"]), kvar
+        assert out.deletions == deletions, kvar
+        deleted += deletions
+        kept += len(survivors["k"])
+    assert deleted >= 1000 and kept >= 50, (deleted, kept)
+    assert (repeats > 0) == (which >= 2), repeats

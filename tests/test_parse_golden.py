@@ -79,7 +79,7 @@ MALFORMED = [
     (P, "entry @", "1:7: unexpected character '@'"),
     (P, "entry 1\n  #2", "2:3: unexpected character '#'"),
     (P, "entry 1 2", "1:9: trailing input '2' (expected one of: end of input, entry, fn)"),
-    (P, "entry // nothing", "1:7: unexpected end of input (expected one of: &, *, call, identifier, if, let, unpack, value)"),
+    (P, "entry // nothing", "1:17: unexpected end of input (expected one of: &, *, call, identifier, if, let, unpack, value)"),
     (P, "fn f {}() -> int[0] := 1", "1:1: top-level 'f' must be a rec value"),
     (P, "fn f {x int}() -> int[0] := rec f () := 0", "1:9: unexpected 'int' (expected one of: :)"),
     (P, "fn f {x: real}() -> int[0] := rec f () := 0", "1:10: unexpected 'real' (expected one of: bool, int, loc)"),

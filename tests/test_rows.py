@@ -20,9 +20,10 @@ from lrcheck.constraints import (
     Solution,
     apply_solution_expr,
     default_qualifiers,
+    instance,
     instantiations,
 )
-from lrcheck.infer import _App, _Candidates, _ClauseRows, _literal
+from lrcheck.infer import _App, _Candidates, _candidate_literals, _ClauseRows, _literal
 from lrcheck.logic import conj, subst_parallel
 from lrcheck.oracle import VALID, Oracle, Query, dnf, eval_closed
 from lrcheck.parser import parse_program
@@ -106,14 +107,14 @@ def _case(rng):
     cands = _Candidates([K_HYP, K_HEAD], QUALS)
     true_here = [
         c
-        for c in cands.terms["k0"]
-        if all(eval_closed(_at(c, K_HYP, app.args), env) for app in apps)
+        for c in cands.kept["k0"]
+        if all(eval_closed(_at(instance(c), K_HYP, app.args), env) for app in apps)
     ]
-    for name, terms in (("k0", true_here), ("k1", cands.terms["k1"])):
+    for name, kept in (("k0", true_here), ("k1", cands.kept["k1"])):
         size = 0
-        if terms and rng.random() < 0.85:
-            size = rng.randrange(1, min(len(terms), 8) + 1)
-        cands.terms[name] = rng.sample(terms, size)
+        if kept and rng.random() < 0.85:
+            size = rng.randrange(1, min(len(kept), 8) + 1)
+        cands.kept[name] = rng.sample(kept, size)
     return clause, cands
 
 
@@ -126,18 +127,25 @@ def _term_query(clause, cands):
     the conjunction of candidates, and each head candidate as a goal."""
     solution = Solution()
     for k in (K_HYP, K_HEAD):
-        solution.assign(k, conj(cands.terms[k.name]))
+        solution.assign(k, conj(cands.terms(k.name)))
     hyps = tuple(apply_solution_expr(h, solution) for h in clause.hyps)
     head = clause.head
-    goals = [_at(c, head.kvar, head.args) for c in cands.terms[head.kvar.name]]
+    goals = [_at(c, head.kvar, head.args) for c in cands.terms(head.kvar.name)]
     return hyps, goals
+
+
+def _per_candidate(cands, name, verdicts):
+    """The verdicts of a kvar's distinct literals, one per candidate."""
+    index = {lit: i for i, lit in enumerate(cands.literals(name))}
+    lits = _candidate_literals(cands.kept[name], cands.params[name])
+    return [verdicts[index[lit]] for lit in lits]
 
 
 def _concrete_head(rng, clause, cands):
     """A formula over the binders: often one kept candidate of the
     hypothesis kvar, or their conjunction, at one of its applications,
     which the hypotheses imply; else a random formula."""
-    kept = cands.terms["k0"]
+    kept = cands.terms("k0")
     roll = rng.random()
     if kept and roll < 0.7:
         app = rng.choice([h for h in clause.hyps if isinstance(h, KApp)])
@@ -184,11 +192,14 @@ def test_row_entry_matches_term_entry_and_brute_force(monkeypatch, max_cubes):
         head = _concrete_head(rng, clause, cands)
         rows = _ClauseRows(clause)
         concrete = _ClauseRows(dataclasses.replace(clause, head=head))
-        lits = cands.literals(rows.head.kvar)
+        name = rows.head.kvar
+        lits = cands.literals(name)
         queries = oracle.queries
         by_rows = oracle.valid_rows(rows.hyp_cubes(cands), lits, rows.head.negated)
+        # one query per distinct literal
+        assert oracle.queries == queries + len(lits) <= queries + len(cands.kept[name])
+        by_rows = _per_candidate(cands, name, by_rows)
         by_rows += oracle.valid_rows(concrete.hyp_cubes(cands), [head], concrete.negated)
-        assert oracle.queries == queries + len(lits) + 1
         hyps, goals = _term_query(clause, cands)
         by_terms = oracle.valid_many(BINDERS, hyps, goals)
         by_terms.append(oracle.valid(Query(BINDERS, hyps, head)))
@@ -201,11 +212,13 @@ def test_row_entry_matches_term_entry_and_brute_force(monkeypatch, max_cubes):
                 disagreements.append((clause, "false valid", goal))
         seen["concrete " + by_rows[-1].status] += 1
         seen["empty"] += not lits
+        seen["shared literals"] += len(cands.kept[name]) - len(lits)
         seen["term literals"] += sum(lit[0] == "term" for lit in lits)
     assert not disagreements, disagreements[:3]
     assert seen["valid"] >= 40 and seen["invalid"] >= 40, seen
     assert seen["concrete valid"] >= 20 and seen["concrete invalid"] >= 20, seen
     assert seen["empty"] >= 5 and seen["term literals"] >= 20, seen
+    assert seen["shared literals"] >= 20, seen
     if max_cubes == 3:
         assert seen["formula too large for built-in oracle"] >= 10, seen
         assert seen["goal too large"] >= 5, seen
@@ -223,9 +236,10 @@ def test_kvar_hypothesis_is_one_conjunction_under_the_cube_limit(monkeypatch):
     head = KApp(K_HEAD, app.args)
     clause = Clause(0, BINDERS, (either, app), head, Provenance("test"))
     cands = _Candidates([K_HYP, K_HEAD], QUALS)
+    by_name = {q.name: q for q in QUALS}
     # p and not p: two cubes, then none
-    cands.terms["k0"] = [Var("p"), Not(Var("p"))]
-    cands.terms["k1"] = [Cmp(">=", Var("w"), IntConst(0))]
+    cands.kept["k0"] = [(by_name["holds"], "p", None), (by_name["fails"], "p", None)]
+    cands.kept["k1"] = [(by_name["nonneg"], "w", None)]
     rows = _ClauseRows(clause)
     by_rows = Oracle().valid_rows(
         rows.hyp_cubes(cands), cands.literals("k1"), rows.head.negated
@@ -252,26 +266,29 @@ def test_accepted_corpus_needs_no_term_query(monkeypatch):
 
 
 def _canonical(cubes):
-    """Cubes with each row as its coefficient items plus its constant, so
-    that rows built in a different order compare equal."""
-    return [
-        [
+    """Cubes as a set of sets, each row as its coefficient items plus its
+    constant, so that rows and cubes built in a different order compare
+    equal: an equality's literal may have the opposite sign."""
+    return frozenset(
+        frozenset(
             ("le", frozenset(lit[1][0].items()), lit[1][1]) if lit[0] == "le" else lit
             for lit in cube
-        ]
+        )
         for cube in cubes
-    ]
+    )
 
 
 def test_spliced_literal_cubes_are_the_substituted_candidate_cubes():
-    """A candidate's literal, spliced at an application, has exactly the
-    cubes the oracle gives the substituted candidate, in both polarities:
-    row literals, the equalities among them, and term literals alike."""
+    """A candidate's literal, built from its qualifier's template, is the
+    literal of its term, and spliced at an application it has exactly the
+    cubes the oracle gives the substituted term, in both polarities: row
+    literals, the equalities among them, and term literals alike."""
     ints = (("v", Sort.INT), ("a", Sort.INT), ("c", Sort.INT))
     kvar = KVarDecl("k2", ints + (("p", Sort.BOOL), ("q", Sort.BOOL)))
     params = dict(kvar.params)
-    cands = instantiations(kvar, QUALS)
-    literals = [_literal(c, params) for c in cands]
+    cands = [instance(c) for c in instantiations(kvar, QUALS)]
+    literals = list(_candidate_literals(instantiations(kvar, QUALS), params))
+    assert literals == [_literal(c, params) for c in cands]
     kinds = Counter(lit[0] for lit in literals)
     assert kinds["le"] and kinds["eq"] and kinds["term"], kinds
     sorts = dict(BINDERS)
@@ -302,3 +319,53 @@ def test_a_comparison_literal_is_its_own_canonical_key(strict):
     assert key[0] == "le"
     assert {key, _literal(Cmp(ge, b, a), sorts)} == {key}
     assert key != _literal(Cmp(ge, a, b), sorts)
+
+
+def test_an_equality_literal_is_its_own_canonical_key_up_to_sign():
+    sorts = {"a": Sort.INT, "b": Sort.INT}
+    a, b, one = Var("a"), Var("b"), IntConst(1)
+    succ = _literal(Eq(a, BinArith("+", b, one)), sorts)
+    assert succ[0] == "eq"
+    assert _literal(Eq(b, BinArith("-", a, one)), sorts) == succ
+    assert _literal(Eq(b, a), sorts) == _literal(Eq(a, b), sorts)
+    assert _literal(Eq(b, BinArith("+", a, one)), sorts) != succ
+
+
+@pytest.mark.parametrize("max_cubes", [oracle_module.MAX_CUBES, 3])
+def test_refuting_at_known_points_keeps_the_verdicts(monkeypatch, max_cubes):
+    """On the clauses of `test_row_entry_matches_term_entry_and_brute_force`,
+    evaluating each head literal at the hypothesis cubes' known points
+    first gives the verdicts deciding it in full gives, except Invalid for
+    unknown when Fourier-Motzkin would go over its limit; and never Valid
+    where brute force finds a model."""
+    monkeypatch.setattr(oracle_module, "MAX_CUBES", max_cubes)
+    rng = random.Random(61)
+    seen = Counter()
+    disagreements = []
+    for _ in range(120):
+        clause, cands = _case(rng)
+        _concrete_head(rng, clause, cands)  # the same cases, in the same order
+        rows = _ClauseRows(clause)
+        head = rows.head
+        lits = cands.literals(head.kvar)
+        full = Oracle().valid_rows(rows.hyp_cubes(cands), lits, head.negated)
+
+        def holds_at(lit, point):
+            held = head.holds_at(lit, point)
+            seen["false at a point"] += not held
+            return held
+
+        first = Oracle().valid_rows(rows.hyp_cubes(cands), lits, head.negated, holds_at)
+        for before, after in zip(full, first):
+            over = before.reason.startswith("Fourier-Motzkin over")
+            if after != before and not (over and after.is_invalid):
+                disagreements.append((clause, "differs", before, after))
+        hyps, goals = _term_query(clause, cands)
+        models = _models(hyps)
+        for goal, verdict in zip(goals, _per_candidate(cands, head.kvar, first)):
+            seen[verdict.reason or verdict.status] += 1
+            if verdict.is_valid and any(not eval_closed(goal, env) for env in models):
+                disagreements.append((clause, "false valid", goal))
+    assert not disagreements, disagreements[:3]
+    assert seen["valid"] >= 40 and seen["invalid"] >= 40, seen
+    assert seen["false at a point"] >= 40, seen
