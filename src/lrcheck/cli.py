@@ -9,6 +9,8 @@ limit, or no integer model of a satisfiable relaxation), 4 internal error
 from __future__ import annotations
 
 import argparse
+import glob
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,11 +21,12 @@ from .constraints import (
     default_qualifiers,
     dump_clauses_json,
     dump_clauses_text,
+    parse_qualifier,
 )
 from .harness import CorpusResult, run_and_verify, soundness_sweep
 from .interp import run as interp_run
-from .logic import RefCtx, SortError, free_vars, sortcheck, subst_parallel
-from .parser import ParseError, parse_program, parse_refexpr
+from .logic import SortError
+from .parser import ParseError, parse_program
 from .syntax import Program, Sort
 from .typeck import Report, check_program
 
@@ -37,7 +40,7 @@ EXIT_INTERNAL = 4
 @dataclass
 class Config:
     fuel: int = 100_000
-    qualifiers: List[str] = field(default_factory=list)
+    qualifiers: List[Qualifier] = field(default_factory=list)
     debug_wf: bool = False
     jobs: int = 1
 
@@ -47,11 +50,8 @@ class ConfigError(Exception):
 
 
 class LoadError(Exception):
-    """A program file that cannot be read or parsed; the text names it."""
-
-
-# the parameters a configured qualifier may name, both integers
-QUALIFIER_CTX = RefCtx().bind("v", Sort.INT).bind("m", Sort.INT)
+    """A program file that cannot be read or parsed, or an output file that
+    cannot be written; the text names it."""
 
 
 def non_negative(text: str) -> int:
@@ -75,8 +75,9 @@ def positive(text: str) -> int:
 
 def read_config_file(path: str) -> Config:
     """`key = value` lines, blank lines and `#` comments.  The keys are
-    `fuel` (the last one counts) and `qualifier` (repeatable), a formula
-    over `v` and `m`; anything else is an error that names the line."""
+    `fuel` (the last one counts) and `qualifier` (repeatable), an integer
+    qualifier built by `parse_qualifier`; anything else is an error that
+    names the line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -100,14 +101,10 @@ def read_config_file(path: str) -> Config:
             if key == "fuel":
                 cfg.fuel = non_negative(value)
                 continue
-            sort = sortcheck(QUALIFIER_CTX, parse_refexpr(value))
+            name = f"config{len(cfg.qualifiers)}"
+            cfg.qualifiers.append(parse_qualifier(name, Sort.INT, value))
         except (argparse.ArgumentTypeError, ParseError, SortError) as exc:
             raise ConfigError(f"{where}: {key} = {value}: {exc}") from None
-        if sort != Sort.BOOL:
-            raise ConfigError(
-                f"{where}: {key} = {value}: not a formula: its sort is {sort}"
-            )
-        cfg.qualifiers.append(value)
     return cfg
 
 
@@ -121,22 +118,6 @@ def build_config(args: argparse.Namespace) -> Config:
         cfg.debug_wf = True
     cfg.jobs = getattr(args, "jobs", cfg.jobs)
     return cfg
-
-
-def make_qualifiers(cfg: Config) -> List[Qualifier]:
-    quals = default_qualifiers()
-    for i, text in enumerate(cfg.qualifiers):
-        template = parse_refexpr(text)
-        uses_meta = "m" in free_vars(template)
-
-        def build(v, m, template=template, uses_meta=uses_meta):
-            mapping = {"v": v}
-            if uses_meta and m is not None:
-                mapping["m"] = m
-            return subst_parallel(template, mapping)
-
-        quals.append(Qualifier(f"config{i}", Sort.INT, uses_meta, build))
-    return quals
 
 
 def _read_program(path: str) -> Program:
@@ -154,10 +135,19 @@ def _read_program(path: str) -> Program:
         raise LoadError(f"{path}: parse error: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write `text` to `path`; a file that cannot be written raises a
+    `LoadError` that names it."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise LoadError(f"{path}: io error: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -182,7 +172,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not args.paths:
         print("check: no input files", file=sys.stderr)
         return EXIT_USAGE
-    quals = make_qualifiers(cfg)
+    quals = default_qualifiers() + cfg.qualifiers
     results = []
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -239,7 +229,7 @@ def cmd_constraints(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    quals = make_qualifiers(cfg)
+    quals = default_qualifiers() + cfg.qualifiers
     program = _read_program(args.path)
     report = check_program(program, quals=quals)
     chunks = []
@@ -269,9 +259,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     outcome = interp_run(program, fuel=cfg.fuel, trace=bool(args.trace))
     print(outcome.render())
     if args.trace and outcome.state is not None:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            for event in outcome.state.trace:
-                handle.write(event.render() + "\n")
+        _write(args.trace, "".join(e.render() + "\n" for e in outcome.state.trace))
     if outcome.kind == "stuck":
         return EXIT_REJECTED
     return EXIT_OK
@@ -289,9 +277,12 @@ def _print_failures(result: CorpusResult, what: str) -> None:
 def cmd_soundness(args: argparse.Namespace) -> int:
     """Exit 1 on a soundness bug, else 3 when the oracle blocked a seed or
     a corpus program, else 2 when a corpus file could not be loaded, else
-    1 on a rejection."""
+    1 on a rejection.  A `--corpus` that is not a directory exits 2 first."""
     cfg = build_config(args)
-    quals = make_qualifiers(cfg)
+    if args.corpus and not os.path.isdir(args.corpus):
+        print(f"soundness: --corpus {args.corpus}: not a directory", file=sys.stderr)
+        return EXIT_USAGE
+    quals = default_qualifiers() + cfg.qualifiers
     result = soundness_sweep(
         range(args.seeds), budget=args.budget, fuel=cfg.fuel, quals=quals
     )
@@ -305,9 +296,6 @@ def cmd_soundness(args: argparse.Namespace) -> int:
     corpus = CorpusResult()
     unloadable = False
     if args.corpus:
-        import glob
-        import os
-
         for path in sorted(glob.glob(os.path.join(args.corpus, "*.lr"))):
             try:
                 program = _read_program(path)

@@ -15,21 +15,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .logic import (
+    RefCtx,
+    SortError,
     conjuncts,
     fold_constants,
     free_vars,
     is_trivially_true,
+    sortcheck,
     subst_parallel,
 )
+from .parser import parse_refexpr
+from .printer import print_refexpr
 from .syntax import (
-    BinArith,
     BinBool,
     Cmp,
     Eq,
-    IntConst,
     KApp,
     KVarDecl,
     Not,
@@ -203,8 +206,6 @@ class Solution:
         lines = []
         for name in self.assignment:
             ps = ", ".join(p for p, _ in self.params[name])
-            from .printer import print_refexpr
-
             lines.append(f"kappa {name}({ps}) := {print_refexpr(self.assignment[name])}")
         return "\n".join(lines)
 
@@ -236,22 +237,16 @@ NU, META = "$v", "$m"
 
 @dataclass(frozen=True)
 class Qualifier:
-    """Atomic predicate template over a value symbol and an optional
-    metavariable of the same scope."""
+    """An atomic predicate template over the value symbol `NU` and, for a
+    binary qualifier, a metavariable `META` of the same sort."""
 
     name: str
-    nu_sort: Sort
-    uses_meta: bool
-    build: Callable[[RefExpr, Optional[RefExpr]], RefExpr] = field(compare=False)
-
-    def instantiate(self, nu: RefExpr, meta: Optional[RefExpr]) -> RefExpr:
-        return self.build(nu, meta)
+    sort: Sort
+    template: RefExpr
 
     @cached_property
-    def template(self) -> RefExpr:
-        """The qualifier over `NU` and, with a metavariable, `META`; built
-        on first use and kept with the qualifier."""
-        return self.build(Var(NU), Var(META) if self.uses_meta else None)
+    def uses_meta(self) -> bool:
+        return META in free_vars(self.template)
 
     @cached_property
     def shape(self) -> Optional[Tuple[int, int]]:
@@ -265,32 +260,41 @@ class Qualifier:
         return hash(self.template), hash(swapped)
 
 
-def _q(name: str, nu_sort: Sort, uses_meta: bool, build) -> Qualifier:
-    return Qualifier(name, nu_sort, uses_meta, build)
+def parse_qualifier(name: str, sort: Sort, text: str) -> Qualifier:
+    """The qualifier written `text`, a formula over `v` and `m`, both of
+    `sort`.  A text that does not parse raises `ParseError`; one that does
+    not sort-check as a formula raises `SortError`."""
+    term = parse_refexpr(text)
+    found = sortcheck(RefCtx().bind("v", sort).bind("m", sort), term)
+    if found != Sort.BOOL:
+        raise SortError(f"not a formula: its sort is {found}", term)
+    return Qualifier(name, sort, subst_parallel(term, {"v": Var(NU), "m": Var(META)}))
+
+
+# the default vocabulary, in the order its candidates are built
+_DEFAULTS = (
+    ("nonneg", Sort.INT, "v >= 0"),
+    ("pos", Sort.INT, "v > 0"),
+    ("eq", Sort.INT, "v = m"),
+    ("le", Sort.INT, "v <= m"),
+    ("lt", Sort.INT, "v < m"),
+    ("ge", Sort.INT, "v >= m"),
+    ("gt", Sort.INT, "v > m"),
+    ("eq-succ", Sort.INT, "v = m + 1"),
+    ("eq-pred", Sort.INT, "v = m - 1"),
+    ("holds", Sort.BOOL, "v"),
+    ("fails", Sort.BOOL, "!v"),
+)
 
 
 @cache
 def _defaults() -> Tuple[Qualifier, ...]:
-    zero = IntConst(0)
-    one = IntConst(1)
-    return (
-        _q("nonneg", Sort.INT, False, lambda v, m: Cmp(">=", v, zero)),
-        _q("pos", Sort.INT, False, lambda v, m: Cmp(">", v, zero)),
-        _q("eq", Sort.INT, True, lambda v, m: Eq(v, m)),
-        _q("le", Sort.INT, True, lambda v, m: Cmp("<=", v, m)),
-        _q("lt", Sort.INT, True, lambda v, m: Cmp("<", v, m)),
-        _q("ge", Sort.INT, True, lambda v, m: Cmp(">=", v, m)),
-        _q("gt", Sort.INT, True, lambda v, m: Cmp(">", v, m)),
-        _q("eq-succ", Sort.INT, True, lambda v, m: Eq(v, BinArith("+", m, one))),
-        _q("eq-pred", Sort.INT, True, lambda v, m: Eq(v, BinArith("-", m, one))),
-        _q("holds", Sort.BOOL, False, lambda v, m: v),
-        _q("fails", Sort.BOOL, False, lambda v, m: Not(v)),
-    )
+    return tuple(parse_qualifier(*row) for row in _DEFAULTS)
 
 
 def default_qualifiers() -> List[Qualifier]:
     """A fresh list of the same default qualifiers on every call, so that
-    their templates are built once per process."""
+    their templates are parsed once per process."""
     return list(_defaults())
 
 
@@ -301,7 +305,8 @@ Candidate = Tuple[Qualifier, str, Optional[str]]
 def instance(cand: Candidate) -> RefExpr:
     """The candidate's qualifier instantiated at its parameters."""
     q, nu, meta = cand
-    return q.instantiate(Var(nu), None if meta is None else Var(meta))
+    mapping = {NU: Var(nu)} if meta is None else {NU: Var(nu), META: Var(meta)}
+    return subst_parallel(q.template, mapping)
 
 
 def instantiations(kvar: KVarDecl, quals: Sequence[Qualifier]) -> List[Candidate]:
@@ -312,7 +317,7 @@ def instantiations(kvar: KVarDecl, quals: Sequence[Qualifier]) -> List[Candidate
     out: List[Candidate] = []
     for i, (pname, psort) in enumerate(kvar.params):
         for q in quals:
-            if q.nu_sort != psort:
+            if q.sort != psort:
                 continue
             if not q.uses_meta:
                 out.append((q, pname, None))
@@ -347,8 +352,6 @@ def _may_repeat(quals: Sequence[Qualifier]) -> bool:
 # Dumps
 
 def dump_clauses_text(cls: Sequence[Clause]) -> str:
-    from .printer import print_refexpr
-
     lines = []
     for cl in cls:
         binders = " ".join(f"{n}:{s}" for n, s in cl.binders)
@@ -361,8 +364,6 @@ def dump_clauses_text(cls: Sequence[Clause]) -> str:
 
 
 def dump_clauses_json(cls: Sequence[Clause]) -> str:
-    from .printer import print_refexpr
-
     objs = []
     for cl in cls:
         objs.append(

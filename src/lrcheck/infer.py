@@ -383,7 +383,7 @@ def _candidate_literals(
     for cand in cands:
         q, nu, meta = cand
         if id(q) not in templates:
-            int_sorted = q.nu_sort is Sort.INT
+            int_sorted = q.sort is Sort.INT
             templates[id(q)] = _template_row(q.template) if int_sorted else None
         template = templates[id(q)]
         if template is None:

@@ -189,13 +189,6 @@ class Report:
                 return u
         raise KeyError(name)
 
-    @property
-    def entry_type(self) -> Optional[Type]:
-        for u in self.units:
-            if u.name == "entry":
-                return u.result_type
-        return None
-
     def diagnostics(self) -> List[Diagnostic]:
         out = []
         for u in self.units:

@@ -1,12 +1,18 @@
 """Command-line behavior: exit codes, dumps, determinism, config."""
 
+import glob
 import subprocess
 import sys
 
 import pytest
 
-from lrcheck.cli import Config, main, make_qualifiers
-from lrcheck.constraints import instance, instantiations
+from lrcheck.cli import main
+from lrcheck.constraints import (
+    default_qualifiers,
+    instance,
+    instantiations,
+    parse_qualifier,
+)
 from lrcheck.harness import generate_program, run_and_verify
 from lrcheck.parser import parse_program
 from lrcheck.parser import parse_refexpr as R
@@ -190,8 +196,6 @@ def test_run_trace_file(tmp_path):
 
 
 def test_dump_determinism_over_corpus():
-    import glob
-
     paths = sorted(glob.glob("corpus/accept/*.lr"))
     args = ["check", *paths, "--dump-constraints", "--dump-solution"]
     code1, out1, err1 = invoke(args)
@@ -249,8 +253,6 @@ def test_soundness_command_with_corpus():
 
 
 def test_jobs_flag_parallel_check():
-    import glob
-
     paths = sorted(glob.glob("corpus/accept/*.lr"))
     code, _, _ = invoke(["check", *paths, "--jobs", "4"])
     assert code == 0
@@ -353,6 +355,55 @@ def test_every_subcommand_reports_an_unloadable_program_in_one_line(
         assert f"  corpus {path}: {problem}" in err and "rejected" not in err, err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "corpus/accept/decr.lr", "--dump-solution", "--out"],
+        ["constraints", "corpus/accept/decr.lr", "--out"],
+        ["solve", "corpus/accept/decr.lr", "--out"],
+        ["run", "corpus/accept/decr_driver.lr", "--trace"],
+    ],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+)
+def test_an_output_file_that_cannot_be_written_is_an_io_error(
+    tmp_path, capsys, args, target, reason
+):
+    """`OUT: io error: ...` and exit 2; `run` prints its outcome first."""
+    out_path = str(tmp_path / target)
+    assert main(args + [out_path]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"{out_path}: io error: {reason}\n"
+    assert out == ("done: 0 after 14 step(s)\n" if args[0] == "run" else "")
+
+
+@pytest.mark.parametrize("corpus", ["missing", "prog.lr"])
+def test_a_soundness_corpus_that_is_not_a_directory_is_a_usage_error(
+    tmp_path, capsys, corpus
+):
+    (tmp_path / "prog.lr").write_text("entry 1\n")
+    path = str(tmp_path / corpus)
+    assert main(["soundness", "--seeds", "1", "--corpus", path]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"soundness: --corpus {path}: not a directory\n")
+
+
+def test_configured_qualifiers_that_repeat_defaults_change_no_output(tmp_path, capsys):
+    """`v >= 0`, `v = m + 1` and `v < m` are built as the defaults `nonneg`,
+    `eq-succ` and `lt` are, so each repeats one and adds no candidate."""
+    cfg = tmp_path / "lr.conf"
+    cfg.write_text("qualifier = v >= 0\nqualifier = v = m + 1\nqualifier = v < m\n")
+    paths = sorted(glob.glob("corpus/*/*.lr"))
+    assert len(paths) == 21
+    for path in paths:
+        args = ["check", path, "--dump-constraints", "--dump-solution"]
+        plain = main(args), capsys.readouterr()
+        configured = main(args + ["--config", str(cfg)]), capsys.readouterr()
+        assert configured == plain, path
+
+
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_a_non_ascii_digit_is_an_unexpected_character(tmp_path, capsys, digit, command):
@@ -407,7 +458,7 @@ def test_config_qualifier_instantiates_both_parameters_at_once():
     """A value parameter named `m` is not rewritten again by the
     metavariable's substitution."""
     kvar = KVarDecl("k0", (("m", Sort.INT), ("a", Sort.INT)))
-    quals = make_qualifiers(Config(qualifiers=["v <= m + 1"]))
+    quals = default_qualifiers() + [parse_qualifier("config0", Sort.INT, "v <= m + 1")]
     insts = [instance(c) for c in instantiations(kvar, quals)]
     assert R("m <= a + 1") in insts and R("a <= m + 1") in insts
     assert R("a <= a + 1") not in insts

@@ -8,8 +8,9 @@ import pytest
 
 from gen import bool_expr, int_expr
 
-from lrcheck.cli import Config, make_qualifiers
 from lrcheck.constraints import (
+    META,
+    NU,
     Conj,
     ForAll,
     Head,
@@ -23,6 +24,7 @@ from lrcheck.constraints import (
     instantiations,
     kvars_of,
     normalize,
+    parse_qualifier,
 )
 from lrcheck.errors import ShapeMismatch, StructuralError
 from lrcheck.harness import generate_program
@@ -69,15 +71,15 @@ def reference_instantiations(kvar, quals):
     for i, (pname, psort) in enumerate(kvar.params):
         nu = Var(pname)
         for q in quals:
-            if q.nu_sort != psort:
+            if q.sort != psort:
                 continue
             if not q.uses_meta:
-                out.append(q.instantiate(nu, None))
+                out.append(subst_parallel(q.template, {NU: nu}))
                 continue
             for j, (mname, msort) in enumerate(kvar.params):
                 if j == i or msort != psort:
                     continue
-                out.append(q.instantiate(nu, Var(mname)))
+                out.append(subst_parallel(q.template, {NU: nu, META: Var(mname)}))
     return list(dict.fromkeys(out))
 
 
@@ -556,14 +558,21 @@ def test_unknown_concrete_clause_reports_the_fixpoint_counts():
     assert (out.deletions, out.sweeps) == (builtin.deletions, builtin.sweeps)
 
 
+def configured(*texts):
+    """The defaults and `texts`, built as a config file's qualifiers are."""
+    return default_qualifiers() + [
+        parse_qualifier(f"config{i}", Sort.INT, text) for i, text in enumerate(texts)
+    ]
+
+
 # the defaults, and configuration lists whose instantiations repeat a term:
 # a repeated qualifier, `v = m` beside `m = v` and the default `eq`, and
 # `v >= 0` beside the default `nonneg`
 QUALIFIER_LISTS = [
     default_qualifiers(),
-    make_qualifiers(Config(qualifiers=["v <= m + 1"])),
-    make_qualifiers(Config(qualifiers=["v = m", "m = v"])),
-    make_qualifiers(Config(qualifiers=["v <= m + 1", "v >= 0", "v <= m + 1"])),
+    configured("v <= m + 1"),
+    configured("v = m", "m = v"),
+    configured("v <= m + 1", "v >= 0", "v <= m + 1"),
 ]
 P_INTS = ["x0", "x1", "x2"]
 P_BOOLS = ["b0", "b1"]
@@ -619,7 +628,7 @@ def test_candidates_match_the_term_reference(which):
             1 if not q.uses_meta else sorts.count(s) - 1
             for s in sorts
             for q in quals
-            if q.nu_sort == s
+            if q.sort == s
         ) - len(terms)
         out = solve(constraint, quals, Oracle())
         survivors, deletions = reference_fixpoint(constraint, quals)

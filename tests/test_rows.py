@@ -16,12 +16,12 @@ from lrcheck import oracle as oracle_module
 from lrcheck.constraints import (
     Clause,
     Provenance,
-    Qualifier,
     Solution,
     apply_solution_expr,
     default_qualifiers,
     instance,
     instantiations,
+    parse_qualifier,
 )
 from lrcheck.infer import _App, _Candidates, _candidate_literals, _ClauseRows, _literal
 from lrcheck.logic import conj, subst_parallel
@@ -50,18 +50,8 @@ K_HEAD = KVarDecl("k1", (("w", Sort.INT), ("c", Sort.INT), ("q", Sort.BOOL)))
 # the defaults plus two qualifiers that are not one linear literal, as a
 # configuration file may add: a disjunction and a nonlinear product
 QUALS = default_qualifiers() + [
-    Qualifier(
-        "lt-or-zero",
-        Sort.INT,
-        True,
-        lambda v, m: BinBool("or", Cmp("<", v, m), Eq(v, IntConst(0))),
-    ),
-    Qualifier(
-        "same-sign",
-        Sort.INT,
-        True,
-        lambda v, m: Cmp(">=", BinArith("*", v, m), IntConst(0)),
-    ),
+    parse_qualifier("lt-or-zero", Sort.INT, "v < m || v = 0"),
+    parse_qualifier("same-sign", Sort.INT, "v * m >= 0"),
 ]
 
 

@@ -596,7 +596,7 @@ def test_strong_reference_signature_advances_cell():
     assert report.ok
     from lrcheck.logic import fold_constants
 
-    t = report.entry_type
+    t = report.unit("entry").result_type
     assert isinstance(t, Indexed)
     assert fold_constants(t.idx) == IntConst(3)
 
@@ -611,7 +611,8 @@ def test_call_chain_from_a_constant_keeps_a_constant_index():
     lines += [f"let x{i + 1} = call add(x{i}, {i % 5}) in" for i in range(300)]
     report = check_program(parse_program("entry\n  " + "\n  ".join(lines) + "\n  x300\n"))
     assert report.ok
-    assert report.entry_type == Indexed(IntBase(), IntConst(sum(i % 5 for i in range(300))))
+    expected = Indexed(IntBase(), IntConst(sum(i % 5 for i in range(300))))
+    assert report.unit("entry").result_type == expected
 
 
 def test_vec_push_chain_folds_the_length_in_the_location_context():
@@ -619,7 +620,7 @@ def test_vec_push_chain_folds_the_length_in_the_location_context():
     lines += [f"let t{i + 1} = call vec_push(vp, {i}) in" for i in range(30)]
     report = check_program(parse_program("entry\n  " + "\n  ".join(lines) + "\n  *vp\n"))
     assert report.ok
-    assert report.entry_type.idx == IntConst(30)
+    assert report.unit("entry").result_type.idx == IntConst(30)
 
 
 def test_doubling_chain_from_a_constant_checks_and_runs():
@@ -629,7 +630,7 @@ def test_doubling_chain_from_a_constant_checks_and_runs():
     lines += [f"let x{i + 1} = call add(x{i}, x{i}) in" for i in range(20)]
     program = parse_program("entry\n  " + "\n  ".join(lines) + "\n  x20\n")
     report = check_program(program)
-    assert report.entry_type == Indexed(IntBase(), IntConst(2**20))
+    assert report.unit("entry").result_type == Indexed(IntBase(), IntConst(2**20))
     verdict = run_and_verify(program, report=report)
     assert verdict.passed, verdict.detail
 
