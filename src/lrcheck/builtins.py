@@ -1,71 +1,61 @@
 """Predefined arithmetic and comparison functions.
 
-These are ordinary values with refined signatures; the interpreter gives
-them primitive semantics."""
+These are ordinary values with refined signatures; each computes one
+operator of refinement terms (`syntax.OPERATORS`), so its signature's
+result index is that operator over its arguments, and the interpreter
+applies the operator's value."""
 
 from __future__ import annotations
 
 from typing import Dict
 
 from .syntax import (
-    BinArith,
+    OPERATORS,
     BoolBase,
-    Cmp,
-    Eq,
     FnSig,
     Indexed,
     IntBase,
     LocCtx,
     PrimOp,
-    RefExpr,
     Sort,
     TRUE,
     Value,
     Var,
 )
 
+# each builtin's name and the operator it computes
+BUILTIN_OPS: Dict[str, str] = {
+    "add": "+",
+    "sub": "-",
+    "mul": "*",
+    "gt": ">",
+    "ge": ">=",
+    "lt": "<",
+    "le": "<=",
+    "eq": "=",
+}
 
-def _binop_sig(result_base, result_idx: RefExpr) -> FnSig:
+
+def _binop_sig(symbol: str) -> FnSig:
+    op = OPERATORS[symbol]
     a1, a2 = Var("a1"), Var("a2")
+    result_base = IntBase() if op.result == Sort.INT else BoolBase()
     return FnSig(
         refparams=(("a1", Sort.INT), ("a2", Sort.INT)),
         requires=TRUE,
         in_locs=LocCtx(),
         args=(Indexed(IntBase(), a1), Indexed(IntBase(), a2)),
-        ret=Indexed(result_base, result_idx),
+        ret=Indexed(result_base, op.build(a1, a2)),
         out_locs=LocCtx(),
     )
 
 
 BUILTIN_SIGS: Dict[str, FnSig] = {
-    "add": _binop_sig(IntBase(), BinArith("+", Var("a1"), Var("a2"))),
-    "sub": _binop_sig(IntBase(), BinArith("-", Var("a1"), Var("a2"))),
-    "mul": _binop_sig(IntBase(), BinArith("*", Var("a1"), Var("a2"))),
-    "gt": _binop_sig(BoolBase(), Cmp(">", Var("a1"), Var("a2"))),
-    "ge": _binop_sig(BoolBase(), Cmp(">=", Var("a1"), Var("a2"))),
-    "lt": _binop_sig(BoolBase(), Cmp("<", Var("a1"), Var("a2"))),
-    "le": _binop_sig(BoolBase(), Cmp("<=", Var("a1"), Var("a2"))),
-    "eq": _binop_sig(BoolBase(), Eq(Var("a1"), Var("a2"))),
+    name: _binop_sig(symbol) for name, symbol in BUILTIN_OPS.items()
 }
 
-BUILTIN_VALUES: Dict[str, Value] = {name: PrimOp(name) for name in BUILTIN_SIGS}
+BUILTIN_VALUES: Dict[str, Value] = {name: PrimOp(name) for name in BUILTIN_OPS}
 
 
-def prim_apply(op: str, a: int, b: int):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "gt":
-        return a > b
-    if op == "ge":
-        return a >= b
-    if op == "lt":
-        return a < b
-    if op == "le":
-        return a <= b
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown primitive {op!r}")
+def prim_apply(name: str, a: int, b: int):
+    return OPERATORS[BUILTIN_OPS[name]].value(a, b)

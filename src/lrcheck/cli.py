@@ -130,7 +130,7 @@ def _read_program(path: str) -> Program:
         reason = f"not UTF-8: {exc.reason} at byte {exc.start}"
         raise LoadError(f"{path}: io error: {reason}") from None
     except OSError as exc:
-        raise LoadError(f"{path}: io error: {exc}") from None
+        raise LoadError(f"{path}: io error: {exc.strerror or exc}") from None
     except ParseError as exc:
         raise LoadError(f"{path}: parse error: {exc}") from None
 
@@ -199,10 +199,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 if unit.solution is not None and unit.solution.assignment:
                     dump_chunks.append(f"; {path} unit {unit.name}")
                     dump_chunks.append(unit.solution.dump())
-        if report.blocked_on_oracle:
-            exit_code = max(exit_code, EXIT_ORACLE)
-        elif not report.ok:
-            exit_code = max(exit_code, EXIT_REJECTED)
+        exit_code = max(exit_code, report.exit_code)
     if args.dump_constraints or args.dump_solution:
         _emit("\n".join(dump_chunks) + "\n", args.out)
     return exit_code
@@ -213,18 +210,17 @@ def cmd_constraints(args: argparse.Namespace) -> int:
     report = check_program(program, run_solver=False)
     chunks = []
     for unit in report.units:
-        if unit.status == "error":
-            for diag in unit.diagnostics:
-                print(diag.render(args.path), file=sys.stderr)
-            return EXIT_REJECTED
-        chunks.append(f"; unit {unit.name}")
-        chunks.append(
-            dump_clauses_json(unit.clauses)
-            if args.json
-            else dump_clauses_text(unit.clauses)
-        )
+        for diag in unit.diagnostics:
+            print(diag.render(args.path), file=sys.stderr)
+        if unit.status != "error":
+            chunks.append(f"; unit {unit.name}")
+            chunks.append(
+                dump_clauses_json(unit.clauses)
+                if args.json
+                else dump_clauses_text(unit.clauses)
+            )
     _emit("\n".join(chunks) + "\n", args.out)
-    return EXIT_OK
+    return report.exit_code
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -233,21 +229,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     program = _read_program(args.path)
     report = check_program(program, quals=quals)
     chunks = []
-    code = EXIT_OK
     for unit in report.units:
         for diag in unit.diagnostics:
             print(diag.render(args.path), file=sys.stderr)
-        if unit.status == "error":
-            return EXIT_REJECTED
-        if unit.status == "rejected":
-            code = max(code, EXIT_REJECTED)
-        if unit.status == "unknown":
-            code = max(code, EXIT_ORACLE)
         if unit.solution is not None and unit.solution.assignment:
             chunks.append(f"; unit {unit.name}")
             chunks.append(unit.solution.dump())
     _emit("\n".join(chunks) + "\n", args.out)
-    return code
+    return report.exit_code
 
 
 def cmd_run(args: argparse.Namespace) -> int:

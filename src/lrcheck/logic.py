@@ -28,6 +28,7 @@ from .syntax import (
     LocConst,
     LocCtx,
     Not,
+    OPERATORS,
     Ref,
     RefExpr,
     Sort,
@@ -38,6 +39,7 @@ from .syntax import (
     Var,
     VecBase,
     VecVal,
+    binary,
     subterms,
 )
 
@@ -244,30 +246,9 @@ def sortcheck(ctx: RefCtx, e: RefExpr) -> Sort:
             return Sort.BOOL
         case LocConst(_):
             return Sort.LOC
-        case Eq(lhs, rhs):
-            s1 = sortcheck(ctx, lhs)
-            s2 = sortcheck(ctx, rhs)
-            if s1 != s2:
-                raise SortError(f"equality between {s1} and {s2}", e)
-            return Sort.BOOL
         case Not(arg):
             if sortcheck(ctx, arg) != Sort.BOOL:
                 raise SortError("negation of a non-boolean", e)
-            return Sort.BOOL
-        case BinBool(_, lhs, rhs):
-            for side in (lhs, rhs):
-                if sortcheck(ctx, side) != Sort.BOOL:
-                    raise SortError("boolean operator on a non-boolean", e)
-            return Sort.BOOL
-        case BinArith(_, lhs, rhs):
-            for side in (lhs, rhs):
-                if sortcheck(ctx, side) != Sort.INT:
-                    raise SortError("arithmetic on a non-integer", e)
-            return Sort.INT
-        case Cmp(_, lhs, rhs):
-            for side in (lhs, rhs):
-                if sortcheck(ctx, side) != Sort.INT:
-                    raise SortError("comparison of a non-integer", e)
             return Sort.BOOL
         case KApp(kvar, args):
             if len(args) != len(kvar.params):
@@ -276,8 +257,19 @@ def sortcheck(ctx: RefCtx, e: RefExpr) -> Sort:
                 if sortcheck(ctx, arg) != psort:
                     raise SortError(f"ill-sorted argument to {kvar.name}", e)
             return Sort.BOOL
-        case _:
-            raise SortError(f"unknown refinement term {e!r}", e)
+    parts = binary(e)
+    if parts is None:
+        raise SortError(f"unknown refinement term {e!r}", e)
+    op, lhs, rhs = parts
+    # left to right: the first operand of the wrong sort is reported, and
+    # an operator over the same sort on both sides takes the left one's
+    want = op.operand
+    for side in (lhs, rhs):
+        got = sortcheck(ctx, side)
+        want = want or got
+        if got != want:
+            raise SortError(op.mismatch.format(want, got), e)
+    return op.result
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +361,10 @@ def subst_parallel(target, mapping: dict):
         case AbstractLoc(n):
             if n not in mapping:
                 return target
-            return _loc_of_refexpr(mapping[n])
+            loc = as_loc(mapping[n])
+            if loc is None:
+                raise SubstError(f"cannot use {mapping[n]!r} as a location")
+            return loc
 
         case Indexed(base, idx):
             return Indexed(
@@ -422,12 +417,20 @@ def subst(target, name: str, repl: RefExpr):
     return subst_parallel(target, {name: repl})
 
 
-def _loc_of_refexpr(e: RefExpr) -> Loc:
+def loc_expr(loc: Loc) -> RefExpr:
+    """The refinement term that names `loc`."""
+    if isinstance(loc, AbstractLoc):
+        return Var(loc.name)
+    return LocConst(loc.loc_id)
+
+
+def as_loc(e: RefExpr) -> Optional[Loc]:
+    """The location that `e` names, or None if `e` names none."""
     if isinstance(e, Var):
         return AbstractLoc(e.name)
     if isinstance(e, LocConst):
         return ConcreteLoc(e.loc_id)
-    raise SubstError(f"cannot use {e!r} as a location")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +457,7 @@ def fold_constants(e: RefExpr) -> RefExpr:
         case BinArith(op, l, r):
             l2, r2 = fold_constants(l), fold_constants(r)
             if isinstance(l2, IntConst) and isinstance(r2, IntConst):
-                if op == "+":
-                    return IntConst(l2.value + r2.value)
-                if op == "-":
-                    return IntConst(l2.value - r2.value)
-                return IntConst(l2.value * r2.value)
+                return IntConst(OPERATORS[op].value(l2.value, r2.value))
             return BinArith(op, l2, r2)
         case Eq(l, r):
             return Eq(fold_constants(l), fold_constants(r))
@@ -484,8 +483,7 @@ def is_trivially_true(e: RefExpr) -> bool:
     if isinstance(e, Cmp) and e.op in ("<=", ">=") and e.lhs == e.rhs:
         return True
     if isinstance(e, Cmp) and isinstance(e.lhs, IntConst) and isinstance(e.rhs, IntConst):
-        a, b = e.lhs.value, e.rhs.value
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
+        return OPERATORS[e.op].value(e.lhs.value, e.rhs.value)
     return False
 
 

@@ -67,6 +67,7 @@ from .syntax import (
     RefExpr,
     Sort,
     Var,
+    binary,
     subterms,
 )
 
@@ -120,32 +121,17 @@ def eval_closed(e: RefExpr, env: Dict[str, Union[int, bool]]):
     match e:
         case Var(name):
             return env[name]
-        case IntConst(v):
-            return v
-        case BoolConst(v):
+        case IntConst(v) | BoolConst(v):
             return v
         case LocConst(l):
             return l
-        case Eq(l, r):
-            return eval_closed(l, env) == eval_closed(r, env)
         case Not(a):
             return not eval_closed(a, env)
-        case BinBool("and", l, r):
-            return eval_closed(l, env) and eval_closed(r, env)
-        case BinBool("or", l, r):
-            return eval_closed(l, env) or eval_closed(r, env)
-        case BinArith(op, l, r):
-            a, b = eval_closed(l, env), eval_closed(r, env)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            return a * b
-        case Cmp(op, l, r):
-            a, b = eval_closed(l, env), eval_closed(r, env)
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
-        case _:
-            raise OracleError(f"eval_closed: cannot evaluate {e!r}")
+    parts = binary(e)
+    if parts is None:
+        raise OracleError(f"eval_closed: cannot evaluate {e!r}")
+    op, l, r = parts
+    return op.value(eval_closed(l, env), eval_closed(r, env))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +291,14 @@ def _sort_of_term(e: RefExpr, sorts: Dict[str, Sort]) -> Sort:
     match e:
         case Var(name):
             return sorts.get(name, Sort.INT)
-        case IntConst(_) | BinArith(_, _, _):
+        case IntConst(_):
             return Sort.INT
         case LocConst(_):
             return Sort.LOC
-        case BoolConst(_) | Eq(_, _) | Not(_) | BinBool(_, _, _) | Cmp(_, _, _):
+        case BoolConst(_) | Not(_):
             return Sort.BOOL
-        case _:
-            return Sort.INT
+    parts = binary(e)
+    return Sort.INT if parts is None else parts[0].result
 
 
 # ---------------------------------------------------------------------------

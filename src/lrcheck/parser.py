@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .syntax import (
     ATOM_LEVEL,
     CMP_LEVEL,
-    LEVELS,
     NOT_LEVEL,
+    OPERATORS,
     TRUE,
     AbstractLoc,
     Assign,
     BaseType,
     BinArith,
-    BinBool,
     BoolBase,
     BoolConst,
     BoolLit,
@@ -30,9 +28,7 @@ from .syntax import (
     BorrowShr,
     BorrowStrong,
     Call,
-    Cmp,
     Deref,
-    Eq,
     Exists,
     Expr,
     FnDecl,
@@ -81,16 +77,6 @@ _TOKEN = re.compile(
     r"|(?P<int>[0-9]+)|(?P<word>\w+)"
     r"|(?P<punct>:=|->|&&|\|\||!=|<=|>=|[-{}()\[\]<>,.|=!+*&;:])|(?P<other>.)"
 )
-
-# the node each binary operator of `LEVELS` builds from its operands
-BINARY = {
-    "||": partial(BinBool, "or"),
-    "&&": partial(BinBool, "and"),
-    "=": Eq,
-    "!=": lambda lhs, rhs: Not(Eq(lhs, rhs)),
-    **{op: partial(Cmp, op) for op in ("<", "<=", ">", ">=")},
-    **{op: partial(BinArith, op) for op in ("+", "-", "*")},
-}
 
 KEYWORD_VALUES = {
     "true": BoolLit(True),
@@ -367,7 +353,7 @@ class Parser:
     # -- refinement expressions ---------------------------------------------
 
     def parse_refexpr(self, prec: int = 1) -> RefExpr:
-        """Precedence climbing over `LEVELS`: a term whose binary operators
+        """Precedence climbing over `OPERATORS`: a term whose binary operators
         are all of level `prec` or above.  An operator applies only if its
         level is at most that of the operator applied last, and after a
         comparison only `&&` and `||` may, so `a < b < c` stops at the
@@ -375,13 +361,12 @@ class Parser:
         lhs = self.parse_ref_atom()
         last = ATOM_LEVEL
         while True:
-            op = self.peek().kind
-            level = LEVELS.get(op)
-            if level is None or not prec <= level <= last:
+            op = OPERATORS.get(self.peek().kind)
+            if op is None or not prec <= op.level <= last:
                 return lhs
             self.next()
-            lhs = BINARY[op](lhs, self.parse_refexpr(level + 1))
-            last = NOT_LEVEL if level == CMP_LEVEL else level
+            lhs = op.build(lhs, self.parse_refexpr(op.level + 1))
+            last = NOT_LEVEL if op.level == CMP_LEVEL else op.level
 
     def parse_ref_atom(self) -> RefExpr:
         tok = self.peek()

@@ -8,12 +8,9 @@ from __future__ import annotations
 from .syntax import (
     ATOM_LEVEL,
     CMP_LEVEL,
-    LEVELS,
     NOT_LEVEL,
     AbstractLoc,
     Assign,
-    BinArith,
-    BinBool,
     BoolBase,
     BoolConst,
     BoolLit,
@@ -22,9 +19,7 @@ from .syntax import (
     BorrowStrong,
     Call,
     Closure,
-    Cmp,
     Deref,
-    Eq,
     Exists,
     Expr,
     FnSig,
@@ -61,40 +56,27 @@ from .syntax import (
     VecNew,
     VecPush,
     VecVal,
+    binary,
 )
-
-def _binary(e: RefExpr):
-    """The `LEVELS` operator that builds `e`, with its operands, or None."""
-    match e:
-        case BinBool(op, lhs, rhs):
-            return ("&&" if op == "and" else "||"), lhs, rhs
-        case BinArith(op, lhs, rhs) | Cmp(op, lhs, rhs):
-            return op, lhs, rhs
-        case Eq(lhs, rhs):
-            return "=", lhs, rhs
-        case Not(Eq(lhs, rhs)):
-            return "!=", lhs, rhs
-    return None
-
 
 def print_refexpr(e: RefExpr, prec: int = 0) -> str:
     """`e` as text that parses back to `e`, in parentheses if its operator
-    binds more loosely than level `prec` of `LEVELS`."""
-    binary = _binary(e)
-    if binary is not None:
-        op, lhs, rhs = binary
-        level = LEVELS[op]
+    binds more loosely than level `prec` (an `Operator.level`)."""
+    parts = binary(e)
+    if parts is not None:
+        op, lhs, rhs = parts
+        level = op.level
         left_prec = level + 1 if level == CMP_LEVEL else level
         # a chain of one operator nested on its left operand, as `conj`
         # builds it, is printed in a loop, so its length is not bounded by
         # the recursion limit
         rights = [rhs]
-        while left_prec == level and (inner := _binary(lhs)) and inner[0] == op:
+        while left_prec == level and (inner := binary(lhs)) and inner[0] is op:
             _, lhs, rhs = inner
             rights.append(rhs)
         operands = [print_refexpr(lhs, left_prec)]
         operands.extend(print_refexpr(r, level + 1) for r in reversed(rights))
-        s = f" {op} ".join(operands)
+        s = f" {op.symbol} ".join(operands)
         return f"({s})" if level < prec else s
     match e:
         case Var(name):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 
 class Sort(Enum):
@@ -117,22 +119,80 @@ class KVarDecl:
 
 TRUE = BoolConst(True)
 
-# The operator grammar of refinement terms, read by the parser and the
-# printer: the level of each binary operator, loosest first.  Every level
-# associates to the left, and a comparison takes no comparison as an
-# operand.  Atoms (names, constants, parentheses, `!a`, `-a`) bind
-# tightest; the printer puts `!a` in parentheses above NOT_LEVEL.
+# The operator grammar of refinement terms.  Every level associates to the
+# left, and a comparison takes no comparison as an operand.  Atoms (names,
+# constants, parentheses, `!a`, `-a`) bind tightest; the printer puts `!a`
+# in parentheses above NOT_LEVEL.
 CMP_LEVEL = 4
-LEVELS = {
-    "||": 1,
-    "&&": 2,
-    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">="), CMP_LEVEL),
-    "+": 5,
-    "-": 5,
-    "*": 6,
-}
 NOT_LEVEL = 3
 ATOM_LEVEL = 7
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A binary operator of refinement terms: its text, its level (loosest
+    first), the node it builds from its operands, the sort both operands
+    must have (None: the same sort on both sides), the sort error for an
+    operand of another sort (formatted with the sort wanted and the sort
+    found), the sort it yields, and its value on its operands' values."""
+
+    symbol: str
+    level: int
+    build: Callable[[RefExpr, RefExpr], RefExpr]
+    operand: Optional[Sort]
+    mismatch: str
+    result: Sort
+    value: Callable
+
+
+# Each operator of refinement terms, written once.  The parser builds terms
+# by each operator's level and node, the printer prints them by `binary`
+# and the level, `logic.sortcheck` checks their operands' sorts,
+# `oracle._sort_of_term` reads the sort they yield, and `oracle.eval_closed`,
+# `logic.fold_constants`, `logic.is_trivially_true` and the builtins
+# (`builtins.BUILTIN_OPS`, signatures and run-time values) apply their value.
+OPERATORS: Dict[str, Operator] = {
+    op.symbol: op
+    for op in (
+        Operator("||", 1, partial(BinBool, "or"), Sort.BOOL,
+                 "boolean operator on a non-boolean", Sort.BOOL, lambda a, b: a or b),
+        Operator("&&", 2, partial(BinBool, "and"), Sort.BOOL,
+                 "boolean operator on a non-boolean", Sort.BOOL, lambda a, b: a and b),
+        Operator("=", CMP_LEVEL, Eq, None,
+                 "equality between {} and {}", Sort.BOOL, operator.eq),
+        Operator("!=", CMP_LEVEL, lambda lhs, rhs: Not(Eq(lhs, rhs)), None,
+                 "equality between {} and {}", Sort.BOOL, operator.ne),
+        *(
+            Operator(op, CMP_LEVEL, partial(Cmp, op), Sort.INT,
+                     "comparison of a non-integer", Sort.BOOL, value)
+            for op, value in (
+                ("<", operator.lt), ("<=", operator.le),
+                (">", operator.gt), (">=", operator.ge),
+            )
+        ),
+        *(
+            Operator(op, level, partial(BinArith, op), Sort.INT,
+                     "arithmetic on a non-integer", Sort.INT, value)
+            for op, level, value in (
+                ("+", 5, operator.add), ("-", 5, operator.sub), ("*", 6, operator.mul),
+            )
+        ),
+    )
+}
+
+
+def binary(e: RefExpr) -> Optional[Tuple[Operator, RefExpr, RefExpr]]:
+    """The operator that builds `e`, with its operands, or None."""
+    match e:
+        case BinArith(op, lhs, rhs) | Cmp(op, lhs, rhs):
+            return OPERATORS[op], lhs, rhs
+        case BinBool(op, lhs, rhs):
+            return OPERATORS["&&" if op == "and" else "||"], lhs, rhs
+        case Eq(lhs, rhs):
+            return OPERATORS["="], lhs, rhs
+        case Not(Eq(lhs, rhs)):
+            return OPERATORS["!="], lhs, rhs
+    return None
 
 
 def children(e: RefExpr) -> Tuple[RefExpr, ...]:

@@ -53,16 +53,18 @@ from .infer import (
 from .logic import (
     RefCtx,
     SortError,
+    as_loc,
     base_of,
     fold_constants,
     free_vars,
     getsort,
+    loc_expr,
     sortcheck,
     subst,
     subst_parallel,
 )
 from .oracle import Oracle
-from .printer import print_loc, print_type
+from .printer import print_loc, print_type, print_value
 from .subtyping import NameSupply, ctx_include, subtype
 from .syntax import (
     AbstractLoc,
@@ -78,7 +80,6 @@ from .syntax import (
     BorrowShr,
     BorrowStrong,
     Call,
-    ConcreteLoc,
     Deref,
     Eq,
     Exists,
@@ -93,7 +94,6 @@ from .syntax import (
     Let,
     LetNew,
     Loc,
-    LocConst,
     LocCtx,
     Not,
     Place,
@@ -138,11 +138,6 @@ class _ProbeSig(Type):
     arity: int
 
 
-@dataclass(frozen=True)
-class _VecBuiltin(Type):
-    kind: str  # "new" | "push" | "index_mut"
-
-
 @dataclass
 class Diagnostic:
     severity: str
@@ -182,6 +177,14 @@ class Report:
     @property
     def blocked_on_oracle(self) -> bool:
         return any(u.status == "unknown" for u in self.units)
+
+    @property
+    def exit_code(self) -> int:
+        """The exit code of the report's program (see `cli`): 3 if some
+        unit is undecided, else 1 if some unit is not verified, else 0."""
+        if self.blocked_on_oracle:
+            return 3
+        return 0 if self.ok else 1
 
     def unit(self, name: str) -> UnitReport:
         for u in self.units:
@@ -310,7 +313,7 @@ def infer_refargs(
                 if isinstance(fb, VecBase) and isinstance(ab, VecBase):
                     unify(fb.elem, ab.elem)
             case (StrongPtr(AbstractLoc(p)), StrongPtr(loc)) if p in params:
-                assigned.setdefault(p, _loc_expr(loc))
+                assigned.setdefault(p, loc_expr(loc))
             case (Ref(m1, fp), Ref(m2, ap)) if m1 == m2:
                 unify(fp, ap)
             case _:
@@ -325,7 +328,7 @@ def infer_refargs(
             got = assigned.get(floc.name)
             if got is None:
                 continue
-            actual_loc = _as_loc(got)
+            actual_loc = as_loc(got)
         else:
             actual_loc = floc
         if actual_loc is None:
@@ -349,20 +352,6 @@ def _fold_index(t: Type) -> Type:
     if isinstance(t, Indexed):
         return Indexed(t.base, fold_constants(t.idx))
     return t
-
-
-def _loc_expr(loc: Loc) -> RefExpr:
-    if isinstance(loc, AbstractLoc):
-        return Var(loc.name)
-    return LocConst(loc.loc_id)
-
-
-def _as_loc(e: RefExpr) -> Optional[Loc]:
-    if isinstance(e, Var):
-        return AbstractLoc(e.name)
-    if isinstance(e, LocConst):
-        return ConcreteLoc(e.loc_id)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +496,10 @@ class Checker:
                 return Indexed(IntBase(), IntConst(z))
             case Poison():
                 return Uninit(1)
-            case VecNew():
-                return _VecBuiltin("new")
-            case VecPush():
-                return _VecBuiltin("push")
-            case VecIndexMut():
-                return _VecBuiltin("index_mut")
+            case VecNew() | VecPush() | VecIndexMut():
+                raise StructuralError(
+                    f"{print_value(v)} can only be called, not used as a value", span
+                )
             case PrimOp(op):
                 return BUILTIN_SIGS[op]
             case RecFn(_, _, _, _, sig) if sig is not None:
@@ -624,7 +611,11 @@ class Checker:
     # -- calls -------------------------------------------------------------------
 
     def synth_call(self, state: CheckState, e: Call) -> Type:
-        callee_t = self.synth(state, e.callee)
+        # a vec builtin has no type of its own: its signature at a call
+        # depends on the call's arguments
+        builtin = e.callee.value if isinstance(e.callee, Val) else None
+        is_vec = isinstance(builtin, (VecNew, VecPush, VecIndexMut))
+        callee_t = None if is_vec else self.synth(state, e.callee)
 
         if isinstance(callee_t, _ProbeSig):
             return self._record_probe(state, callee_t, e)
@@ -636,8 +627,8 @@ class Checker:
                 state.unpack_on_the_fly(arg.name)
         actual_types = [self.synth(state, a) for a in e.args]
 
-        if isinstance(callee_t, _VecBuiltin):
-            sig = self._vec_sig(state, callee_t.kind, e, actual_types)
+        if is_vec:
+            sig = self._vec_sig(state, builtin, e, actual_types)
         elif isinstance(callee_t, FnSig):
             sig = callee_t
         else:
@@ -747,7 +738,7 @@ class Checker:
     def _vec_sig(
         self,
         state: CheckState,
-        kind: str,
+        builtin: Value,
         e: Call,
         actual_types: Sequence[Type],
     ) -> FnSig:
@@ -764,11 +755,11 @@ class Checker:
         if e.type_args:
             explicit = base_of(e.type_args[0])
 
-        if kind == "new":
+        if isinstance(builtin, VecNew):
             elem = elem_template(explicit)
             return FnSig((), BoolConst(True), LocCtx(), (), Indexed(VecBase(elem), IntConst(0)), LocCtx())
 
-        if kind == "push":
+        if isinstance(builtin, VecPush):
             expected = explicit
             if expected is None and actual_types:
                 expected = self._peek_vec_elem_base(state, actual_types[0])
@@ -786,7 +777,7 @@ class Checker:
                 out_locs=LocCtx(((l, Indexed(VecBase(elem), BinArith("+", n, IntConst(1)))),)),
             )
 
-        assert kind == "index_mut"
+        # vec_index_mut
         expected = explicit
         if expected is None and actual_types:
             t0 = actual_types[0]
@@ -851,7 +842,7 @@ class Checker:
         finally:
             state.shape_mode = was_shape
             state.restore(snap)
-        if isinstance(ret_shape, (_Hole, _ProbeSig, _VecBuiltin)):
+        if isinstance(ret_shape, (_Hole, _ProbeSig)):
             ret_shape = None
         sites = state.probes.pop(probe_id)
 

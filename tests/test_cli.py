@@ -333,7 +333,7 @@ def test_a_program_file_that_is_not_utf8_is_an_io_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, problem",
     [
-        (None, "io error: [Errno 2] No such file or directory"),
+        (None, "io error: No such file or directory"),
         ("entry let x = in x", "parse error: 1:15: unexpected 'in' (expected one of:"),
     ],
 )
@@ -353,6 +353,62 @@ def test_every_subcommand_reports_an_unloadable_program_in_one_line(
         assert main(["soundness", "--seeds", "0", "--corpus", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"  corpus {path}: {problem}" in err and "rejected" not in err, err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "entry let x = new(l) in vec_new",
+        "entry if true { vec_new } else { vec_push }",
+        "entry let f = rec f (x) := if true { call f(x) } else { vec_new } in 1",
+        "entry vec_new",
+    ],
+)
+def test_a_vec_builtin_used_as_a_value_is_one_diagnostic(tmp_path, capsys, source):
+    """A vec builtin is typed only as the callee of a call.  Anywhere else
+    `check` exits 1 with one line naming it, and `soundness --corpus`
+    reports the file as a rejection; both used to exit 4."""
+    path = tmp_path / "vec.lr"
+    path.write_text(source + "\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"{path}:1:{source.index('vec_new') + 1}: error: StructuralError: "
+        "vec_new can only be called, not used as a value\n"
+    )
+    assert main(["soundness", "--seeds", "0", "--corpus", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"  checker rejected corpus {path}\n"
+
+
+# a type error in a function of its own: the body dereferences an integer
+DEREF_INT = "fn {name} {{}}( int[1] ) -> int[1] := rec {name} (x) := *x\n"
+
+
+def test_solve_and_constraints_report_every_unit_and_exit_as_check_does(
+    tmp_path, capsys
+):
+    """Every unit's diagnostics, not only the first unit's; and with one
+    unit in error and one undecided, `solve` exits 3 as `check` does."""
+    two = tmp_path / "two.lr"
+    two.write_text(DEREF_INT.format(name="g") + DEREF_INT.format(name="h"))
+    mixed = tmp_path / "mixed.lr"
+    # `n + n = 1` has a rational but no integer solution, so the oracle
+    # finds the relaxation satisfiable, finds no integer model, and cannot
+    # decide
+    mixed.write_text(
+        DEREF_INT.format(name="g")
+        + "fn f {n: int | n + n = 1}( int[n] ) -> {v. int[v] | v >= 5} :=\n"
+        "  rec f {n: int} (x) := x\n"
+    )
+    for command in ("check", "solve", "constraints"):
+        assert main([command, str(two)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.count(": error: DerefNonPointer: ") == 2, (command, err)
+    for command, code in (("check", 3), ("solve", 3), ("constraints", 1)):
+        assert main([command, str(mixed)]) == code, command
+        err = capsys.readouterr().err
+        assert err.count(": error: DerefNonPointer: ") == 1, (command, err)
 
 
 @pytest.mark.parametrize(

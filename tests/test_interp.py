@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from lrcheck.builtins import BUILTIN_VALUES
+from lrcheck.builtins import BUILTIN_SIGS, BUILTIN_VALUES
 from lrcheck.harness import generate_program
 from lrcheck.interp import (
     AliasError,
@@ -23,6 +23,7 @@ from lrcheck.interp import (
     sb_reborrow,
     sb_write,
 )
+from lrcheck.oracle import eval_closed
 from lrcheck.parser import parse_expr, parse_program
 from lrcheck.syntax import BoolLit, IntLit, Poison, TaggedPtr, VecVal
 
@@ -492,3 +493,35 @@ def test_runs_match_the_golden_digests():
             if _digest(run(program, fuel=fuel, trace=True)) != digest:
                 mismatched.append((name, fuel))
     assert not mismatched
+
+
+# -- builtins ----------------------------------------------------------------
+
+# what each builtin computes, spelled out independently of the operator table
+BUILTIN_REFERENCE = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "gt": lambda a, b: a > b,
+    "ge": lambda a, b: a >= b,
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "eq": lambda a, b: a == b,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_REFERENCE))
+def test_builtin_signature_and_run_time_value_agree_with_the_reference(name):
+    """For every argument pair in -3..3, the value a run of `call NAME(a, b)`
+    produces and the signature's result index at `a1 = a, a2 = b` both equal
+    the reference, down to int versus bool."""
+    assert sorted(BUILTIN_VALUES) == sorted(BUILTIN_REFERENCE)
+    index = BUILTIN_SIGS[name].ret.idx
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            want = BUILTIN_REFERENCE[name](a, b)
+            outcome = run(parse_program(f"entry call {name}({a}, {b})"))
+            assert outcome.kind == "done", outcome.render()
+            got = {"run": outcome.value.value, "index": eval_closed(index, {"a1": a, "a2": b})}
+            for where, value in got.items():
+                assert (type(value), value) == (type(want), want), (where, a, b)
