@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .constraints import (
@@ -308,7 +309,10 @@ def cmd_soundness(args: argparse.Namespace) -> int:
     return EXIT_REJECTED if result.rejected or corpus.rejected else EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no command
+    function: `main` looks that up by name on each call."""
     parser = argparse.ArgumentParser(
         prog="lrcheck",
         description="Refinement type checker and instrumented interpreter "
@@ -332,25 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--debug-wf", action="store_true")
     p_check.add_argument("--jobs", type=positive, default=1)
     common(p_check, "--config", "--out")
-    p_check.set_defaults(func=cmd_check)
 
     p_cons = sub.add_parser("constraints", help="dump the constraint clauses")
     p_cons.add_argument("path")
     p_cons.add_argument("--json", action="store_true")
     common(p_cons, "--out")
-    p_cons.set_defaults(func=cmd_constraints)
 
     p_solve = sub.add_parser("solve", help="dump the inferred solution")
     p_solve.add_argument("path")
     common(p_solve, "--config", "--out")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_run = sub.add_parser("run", help="run a program's entry expression")
     p_run.add_argument("path")
     p_run.add_argument("--fuel", type=non_negative)
     p_run.add_argument("--trace", help="write the event trace to a file")
     common(p_run, "--config")
-    p_run.set_defaults(func=cmd_run)
 
     p_sound = sub.add_parser(
         "soundness", help="differential soundness sweep over generated programs"
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus", help="also run every checked .lr program in this directory"
     )
     common(p_sound, "--config")
-    p_sound.set_defaults(func=cmd_soundness)
 
     return parser
 
@@ -373,8 +372,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    command = {
+        "check": cmd_check,
+        "constraints": cmd_constraints,
+        "solve": cmd_solve,
+        "run": cmd_run,
+        "soundness": cmd_soundness,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"lrcheck: config file {exc}", file=sys.stderr)
         return EXIT_USAGE

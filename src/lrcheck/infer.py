@@ -3,7 +3,7 @@ unannotated inner rec functions) and the liquid fixpoint solver."""
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -547,6 +547,48 @@ class _ClauseRows:
         return dnf(goal, False, self.sorts, self.prods)
 
 
+def _topological_ranks(edges: Dict[str, List[str]]) -> Dict[str, int]:
+    """The rank of each node's strongly connected component of the graph
+    `edges` (every node a key), numbered in topological order: an edge
+    never goes to a lower rank.  Tarjan's algorithm with an explicit stack,
+    so a long chain needs no recursion; it finishes a component after every
+    component it reaches, so the finishing order reversed is the rank."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    finished: Dict[str, int] = {}  # node -> its component, by finishing order
+    stack: List[str] = []
+    components = 0
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        path = [(root, iter(edges[root]))]
+        while path:
+            node, succs = path[-1]
+            for succ in succs:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    path.append((succ, iter(edges[succ])))
+                    break
+                if succ not in finished:
+                    low[node] = min(low[node], index[succ])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        finished[member] = components
+                        if member == node:
+                            break
+                    components += 1
+    return {node: components - 1 - c for node, c in finished.items()}
+
+
 @dataclass
 class SolveResult:
     status: str  # "sat" | "unsat" | "unknown"
@@ -573,6 +615,13 @@ def solve(
     fixpoint validates every unknown-headed clause under the final
     assignment by construction, so nothing is rechecked.
 
+    The worklist sweeps clauses in dependency order: by the strongly
+    connected component of their head kvar, upstream first, in the graph
+    with an edge from each kvar a clause assumes to the kvar it defines,
+    and within a component in clause order.  So a clause is swept again
+    only when a kvar of its own component shrank, and a kvar outside any
+    cycle is swept once per defining clause.
+
     Every clause is linearized once, and a kvar's candidates once, when a
     clause first needs that kvar.  A sweep asks `Oracle.valid_rows` about
     each distinct literal of the head kvar once, under the spliced rows of
@@ -595,15 +644,23 @@ def solve(
         for name in kvars_in(c.hyps):
             dependents[name].append(c)
 
+    # a clause's heap entry: its head kvar's component rank, upstream
+    # first, then its position in `cls`, which is its cid
+    rank = _topological_ranks(
+        {name: [c.head.kvar.name for c in deps] for name, deps in dependents.items()}
+    )
+    entries = {c.cid: (rank[c.head.kvar.name], c.cid, c) for c in kvar_clauses}
+    worklist = list(entries.values())
+    heapq.heapify(worklist)
+
     # termination: every re-enqueue follows at least one deletion, and the
     # total deletion budget is the number of initial candidates
     budget = sum(len(v) for v in cands.kept.values())
     deletions = 0
     sweeps = 0
-    worklist = deque(kvar_clauses)
     queued = {c.cid for c in kvar_clauses}
     while worklist:
-        clause = worklist.popleft()
+        _, _, clause = heapq.heappop(worklist)
         queued.discard(clause.cid)
         sweeps += 1
         assert sweeps <= len(kvar_clauses) * (budget + 1), "fixpoint did not descend"
@@ -620,7 +677,7 @@ def solve(
             for dep in dependents[head.kvar]:
                 if dep.cid not in queued:
                     queued.add(dep.cid)
-                    worklist.append(dep)
+                    heapq.heappush(worklist, entries[dep.cid])
 
     solution = Solution()
     for k in kvars:

@@ -542,6 +542,32 @@ def test_internal_error_exit_four(monkeypatch, capsys):
     assert err == "lrcheck: internal error: RuntimeError: boom second line\n"
 
 
+def test_in_process_calls_share_no_arguments(monkeypatch, capsys):
+    """`main` builds its parser once per process: the flags of one call do
+    not carry over to the next, and a usage error still exits 2."""
+    import lrcheck.cli
+
+    seen = []
+    real = lrcheck.cli.cmd_check
+
+    def recording(args):
+        seen.append(args)
+        return real(args)
+
+    monkeypatch.setattr(lrcheck.cli, "cmd_check", recording)
+    path = "corpus/accept/decr.lr"
+    assert main(["check", path, "--jobs", "2", "--dump-constraints"]) == 0
+    dumped = capsys.readouterr().out
+    assert main(["check", path]) == 0
+    plain = capsys.readouterr().out
+    assert (seen[0].jobs, seen[0].dump_constraints) == (2, True)
+    assert (seen[1].jobs, seen[1].dump_constraints) == (1, False)
+    assert "clause 0 [ay:int]" in dumped and "clause 0" not in plain
+    assert main(["check", path, "--jobs", "0"]) == 2
+    assert "must be at least 1: 0" in capsys.readouterr().err
+    assert len(seen) == 2
+
+
 def test_long_let_chain_checks(tmp_path):
     lines = ["let x0 = 0 in"] + [
         f"let x{i} = call add(x0, {i}) in" for i in range(1, 600)
