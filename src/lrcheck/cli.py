@@ -12,10 +12,9 @@ import argparse
 import glob
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .constraints import (
     Qualifier,
@@ -29,7 +28,7 @@ from .interp import run as interp_run
 from .logic import SortError
 from .parser import ParseError, parse_program
 from .syntax import Program, Sort
-from .typeck import Report, check_program
+from .typeck import check_program
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -42,8 +41,6 @@ EXIT_INTERNAL = 4
 class Config:
     fuel: int = 100_000
     qualifiers: List[Qualifier] = field(default_factory=list)
-    debug_wf: bool = False
-    jobs: int = 1
 
 
 class ConfigError(Exception):
@@ -63,14 +60,6 @@ def non_negative(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return value
-
-
-def positive(text: str) -> int:
-    """An argparse type for counts of 1 or more."""
-    value = non_negative(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
     return value
 
 
@@ -115,9 +104,6 @@ def build_config(args: argparse.Namespace) -> Config:
     cfg = read_config_file(config) if config else Config()
     if getattr(args, "fuel", None) is not None:
         cfg.fuel = args.fuel
-    if getattr(args, "debug_wf", False):
-        cfg.debug_wf = True
-    cfg.jobs = getattr(args, "jobs", cfg.jobs)
     return cfg
 
 
@@ -153,44 +139,24 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _check_one(
-    path: str, cfg: Config, quals
-) -> Tuple[str, Optional[Report], List[str]]:
-    """Returns (path, report, diagnostics)."""
-    diagnostics: List[str] = []
-    try:
-        program = _read_program(path)
-    except LoadError as exc:
-        return path, None, [str(exc)]
-    report = check_program(program, quals=quals, debug_wf=cfg.debug_wf)
-    for diag in report.diagnostics():
-        diagnostics.append(diag.render(path))
-    return path, report, diagnostics
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if not args.paths:
         print("check: no input files", file=sys.stderr)
         return EXIT_USAGE
     quals = default_qualifiers() + cfg.qualifiers
-    results = []
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(
-                pool.map(lambda p: _check_one(p, cfg, quals), args.paths)
-            )
-    else:
-        results = [_check_one(p, cfg, quals) for p in args.paths]
-
     dump_chunks: List[str] = []
     exit_code = EXIT_OK
-    for path, report, diagnostics in results:
-        for line in diagnostics:
-            print(line, file=sys.stderr)
-        if report is None:
+    for path in args.paths:
+        try:
+            program = _read_program(path)
+        except LoadError as exc:
+            print(exc, file=sys.stderr)
             exit_code = max(exit_code, EXIT_USAGE)
             continue
+        report = check_program(program, quals=quals, debug_wf=args.debug_wf)
+        for diag in report.diagnostics():
+            print(diag.render(path), file=sys.stderr)
         if args.dump_constraints:
             for unit in report.units:
                 dump_chunks.append(f"; {path} unit {unit.name}")
@@ -334,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--dump-constraints", action="store_true")
     p_check.add_argument("--dump-solution", action="store_true")
     p_check.add_argument("--debug-wf", action="store_true")
-    p_check.add_argument("--jobs", type=positive, default=1)
     common(p_check, "--config", "--out")
 
     p_cons = sub.add_parser("constraints", help="dump the constraint clauses")

@@ -4,7 +4,7 @@ terms, and the value/refinement bridges (getsort, interp)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .syntax import (
     AbstractLoc,
@@ -257,6 +257,14 @@ def sortcheck(ctx: RefCtx, e: RefExpr) -> Sort:
                 if sortcheck(ctx, arg) != psort:
                     raise SortError(f"ill-sorted argument to {kvar.name}", e)
             return Sort.BOOL
+        case BinBool():
+            # left to right: the first operand of the wrong sort is reported
+            op = binary(e)[0]
+            for side in chain_operands(e):
+                got = sortcheck(ctx, side)
+                if got != Sort.BOOL:
+                    raise SortError(op.mismatch.format(Sort.BOOL, got), e)
+            return Sort.BOOL
     parts = binary(e)
     if parts is None:
         raise SortError(f"unknown refinement term {e!r}", e)
@@ -347,8 +355,12 @@ def subst_parallel(target, mapping: dict):
             return Eq(subst_parallel(l, mapping), subst_parallel(r, mapping))
         case Not(arg):
             return Not(subst_parallel(arg, mapping))
-        case BinBool(op, l, r):
-            return BinBool(op, subst_parallel(l, mapping), subst_parallel(r, mapping))
+        case BinBool(op):
+            first, *rest = chain_operands(target)
+            out = subst_parallel(first, mapping)
+            for operand in rest:
+                out = BinBool(op, out, subst_parallel(operand, mapping))
+            return out
         case BinArith(op, l, r):
             return BinArith(op, subst_parallel(l, mapping), subst_parallel(r, mapping))
         case Cmp(op, l, r):
@@ -445,9 +457,24 @@ def conj(preds: Iterable[RefExpr]) -> RefExpr:
     return out if out is not None else BoolConst(True)
 
 
+def chain_operands(e: BinBool) -> List[RefExpr]:
+    """The operands of the chain of `e.op` nested on its left operand that
+    `e` heads, left to right: `(a && b) && c` gives [a, b, c].  The walks
+    over a chain that `conj` builds loop over these operands, so its
+    length is not bounded by the recursion limit."""
+    rights = []
+    node: RefExpr = e
+    while isinstance(node, BinBool) and node.op == e.op:
+        rights.append(node.rhs)
+        node = node.lhs
+    rights.append(node)
+    rights.reverse()
+    return rights
+
+
 def conjuncts(e: RefExpr) -> Tuple[RefExpr, ...]:
     if isinstance(e, BinBool) and e.op == "and":
-        return conjuncts(e.lhs) + conjuncts(e.rhs)
+        return tuple(c for operand in chain_operands(e) for c in conjuncts(operand))
     return (e,)
 
 
@@ -465,8 +492,12 @@ def fold_constants(e: RefExpr) -> RefExpr:
             return Cmp(op, fold_constants(l), fold_constants(r))
         case Not(a):
             return Not(fold_constants(a))
-        case BinBool(op, l, r):
-            return BinBool(op, fold_constants(l), fold_constants(r))
+        case BinBool(op):
+            first, *rest = chain_operands(e)
+            out = fold_constants(first)
+            for operand in rest:
+                out = BinBool(op, out, fold_constants(operand))
+            return out
         case KApp(kvar, args):
             return KApp(kvar, tuple(fold_constants(a) for a in args))
         case _:

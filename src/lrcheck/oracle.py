@@ -53,7 +53,7 @@ from typing import (
     Union,
 )
 
-from .logic import Bind, RefCtx, contains_kapp, sortcheck
+from .logic import Bind, RefCtx, chain_operands, contains_kapp, sortcheck
 from .syntax import (
     BinArith,
     BinBool,
@@ -203,14 +203,10 @@ def dnf(e: RefExpr, positive: bool, sorts: Dict[str, Sort], prods) -> Cubes:
         # a conjunction of the operands' cubes crosses them; a disjunction
         # concatenates them
         crossing = (e.op == "and") == positive
-        rights = []
-        node = e
-        while isinstance(node, BinBool) and node.op == e.op:
-            rights.append(node.rhs)
-            node = node.lhs
-        cubes = dnf(node, positive, sorts, prods)
-        for rhs in reversed(rights):
-            more = dnf(rhs, positive, sorts, prods)
+        first, *rest = chain_operands(e)
+        cubes = dnf(first, positive, sorts, prods)
+        for operand in rest:
+            more = dnf(operand, positive, sorts, prods)
             cubes = _cross(cubes, more) if crossing else cubes + more
             if len(cubes) > MAX_CUBES:
                 raise _TooLarge()

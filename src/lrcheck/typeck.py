@@ -140,7 +140,6 @@ class _ProbeSig(Type):
 
 @dataclass
 class Diagnostic:
-    severity: str
     rule: str
     message: str
     span: Optional[Span] = None
@@ -151,7 +150,7 @@ class Diagnostic:
         at = f"{path}:{self.span}" if self.span else path
         clause = f" [clause {self.clause_id}]" if self.clause_id is not None else ""
         note = f"; {self.note}" if self.note else ""
-        return f"{at}: {self.severity}: {self.rule}: {self.message}{clause}{note}"
+        return f"{at}: error: {self.rule}: {self.message}{clause}{note}"
 
 
 @dataclass
@@ -1035,9 +1034,7 @@ def check_program(
         globals_ctx = build_globals(program)
     except CheckError as exc:
         unit = UnitReport("<program>", Conj(()), [], "error")
-        unit.diagnostics.append(
-            Diagnostic("error", "structure", exc.msg, exc.span)
-        )
+        unit.diagnostics.append(Diagnostic("structure", exc.msg, exc.span))
         return Report([unit])
 
     kvars = KVarSupply()
@@ -1051,7 +1048,7 @@ def check_program(
             rule = type(exc).__name__
             span = exc.span if isinstance(exc, CheckError) else None
             unit.status = "error"
-            unit.diagnostics.append(Diagnostic("error", rule, str(exc), span))
+            unit.diagnostics.append(Diagnostic(rule, str(exc), span))
             return unit
         unit.final_ctx = final_ctx
         unit.constraint = normalize(constraint)
@@ -1060,32 +1057,21 @@ def check_program(
         if run_solver:
             outcome = solve(unit.constraint, quals, oracle)
             unit.solution = outcome.solution
-            if outcome.status == "sat":
-                unit.status = "verified"
-            elif outcome.status == "unsat":
-                unit.status = "rejected"
-                fc = outcome.failed_clause
-                if fc is not None:
-                    unit.diagnostics.append(
-                        Diagnostic(
-                            "error",
-                            fc.provenance.rule,
-                            "cannot prove clause",
-                            fc.provenance.span,
-                            clause_id=fc.cid,
-                            note=_counterexample_note(outcome.counterexample),
-                        )
-                    )
-            else:
-                unit.status = "unknown"
+            if outcome.status != "sat":
+                # `solve` names the failed clause with every other status;
+                # an unknown verdict carries no counter-model
+                rejected = outcome.status == "unsat"
+                unit.status = "rejected" if rejected else "unknown"
                 fc = outcome.failed_clause
                 unit.diagnostics.append(
                     Diagnostic(
-                        "error",
-                        fc.provenance.rule if fc else "oracle",
-                        f"oracle could not decide: {outcome.reason}",
-                        fc.provenance.span if fc else None,
-                        clause_id=fc.cid if fc else None,
+                        fc.provenance.rule,
+                        "cannot prove clause"
+                        if rejected
+                        else f"oracle could not decide: {outcome.reason}",
+                        fc.provenance.span,
+                        clause_id=fc.cid,
+                        note=_counterexample_note(outcome.counterexample),
                     )
                 )
         return unit

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, dumps, determinism, config."""
 
+import argparse
 import glob
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lrcheck.cli import main
+from lrcheck.cli import build_parser, main
 from lrcheck.constraints import (
     default_qualifiers,
     instance,
@@ -125,6 +128,7 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys):
     path = "corpus/accept/decr.lr"
     for args in [
         ["check", path, "--smt", "x"],
+        ["check", path, "--jobs", "2"],
         ["solve", path, "--timeout", "1"],
         ["soundness", "--smt", "x"],
         ["run", path, "--out", "x"],
@@ -137,6 +141,28 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys):
     ]:
         assert main(args) == 2, args
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_readme_usage_lists_the_flags_of_each_subcommand():
+    """Each `lrcheck SUB ...` line of the README's usage block names
+    exactly the long options of the parser's subcommand SUB."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    usage = [line for line in block.splitlines() if line.startswith("lrcheck ")]
+    assert sorted(line.split()[1] for line in usage) == sorted(subparsers.choices)
+    for line in usage:
+        sub = line.split()[1]
+        known = {
+            flag
+            for action in subparsers.choices[sub]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        assert set(re.findall(r"--[a-z-]+", line)) == known, sub
 
 
 def test_constraints_dump_decr():
@@ -250,12 +276,6 @@ def test_soundness_command_with_corpus():
     assert code == 0
     assert "corpus corpus/accept/decr_driver.lr: done" in out
     assert "corpus corpus/accept/diverge.lr: fuel" in out
-
-
-def test_jobs_flag_parallel_check():
-    paths = sorted(glob.glob("corpus/accept/*.lr"))
-    code, _, _ = invoke(["check", *paths, "--jobs", "4"])
-    assert code == 0
 
 
 def test_main_entry_in_process(capsys):
@@ -494,14 +514,6 @@ def test_a_negative_count_is_a_usage_error(capsys):
         assert "must not be negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "jobs, message", [("0", "must be at least 1: 0"), ("-3", "must not be negative: -3")]
-)
-def test_jobs_below_one_is_a_usage_error(capsys, jobs, message):
-    assert main(["check", "corpus/accept/decr.lr", "--jobs", jobs]) == 2
-    assert message in capsys.readouterr().err
-
-
 def test_a_parse_error_at_the_end_names_the_end_of_input(tmp_path, capsys):
     path = tmp_path / "lr.conf"
     path.write_text("qualifier = v <=\n")
@@ -556,15 +568,15 @@ def test_in_process_calls_share_no_arguments(monkeypatch, capsys):
 
     monkeypatch.setattr(lrcheck.cli, "cmd_check", recording)
     path = "corpus/accept/decr.lr"
-    assert main(["check", path, "--jobs", "2", "--dump-constraints"]) == 0
+    assert main(["check", path, "--debug-wf", "--dump-constraints"]) == 0
     dumped = capsys.readouterr().out
     assert main(["check", path]) == 0
     plain = capsys.readouterr().out
-    assert (seen[0].jobs, seen[0].dump_constraints) == (2, True)
-    assert (seen[1].jobs, seen[1].dump_constraints) == (1, False)
+    assert (seen[0].debug_wf, seen[0].dump_constraints) == (True, True)
+    assert (seen[1].debug_wf, seen[1].dump_constraints) == (False, False)
     assert "clause 0 [ay:int]" in dumped and "clause 0" not in plain
-    assert main(["check", path, "--jobs", "0"]) == 2
-    assert "must be at least 1: 0" in capsys.readouterr().err
+    assert main(["check", path, "--no-such-flag"]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     assert len(seen) == 2
 
 
@@ -714,6 +726,31 @@ def test_unpack_chain_checks_and_prints_on_a_shallow_stack(tmp_path, shallow_sta
     assert main(["check", str(path)]) == 0
     printed = print_program(parse_program(_unpack_chain(300)))
     assert print_program(parse_program(printed)) == printed
+
+
+def _requires_chain(n, entry):
+    """`f` requires a conjunction of n atoms, all implied by `a >= 0`."""
+    atoms = " && ".join(f"a >= {-i}" for i in range(n))
+    text = (
+        f"fn f {{a: int | {atoms}}}( int[a] ) -> {{v. int[v] | v >= 0}} :=\n"
+        "  rec f {a: int} (x) := x\n"
+    )
+    return text + ("\nentry call f(3)\n" if entry else "")
+
+
+@pytest.mark.parametrize("entry", [False, True])
+def test_5000_atom_requires_checks_on_a_shallow_stack(
+    tmp_path, capsys, shallow_stack, entry
+):
+    """Sort checking, folding, splitting and substitution walk a chain of
+    `&&` in a loop, so its length is not bounded by the recursion limit."""
+    path = tmp_path / "conj.lr"
+    path.write_text(_requires_chain(5000, entry))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    if entry:
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("done: 3 ")
 
 
 def test_4000_pair_unpack_chain_checks(tmp_path):
