@@ -48,7 +48,6 @@ from .syntax import (
 class Provenance:
     rule: str
     span: Optional[Span] = None
-    note: str = ""
 
     def __str__(self) -> str:
         at = str(self.span) if self.span is not None else "-"
@@ -267,7 +266,7 @@ def parse_qualifier(name: str, sort: Sort, text: str) -> Qualifier:
     term = parse_refexpr(text)
     found = sortcheck(RefCtx().bind("v", sort).bind("m", sort), term)
     if found != Sort.BOOL:
-        raise SortError(f"not a formula: its sort is {found}", term)
+        raise SortError(f"not a formula: its sort is {found}")
     return Qualifier(name, sort, subst_parallel(term, {"v": Var(NU), "m": Var(META)}))
 
 

@@ -15,7 +15,6 @@ from .syntax import (
     BoolConst,
     BoolLit,
     Cmp,
-    ConcreteLoc,
     Eq,
     Exists,
     FnSig,
@@ -24,8 +23,6 @@ from .syntax import (
     IntConst,
     IntLit,
     KApp,
-    Loc,
-    LocConst,
     LocCtx,
     Not,
     OPERATORS,
@@ -45,9 +42,7 @@ from .syntax import (
 
 
 class SortError(Exception):
-    def __init__(self, msg: str, term: Optional[RefExpr] = None):
-        super().__init__(msg)
-        self.term = term
+    pass
 
 
 class SubstError(Exception):
@@ -238,24 +233,22 @@ def sortcheck(ctx: RefCtx, e: RefExpr) -> Sort:
         case Var(name):
             sort = ctx.sort_of(name)
             if sort is None:
-                raise SortError(f"unbound refinement variable '{name}'", e)
+                raise SortError(f"unbound refinement variable '{name}'")
             return sort
         case IntConst(_):
             return Sort.INT
         case BoolConst(_):
             return Sort.BOOL
-        case LocConst(_):
-            return Sort.LOC
         case Not(arg):
             if sortcheck(ctx, arg) != Sort.BOOL:
-                raise SortError("negation of a non-boolean", e)
+                raise SortError("negation of a non-boolean")
             return Sort.BOOL
         case KApp(kvar, args):
             if len(args) != len(kvar.params):
-                raise SortError(f"{kvar.name} expects {len(kvar.params)} args", e)
+                raise SortError(f"{kvar.name} expects {len(kvar.params)} args")
             for arg, (_, psort) in zip(args, kvar.params):
                 if sortcheck(ctx, arg) != psort:
-                    raise SortError(f"ill-sorted argument to {kvar.name}", e)
+                    raise SortError(f"ill-sorted argument to {kvar.name}")
             return Sort.BOOL
         case BinBool():
             # left to right: the first operand of the wrong sort is reported
@@ -263,11 +256,11 @@ def sortcheck(ctx: RefCtx, e: RefExpr) -> Sort:
             for side in chain_operands(e):
                 got = sortcheck(ctx, side)
                 if got != Sort.BOOL:
-                    raise SortError(op.mismatch.format(Sort.BOOL, got), e)
+                    raise SortError(op.mismatch.format(Sort.BOOL, got))
             return Sort.BOOL
     parts = binary(e)
     if parts is None:
-        raise SortError(f"unknown refinement term {e!r}", e)
+        raise SortError(f"unknown refinement term {e!r}")
     op, lhs, rhs = parts
     # left to right: the first operand of the wrong sort is reported, and
     # an operator over the same sort on both sides takes the left one's
@@ -276,7 +269,7 @@ def sortcheck(ctx: RefCtx, e: RefExpr) -> Sort:
         got = sortcheck(ctx, side)
         want = want or got
         if got != want:
-            raise SortError(op.mismatch.format(want, got), e)
+            raise SortError(op.mismatch.format(want, got))
     return op.result
 
 
@@ -290,8 +283,6 @@ def free_vars(t) -> Set[str]:
             return {x.name for x in subterms(t) if isinstance(x, Var)}
 
         # locations
-        case ConcreteLoc(_):
-            return set()
         case AbstractLoc(name):
             return {name}
 
@@ -349,7 +340,7 @@ def subst_parallel(target, mapping: dict):
     match target:
         case Var(n):
             return mapping.get(n, target)
-        case IntConst(_) | BoolConst(_) | LocConst(_):
+        case IntConst(_) | BoolConst(_):
             return target
         case Eq(l, r):
             return Eq(subst_parallel(l, mapping), subst_parallel(r, mapping))
@@ -368,8 +359,6 @@ def subst_parallel(target, mapping: dict):
         case KApp(kvar, args):
             return KApp(kvar, tuple(subst_parallel(a, mapping) for a in args))
 
-        case ConcreteLoc(_):
-            return target
         case AbstractLoc(n):
             if n not in mapping:
                 return target
@@ -429,20 +418,9 @@ def subst(target, name: str, repl: RefExpr):
     return subst_parallel(target, {name: repl})
 
 
-def loc_expr(loc: Loc) -> RefExpr:
-    """The refinement term that names `loc`."""
-    if isinstance(loc, AbstractLoc):
-        return Var(loc.name)
-    return LocConst(loc.loc_id)
-
-
-def as_loc(e: RefExpr) -> Optional[Loc]:
+def as_loc(e: RefExpr) -> Optional[AbstractLoc]:
     """The location that `e` names, or None if `e` names none."""
-    if isinstance(e, Var):
-        return AbstractLoc(e.name)
-    if isinstance(e, LocConst):
-        return ConcreteLoc(e.loc_id)
-    return None
+    return AbstractLoc(e.name) if isinstance(e, Var) else None
 
 
 # ---------------------------------------------------------------------------

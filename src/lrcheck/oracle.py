@@ -62,7 +62,6 @@ from .syntax import (
     Eq,
     IntConst,
     KApp,
-    LocConst,
     Not,
     RefExpr,
     Sort,
@@ -123,8 +122,6 @@ def eval_closed(e: RefExpr, env: Dict[str, Union[int, bool]]):
             return env[name]
         case IntConst(v) | BoolConst(v):
             return v
-        case LocConst(l):
-            return l
         case Not(a):
             return not eval_closed(a, env)
     parts = binary(e)
@@ -149,8 +146,6 @@ def linear_form(e: RefExpr, prods: Dict[RefExpr, str]) -> LinForm:
             return ({name: 1}, 0)
         case IntConst(v):
             return ({}, v)
-        case LocConst(l):
-            return ({}, l)
         case BinArith("+", l, r):
             return _lin_add(linear_form(l, prods), linear_form(r, prods), 1)
         case BinArith("-", l, r):
@@ -289,8 +284,6 @@ def _sort_of_term(e: RefExpr, sorts: Dict[str, Sort]) -> Sort:
             return sorts.get(name, Sort.INT)
         case IntConst(_):
             return Sort.INT
-        case LocConst(_):
-            return Sort.LOC
         case BoolConst(_) | Not(_):
             return Sort.BOOL
     parts = binary(e)
@@ -724,10 +717,10 @@ def _search_counter_model(query: Query) -> Optional[Dict[str, Union[int, bool]]]
     query, for factors of opaque products: each int ranges over -2..2 and
     the query's constants and their neighbours, small magnitudes first."""
     consts = {
-        x.value if isinstance(x, IntConst) else x.loc_id
+        x.value
         for e in (*query.hyps, query.goal)
         for x in subterms(e)
-        if isinstance(x, (IntConst, LocConst))
+        if isinstance(x, IntConst)
     }
     near = {c + d for c in consts for d in (-1, 0, 1)}
     candidates = sorted(near.union(range(-2, 3)), key=lambda v: (abs(v), v))
@@ -751,8 +744,7 @@ def _search_counter_model(query: Query) -> Optional[Dict[str, Union[int, bool]]]
 
 class Oracle:
     """Validity oracle over the built-in procedure, with a count of the
-    queries asked.  Every call decides its query afresh.  Handles are not
-    shareable across threads; create one per worker."""
+    queries asked.  Every call decides its query afresh."""
 
     def __init__(self):
         self.queries = 0

@@ -1,8 +1,8 @@
 """Lexer and recursive-descent parser for the surface syntax.
 
 Whitespace-insensitive, `//` line comments.  Every expression node gets a
-source span.  Tagged pointers and concrete locations are runtime-only and
-are rejected here.
+source span.  Tagged pointers are runtime-only and have no surface
+syntax.
 """
 
 from __future__ import annotations

@@ -31,8 +31,6 @@ from .syntax import (
     KApp,
     Let,
     LetNew,
-    Loc,
-    LocConst,
     LocCtx,
     Not,
     Poison,
@@ -85,8 +83,6 @@ def print_refexpr(e: RefExpr, prec: int = 0) -> str:
             return str(v) if v >= 0 or prec <= CMP_LEVEL else f"({v})"
         case BoolConst(v):
             return "true" if v else "false"
-        case LocConst(l):
-            return f"#{l}"
         case Not(a):
             s = f"!{print_refexpr(a, ATOM_LEVEL)}"
             return f"({s})" if NOT_LEVEL < prec else s
@@ -96,10 +92,8 @@ def print_refexpr(e: RefExpr, prec: int = 0) -> str:
             raise TypeError(f"print_refexpr: {e!r}")
 
 
-def print_loc(loc: Loc) -> str:
-    if isinstance(loc, AbstractLoc):
-        return loc.name
-    return f"#{loc.loc_id}"
+def print_loc(loc: AbstractLoc) -> str:
+    return loc.name
 
 
 def print_locctx(ctx: LocCtx) -> str:
@@ -165,7 +159,7 @@ def print_value(v: Value) -> str:
     match v:
         case Closure(fn, _):
             return print_value(fn)
-        case RecFn(fname, refparams, params, body, _sig):
+        case RecFn(fname, refparams, params, body):
             rp = ""
             if refparams:
                 rp = " {" + ", ".join(f"{n}: {s}" for n, s in refparams) + "}"

@@ -58,11 +58,6 @@ class BoolConst(RefExpr):
 
 
 @dataclass(frozen=True)
-class LocConst(RefExpr):
-    loc_id: int
-
-
-@dataclass(frozen=True)
 class Eq(RefExpr):
     lhs: RefExpr
     rhs: RefExpr
@@ -112,9 +107,6 @@ class KVarDecl:
 
     name: str
     params: Tuple[Tuple[str, Sort], ...]
-
-    def __str__(self) -> str:
-        return self.name
 
 
 TRUE = BoolConst(True)
@@ -202,7 +194,7 @@ def children(e: RefExpr) -> Tuple[RefExpr, ...]:
     # leaves first and no positional captures: both measurably speed up the
     # scans over the solver's hypotheses, which are mostly leaves
     match e:
-        case Var() | IntConst() | BoolConst() | LocConst():
+        case Var() | IntConst() | BoolConst():
             return ()
         case Eq() | BinBool() | BinArith() | Cmp():
             return (e.lhs, e.rhs)
@@ -229,17 +221,10 @@ def subterms(e: RefExpr) -> Iterator[RefExpr]:
 # ---------------------------------------------------------------------------
 # Locations and types
 
-class Loc:
-    pass
-
-
 @dataclass(frozen=True)
-class ConcreteLoc(Loc):
-    loc_id: int
+class AbstractLoc:
+    """A location, named by a refinement variable of sort loc."""
 
-
-@dataclass(frozen=True)
-class AbstractLoc(Loc):
     name: str
 
 
@@ -283,7 +268,7 @@ class Exists(Type):
 
 @dataclass(frozen=True)
 class StrongPtr(Type):
-    loc: Loc
+    loc: AbstractLoc
 
 
 @dataclass(frozen=True)
@@ -311,24 +296,24 @@ class FnSig(Type):
 class LocCtx:
     """Ordered association of locations with types; no duplicate locations."""
 
-    items: Tuple[Tuple[Loc, Type], ...] = ()
+    items: Tuple[Tuple[AbstractLoc, Type], ...] = ()
 
-    def lookup(self, loc: Loc) -> Optional[Type]:
+    def lookup(self, loc: AbstractLoc) -> Optional[Type]:
         for l, t in self.items:
             if l == loc:
                 return t
         return None
 
-    def domain(self) -> Tuple[Loc, ...]:
+    def domain(self) -> Tuple[AbstractLoc, ...]:
         return tuple(l for l, _ in self.items)
 
-    def bind(self, loc: Loc, typ: Type) -> "LocCtx":
+    def bind(self, loc: AbstractLoc, typ: Type) -> "LocCtx":
         return LocCtx(self.items + ((loc, typ),))
 
-    def update(self, loc: Loc, typ: Type) -> "LocCtx":
+    def update(self, loc: AbstractLoc, typ: Type) -> "LocCtx":
         return LocCtx(tuple((l, typ if l == loc else t) for l, t in self.items))
 
-    def remove(self, loc: Loc) -> "LocCtx":
+    def remove(self, loc: AbstractLoc) -> "LocCtx":
         return LocCtx(tuple((l, t) for l, t in self.items if l != loc))
 
     def __iter__(self):
@@ -363,7 +348,6 @@ class RecFn(Value):
     refparams: Tuple[Tuple[str, Sort], ...]
     params: Tuple[str, ...]
     body: "Expr"
-    sig: Optional[FnSig] = None
     span: Optional[Span] = _span_field()
 
 

@@ -58,7 +58,6 @@ from .logic import (
     fold_constants,
     free_vars,
     getsort,
-    loc_expr,
     sortcheck,
     subst,
     subst_parallel,
@@ -93,12 +92,10 @@ from .syntax import (
     IntLit,
     Let,
     LetNew,
-    Loc,
     LocCtx,
     Not,
     Place,
     Poison,
-    PrimOp,
     Program,
     PVar,
     RecFn,
@@ -134,7 +131,7 @@ class _ProbeSig(Type):
     the shape pass; calls through it record their contexts."""
 
     probe_id: int
-    domain: Tuple[Loc, ...]
+    domain: Tuple[AbstractLoc, ...]
     arity: int
 
 
@@ -271,7 +268,7 @@ class CheckState:
         )
         return Indexed(t.base, Var(name))
 
-    def open_loc(self, loc: Loc) -> None:
+    def open_loc(self, loc: AbstractLoc) -> None:
         t = self.locs.lookup(loc)
         if isinstance(t, Exists):
             self.locs = self.locs.update(loc, self.open_existential(t))
@@ -312,7 +309,7 @@ def infer_refargs(
                 if isinstance(fb, VecBase) and isinstance(ab, VecBase):
                     unify(fb.elem, ab.elem)
             case (StrongPtr(AbstractLoc(p)), StrongPtr(loc)) if p in params:
-                assigned.setdefault(p, loc_expr(loc))
+                assigned.setdefault(p, Var(loc.name))
             case (Ref(m1, fp), Ref(m2, ap)) if m1 == m2:
                 unify(fp, ap)
             case _:
@@ -322,8 +319,8 @@ def infer_refargs(
         unify(formal, actual)
 
     for floc, ftype in sig.in_locs:
-        actual_loc: Optional[Loc] = None
-        if isinstance(floc, AbstractLoc) and floc.name in params:
+        actual_loc: Optional[AbstractLoc] = None
+        if floc.name in params:
             got = assigned.get(floc.name)
             if got is None:
                 continue
@@ -412,7 +409,7 @@ class Checker:
         state.ctx, state.vals, state.locs = ctx, vals, sig.in_locs
         state.assert_wf()
 
-        prov = Provenance("fn-def", span, note=fn.fname)
+        prov = Provenance("fn-def", span)
         body_t = self.synth(state, fn.body)
         try:
             state.emit(subtype(body_t, sig.ret, prov, state.names))
@@ -499,12 +496,7 @@ class Checker:
                 raise StructuralError(
                     f"{print_value(v)} can only be called, not used as a value", span
                 )
-            case PrimOp(op):
-                return BUILTIN_SIGS[op]
-            case RecFn(_, _, _, _, sig) if sig is not None:
-                self._check_recfn(state, v, sig, span)
-                return sig
-            case RecFn(_, _, _, _, None):
+            case RecFn():
                 return self.infer_inner_rec(state, v, span)
             case _:
                 raise CheckError(f"cannot type value {v!r}", span)

@@ -7,11 +7,9 @@ from typing import Optional, Tuple
 from .logic import PersistentCtx, RefCtx, SortError, getsort, sortcheck
 from .syntax import (
     AbstractLoc,
-    ConcreteLoc,
     Exists,
     FnSig,
     Indexed,
-    Loc,
     LocCtx,
     Ref,
     Sort,
@@ -67,17 +65,12 @@ class ValCtx(PersistentCtx):
         return tuple(n for n, _ in self.items)
 
 
-def _check_loc(ctx: RefCtx, loc: Loc) -> None:
-    if isinstance(loc, ConcreteLoc):
-        return
-    if isinstance(loc, AbstractLoc):
-        sort = ctx.sort_of(loc.name)
-        if sort is None:
-            raise WfError("wf-ptr", f"unbound location variable '{loc.name}'")
-        if sort != Sort.LOC:
-            raise WfError("wf-ptr", f"'{loc.name}' has sort {sort}, expected loc")
-        return
-    raise WfError("wf-ptr", f"bad location {loc!r}")
+def _check_loc(ctx: RefCtx, loc: AbstractLoc) -> None:
+    sort = ctx.sort_of(loc.name)
+    if sort is None:
+        raise WfError("wf-ptr", f"unbound location variable '{loc.name}'")
+    if sort != Sort.LOC:
+        raise WfError("wf-ptr", f"'{loc.name}' has sort {sort}, expected loc")
 
 
 def wf_type(ctx: RefCtx, typ: Type) -> None:

@@ -2,6 +2,7 @@
 
 import argparse
 import glob
+import importlib
 import re
 import subprocess
 import sys
@@ -163,6 +164,35 @@ def test_the_readme_usage_lists_the_flags_of_each_subcommand():
             if flag.startswith("--") and flag != "--help"
         }
         assert set(re.findall(r"--[a-z-]+", line)) == known, sub
+
+
+def test_the_readme_layout_cites_names_each_module_has():
+    """The README's Layout block lists every module of the package but
+    `__init__`, and each ALL-CAPS name on a module's lines (four or more
+    characters: shorter ones such as AST are prose) is a module-level name
+    of that module."""
+    root = Path(__file__).parent.parent
+    layout = (root / "README.md").read_text().split("## Layout", 1)[1]
+    block = layout.split("```\n", 1)[1].split("```", 1)[0]
+    text, module = {}, None
+    for line in block.splitlines():
+        head = re.match(r"  (\w+)\.py ", line)
+        if head:
+            module = head.group(1)
+            text[module] = line
+        elif module and line.startswith("    "):
+            text[module] += line
+        else:
+            module = None
+    cited = 0
+    for module, lines in text.items():
+        names = vars(importlib.import_module(f"lrcheck.{module}"))
+        for name in re.findall(r"\b[A-Z][A-Z0-9_]{3,}\b", lines):
+            assert name in names, f"{module}.py: {name}"
+            cited += 1
+    assert cited
+    modules = (root / "src" / "lrcheck").glob("*.py")
+    assert sorted(text) == sorted(p.stem for p in modules if p.stem != "__init__")
 
 
 def test_constraints_dump_decr():
@@ -797,3 +827,43 @@ def test_parameter_named_like_a_builtin_is_one_diagnostic_not_a_soundness_bug(tm
     code, _, err = invoke(["soundness", "--seeds", "0", "--corpus", str(tmp_path)])
     assert code == 1
     assert err.splitlines() == [f"  checker rejected corpus {path}"]
+
+
+def test_a_repeated_top_level_name_is_one_diagnostic(tmp_path, capsys):
+    path = tmp_path / "dup.lr"
+    decl = "fn f {}( int[1] ) -> int[1] := rec f (x) := x\n"
+    path.write_text(decl + "\n" + decl)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:3:1: error: structure: duplicate top-level name 'f'\n"
+    )
+
+
+def test_a_call_argument_of_the_wrong_shape_is_reported_at_the_call(tmp_path, capsys):
+    """An argument whose type has another shape than the parameter's is a
+    structural error, placed at the span of the call."""
+    path = tmp_path / "arg.lr"
+    path.write_text(
+        "fn decr {}( &mut {v. int[v] | v >= 0} ) -> uninit(1) :=\n"
+        "  rec decr (x) := poison\n\nentry\n  let y = 3 in\n  call decr(y)\n"
+    )
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:6:3: error: StructuralError: "
+        "cannot relate int[3] to &mut {v. int[v] | v >= 0}\n"
+    )
+
+
+def test_run_reports_an_aliasing_violation(tmp_path, capsys):
+    """A write to a cell pops the unique borrow taken before it; writing
+    through that borrow is a stacked-borrows violation, an outcome of the
+    run and not an error of the command."""
+    path = tmp_path / "alias.lr"
+    path.write_text(
+        "entry let c = new(lc) in let t0 = c := 0 in let r = &mut c in "
+        "let t1 = c := 1 in r := 2\n"
+    )
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "alias error: aliasing violation on write: loc=0 tag=1 after 7 step(s)\n"
+    )

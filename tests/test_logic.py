@@ -33,7 +33,6 @@ from lrcheck.syntax import (
     IntConst,
     IntLit,
     KVarDecl,
-    LocConst,
     LocCtx,
     Poison,
     RefExpr,
@@ -68,7 +67,6 @@ def test_interp_table():
 def test_sortcheck_examples():
     ctx = RefCtx().bind("a", Sort.INT)
     assert sortcheck(ctx, R("a + 1")) == Sort.INT
-    assert sortcheck(RefCtx(), LocConst(3)) == Sort.LOC
     with pytest.raises(SortError):
         sortcheck(RefCtx(), Var("a"))
     assert sortcheck(ctx, R("a < 2")) == Sort.BOOL
@@ -134,7 +132,7 @@ def test_subst_is_subst_parallel_outside_refinement_contexts():
         locs = loc_ctx(rng, ["a", "b"], ["l", "m"], ["a", "q"])
         repl = int_expr(rng, ["a", "b"], 1)
         for target in (t, locs, fn):
-            for name, r in (("a", repl), ("b", repl), ("l", Var("k")), ("l", LocConst(2))):
+            for name, r in (("a", repl), ("b", repl), ("l", Var("k"))):
                 assert subst(target, name, r) == subst_parallel(target, {name: r})
 
 
@@ -151,7 +149,6 @@ def test_subst_shadowed_existential():
 def test_subst_loc_position():
     t = parse_type("ptr(l)")
     assert subst(t, "l", Var("k")) == parse_type("ptr(k)")
-    assert subst(t, "l", LocConst(3)).loc.loc_id == 3
 
 
 def _random_type(rng) -> Type:

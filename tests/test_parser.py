@@ -137,7 +137,7 @@ def _children(e: Expr):
             return [callee, *args]
         case Assign(_, rhs):
             return [rhs]
-        case Val(RecFn(_, _, _, body, _)):
+        case Val(RecFn(_, _, _, body)):
             return [body]
         case _:
             return []
