@@ -30,12 +30,8 @@ from .logic import (
 from .parser import parse_refexpr
 from .printer import print_refexpr
 from .syntax import (
-    BinBool,
-    Cmp,
-    Eq,
     KApp,
     KVarDecl,
-    Not,
     RefExpr,
     Sort,
     Span,
@@ -102,23 +98,28 @@ def _normalize(c: Constraint) -> List[Constraint]:
                 out.extend(_normalize(p))
             return out
         case Head(goal, prov):
-            return [Head(atom, prov) for atom in _atoms(goal)]
+            return [Head(atom, prov) for atom in atoms(goal)]
         case ForAll(binders, hyps, body):
-            hyps = tuple(atom for hyp in hyps for atom in _atoms(hyp))
-            out = []
-            for b in _normalize(body):
-                if isinstance(b, ForAll):
-                    b = ForAll(binders + b.binders, hyps + b.hyps, b.body)
-                elif binders or hyps:
-                    b = ForAll(binders, hyps, b)
-                out.append(b)
-            return out
+            hyps = tuple(atom for hyp in hyps for atom in atoms(hyp))
+            return [close(binders, hyps, b) for b in _normalize(body)]
         case _:
             raise TypeError(f"normalize: {c!r}")
 
 
-def _atoms(e: RefExpr) -> List[RefExpr]:
+def atoms(e: RefExpr) -> List[RefExpr]:
+    """The conjuncts of `e` after constant folding, without the trivially
+    true ones: the atoms a head or a hypothesis splits into."""
     return [a for a in conjuncts(fold_constants(e)) if not is_trivially_true(a)]
+
+
+def close(binders: tuple, hyps: tuple, part: Constraint) -> Constraint:
+    """A normalized part (a head, or a head under one `ForAll`) under
+    `binders` and atomic `hyps`, merged into at most one `ForAll`."""
+    if isinstance(part, ForAll):
+        return ForAll(binders + part.binders, hyps + part.hyps, part.body)
+    if binders or hyps:
+        return ForAll(binders, hyps, part)
+    return part
 
 
 @dataclass(frozen=True)
@@ -210,20 +211,11 @@ class Solution:
 
 
 def apply_solution_expr(e: RefExpr, sol: Solution) -> RefExpr:
-    match e:
-        case KApp(kvar, args):
-            resolved = tuple(apply_solution_expr(a, sol) for a in args)
-            return sol.pred_for(kvar, resolved)
-        case Eq(l, r):
-            return Eq(apply_solution_expr(l, sol), apply_solution_expr(r, sol))
-        case Not(a):
-            return Not(apply_solution_expr(a, sol))
-        case BinBool(op, l, r):
-            return BinBool(op, apply_solution_expr(l, sol), apply_solution_expr(r, sol))
-        case Cmp(op, l, r):
-            return Cmp(op, apply_solution_expr(l, sol), apply_solution_expr(r, sol))
-        case _:
-            return e
+    """A hypothesis or head with its unknown predicate resolved: after
+    normalization, an application is a whole atom and never a subterm."""
+    if isinstance(e, KApp):
+        return sol.pred_for(e.kvar, e.args)
+    return e
 
 
 # ---------------------------------------------------------------------------

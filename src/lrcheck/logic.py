@@ -324,8 +324,8 @@ def free_vars(t) -> Set[str]:
 # ---------------------------------------------------------------------------
 # Substitution of refinement expressions for refinement variables
 
-# subst_parallel, fold_constants and constraints.apply_solution_expr rebuild
-# terms with an explicit match rather than a generic children/rebuild pair.
+# subst_parallel and fold_constants rebuild terms with an explicit match
+# rather than a generic children/rebuild pair.
 # subst_parallel is the fixpoint's hottest walk: written over `children`
 # plus a rebuild, it cost 14 % of perfbench sweep programs_per_s and 7 % of
 # corpus (3 pairs of 12 s runs, 2-core VM, CPython 3.11).  With it explicit,

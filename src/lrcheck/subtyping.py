@@ -2,7 +2,8 @@
 
 Both judgments emit constraints instead of deciding validity inline.
 Structural mismatches (pointer vs integer, differing strong-pointer
-targets) raise StructuralError; refinement obligations become Heads.
+targets) raise StructuralError at the span of the obligation's
+provenance; refinement obligations become Heads.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
         case (Indexed(b1, e1), Indexed(b2, e2)):
             if not bases_compatible(b1, b2):
                 raise StructuralError(
-                    f"base mismatch: {print_type(lhs)} vs {print_type(rhs)}"
+                    f"base mismatch: {print_type(lhs)} vs {print_type(rhs)}", prov.span
                 )
             parts = [Head(Eq(e1, e2), prov)]
             if isinstance(b1, VecBase):
@@ -77,7 +78,7 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
         case (Exists(a, b1, p), _):
             if not isinstance(rhs, (Indexed, Exists)):
                 raise StructuralError(
-                    f"cannot relate {print_type(lhs)} to {print_type(rhs)}"
+                    f"cannot relate {print_type(lhs)} to {print_type(rhs)}", prov.span
                 )
             fresh = names.fresh(a)
             hyp = subst(p, a, Var(fresh))
@@ -87,7 +88,7 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
         case (Indexed(b1, e1), Exists(a, b2, p)):
             if not bases_compatible(b1, b2):
                 raise StructuralError(
-                    f"base mismatch: {print_type(lhs)} vs {print_type(rhs)}"
+                    f"base mismatch: {print_type(lhs)} vs {print_type(rhs)}", prov.span
                 )
             parts = []
             if isinstance(b1, VecBase):
@@ -110,13 +111,13 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
             if l1 != l2:
                 raise StructuralError(
                     f"strong pointers to different locations: "
-                    f"{print_loc(l1)} vs {print_loc(l2)}"
+                    f"{print_loc(l1)} vs {print_loc(l2)}", prov.span
                 )
             return TRIVIAL
 
         case (Uninit(n1), Uninit(n2)):
             if n1 != n2:
-                raise StructuralError(f"uninit sizes differ: {n1} vs {n2}")
+                raise StructuralError(f"uninit sizes differ: {n1} vs {n2}", prov.span)
             return TRIVIAL
 
         case (Ref("shr", t1), Ref("shr", t2)):
@@ -135,18 +136,20 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
 
         case _:
             raise StructuralError(
-                f"cannot relate {print_type(lhs)} to {print_type(rhs)}"
+                f"cannot relate {print_type(lhs)} to {print_type(rhs)}", prov.span
             )
 
 
 def _sub_fun(f1: FnSig, f2: FnSig, prov, names) -> Constraint:
     if len(f1.refparams) != len(f2.refparams):
-        raise StructuralError("signatures declare different refinement parameters")
+        raise StructuralError(
+            "signatures declare different refinement parameters", prov.span
+        )
     for (_, s1), (_, s2) in zip(f1.refparams, f2.refparams):
         if s1 != s2:
-            raise StructuralError("refinement parameter sorts differ")
+            raise StructuralError("refinement parameter sorts differ", prov.span)
     if len(f1.args) != len(f2.args):
-        raise StructuralError("signatures take different argument counts")
+        raise StructuralError("signatures take different argument counts", prov.span)
 
     # alpha-normalize both signatures onto a shared parameter list
     shared = [(names.fresh(n), s) for n, s in f1.refparams]
@@ -185,7 +188,7 @@ def ctx_include(
     missing = [l for l in rhs.domain() if lhs.lookup(l) is None]
     if missing:
         raise StructuralError(
-            "missing locations: " + ", ".join(print_loc(l) for l in missing)
+            "missing locations: " + ", ".join(print_loc(l) for l in missing), prov.span
         )
     parts = []
     for loc, want in rhs:

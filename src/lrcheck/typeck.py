@@ -2,10 +2,10 @@
 
 Synthesizes types while threading the flow-sensitive location context,
 emitting Horn constraints at the subtyping seams (call arguments,
-assignments, declared-signature boundaries, and join points).  Each emitted
-constraint is normalized and then closed by one `ForAll` over the binders
-and assumptions of the refinement context at the emission point, so clauses
-are self-contained; one that normalizes to nothing is dropped unclosed.
+assignments, declared-signature boundaries, and join points).  Assumptions
+are split into atoms when assumed, and each obligation is closed in clause
+form where it is emitted: every part of its normal form goes under the
+context's binders and atoms, and an empty one is dropped unclosed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from .constraints import (
     Qualifier,
     Solution,
     TRIVIAL,
+    atoms,
     clauses as constraint_clauses,
+    close,
     default_qualifiers,
     normalize,
 )
@@ -225,16 +227,35 @@ class CheckState:
     def restore(self, snap) -> None:
         self.ctx, self.vals, self.locs = snap
 
+    def assume(self, pred: RefExpr) -> None:
+        """Assume `pred` in the refinement context, as its atoms."""
+        for atom in atoms(pred):
+            self.ctx = self.ctx.assume(atom)
+
     def emit(self, c: Constraint, hyp: Optional[RefExpr] = None) -> None:
-        """Emit `c` (under `hyp`, if given) closed under the current context;
-        an obligation that normalizes to nothing is dropped before closing."""
+        """Emit the clauses of `c` (under `hyp`, if given), each closed under
+        the binders and atoms of the current context; an obligation that
+        normalizes to nothing is dropped before the context is read."""
         if self.shape_mode:
             return
         if hyp is not None:
             c = ForAll((), (hyp,), c)
         c = normalize(c)
-        if c != TRIVIAL:
-            self.emitted.append(_wrap_ctx(self.ctx, c))
+        if c == TRIVIAL:
+            return
+        binders = tuple((b.name, b.sort) for b in self.ctx.binds())
+        hyps = self.ctx.assumptions()
+        parts = c.parts if isinstance(c, Conj) else (c,)
+        self.emitted.extend(close(binders, hyps, part) for part in parts)
+
+    def require(self, have, want, prov: Provenance) -> None:
+        """Emit that `have` is a subtype of `want`, or that location context
+        `have` includes `want`; a structural mismatch raises at the
+        provenance's span.  In the shape pass a hole relates to anything."""
+        if self.shape_mode and (isinstance(have, _Hole) or isinstance(want, _Hole)):
+            return
+        judge = ctx_include if isinstance(want, LocCtx) else subtype
+        self.emit(judge(have, want, prov, self.names))
 
     def assert_wf(self) -> None:
         if not self.debug_wf or self.shape_mode:
@@ -263,20 +284,14 @@ class CheckState:
             return t
         if name is None:
             name = self.names.fresh(t.binder)
-        self.ctx = self.ctx.bind(name, getsort(t.base)).assume(
-            subst(t.pred, t.binder, Var(name))
-        )
+        self.ctx = self.ctx.bind(name, getsort(t.base))
+        self.assume(subst(t.pred, t.binder, Var(name)))
         return Indexed(t.base, Var(name))
 
     def open_loc(self, loc: AbstractLoc) -> None:
         t = self.locs.lookup(loc)
         if isinstance(t, Exists):
             self.locs = self.locs.update(loc, self.open_existential(t))
-
-
-def _wrap_ctx(ctx: RefCtx, c: Constraint) -> Constraint:
-    binders = tuple((b.name, b.sort) for b in ctx.binds())
-    return ForAll(binders, ctx.assumptions(), c)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +385,6 @@ class Checker:
         state = CheckState(
             RefCtx(), self.globals, LocCtx(), self.kvars, self.debug_wf
         )
-        wf_type(state.ctx, decl.sig)
         self._check_recfn(state, decl.fn, decl.sig, decl.span)
         return Conj(tuple(state.emitted)), state
 
@@ -401,21 +415,17 @@ class Checker:
                 span,
             )
         snap = state.snapshot()
-        ctx = state.ctx
-        for name, sort in sig.refparams:
-            ctx = ctx.bind(name, sort)
-        ctx = ctx.assume(sig.requires)
         vals = _bind_rec(state.vals, fn, sig.args, sig, span)
-        state.ctx, state.vals, state.locs = ctx, vals, sig.in_locs
+        for name, sort in sig.refparams:
+            state.ctx = state.ctx.bind(name, sort)
+        state.assume(sig.requires)
+        state.vals, state.locs = vals, sig.in_locs
         state.assert_wf()
 
         prov = Provenance("fn-def", span)
         body_t = self.synth(state, fn.body)
-        try:
-            state.emit(subtype(body_t, sig.ret, prov, state.names))
-            state.emit(ctx_include(state.locs, sig.out_locs, prov, state.names))
-        except StructuralError as exc:
-            raise exc.at(span)
+        state.require(body_t, sig.ret, prov)
+        state.require(state.locs, sig.out_locs, prov)
         state.restore(snap)
 
     # -- expression synthesis -------------------------------------------------
@@ -465,7 +475,7 @@ class Checker:
                 return self.synth_assign(state, place, rhs, span)
             case BorrowStrong(place, span):
                 t = self.place_type(state, place, span)
-                if not isinstance(t, StrongPtr):
+                if not isinstance(t, (StrongPtr, _Hole)):
                     raise StructuralError(
                         f"&strg of a non-strong-pointer ({print_type(t)})", span
                     )
@@ -476,6 +486,8 @@ class Checker:
                 t = self.place_type(state, place, span)
                 if isinstance(t, Ref):
                     return Ref("shr", t.pointee)
+                if isinstance(t, _Hole):
+                    return t
                 raise StructuralError(
                     f"&shr expects a reference, got {print_type(t)}", span
                 )
@@ -568,12 +580,12 @@ class Checker:
         guard = cond_t.idx
         snap = state.snapshot()
 
-        state.ctx = state.ctx.assume(guard)
+        state.assume(guard)
         t1 = self.synth(state, e.then)
         locs1 = state.locs
 
         state.restore(snap)
-        state.ctx = state.ctx.assume(Not(guard))
+        state.assume(Not(guard))
         t2 = self.synth(state, e.els)
         locs2 = state.locs
 
@@ -610,6 +622,8 @@ class Checker:
 
         if isinstance(callee_t, _ProbeSig):
             return self._record_probe(state, callee_t, e)
+        if isinstance(callee_t, _Hole):
+            return callee_t
 
         for arg in e.args:
             if not is_aval(arg):
@@ -680,10 +694,7 @@ class Checker:
                         f"call requires location {print_loc(loc)} which is not owned",
                         e.span,
                     )
-                try:
-                    state.emit(subtype(have, want, prov, state.names))
-                except StructuralError as exc:
-                    raise exc.at(e.span)
+                state.require(have, want, prov)
                 state.locs = state.locs.remove(loc)
         else:
             for loc, _ in in_locs:
@@ -691,15 +702,7 @@ class Checker:
                     state.locs = state.locs.remove(loc)
 
         for actual, formal in zip(actual_types, sig.args):
-            want = theta(formal)
-            if state.shape_mode and (
-                isinstance(actual, _Hole) or isinstance(want, _Hole)
-            ):
-                continue
-            try:
-                state.emit(subtype(actual, want, prov, state.names))
-            except StructuralError as exc:
-                raise exc.at(e.span)
+            state.require(actual, theta(formal), prov)
 
         requires = theta(sig.requires)
         state.emit(Head(requires, Provenance("requires", e.span)))
@@ -868,13 +871,10 @@ class Checker:
                 state.locs = state.locs.update(loc, rhs_t)
                 return Uninit(1)
             case Ref("mut", pointee):
-                prov = Provenance("assign", span)
-                if not (state.shape_mode and isinstance(rhs_t, _Hole)):
-                    try:
-                        state.emit(subtype(rhs_t, pointee, prov, state.names))
-                    except StructuralError as exc:
-                        raise exc.at(span)
+                state.require(rhs_t, pointee, Provenance("assign", span))
                 return Uninit(1)
+            case _Hole():
+                return pt
             case Ref("shr", _):
                 raise AssignThroughShared(
                     "cannot assign through a shared reference", span
@@ -901,11 +901,10 @@ class Checker:
                 if base is None or state.shape_mode:
                     return Ref("mut", cur)
                 weakened = state.fresh_template(base)
-                prov = Provenance("borrow-mut", span)
-                state.emit(subtype(cur, weakened, prov, state.names))
+                state.require(cur, weakened, Provenance("borrow-mut", span))
                 state.locs = state.locs.update(loc, weakened)
                 return Ref("mut", weakened)
-            case Ref("mut", _):
+            case Ref("mut", _) | _Hole():
                 return pt
             case _:
                 raise StructuralError(
@@ -921,6 +920,8 @@ class Checker:
         match pt:
             case Ref(_, pointee):
                 return pointee
+            case _Hole():
+                return pt
             case StrongPtr(loc):
                 t = state.locs.lookup(loc)
                 if t is None:
@@ -993,6 +994,10 @@ def build_globals(program: Program) -> ValCtx:
     for decl in program.decls:
         if vals.lookup(decl.name) is not None:
             raise CheckError(f"duplicate top-level name '{decl.name}'", decl.span)
+        try:
+            wf_type(RefCtx(), decl.sig)
+        except WfError as exc:
+            raise CheckError(f"signature of '{decl.name}': {exc}", decl.span)
         vals = vals.bind(decl.name, decl.sig)
     return vals
 
@@ -1043,7 +1048,7 @@ def check_program(
             unit.diagnostics.append(Diagnostic(rule, str(exc), span))
             return unit
         unit.final_ctx = final_ctx
-        unit.constraint = normalize(constraint)
+        unit.constraint = constraint
         unit.clauses = constraint_clauses(unit.constraint)
         unit.result_type = result_type
         if run_solver:

@@ -3,6 +3,7 @@
 import argparse
 import glob
 import importlib
+import random
 import re
 import subprocess
 import sys
@@ -867,3 +868,84 @@ def test_run_reports_an_aliasing_violation(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "alias error: aliasing violation on write: loc=0 tag=1 after 7 step(s)\n"
     )
+
+
+SIGNATURE_M = (
+    "fn f {n: int | m >= 0}( int[n] ) -> int[n] :=\n  rec f (x) := x\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, problem",
+    [
+        (SIGNATURE_M + "\nentry\n  call f(1)\n", "wf-fun"),
+        (SIGNATURE_M, "wf-fun"),
+        ("fn f {n: int}( int[n] ) -> int[m] :=\n  rec f (x) := x\n", "wf-idx"),
+    ],
+)
+def test_an_ill_formed_signature_is_one_diagnostic_at_its_declaration(
+    tmp_path, capsys, source, problem
+):
+    """Each declared signature is checked once, with the globals.  An
+    unbound name in a `requires` used to reach the oracle from the entry's
+    call and exit 4; without the entry it was a line with no span."""
+    path = tmp_path / "sig.lr"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:1:1: error: structure: signature of 'f': "
+        f"{problem}: unbound refinement variable 'm'\n"
+    )
+
+
+# an unannotated inner rec whose recursive call the shape pass types as a
+# hole; `run` gets stuck on each of the first six
+HOLE_LOOP = (
+    "entry\n  let c = new(lc) in\n  let t0 = c := 3 in\n"
+    "  let loop = rec loop (u) :=\n    let v = *c in\n    if call gt(v, 0) {\n"
+    "      let t1 = c := call sub(v, 1) in\n      BODY\n"
+    "    } else {\n      0\n    }\n  in\n  call loop(poison)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        f"let r = call loop(u) in\n      {use}"
+        for use in ("*r", "&mut r", "&shr r", "&strg r", "r := 1", "call r(u)")
+    ]
+    + ["let inner = rec inner (w) := call loop(w) in\n      call inner(u)"],
+)
+def test_a_rule_that_meets_a_shape_pass_hole_is_one_diagnostic(tmp_path, capsys, body):
+    """In the shape pass a dereference, borrow, assignment or call through a
+    hole is a hole, and a hole relates to any type; each of these used to
+    exit 4 with `TypeError: print_type: _Hole()`."""
+    path = tmp_path / "hole.lr"
+    path.write_text(HOLE_LOOP.replace("BODY", body))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{path}:" in err and ": error: " in err, err
+
+
+def test_token_mutants_of_the_corpus_never_exit_four(tmp_path, capsys):
+    """Delete, insert or swap one token of a corpus file: `check` and `run`
+    end each mutant with a verdict or a one-line diagnostic, never an
+    internal error."""
+    rng = random.Random(1)
+    texts = [Path(p).read_text() for p in sorted(glob.glob("corpus/*/*.lr"))]
+    assert len(texts) == 21
+    path = tmp_path / "mutant.lr"
+    for i in range(1000):
+        toks = rng.choice(texts).split()
+        j, op = rng.randrange(len(toks)), rng.randrange(3)
+        if op == 0:
+            del toks[j]
+        elif op == 1:
+            toks.insert(j, rng.choice(toks))
+        else:
+            k = rng.randrange(len(toks))
+            toks[j], toks[k] = toks[k], toks[j]
+        path.write_text(" ".join(toks))
+        for command in ("check", "run"):
+            assert main([command, str(path)]) != 4, (i, command, " ".join(toks))
+        capsys.readouterr()

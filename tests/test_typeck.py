@@ -37,6 +37,7 @@ from lrcheck.syntax import (
     StrongPtr,
     Uninit,
     Var,
+    subterms,
 )
 from lrcheck.typeck import CheckState, Checker, build_globals, check_program
 
@@ -134,11 +135,13 @@ def test_every_emitted_obligation_yields_a_clause():
 
 
 def test_normalized_constraint_is_a_list_of_closed_heads(oracle):
-    """After `normalize`, every part of a unit's constraint is one clause:
-    a head, or a head under one non-empty `ForAll`."""
+    """Every part of a unit's constraint is one clause, as emitted: a head,
+    or a head under one non-empty `ForAll`.  It is already in the normal
+    form `normalize` gives, and an unknown predicate is applied only as a
+    whole hypothesis or head, never inside one."""
     programs = [parse_program(open(p).read()) for p in sorted(glob.glob("corpus/*/*.lr"))]
     programs += [generate_program(seed, 10) for seed in range(60)]
-    closed = 0
+    closed = kapps = 0
     for program in programs:
         for unit in check_program(program, oracle=oracle, run_solver=False).units:
             c = unit.constraint
@@ -147,7 +150,13 @@ def test_normalized_constraint_is_a_list_of_closed_heads(oracle):
                     assert part.binders or part.hyps
                     part, closed = part.body, closed + 1
                 assert isinstance(part, Head), part
-    assert closed
+            assert clauses(normalize(c)) == clauses(c)
+            for cl in clauses(c):
+                for e in cl.hyps + (cl.head,):
+                    nested = [x for x in subterms(e) if isinstance(x, KApp)]
+                    assert nested in ([], [e]), print_refexpr(e)
+                    kapps += len(nested)
+    assert closed and kapps
 
 
 def test_long_let_chain_emits_no_obligation():
