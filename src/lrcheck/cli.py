@@ -24,7 +24,7 @@ from .constraints import (
     parse_qualifier,
 )
 from .harness import CorpusResult, run_and_verify, soundness_sweep
-from .interp import run as interp_run
+from .interp import DEFAULT_FUEL, run as interp_run
 from .logic import SortError
 from .parser import ParseError, parse_program
 from .syntax import Program, Sort
@@ -39,7 +39,7 @@ EXIT_INTERNAL = 4
 
 @dataclass
 class Config:
-    fuel: int = 100_000
+    fuel: int = DEFAULT_FUEL
     qualifiers: List[Qualifier] = field(default_factory=list)
 
 

@@ -14,11 +14,6 @@ class CheckError(Exception):
         self.msg = msg
         self.span = span
 
-    def at(self, span: Optional[Span]) -> "CheckError":
-        if self.span is None and span is not None:
-            self.span = span
-        return self
-
 
 class StructuralError(CheckError):
     """Head type constructors do not match."""

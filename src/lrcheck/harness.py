@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import Qualifier, Solution, apply_solution_expr
-from .interp import MachineState, Perm, RunOutcome, run
+from .interp import DEFAULT_FUEL, MachineState, Perm, RunOutcome, run
 from .logic import free_vars, interp as value_index, subst
 from .oracle import Oracle, Query
 from .parser import parse_program
@@ -150,7 +150,7 @@ def value_conforms(
 
 def run_and_verify(
     program: Program,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     report: Optional[Report] = None,
     oracle: Optional[Oracle] = None,
     quals: Optional[Sequence[Qualifier]] = None,
@@ -476,7 +476,7 @@ class CorpusResult:
 def soundness_sweep(
     seeds: Sequence[int],
     budget: int = 10,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     oracle: Optional[Oracle] = None,
     quals: Optional[Sequence[Qualifier]] = None,
 ) -> CorpusResult:

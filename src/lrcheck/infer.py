@@ -14,6 +14,7 @@ from .constraints import (
     Candidate,
     Clause,
     Constraint,
+    ForAll,
     Provenance,
     Qualifier,
     Solution,
@@ -50,6 +51,7 @@ from .syntax import (
     KApp,
     KVarDecl,
     LocCtx,
+    Not,
     Ref,
     RefExpr,
     Sort,
@@ -101,37 +103,34 @@ def is_template(t: Type) -> bool:
 # ---------------------------------------------------------------------------
 # Join of branch results
 
-# Emission site tags for join constraints: under the then-branch hypothesis,
-# the else-branch hypothesis, or neither.
-THEN, ELSE, PLAIN = "then", "else", "plain"
-JoinOut = List[Tuple[str, Constraint]]
-
-
 def join_types(
     ctx: RefCtx,
     kvars: KVarSupply,
     names: NameSupply,
     t1: Type,
     t2: Type,
+    guard: RefExpr,
     prov: Provenance,
-) -> Tuple[Type, JoinOut]:
-    """Common supertype of two branch results.  Existing unknown-predicate
-    templates are reused (the other side flows into them); otherwise both
-    sides flow into the shape `_join_shape` builds, under their branch
-    hypotheses, except that a mutable reference's pointee is unified
-    invariantly and so under neither."""
+) -> Tuple[Type, List[Constraint]]:
+    """Common supertype of the results `t1` of the then branch and `t2` of
+    the else branch of an `if` on `guard`, and the obligations that each
+    side flows into it, the then side under `guard` and the else side under
+    its negation.  An existing unknown-predicate template is reused, and
+    only the other side flows into it; otherwise both flow into the shape
+    `_join_shape` builds, except that a mutable reference's pointee is
+    unified invariantly, both ways, and so under neither guard."""
     if t1 == t2:
         return t1, []
+    then, els = (guard,), (Not(guard),)
     if is_template(t1) and _compatible_with_template(t1, t2):
-        return t1, [(ELSE, subtype(t2, t1, prov, names))]
+        return t1, [ForAll((), els, subtype(t2, t1, prov, names))]
     if is_template(t2) and _compatible_with_template(t2, t1):
-        return t2, [(THEN, subtype(t1, t2, prov, names))]
-    joined = _join_shape(ctx, kvars, names, t1, t2)
-    mutable = isinstance(joined, Ref) and joined.mode == "mut"
-    return joined, [
-        (PLAIN if mutable else THEN, subtype(t1, joined, prov, names)),
-        (PLAIN if mutable else ELSE, subtype(t2, joined, prov, names)),
-    ]
+        return t2, [ForAll((), then, subtype(t1, t2, prov, names))]
+    joined = _join_shape(ctx, kvars, names, t1, t2, prov)
+    sides = [subtype(t1, joined, prov, names), subtype(t2, joined, prov, names)]
+    if isinstance(joined, Ref) and joined.mode == "mut":
+        return joined, sides
+    return joined, [ForAll((), then, sides[0]), ForAll((), els, sides[1])]
 
 
 def _compatible_with_template(template: Type, other: Type) -> bool:
@@ -140,27 +139,30 @@ def _compatible_with_template(template: Type, other: Type) -> bool:
     return ob is not None and tb is not None and bases_compatible(tb, ob)
 
 
-def _join_base(ctx, kvars, names, b1: BaseType, b2: BaseType) -> BaseType:
+def _join_base(ctx, kvars, names, b1: BaseType, b2: BaseType, prov) -> BaseType:
     if isinstance(b1, VecBase) and isinstance(b2, VecBase):
-        elem = _join_shape(ctx, kvars, names, b1.elem, b2.elem)
+        elem = _join_shape(ctx, kvars, names, b1.elem, b2.elem, prov)
         return VecBase(elem)
     return b1
 
 
-def _join_shape(ctx, kvars, names, t1: Type, t2: Type) -> Type:
+def _join_shape(ctx, kvars, names, t1: Type, t2: Type, prov: Provenance) -> Type:
     """Shape of the join: identical parts kept, differing refined parts
     replaced by fresh templates; constraints are emitted by the caller via
-    subtyping against the result."""
+    subtyping against the result.  A mismatch raises at the provenance's
+    span."""
     if t1 == t2:
         return t1
     b1, b2 = base_of(t1), base_of(t2)
     if b1 is not None and b2 is not None and bases_compatible(b1, b2):
-        return fresh_kvar_type(kvars, names, ctx, _join_base(ctx, kvars, names, b1, b2))
+        base = _join_base(ctx, kvars, names, b1, b2, prov)
+        return fresh_kvar_type(kvars, names, ctx, base)
     match (t1, t2):
         case (Ref(m1, p1), Ref(m2, p2)) if m1 == m2:
-            return Ref(m1, _join_shape(ctx, kvars, names, p1, p2))
+            return Ref(m1, _join_shape(ctx, kvars, names, p1, p2, prov))
     raise StructuralError(
-        f"branches produce incompatible types: {print_type(t1)} vs {print_type(t2)}"
+        f"branches produce incompatible types: {print_type(t1)} vs {print_type(t2)}",
+        prov.span,
     )
 
 
@@ -170,19 +172,21 @@ def join_locctx(
     names: NameSupply,
     l1: LocCtx,
     l2: LocCtx,
+    guard: RefExpr,
     prov: Provenance,
-) -> Tuple[LocCtx, JoinOut]:
-    """Join branch location contexts over their common domain; bindings
-    present on only one side are dropped (context weakening)."""
+) -> Tuple[LocCtx, List[Constraint]]:
+    """Join branch location contexts over their common domain, as
+    `join_types` joins each location's types; bindings present on only one
+    side are dropped (context weakening)."""
     items = []
-    out: JoinOut = []
+    out: List[Constraint] = []
     for loc, t1 in l1:
         t2 = l2.lookup(loc)
         if t2 is None:
             continue
-        joined, emissions = join_types(ctx, kvars, names, t1, t2, prov)
+        joined, emitted = join_types(ctx, kvars, names, t1, t2, guard, prov)
         items.append((loc, joined))
-        out.extend(emissions)
+        out.extend(emitted)
     return LocCtx(tuple(items)), out
 
 

@@ -393,6 +393,10 @@ def _global_env(program: Program) -> Dict[str, Value]:
 # ---------------------------------------------------------------------------
 # The machine
 
+# the fuel of a run, a check-and-run and a configuration that set none
+DEFAULT_FUEL = 100_000
+
+
 @dataclass
 class RunOutcome:
     kind: str  # "done" | "alias" | "stuck" | "fuel"
@@ -444,7 +448,7 @@ def run_expr(
     st: MachineState,
     e: Expr,
     env: Dict[str, Value],
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     check_invariants: bool = False,
 ) -> RunOutcome:
     """Evaluate `e` in `env` (name -> value, updated in place) starting from
@@ -568,7 +572,7 @@ def run_expr(
 
 def run(
     program: Program,
-    fuel: int = 100_000,
+    fuel: int = DEFAULT_FUEL,
     check_invariants: bool = False,
     trace: bool = False,
 ) -> RunOutcome:

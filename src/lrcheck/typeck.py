@@ -18,7 +18,6 @@ from .constraints import (
     Clause,
     Conj,
     Constraint,
-    ForAll,
     Head,
     Provenance,
     Qualifier,
@@ -42,10 +41,7 @@ from .errors import (
     UnboundVariable,
 )
 from .infer import (
-    ELSE,
     KVarSupply,
-    PLAIN,
-    THEN,
     fresh_kvar_type,
     infer_rec_signature,
     join_locctx,
@@ -127,14 +123,16 @@ class _Hole(Type):
     """Placeholder for a type the shape pass has not discovered yet."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ProbeSig(Type):
     """Provisional signature bound to an unannotated rec function during
-    the shape pass; calls through it record their contexts."""
+    the shape pass: a recursive call through it appends its location
+    context, restricted to `domain`, to `sites`.  Two probes are equal only
+    when they are the same probe."""
 
-    probe_id: int
     domain: Tuple[AbstractLoc, ...]
     arity: int
+    sites: List[LocCtx]
 
 
 @dataclass
@@ -216,8 +214,6 @@ class CheckState:
         self.emitted: List[Constraint] = []
         self.debug_wf = debug_wf
         self.shape_mode = False
-        self.probes: Dict[int, List[LocCtx]] = {}
-        self.next_probe = 0
 
     # -- context bookkeeping -------------------------------------------------
 
@@ -232,14 +228,12 @@ class CheckState:
         for atom in atoms(pred):
             self.ctx = self.ctx.assume(atom)
 
-    def emit(self, c: Constraint, hyp: Optional[RefExpr] = None) -> None:
-        """Emit the clauses of `c` (under `hyp`, if given), each closed under
-        the binders and atoms of the current context; an obligation that
-        normalizes to nothing is dropped before the context is read."""
+    def emit(self, c: Constraint) -> None:
+        """Emit the clauses of `c`, each closed under the binders and atoms
+        of the current context; an obligation that normalizes to nothing is
+        dropped before the context is read."""
         if self.shape_mode:
             return
-        if hyp is not None:
-            c = ForAll((), (hyp,), c)
         c = normalize(c)
         if c == TRIVIAL:
             return
@@ -381,19 +375,21 @@ class Checker:
 
     # -- function checking ---------------------------------------------------
 
-    def check_fn(self, decl: FnDecl) -> Tuple[Constraint, CheckState]:
-        state = CheckState(
-            RefCtx(), self.globals, LocCtx(), self.kvars, self.debug_wf
-        )
+    def check_fn(self, decl: FnDecl) -> Tuple[Type, CheckState]:
+        """Check a declaration against its signature: the signature, and
+        the state that holds the emitted obligations."""
+        state = self._unit_state()
         self._check_recfn(state, decl.fn, decl.sig, decl.span)
-        return Conj(tuple(state.emitted)), state
+        return decl.sig, state
 
-    def check_entry(self, entry: Expr) -> Tuple[Type, Constraint, CheckState]:
-        state = CheckState(
-            RefCtx(), self.globals, LocCtx(), self.kvars, self.debug_wf
-        )
-        t = state.open_existential(self.synth(state, entry))
-        return t, Conj(tuple(state.emitted)), state
+    def check_entry(self, entry: Expr) -> Tuple[Type, CheckState]:
+        """Synthesize the entry expression: its type, opened, and the state
+        that holds the emitted obligations and the final context."""
+        state = self._unit_state()
+        return state.open_existential(self.synth(state, entry)), state
+
+    def _unit_state(self) -> CheckState:
+        return CheckState(RefCtx(), self.globals, LocCtx(), self.kvars, self.debug_wf)
 
     def _check_recfn(
         self,
@@ -570,6 +566,10 @@ class Checker:
     # -- if / join -------------------------------------------------------------
 
     def synth_if(self, state: CheckState, e: If) -> Type:
+        """Synthesize both branches, each under its side of the guard, and
+        join them: each side's result and location context flow into the
+        joined ones under that side's guard.  In the shape pass the join
+        takes the shapes only."""
         cond_t = state.open_existential(self.synth(state, e.cond))
         if isinstance(cond_t, _Hole):
             cond_t = Indexed(BoolBase(), BoolConst(True))
@@ -596,18 +596,14 @@ class Checker:
             state.locs = _shape_join_locs(locs1, locs2)
             return _shape_join(t1, t2)
 
-        try:
-            joined_t, emissions = join_types(
-                state.ctx, state.kvars, state.names, t1, t2, prov
-            )
-            joined_locs, loc_emissions = join_locctx(
-                state.ctx, state.kvars, state.names, locs1, locs2, prov
-            )
-        except StructuralError as exc:
-            raise exc.at(e.span)
-        hyps = {THEN: guard, ELSE: Not(guard), PLAIN: None}
-        for tag, c in emissions + loc_emissions:
-            state.emit(c, hyps[tag])
+        joined_t, emitted = join_types(
+            state.ctx, state.kvars, state.names, t1, t2, guard, prov
+        )
+        joined_locs, loc_emitted = join_locctx(
+            state.ctx, state.kvars, state.names, locs1, locs2, guard, prov
+        )
+        for c in emitted + loc_emitted:
+            state.emit(c)
         state.locs = joined_locs
         return joined_t
 
@@ -726,7 +722,7 @@ class Checker:
                 if loc in probe.domain
             )
         )
-        state.probes[probe.probe_id].append(restricted)
+        probe.sites.append(restricted)
         return _Hole()
 
     def _vec_sig(
@@ -820,10 +816,7 @@ class Checker:
                 span,
             )
         entry_locs = state.locs
-        probe_id = state.next_probe
-        state.next_probe += 1
-        state.probes[probe_id] = []
-        probe = _ProbeSig(probe_id, entry_locs.domain(), len(fn.params))
+        probe = _ProbeSig(entry_locs.domain(), len(fn.params), [])
 
         snap = state.snapshot()
         was_shape = state.shape_mode
@@ -838,18 +831,21 @@ class Checker:
             state.restore(snap)
         if isinstance(ret_shape, (_Hole, _ProbeSig)):
             ret_shape = None
-        sites = state.probes.pop(probe_id)
 
         sig = infer_rec_signature(
             state.ctx,
             state.kvars,
             state.names,
             entry_locs,
-            sites,
+            probe.sites,
             len(fn.params),
             ret_shape,
         )
         self._check_recfn(state, fn, sig, span)
+        # inside an enclosing shape pass, a result not found yet is the
+        # enclosing loop's recursive call, and types as it does
+        if state.shape_mode and ret_shape is None:
+            return _Hole()
         return sig
 
 
@@ -1037,18 +1033,18 @@ def check_program(
     kvars = KVarSupply()
     checker = Checker(globals_ctx, kvars, debug_wf)
 
-    def run_unit(name: str, produce) -> UnitReport:
+    def run_unit(name: str, check, node) -> UnitReport:
         unit = UnitReport(name, Conj(()), [], "verified")
         try:
-            result_type, constraint, final_ctx = produce()
+            result_type, state = check(node)
         except (CheckError, SortError, WfError) as exc:
             rule = type(exc).__name__
             span = exc.span if isinstance(exc, CheckError) else None
             unit.status = "error"
             unit.diagnostics.append(Diagnostic(rule, str(exc), span))
             return unit
-        unit.final_ctx = final_ctx
-        unit.constraint = constraint
+        unit.final_ctx = state.ctx
+        unit.constraint = Conj(tuple(state.emitted))
         unit.clauses = constraint_clauses(unit.constraint)
         unit.result_type = result_type
         if run_solver:
@@ -1074,19 +1070,8 @@ def check_program(
         return unit
 
     for decl in program.decls:
-
-        def produce(decl=decl):
-            constraint, _state = checker.check_fn(decl)
-            return decl.sig, constraint, None
-
-        units.append(run_unit(decl.name, produce))
-
+        units.append(run_unit(decl.name, checker.check_fn, decl))
     if program.entry is not None:
-
-        def produce_entry():
-            t, constraint, state = checker.check_entry(program.entry)
-            return t, constraint, state.ctx
-
-        units.append(run_unit("entry", produce_entry))
+        units.append(run_unit("entry", checker.check_entry, program.entry))
 
     return Report(units)

@@ -22,7 +22,7 @@ from lrcheck.harness import generate_program, run_and_verify
 from lrcheck.parser import parse_program
 from lrcheck.parser import parse_refexpr as R
 from lrcheck.printer import print_program
-from lrcheck.syntax import KVarDecl, Let, Sort, Unpack
+from lrcheck.syntax import IntLit, KVarDecl, Let, Sort, Unpack
 
 RUN = [sys.executable, "-m", "lrcheck.cli"]
 
@@ -899,7 +899,7 @@ def test_an_ill_formed_signature_is_one_diagnostic_at_its_declaration(
 
 
 # an unannotated inner rec whose recursive call the shape pass types as a
-# hole; `run` gets stuck on each of the first six
+# hole; `run` gets stuck on each of these uses of the call's result
 HOLE_LOOP = (
     "entry\n  let c = new(lc) in\n  let t0 = c := 3 in\n"
     "  let loop = rec loop (u) :=\n    let v = *c in\n    if call gt(v, 0) {\n"
@@ -913,8 +913,7 @@ HOLE_LOOP = (
     [
         f"let r = call loop(u) in\n      {use}"
         for use in ("*r", "&mut r", "&shr r", "&strg r", "r := 1", "call r(u)")
-    ]
-    + ["let inner = rec inner (w) := call loop(w) in\n      call inner(u)"],
+    ],
 )
 def test_a_rule_that_meets_a_shape_pass_hole_is_one_diagnostic(tmp_path, capsys, body):
     """In the shape pass a dereference, borrow, assignment or call through a
@@ -925,6 +924,138 @@ def test_a_rule_that_meets_a_shape_pass_hole_is_one_diagnostic(tmp_path, capsys,
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and f"{path}:" in err and ": error: " in err, err
+
+
+# loops that nest: the inner loop's exit calls the enclosing loop, so while
+# the enclosing loop's shape is found the inner loop's result is unknown
+SUM_2D = """\
+entry
+  let ip = new(li) in
+  let t0 = ip := 0 in
+  let sp = new(ls) in
+  let t1 = sp := 0 in
+  let outer = rec outer (u) :=
+    let iv = *ip in
+    if call lt (iv, 3) {
+      let jp = new(lj) in
+      let t2 = jp := 0 in
+      let inner = rec inner (w) :=
+        let jv = *jp in
+        if call lt (jv, 3) {
+          let sv = *sp in
+          let t3 = sp := call add (sv, 1) in
+          let t4 = jp := call add (jv, 1) in
+          call inner(poison)
+        } else {
+          let t5 = ip := call add (iv, 1) in
+          call outer(poison)
+        }
+      in call inner(poison)
+    } else {
+      *sp
+    }
+  in call outer(poison)
+"""
+
+SUM_3D = """\
+entry
+  let ip = new(li) in
+  let t0 = ip := 0 in
+  let sp = new(ls) in
+  let t1 = sp := 0 in
+  let l1 = rec l1 (u) :=
+    let iv = *ip in
+    if call lt (iv, 2) {
+      let jp = new(lj) in
+      let t2 = jp := 0 in
+      let l2 = rec l2 (w) :=
+        let jv = *jp in
+        if call lt (jv, 2) {
+          let kp = new(lk) in
+          let t3 = kp := 0 in
+          let l3 = rec l3 (x) :=
+            let kv = *kp in
+            if call lt (kv, 2) {
+              let sv = *sp in
+              let t4 = sp := call add (sv, 1) in
+              let t5 = kp := call add (kv, 1) in
+              call l3(poison)
+            } else {
+              let t6 = jp := call add (jv, 1) in
+              call l2(poison)
+            }
+          in call l3(poison)
+        } else {
+          let t7 = ip := call add (iv, 1) in
+          call l1(poison)
+        }
+      in call l2(poison)
+    } else {
+      *sp
+    }
+  in call l1(poison)
+"""
+
+GRID = """\
+fn grid {n: int | n >= 0}( int[n] ) -> {v. int[v] | v >= 0} :=
+  rec grid {n: int} (nv) :=
+    let ip = new(li) in
+    let t0 = ip := 0 in
+    let sp = new(ls) in
+    let t1 = sp := 0 in
+    let outer = rec outer (u) :=
+      let iv = *ip in
+      if call lt (iv, nv) {
+        let jp = new(lj) in
+        let t2 = jp := 0 in
+        let inner = rec inner (w) :=
+          let jv = *jp in
+          if call lt (jv, nv) {
+            let sv = *sp in
+            let t3 = sp := call add (sv, 1) in
+            let t4 = jp := call add (jv, 1) in
+            call inner(poison)
+          } else {
+            let t5 = ip := call add (iv, 1) in
+            call outer(poison)
+          }
+        in call inner(poison)
+      } else {
+        *sp
+      }
+    in call outer(poison)
+
+entry call grid {3} (3)
+"""
+
+
+@pytest.mark.parametrize(
+    "source, value",
+    [
+        (SUM_2D, 9),
+        (SUM_3D, 8),
+        (GRID, 9),
+        (
+            HOLE_LOOP.replace(
+                "BODY", "let inner = rec inner (w) := call loop(w) in\n      call inner(u)"
+            ),
+            0,
+        ),
+    ],
+    ids=["sum-2d", "sum-3d", "grid", "inner-calls-outer"],
+)
+def test_nested_loops_check_and_run(tmp_path, capsys, source, value):
+    """An inner loop whose result the enclosing loop's shape pass has not
+    found yet types as the enclosing loop's recursive call does; each of
+    these used to be rejected with `branches produce incompatible types:
+    uninit(1) vs ...`."""
+    path = tmp_path / "nested.lr"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    verdict = run_and_verify(parse_program(source))
+    assert verdict.passed, verdict.detail
+    assert verdict.outcome.value == IntLit(value)
 
 
 def test_token_mutants_of_the_corpus_never_exit_four(tmp_path, capsys):

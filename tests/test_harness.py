@@ -14,7 +14,7 @@ from lrcheck.harness import (
 from lrcheck.oracle import Oracle, Verdict
 from lrcheck.parser import parse_program
 from lrcheck.printer import print_program
-from lrcheck.syntax import IntLit
+from lrcheck.syntax import IntLit, Uninit
 from lrcheck.typeck import check_program
 
 
@@ -225,6 +225,31 @@ def test_pointer_result_conformance(oracle):
 def test_function_result_conformance(oracle):
     verdict = run_and_verify(parse_program("entry rec f (x) := x"), oracle=oracle)
     assert verdict.passed
+
+
+def test_uninit_result_conformance(oracle):
+    program = parse_program("entry poison")
+    report = check_program(program, oracle=oracle)
+    assert report.exit_code == 0
+    assert isinstance(report.unit("entry").result_type, Uninit)
+    verdict = run_and_verify(program, report=report, oracle=oracle)
+    assert verdict.passed and verdict.outcome.kind == "done"
+
+
+def test_a_call_opens_the_existential_a_join_leaves_in_a_cell(oracle):
+    """The join leaves an existential in the vector's cell; the second
+    push opens it to find the vector's element type."""
+    src = (
+        "entry\n  let v = new(lv) in\n  let t0 = v := call vec_new<int>() in\n"
+        "  let b = call lt(1, 2) in\n"
+        "  let t1 = if b { call vec_push(v, 1) } else { poison } in\n"
+        "  let t2 = call vec_push(v, 2) in\n  0\n"
+    )
+    program = parse_program(src)
+    report = check_program(program, oracle=oracle)
+    assert report.exit_code == 0
+    verdict = run_and_verify(program, report=report, oracle=oracle)
+    assert verdict.passed and verdict.outcome.kind == "done"
 
 
 def test_strong_pointer_cannot_escape(oracle):

@@ -7,7 +7,10 @@ the module (or in its `__all__`, which is how `lrcheck/__init__.py`
 re-exports).  `from __future__` imports are exempt.  A module-level
 function or class of `src/lrcheck` must be read somewhere in
 `src/lrcheck` outside its own body, as a loaded `Name` or an attribute,
-or be listed in an `__all__`: code that only tests reach is dead.
+or be listed in an `__all__`: code that only tests reach is dead.  A
+parameter of a function of `src/lrcheck` must be read in that function's
+body, unless it is `self` or `cls`, its name starts with `_`, or the body
+only raises `NotImplementedError`.
 """
 
 import ast
@@ -73,6 +76,40 @@ def unread_definitions(sources):
     ]
 
 
+def _is_stub(fn) -> bool:
+    """Whether the body of `fn`, after its docstring, only raises
+    `NotImplementedError`."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(source: str):
+    """The parameters of the functions in `source` that the function's
+    body never reads, as (function, parameter, line)."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_stub(node):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = set().union(*(_reads(stmt, attributes=False) for stmt in node.body))
+        unread += [
+            (node.name, p.arg, node.lineno)
+            for p in params
+            if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+            and p.arg not in read
+        ]
+    return unread
+
+
 @pytest.mark.parametrize("path", FILES)
 def test_no_unused_imports(path):
     with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
@@ -113,4 +150,28 @@ def test_scan_flags_an_unread_definition_and_spares_reads_and_exports():
     }
     assert unread_definitions(sources) == [
         ("a.py", "dead", 2), ("a.py", "loop", 4), ("b.py", "Method", 3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.startswith(os.path.join("src", "lrcheck"))]
+)
+def test_every_parameter_is_read_in_its_function(path):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+        assert unread_parameters(handle.read()) == []
+
+
+def test_scan_flags_an_unread_parameter_and_spares_reads_and_stubs():
+    source = (
+        "def f(a, b, *rest, c, _d, **kw):\n"
+        "    def g(x):\n        return a + x\n"
+        "    return g(kw)\n"
+        "class C:\n"
+        "    def m(self, e): return 0\n"
+        "    @classmethod\n"
+        "    def n(cls, f): return f\n"
+        "    def stub(self, h):\n        \"\"\"Docs.\"\"\"\n        raise NotImplementedError\n"
+    )
+    assert unread_parameters(source) == [
+        ("f", "b", 1), ("f", "c", 1), ("f", "rest", 1), ("m", "e", 6)
     ]

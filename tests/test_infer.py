@@ -52,6 +52,7 @@ from lrcheck.syntax import (
     LocCtx,
     Not,
     Sort,
+    Span,
     Var,
 )
 from lrcheck.typeck import check_program
@@ -130,7 +131,10 @@ def _template(kvars, names):
     return fresh_kvar_type(kvars, names, JOIN_CTX, IntBase())
 
 
-# (left, right) -> joined type, then per emission its tag and clause dump
+# the guard of the `if` whose branches are joined
+GUARD = R("a > 0")
+
+# (left, right) -> joined type, then per emission its clause dump
 JOIN_TABLE = {
     "equal": (
         lambda kv, n: (parse_type("int[a]"), parse_type("int[a]")),
@@ -141,46 +145,46 @@ JOIN_TABLE = {
         lambda kv, n: (parse_type("&mut int[1]"), parse_type("&mut int[2]")),
         "&mut {v%0. int[v%0] | $k0(v%0, a)}",
         [
-            ("plain", "clause 0 [v%1:int] [v%1 = 1] => $k0(v%1, a) @ - test\n"
-             "clause 1 [v%2:int] [$k0(v%2, a)] => v%2 = 1 @ - test"),
-            ("plain", "clause 0 [v%3:int] [v%3 = 2] => $k0(v%3, a) @ - test\n"
-             "clause 1 [v%4:int] [$k0(v%4, a)] => v%4 = 2 @ - test"),
+            "clause 0 [v%1:int] [v%1 = 1] => $k0(v%1, a) @ - test\n"
+            "clause 1 [v%2:int] [$k0(v%2, a)] => v%2 = 1 @ - test",
+            "clause 0 [v%3:int] [v%3 = 2] => $k0(v%3, a) @ - test\n"
+            "clause 1 [v%4:int] [$k0(v%4, a)] => v%4 = 2 @ - test",
         ],
     ),
     "shr_ref": (
         lambda kv, n: (parse_type("&shr int[1]"), parse_type("&shr int[2]")),
         "&shr {v%0. int[v%0] | $k0(v%0, a)}",
         [
-            ("then", "clause 0 [v%1:int] [v%1 = 1] => $k0(v%1, a) @ - test"),
-            ("else", "clause 0 [v%2:int] [v%2 = 2] => $k0(v%2, a) @ - test"),
+            "clause 0 [v%1:int] [a > 0; v%1 = 1] => $k0(v%1, a) @ - test",
+            "clause 0 [v%2:int] [!(a > 0); v%2 = 2] => $k0(v%2, a) @ - test",
         ],
     ),
     "template_left": (
         lambda kv, n: (_template(kv, n), parse_type("int[2]")),
         "{v%0. int[v%0] | $k0(v%0, a)}",
-        [("else", "clause 0 [v%1:int] [v%1 = 2] => $k0(v%1, a) @ - test")],
+        ["clause 0 [v%1:int] [!(a > 0); v%1 = 2] => $k0(v%1, a) @ - test"],
     ),
     "template_right": (
         lambda kv, n: (parse_type("int[1]"), _template(kv, n)),
         "{v%0. int[v%0] | $k0(v%0, a)}",
-        [("then", "clause 0 [v%1:int] [v%1 = 1] => $k0(v%1, a) @ - test")],
+        ["clause 0 [v%1:int] [a > 0; v%1 = 1] => $k0(v%1, a) @ - test"],
     ),
     "indexed_ints": (
         lambda kv, n: (parse_type("int[1]"), parse_type("int[a]")),
         "{v%0. int[v%0] | $k0(v%0, a)}",
         [
-            ("then", "clause 0 [v%1:int] [v%1 = 1] => $k0(v%1, a) @ - test"),
-            ("else", "clause 0 [] [] => $k0(a, a) @ - test"),
+            "clause 0 [v%1:int] [a > 0; v%1 = 1] => $k0(v%1, a) @ - test",
+            "clause 0 [] [!(a > 0)] => $k0(a, a) @ - test",
         ],
     ),
     "vecs": (
         lambda kv, n: (parse_type("Vec<int[1]>[a]"), parse_type("Vec<int[2]>[3]")),
         "{v%1. Vec<{v%0. int[v%0] | $k0(v%0, a)}>[v%1] | $k1(v%1, a)}",
         [
-            ("then", "clause 0 [v%2:int] [v%2 = 1] => $k0(v%2, a) @ - test\n"
-             "clause 1 [] [] => $k1(a, a) @ - test"),
-            ("else", "clause 0 [v%3:int] [v%3 = 2] => $k0(v%3, a) @ - test\n"
-             "clause 1 [v%4:int] [v%4 = 3] => $k1(v%4, a) @ - test"),
+            "clause 0 [v%2:int] [a > 0; v%2 = 1] => $k0(v%2, a) @ - test\n"
+            "clause 1 [] [a > 0] => $k1(a, a) @ - test",
+            "clause 0 [v%3:int] [!(a > 0); v%3 = 2] => $k0(v%3, a) @ - test\n"
+            "clause 1 [v%4:int] [!(a > 0); v%4 = 3] => $k1(v%4, a) @ - test",
         ],
     ),
 }
@@ -188,27 +192,27 @@ JOIN_TABLE = {
 
 @pytest.mark.parametrize("case", list(JOIN_TABLE))
 def test_join_types_table(case):
-    """The joined type, its kvar names, and each emission's tag and
-    clauses, in order: `&mut` pointees flow both ways under no branch
-    hypothesis, a reused template takes only the other side, and every
-    other join takes the then side under THEN and the else side under
-    ELSE."""
+    """The joined type, its kvar names, and each emission's clauses, in
+    order: `&mut` pointees flow both ways under neither guard, a reused
+    template takes only the other side, and every other join takes the
+    then side under the guard and the else side under its negation."""
     make, joined_text, emitted = JOIN_TABLE[case]
     kvars, names = KVarSupply(), NameSupply()
     t1, t2 = make(kvars, names)
-    joined, emissions = join_types(JOIN_CTX, kvars, names, t1, t2, PROV)
+    joined, emissions = join_types(JOIN_CTX, kvars, names, t1, t2, GUARD, PROV)
     assert print_type(joined) == joined_text
-    assert [
-        (tag, dump_clauses_text(clauses(normalize(c)))) for tag, c in emissions
-    ] == emitted
+    assert [dump_clauses_text(clauses(normalize(c))) for c in emissions] == emitted
 
 
 def test_join_types_of_int_and_bool_is_incompatible():
-    with pytest.raises(StructuralError, match="branches produce incompatible types"):
+    span = Span(3, 5, 7, 6)
+    with pytest.raises(StructuralError, match="branches produce incompatible types") as exc:
         join_types(
             JOIN_CTX, KVarSupply(), NameSupply(),
-            parse_type("int[1]"), parse_type("bool[true]"), PROV,
+            parse_type("int[1]"), parse_type("bool[true]"), GUARD,
+            Provenance("if-join", span),
         )
+    assert exc.value.span == span
 
 
 def test_fresh_kvar_type_empty_scope():

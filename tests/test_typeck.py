@@ -111,16 +111,17 @@ def test_checking_continues_across_functions(oracle):
 
 
 def _emitted_parts(program):
-    """The parts of every constraint the checker returns for `program`;
-    a unit that fails structurally contributes none."""
+    """The obligations the checker emits for every unit of `program`, as
+    their states hold them; a unit that fails structurally contributes
+    none."""
     checker = Checker(build_globals(program), KVarSupply())
-    units = [lambda d=d: checker.check_fn(d)[0] for d in program.decls]
+    units = [(checker.check_fn, d) for d in program.decls]
     if program.entry is not None:
-        units.append(lambda: checker.check_entry(program.entry)[1])
+        units.append((checker.check_entry, program.entry))
     parts = []
-    for unit in units:
+    for check, node in units:
         try:
-            parts.extend(unit().parts)
+            parts.extend(check(node)[1].emitted)
         except CheckError:
             pass
     return parts
