@@ -15,12 +15,13 @@ stuck state reached after the N-th firing reports fuel exhaustion, with N
 steps.
 
 Locals live in one dict with an undo trail, and each frame records the
-trail height it resumes at.  The entry starts from the global table of
-builtins and top-level declarations.  A `rec` value is a closure (Landin):
-the function together with the environment its literal was evaluated in, or
-for a declaration the builtins and the earlier declarations.  A call runs
-the callee's body in a copy of that environment extended with the
-parameters and the function's own name.
+trail height it resumes at.  The entry starts from a copy of the global
+table of builtins and top-level declarations.  A `rec` value is a closure
+(Landin): the function together with the environment its literal was
+evaluated in, or for a declaration the global table itself, so that
+top-level functions may call each other in any order.  A call runs the
+callee's body in a copy of that environment extended with the parameters
+and the function's own name.
 
 Each location carries a stack of tagged permission items; reads, writes,
 reborrows, allocation, and deallocation update the stacks and report an
@@ -382,11 +383,11 @@ def _vec_index_mut(st: MachineState, args: List[Value]) -> Value:
 
 
 def _global_env(program: Program) -> Dict[str, Value]:
-    """Builtins and top-level declarations by name; each declaration is
-    closed over the builtins and the declarations before it."""
+    """Builtins and top-level declarations by name; every declaration is
+    closed over this one table, so it sees every declaration and itself."""
     table: Dict[str, Value] = dict(BUILTIN_VALUES)
     for decl in program.decls:
-        table[decl.name] = Closure(decl.fn, dict(table))
+        table[decl.name] = Closure(decl.fn, table)
     return table
 
 
@@ -581,4 +582,6 @@ def run(
     if program.entry is None:
         raise ValueError("program has no entry expression")
     st = MachineState(recording=trace)
-    return run_expr(st, program.entry, _global_env(program), fuel, check_invariants)
+    # the entry's lets bind in a copy, out of the declarations' sight
+    env = dict(_global_env(program))
+    return run_expr(st, program.entry, env, fuel, check_invariants)

@@ -75,7 +75,7 @@ class PersistentCtx:
     with the contexts extended from it.  Extending the context that ends
     the log appends a row, so a straight-line body never copies.  Extending
     a context that some other extension has outgrown (one that
-    `CheckState.restore` brought back) first copies its own rows to a
+    `Checker.restore` brought back) first copies its own rows to a
     fresh log.  Rows are never changed, so a view keeps the entries it had.
 
     A row is `(name, entry, prev)`.  `_index` maps each name to its newest

@@ -8,7 +8,7 @@ provenance; refinement obligations become Heads.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from .constraints import Conj, Constraint, ForAll, Head, Provenance, TRIVIAL
 from .errors import StructuralError
@@ -45,16 +45,6 @@ class NameSupply:
         return f"{base}%{n}"
 
 
-def subtype(
-    lhs: Type,
-    rhs: Type,
-    prov: Provenance,
-    names: Optional[NameSupply] = None,
-) -> Constraint:
-    names = names or NameSupply()
-    return _sub(lhs, rhs, prov, names)
-
-
 def bases_compatible(b1: BaseType, b2: BaseType) -> bool:
     if isinstance(b1, IntBase) and isinstance(b2, IntBase):
         return True
@@ -63,7 +53,11 @@ def bases_compatible(b1: BaseType, b2: BaseType) -> bool:
     return isinstance(b1, VecBase) and isinstance(b2, VecBase)
 
 
-def _sub(lhs, rhs, prov, names) -> Constraint:
+def subtype(
+    lhs: Type, rhs: Type, prov: Provenance, names: NameSupply
+) -> Constraint:
+    """The obligations for `lhs` to be a subtype of `rhs`; the binders they
+    open are fresh in `names`, the supply of the unit being checked."""
     match (lhs, rhs):
         case (Indexed(b1, e1), Indexed(b2, e2)):
             if not bases_compatible(b1, b2):
@@ -72,7 +66,7 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
                 )
             parts = [Head(Eq(e1, e2), prov)]
             if isinstance(b1, VecBase):
-                parts.append(_sub(b1.elem, b2.elem, prov, names))
+                parts.append(subtype(b1.elem, b2.elem, prov, names))
             return Conj(tuple(parts))
 
         case (Exists(a, b1, p), _):
@@ -82,7 +76,7 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
                 )
             fresh = names.fresh(a)
             hyp = subst(p, a, Var(fresh))
-            body = _sub(Indexed(b1, Var(fresh)), rhs, prov, names)
+            body = subtype(Indexed(b1, Var(fresh)), rhs, prov, names)
             return ForAll(((fresh, getsort(b1)),), (hyp,), body)
 
         case (Indexed(b1, e1), Exists(a, b2, p)):
@@ -92,7 +86,7 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
                 )
             parts = []
             if isinstance(b1, VecBase):
-                parts.append(_sub(b1.elem, b2.elem, prov, names))
+                parts.append(subtype(b1.elem, b2.elem, prov, names))
             if contains_kapp(p) and not isinstance(e1, Var):
                 # keep unknown predicates applied to a plain binder
                 fresh = names.fresh("v")
@@ -121,13 +115,13 @@ def _sub(lhs, rhs, prov, names) -> Constraint:
             return TRIVIAL
 
         case (Ref("shr", t1), Ref("shr", t2)):
-            return _sub(t1, t2, prov, names)
+            return subtype(t1, t2, prov, names)
 
         case (Ref("mut", t1), Ref("mut", t2)):
             return Conj(
                 (
-                    _sub(t1, t2, prov, names),
-                    _sub(t2, t1, prov, names),
+                    subtype(t1, t2, prov, names),
+                    subtype(t2, t1, prov, names),
                 )
             )
 
@@ -170,8 +164,8 @@ def _sub_fun(f1: FnSig, f2: FnSig, prov, names) -> Constraint:
     parts = [ForAll((), (req2,), Head(req1, prov))]
     parts.append(ctx_include(in2, in1, prov, names))
     for a2, a1 in zip(args2, args1):
-        parts.append(_sub(a2, a1, prov, names))
-    parts.append(_sub(ret1, ret2, prov, names))
+        parts.append(subtype(a2, a1, prov, names))
+    parts.append(subtype(ret1, ret2, prov, names))
     parts.append(ctx_include(out1, out2, prov, names))
     return ForAll(tuple(shared), (), Conj(tuple(parts)))
 
@@ -180,11 +174,10 @@ def ctx_include(
     lhs: LocCtx,
     rhs: LocCtx,
     prov: Provenance,
-    names: Optional[NameSupply] = None,
+    names: NameSupply,
 ) -> Constraint:
     """Inclusion of location contexts: free reordering, dropping of extra
     bindings on the left, pointwise subtyping on the shared domain."""
-    names = names or NameSupply()
     missing = [l for l in rhs.domain() if lhs.lookup(l) is None]
     if missing:
         raise StructuralError(
@@ -194,5 +187,5 @@ def ctx_include(
     for loc, want in rhs:
         have = lhs.lookup(loc)
         assert have is not None
-        parts.append(_sub(have, want, prov, names))
+        parts.append(subtype(have, want, prov, names))
     return Conj(tuple(parts))

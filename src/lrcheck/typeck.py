@@ -195,20 +195,29 @@ class Report:
         return out
 
 
-class CheckState:
-    """Mutable checking state for one function body."""
+def _fold_index(t: Type) -> Type:
+    if isinstance(t, Indexed):
+        return Indexed(t.base, fold_constants(t.idx))
+    return t
+
+
+# ---------------------------------------------------------------------------
+# The checker
+
+class Checker:
+    """Checks one unit: the refinement, value and location contexts of its
+    judgment, the obligations it has emitted, and the typing rules over
+    them."""
 
     def __init__(
         self,
-        ctx: RefCtx,
-        vals: ValCtx,
-        locs: LocCtx,
+        globals_ctx: ValCtx,
         kvars: KVarSupply,
         debug_wf: bool = False,
     ):
-        self.ctx = ctx
-        self.vals = vals
-        self.locs = locs
+        self.ctx = RefCtx()
+        self.vals = globals_ctx
+        self.locs = LocCtx()
         self.kvars = kvars
         self.names = NameSupply()
         self.emitted: List[Constraint] = []
@@ -287,117 +296,78 @@ class CheckState:
         if isinstance(t, Exists):
             self.locs = self.locs.update(loc, self.open_existential(t))
 
+    # -- refinement-parameter instantiation ------------------------------------
 
-# ---------------------------------------------------------------------------
-# Refinement-parameter instantiation
+    def infer_refargs(
+        self, sig: FnSig, actual_args: Sequence[Type], span: Optional[Span]
+    ) -> List[RefExpr]:
+        """First-order syntactic unification of formal types against
+        actuals; abstract-location parameters ride the same unifier, and
+        parameters that occur only in the input location context are
+        resolved against the current flow-sensitive context."""
+        params = [n for n, _ in sig.refparams]
+        assigned: Dict[str, RefExpr] = {}
 
-def infer_refargs(
-    state: CheckState,
-    sig: FnSig,
-    actual_args: Sequence[Type],
-    span: Optional[Span],
-) -> List[RefExpr]:
-    """First-order syntactic unification of formal types against actuals;
-    abstract-location parameters ride the same unifier, and parameters that
-    occur only in the input location context are resolved against the
-    current flow-sensitive context."""
-    params = [n for n, _ in sig.refparams]
-    assigned: Dict[str, RefExpr] = {}
+        def unify(formal: Type, actual: Type) -> None:
+            match (formal, actual):
+                case (Indexed(fb, fidx), _):
+                    p = fidx.name if isinstance(fidx, Var) else None
+                    if p in params and p not in assigned:
+                        match actual:
+                            case Indexed(_, idx):
+                                assigned[p] = idx
+                            case Exists():
+                                assigned[p] = self.open_existential(actual).idx
+                    ab = base_of(actual)
+                    if isinstance(fb, VecBase) and isinstance(ab, VecBase):
+                        unify(fb.elem, ab.elem)
+                case (StrongPtr(AbstractLoc(p)), StrongPtr(loc)) if p in params:
+                    assigned.setdefault(p, Var(loc.name))
+                case (Ref(m1, fp), Ref(m2, ap)) if m1 == m2:
+                    unify(fp, ap)
+                case _:
+                    pass
 
-    def unify(formal: Type, actual: Type) -> None:
-        match (formal, actual):
-            case (Indexed(fb, fidx), _):
-                p = fidx.name if isinstance(fidx, Var) else None
-                if p in params and p not in assigned:
-                    match actual:
-                        case Indexed(_, idx):
-                            assigned[p] = idx
-                        case Exists():
-                            assigned[p] = state.open_existential(actual).idx
-                ab = base_of(actual)
-                if isinstance(fb, VecBase) and isinstance(ab, VecBase):
-                    unify(fb.elem, ab.elem)
-            case (StrongPtr(AbstractLoc(p)), StrongPtr(loc)) if p in params:
-                assigned.setdefault(p, Var(loc.name))
-            case (Ref(m1, fp), Ref(m2, ap)) if m1 == m2:
-                unify(fp, ap)
-            case _:
-                pass
+        for formal, actual in zip(sig.args, actual_args):
+            unify(formal, actual)
 
-    for formal, actual in zip(sig.args, actual_args):
-        unify(formal, actual)
-
-    for floc, ftype in sig.in_locs:
-        actual_loc: Optional[AbstractLoc] = None
-        if floc.name in params:
-            got = assigned.get(floc.name)
-            if got is None:
+        for floc, ftype in sig.in_locs:
+            actual_loc: Optional[AbstractLoc] = None
+            if floc.name in params:
+                got = assigned.get(floc.name)
+                if got is None:
+                    continue
+                actual_loc = as_loc(got)
+            else:
+                actual_loc = floc
+            if actual_loc is None:
                 continue
-            actual_loc = as_loc(got)
-        else:
-            actual_loc = floc
-        if actual_loc is None:
-            continue
-        state.open_loc(actual_loc)
-        at = state.locs.lookup(actual_loc)
-        if at is not None:
-            unify(ftype, at)
+            self.open_loc(actual_loc)
+            at = self.locs.lookup(actual_loc)
+            if at is not None:
+                unify(ftype, at)
 
-    missing = [p for p in params if p not in assigned]
-    if missing:
-        raise InstError(
-            f"cannot instantiate refinement parameter(s) {', '.join(missing)}; "
-            "pass explicit refinement arguments at the call site",
-            span,
-        )
-    return [assigned[p] for p in params]
-
-
-def _fold_index(t: Type) -> Type:
-    if isinstance(t, Indexed):
-        return Indexed(t.base, fold_constants(t.idx))
-    return t
-
-
-# ---------------------------------------------------------------------------
-# The checker
-
-class Checker:
-    def __init__(
-        self,
-        globals_ctx: ValCtx,
-        kvars: KVarSupply,
-        debug_wf: bool = False,
-    ):
-        self.globals = globals_ctx
-        self.kvars = kvars
-        self.debug_wf = debug_wf
+        missing = [p for p in params if p not in assigned]
+        if missing:
+            raise InstError(
+                f"cannot instantiate refinement parameter(s) {', '.join(missing)}; "
+                "pass explicit refinement arguments at the call site",
+                span,
+            )
+        return [assigned[p] for p in params]
 
     # -- function checking ---------------------------------------------------
 
-    def check_fn(self, decl: FnDecl) -> Tuple[Type, CheckState]:
-        """Check a declaration against its signature: the signature, and
-        the state that holds the emitted obligations."""
-        state = self._unit_state()
-        self._check_recfn(state, decl.fn, decl.sig, decl.span)
-        return decl.sig, state
+    def check_fn(self, decl: FnDecl) -> Type:
+        """Check a declaration against its signature, and return it."""
+        self._check_recfn(decl.fn, decl.sig, decl.span)
+        return decl.sig
 
-    def check_entry(self, entry: Expr) -> Tuple[Type, CheckState]:
-        """Synthesize the entry expression: its type, opened, and the state
-        that holds the emitted obligations and the final context."""
-        state = self._unit_state()
-        return state.open_existential(self.synth(state, entry)), state
+    def check_entry(self, entry: Expr) -> Type:
+        """Synthesize the entry expression, and return its type opened."""
+        return self.open_existential(self.synth(entry))
 
-    def _unit_state(self) -> CheckState:
-        return CheckState(RefCtx(), self.globals, LocCtx(), self.kvars, self.debug_wf)
-
-    def _check_recfn(
-        self,
-        state: CheckState,
-        fn: RecFn,
-        sig: FnSig,
-        span: Optional[Span],
-    ) -> None:
+    def _check_recfn(self, fn: RecFn, sig: FnSig, span: Optional[Span]) -> None:
         if fn.refparams and tuple(fn.refparams) != tuple(sig.refparams):
             raise CheckError(
                 f"rec '{fn.fname}' declares refinement parameters "
@@ -410,76 +380,76 @@ class Checker:
                 f"signature lists {len(sig.args)}",
                 span,
             )
-        snap = state.snapshot()
-        vals = _bind_rec(state.vals, fn, sig.args, sig, span)
+        snap = self.snapshot()
+        vals = _bind_rec(self.vals, fn, sig.args, sig, span)
         for name, sort in sig.refparams:
-            state.ctx = state.ctx.bind(name, sort)
-        state.assume(sig.requires)
-        state.vals, state.locs = vals, sig.in_locs
-        state.assert_wf()
+            self.ctx = self.ctx.bind(name, sort)
+        self.assume(sig.requires)
+        self.vals, self.locs = vals, sig.in_locs
+        self.assert_wf()
 
         prov = Provenance("fn-def", span)
-        body_t = self.synth(state, fn.body)
-        state.require(body_t, sig.ret, prov)
-        state.require(state.locs, sig.out_locs, prov)
-        state.restore(snap)
+        body_t = self.synth(fn.body)
+        self.require(body_t, sig.ret, prov)
+        self.require(self.locs, sig.out_locs, prov)
+        self.restore(snap)
 
     # -- expression synthesis -------------------------------------------------
 
-    def synth(self, state: CheckState, e: Expr) -> Type:
+    def synth(self, e: Expr) -> Type:
         # The bodies of let, let-new and unpack are tail positions: walk a
         # chain of them in a loop, keeping the let-new exits to run on the
         # way out, innermost first.
         exits: List[Tuple[LetNew, str, AbstractLoc]] = []
         while True:
-            state.assert_wf()
+            self.assert_wf()
             match e:
                 case Let(x, bound, body, span):
-                    if state.vals.lookup(x) is not None:
+                    if self.vals.lookup(x) is not None:
                         raise CheckError(f"shadowing of '{x}' is not supported", span)
-                    t = self.synth(state, bound)
-                    state.vals = state.vals.bind(x, t)
+                    t = self.synth(bound)
+                    self.vals = self.vals.bind(x, t)
                     e = body
                 case LetNew(_, _, body, _):
-                    exits.append(self.enter_letnew(state, e))
+                    exits.append(self.enter_letnew(e))
                     e = body
                 case Unpack(x, a, body, span):
-                    self.do_unpack(state, x, a, span)
+                    self.do_unpack(x, a, span)
                     e = body
                 case _:
                     break
-        t = self.synth_one(state, e)
+        t = self.synth_one(e)
         for letnew, locvar, loc in reversed(exits):
-            self.exit_letnew(state, letnew, locvar, loc, t)
+            self.exit_letnew(letnew, locvar, loc, t)
         return t
 
-    def synth_one(self, state: CheckState, e: Expr) -> Type:
+    def synth_one(self, e: Expr) -> Type:
         """Synthesis of one expression that is not a let, let-new or unpack."""
         match e:
             case Val(value, span):
-                return self.synth_value(state, value, span)
+                return self.synth_value(value, span)
             case VarRef(name, span):
-                t = state.vals.lookup(name)
+                t = self.vals.lookup(name)
                 if t is None:
                     raise UnboundVariable(f"unbound variable '{name}'", span)
                 return t
             case If(_, _, _, _):
-                return self.synth_if(state, e)
+                return self.synth_if(e)
             case Call(_, _, _, _, _):
-                return self.synth_call(state, e)
+                return self.synth_call(e)
             case Assign(place, rhs, span):
-                return self.synth_assign(state, place, rhs, span)
+                return self.synth_assign(place, rhs, span)
             case BorrowStrong(place, span):
-                t = self.place_type(state, place, span)
+                t = self.place_type(place, span)
                 if not isinstance(t, (StrongPtr, _Hole)):
                     raise StructuralError(
                         f"&strg of a non-strong-pointer ({print_type(t)})", span
                     )
                 return t
             case BorrowMut(place, span):
-                return self.synth_borrow_mut(state, place, span)
+                return self.synth_borrow_mut(place, span)
             case BorrowShr(place, span):
-                t = self.place_type(state, place, span)
+                t = self.place_type(place, span)
                 if isinstance(t, Ref):
                     return Ref("shr", t.pointee)
                 if isinstance(t, _Hole):
@@ -488,11 +458,11 @@ class Checker:
                     f"&shr expects a reference, got {print_type(t)}", span
                 )
             case Deref(place, span):
-                return self.synth_deref(state, place, span)
+                return self.synth_deref(place, span)
             case _:
                 raise CheckError(f"cannot type expression {e!r}")
 
-    def synth_value(self, state: CheckState, v: Value, span: Optional[Span]) -> Type:
+    def synth_value(self, v: Value, span: Optional[Span]) -> Type:
         match v:
             case BoolLit(b):
                 return Indexed(BoolBase(), BoolConst(b))
@@ -505,41 +475,39 @@ class Checker:
                     f"{print_value(v)} can only be called, not used as a value", span
                 )
             case RecFn():
-                return self.infer_inner_rec(state, v, span)
+                return self.infer_inner_rec(v, span)
             case _:
                 raise CheckError(f"cannot type value {v!r}", span)
 
     # -- let new / escape check ----------------------------------------------
 
-    def enter_letnew(
-        self, state: CheckState, e: LetNew
-    ) -> Tuple[LetNew, str, AbstractLoc]:
+    def enter_letnew(self, e: LetNew) -> Tuple[LetNew, str, AbstractLoc]:
         """Bind the fresh cell of `e` before its body is synthesized."""
         locvar = e.locvar
-        if state.ctx.sort_of(locvar) is not None:
-            locvar = state.names.fresh(e.locvar)
-        if state.vals.lookup(e.name) is not None:
+        if self.ctx.sort_of(locvar) is not None:
+            locvar = self.names.fresh(e.locvar)
+        if self.vals.lookup(e.name) is not None:
             raise CheckError(f"shadowing of '{e.name}' is not supported", e.span)
         loc = AbstractLoc(locvar)
-        state.ctx = state.ctx.bind(locvar, Sort.LOC)
-        state.vals = state.vals.bind(e.name, StrongPtr(loc))
-        state.locs = state.locs.bind(loc, Uninit(1))
+        self.ctx = self.ctx.bind(locvar, Sort.LOC)
+        self.vals = self.vals.bind(e.name, StrongPtr(loc))
+        self.locs = self.locs.bind(loc, Uninit(1))
         return e, locvar, loc
 
     def exit_letnew(
-        self, state: CheckState, e: LetNew, locvar: str, loc: AbstractLoc, t: Type
+        self, e: LetNew, locvar: str, loc: AbstractLoc, t: Type
     ) -> None:
         """Drop the cell of `e` once its body has type `t`; the location
         must not escape."""
-        state.locs = state.locs.remove(loc)
-        if not state.shape_mode:
+        self.locs = self.locs.remove(loc)
+        if not self.shape_mode:
             if locvar in free_vars(t):
                 raise EscapeError(
                     f"location '{locvar}' escapes through the result type "
                     f"{print_type(t)}",
                     e.span,
                 )
-            if locvar in free_vars(state.locs):
+            if locvar in free_vars(self.locs):
                 raise EscapeError(
                     f"location '{locvar}' escapes through the location context",
                     e.span,
@@ -547,30 +515,30 @@ class Checker:
 
     # -- unpack ----------------------------------------------------------------
 
-    def do_unpack(self, state: CheckState, x: str, a: str, span: Optional[Span]):
+    def do_unpack(self, x: str, a: str, span: Optional[Span]):
         """Open the type of `x` into refinement variable `a` (a fresh name
         if `a` is bound).  An indexed type `b[e]` is the singleton
         existential `{v. b[v] | v = e}`, so it opens into an alias of `e`."""
-        t = state.vals.lookup(x)
+        t = self.vals.lookup(x)
         if t is None:
             raise UnboundVariable(f"unbound variable '{x}'", span)
         if not isinstance(t, (Indexed, Exists)):
             raise StructuralError(
                 f"unpack of '{x}' at non-base type {print_type(t)}", span
             )
-        name = a if state.ctx.sort_of(a) is None else state.names.fresh(a)
+        name = a if self.ctx.sort_of(a) is None else self.names.fresh(a)
         if isinstance(t, Indexed):
             t = Exists(name, t.base, Eq(Var(name), t.idx))
-        state.vals = state.vals.update(x, state.open_existential(t, name))
+        self.vals = self.vals.update(x, self.open_existential(t, name))
 
     # -- if / join -------------------------------------------------------------
 
-    def synth_if(self, state: CheckState, e: If) -> Type:
+    def synth_if(self, e: If) -> Type:
         """Synthesize both branches, each under its side of the guard, and
         join them: each side's result and location context flow into the
         joined ones under that side's guard.  In the shape pass the join
         takes the shapes only."""
-        cond_t = state.open_existential(self.synth(state, e.cond))
+        cond_t = self.open_existential(self.synth(e.cond))
         if isinstance(cond_t, _Hole):
             cond_t = Indexed(BoolBase(), BoolConst(True))
         if not (isinstance(cond_t, Indexed) and isinstance(cond_t.base, BoolBase)):
@@ -578,46 +546,46 @@ class Checker:
                 f"if condition must be boolean, got {print_type(cond_t)}", e.span
             )
         guard = cond_t.idx
-        snap = state.snapshot()
+        snap = self.snapshot()
 
-        state.assume(guard)
-        t1 = self.synth(state, e.then)
-        locs1 = state.locs
+        self.assume(guard)
+        t1 = self.synth(e.then)
+        locs1 = self.locs
 
-        state.restore(snap)
-        state.assume(Not(guard))
-        t2 = self.synth(state, e.els)
-        locs2 = state.locs
+        self.restore(snap)
+        self.assume(Not(guard))
+        t2 = self.synth(e.els)
+        locs2 = self.locs
 
-        state.restore(snap)
+        self.restore(snap)
         prov = Provenance("if-join", e.span)
 
-        if state.shape_mode:
-            state.locs = _shape_join_locs(locs1, locs2)
+        if self.shape_mode:
+            self.locs = _shape_join_locs(locs1, locs2)
             return _shape_join(t1, t2)
 
         joined_t, emitted = join_types(
-            state.ctx, state.kvars, state.names, t1, t2, guard, prov
+            self.ctx, self.kvars, self.names, t1, t2, guard, prov
         )
         joined_locs, loc_emitted = join_locctx(
-            state.ctx, state.kvars, state.names, locs1, locs2, guard, prov
+            self.ctx, self.kvars, self.names, locs1, locs2, guard, prov
         )
         for c in emitted + loc_emitted:
-            state.emit(c)
-        state.locs = joined_locs
+            self.emit(c)
+        self.locs = joined_locs
         return joined_t
 
     # -- calls -------------------------------------------------------------------
 
-    def synth_call(self, state: CheckState, e: Call) -> Type:
+    def synth_call(self, e: Call) -> Type:
         # a vec builtin has no type of its own: its signature at a call
         # depends on the call's arguments
         builtin = e.callee.value if isinstance(e.callee, Val) else None
         is_vec = isinstance(builtin, (VecNew, VecPush, VecIndexMut))
-        callee_t = None if is_vec else self.synth(state, e.callee)
+        callee_t = None if is_vec else self.synth(e.callee)
 
         if isinstance(callee_t, _ProbeSig):
-            return self._record_probe(state, callee_t, e)
+            return self._record_probe(callee_t, e)
         if isinstance(callee_t, _Hole):
             return callee_t
 
@@ -625,11 +593,11 @@ class Checker:
             if not is_aval(arg):
                 raise CheckError("call arguments must be variables or values", e.span)
             if isinstance(arg, VarRef):
-                state.unpack_on_the_fly(arg.name)
-        actual_types = [self.synth(state, a) for a in e.args]
+                self.unpack_on_the_fly(arg.name)
+        actual_types = [self.synth(a) for a in e.args]
 
         if is_vec:
-            sig = self._vec_sig(state, builtin, e, actual_types)
+            sig = self._vec_sig(builtin, e, actual_types)
         elif isinstance(callee_t, FnSig):
             sig = callee_t
         else:
@@ -653,11 +621,11 @@ class Checker:
                 )
             refargs = list(e.ref_args)
         else:
-            refargs = infer_refargs(state, sig, actual_types, e.span)
+            refargs = self.infer_refargs(sig, actual_types, e.span)
 
         for arg_expr, (pname, psort) in zip(refargs, sig.refparams):
             try:
-                got = sortcheck(state.ctx, arg_expr)
+                got = sortcheck(self.ctx, arg_expr)
             except SortError as exc:
                 raise CheckError(
                     f"refinement argument for '{pname}': {exc}", e.span
@@ -681,44 +649,44 @@ class Checker:
 
         # consume the callee's input locations, framing the rest
         in_locs = theta(sig.in_locs)
-        if not state.shape_mode:
+        if not self.shape_mode:
             for loc, want in in_locs:
-                state.open_loc(loc)
-                have = state.locs.lookup(loc)
+                self.open_loc(loc)
+                have = self.locs.lookup(loc)
                 if have is None:
                     raise StructuralError(
                         f"call requires location {print_loc(loc)} which is not owned",
                         e.span,
                     )
-                state.require(have, want, prov)
-                state.locs = state.locs.remove(loc)
+                self.require(have, want, prov)
+                self.locs = self.locs.remove(loc)
         else:
             for loc, _ in in_locs:
-                if state.locs.lookup(loc) is not None:
-                    state.locs = state.locs.remove(loc)
+                if self.locs.lookup(loc) is not None:
+                    self.locs = self.locs.remove(loc)
 
         for actual, formal in zip(actual_types, sig.args):
-            state.require(actual, theta(formal), prov)
+            self.require(actual, theta(formal), prov)
 
         requires = theta(sig.requires)
-        state.emit(Head(requires, Provenance("requires", e.span)))
+        self.emit(Head(requires, Provenance("requires", e.span)))
 
         # fold each index the call builds, so that a chain of calls rooted
         # at a constant keeps a constant index instead of a growing sum
         out_locs = theta(sig.out_locs)
-        items = list(state.locs.items)
+        items = list(self.locs.items)
         for loc, t in out_locs:
             items.append((loc, _fold_index(t)))
-        state.locs = LocCtx(tuple(items))
+        self.locs = LocCtx(tuple(items))
         return _fold_index(theta(sig.ret))
 
-    def _record_probe(self, state: CheckState, probe: _ProbeSig, e: Call) -> Type:
+    def _record_probe(self, probe: _ProbeSig, e: Call) -> Type:
         if len(e.args) != probe.arity:
             raise ArityMismatch("recursive call arity mismatch", e.span)
         restricted = LocCtx(
             tuple(
                 (loc, t)
-                for loc, t in state.locs
+                for loc, t in self.locs
                 if loc in probe.domain
             )
         )
@@ -727,7 +695,6 @@ class Checker:
 
     def _vec_sig(
         self,
-        state: CheckState,
         builtin: Value,
         e: Call,
         actual_types: Sequence[Type],
@@ -739,7 +706,7 @@ class Checker:
                     "pass a type argument (e.g. call vec_new<int>())",
                     e.span,
                 )
-            return state.fresh_template(expected)
+            return self.fresh_template(expected)
 
         explicit: Optional[BaseType] = None
         if e.type_args:
@@ -752,11 +719,11 @@ class Checker:
         if isinstance(builtin, VecPush):
             expected = explicit
             if expected is None and actual_types:
-                expected = self._peek_vec_elem_base(state, actual_types[0])
+                expected = self._peek_vec_elem_base(actual_types[0])
             elem = elem_template(expected)
             # parameter names must not capture variables mentioned by the
             # element template, which refers to the enclosing scope
-            np, lp = state.names.fresh("n"), state.names.fresh("l")
+            np, lp = self.names.fresh("n"), self.names.fresh("l")
             n, l = Var(np), AbstractLoc(lp)
             return FnSig(
                 refparams=((np, Sort.INT), (lp, Sort.LOC)),
@@ -774,7 +741,7 @@ class Checker:
             if isinstance(t0, Ref):
                 expected = self._peek_elem_base(t0.pointee)
         elem = elem_template(expected)
-        ap, bp = state.names.fresh("a"), state.names.fresh("b")
+        ap, bp = self.names.fresh("a"), self.names.fresh("b")
         a, b = Var(ap), Var(bp)
         return FnSig(
             refparams=((ap, Sort.INT), (bp, Sort.INT)),
@@ -787,12 +754,10 @@ class Checker:
             out_locs=LocCtx(),
         )
 
-    def _peek_vec_elem_base(
-        self, state: CheckState, t: Type
-    ) -> Optional[BaseType]:
+    def _peek_vec_elem_base(self, t: Type) -> Optional[BaseType]:
         if isinstance(t, StrongPtr):
-            state.open_loc(t.loc)
-            entry = state.locs.lookup(t.loc)
+            self.open_loc(t.loc)
+            entry = self.locs.lookup(t.loc)
             if entry is not None:
                 return self._peek_elem_base(entry)
         return None
@@ -806,45 +771,43 @@ class Checker:
 
     # -- unannotated inner rec: two-pass inference ------------------------------
 
-    def infer_inner_rec(
-        self, state: CheckState, fn: RecFn, span: Optional[Span]
-    ) -> Type:
+    def infer_inner_rec(self, fn: RecFn, span: Optional[Span]) -> Type:
         if fn.refparams:
             raise CheckError(
                 f"inner rec '{fn.fname}' declares refinement parameters but "
                 "no signature",
                 span,
             )
-        entry_locs = state.locs
+        entry_locs = self.locs
         probe = _ProbeSig(entry_locs.domain(), len(fn.params), [])
 
-        snap = state.snapshot()
-        was_shape = state.shape_mode
-        state.shape_mode = True
+        snap = self.snapshot()
+        was_shape = self.shape_mode
+        self.shape_mode = True
         params = [Uninit(1)] * len(fn.params)
-        state.vals = _bind_rec(state.vals, fn, params, probe, span)
+        self.vals = _bind_rec(self.vals, fn, params, probe, span)
         ret_shape: Optional[Type]
         try:
-            ret_shape = self.synth(state, fn.body)
+            ret_shape = self.synth(fn.body)
         finally:
-            state.shape_mode = was_shape
-            state.restore(snap)
+            self.shape_mode = was_shape
+            self.restore(snap)
         if isinstance(ret_shape, (_Hole, _ProbeSig)):
             ret_shape = None
 
         sig = infer_rec_signature(
-            state.ctx,
-            state.kvars,
-            state.names,
+            self.ctx,
+            self.kvars,
+            self.names,
             entry_locs,
             probe.sites,
             len(fn.params),
             ret_shape,
         )
-        self._check_recfn(state, fn, sig, span)
+        self._check_recfn(fn, sig, span)
         # inside an enclosing shape pass, a result not found yet is the
         # enclosing loop's recursive call, and types as it does
-        if state.shape_mode and ret_shape is None:
+        if self.shape_mode and ret_shape is None:
             return _Hole()
         return sig
 
@@ -852,22 +815,22 @@ class Checker:
     # -- assignment ----------------------------------------------------------------
 
     def synth_assign(
-        self, state: CheckState, place: Place, rhs: Expr, span: Optional[Span]
+        self, place: Place, rhs: Expr, span: Optional[Span]
     ) -> Type:
-        rhs_t = self.synth(state, rhs)
-        pt = self.place_type(state, place, span)
+        rhs_t = self.synth(rhs)
+        pt = self.place_type(place, span)
         match pt:
             case StrongPtr(loc):
-                if state.locs.lookup(loc) is None:
+                if self.locs.lookup(loc) is None:
                     raise StructuralError(
                         f"assignment to unowned location {print_loc(loc)}", span
                     )
                 if isinstance(rhs_t, _Hole):
                     rhs_t = Uninit(1)
-                state.locs = state.locs.update(loc, rhs_t)
+                self.locs = self.locs.update(loc, rhs_t)
                 return Uninit(1)
             case Ref("mut", pointee):
-                state.require(rhs_t, pointee, Provenance("assign", span))
+                self.require(rhs_t, pointee, Provenance("assign", span))
                 return Uninit(1)
             case _Hole():
                 return pt
@@ -882,23 +845,21 @@ class Checker:
 
     # -- borrows and dereference ------------------------------------------------
 
-    def synth_borrow_mut(
-        self, state: CheckState, place: Place, span: Optional[Span]
-    ) -> Type:
-        pt = self.place_type(state, place, span)
+    def synth_borrow_mut(self, place: Place, span: Optional[Span]) -> Type:
+        pt = self.place_type(place, span)
         match pt:
             case StrongPtr(loc):
-                cur = state.locs.lookup(loc)
+                cur = self.locs.lookup(loc)
                 if cur is None:
                     raise StructuralError(
                         f"borrow of unowned location {print_loc(loc)}", span
                     )
                 base = base_of(cur)
-                if base is None or state.shape_mode:
+                if base is None or self.shape_mode:
                     return Ref("mut", cur)
-                weakened = state.fresh_template(base)
-                state.require(cur, weakened, Provenance("borrow-mut", span))
-                state.locs = state.locs.update(loc, weakened)
+                weakened = self.fresh_template(base)
+                self.require(cur, weakened, Provenance("borrow-mut", span))
+                self.locs = self.locs.update(loc, weakened)
                 return Ref("mut", weakened)
             case Ref("mut", _) | _Hole():
                 return pt
@@ -909,17 +870,15 @@ class Checker:
                     span,
                 )
 
-    def synth_deref(
-        self, state: CheckState, place: Place, span: Optional[Span]
-    ) -> Type:
-        pt = self.place_type(state, place, span)
+    def synth_deref(self, place: Place, span: Optional[Span]) -> Type:
+        pt = self.place_type(place, span)
         match pt:
             case Ref(_, pointee):
                 return pointee
             case _Hole():
                 return pt
             case StrongPtr(loc):
-                t = state.locs.lookup(loc)
+                t = self.locs.lookup(loc)
                 if t is None:
                     raise StructuralError(
                         f"dereference of unowned location {print_loc(loc)}", span
@@ -935,10 +894,8 @@ class Checker:
                     f"cannot dereference {print_type(pt)}", span
                 )
 
-    def place_type(
-        self, state: CheckState, place: PVar, span: Optional[Span]
-    ) -> Type:
-        t = state.vals.lookup(place.name)
+    def place_type(self, place: PVar, span: Optional[Span]) -> Type:
+        t = self.vals.lookup(place.name)
         if t is None:
             raise UnboundVariable(f"unbound variable '{place.name}'", span)
         return t
@@ -1031,20 +988,20 @@ def check_program(
         return Report([unit])
 
     kvars = KVarSupply()
-    checker = Checker(globals_ctx, kvars, debug_wf)
 
     def run_unit(name: str, check, node) -> UnitReport:
         unit = UnitReport(name, Conj(()), [], "verified")
+        checker = Checker(globals_ctx, kvars, debug_wf)
         try:
-            result_type, state = check(node)
+            result_type = check(checker, node)
         except (CheckError, SortError, WfError) as exc:
             rule = type(exc).__name__
             span = exc.span if isinstance(exc, CheckError) else None
             unit.status = "error"
             unit.diagnostics.append(Diagnostic(rule, str(exc), span))
             return unit
-        unit.final_ctx = state.ctx
-        unit.constraint = Conj(tuple(state.emitted))
+        unit.final_ctx = checker.ctx
+        unit.constraint = Conj(tuple(checker.emitted))
         unit.clauses = constraint_clauses(unit.constraint)
         unit.result_type = result_type
         if run_solver:
@@ -1070,8 +1027,8 @@ def check_program(
         return unit
 
     for decl in program.decls:
-        units.append(run_unit(decl.name, checker.check_fn, decl))
+        units.append(run_unit(decl.name, Checker.check_fn, decl))
     if program.entry is not None:
-        units.append(run_unit("entry", checker.check_entry, program.entry))
+        units.append(run_unit("entry", Checker.check_entry, program.entry))
 
     return Report(units)

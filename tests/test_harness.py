@@ -131,11 +131,11 @@ def test_soundness_bug_fixture(monkeypatch, oracle):
 
     original = typeck.Checker.synth_deref
 
-    def unsound(self, state, place, span):
+    def unsound(self, place, span):
         from lrcheck.syntax import BoolBase, BoolConst, Indexed
 
         try:
-            return original(self, state, place, span)
+            return original(self, place, span)
         except DerefUninit:
             return Indexed(BoolBase(), BoolConst(True))
 

@@ -7,7 +7,9 @@ the module (or in its `__all__`, which is how `lrcheck/__init__.py`
 re-exports).  `from __future__` imports are exempt.  A module-level
 function or class of `src/lrcheck` must be read somewhere in
 `src/lrcheck` outside its own body, as a loaded `Name` or an attribute,
-or be listed in an `__all__`: code that only tests reach is dead.  A
+or be listed in an `__all__`: code that only tests reach is dead.  So
+must a method of a class of `src/lrcheck`, other than a dunder, unless
+`perfbench/layers.py` wraps it by name.  A
 parameter of a function of `src/lrcheck` must be read in that function's
 body, unless it is `self` or `cls`, its name starts with `_`, or the body
 only raises `NotImplementedError`.
@@ -76,6 +78,45 @@ def unread_definitions(sources):
     ]
 
 
+def unread_methods(sources, wrapped=()):
+    """The methods of the classes of `sources` (path -> text), dunders
+    aside, that no code of them reads outside the method's own body and
+    whose names are not in `wrapped`, as (path, class.method, line)."""
+    fns = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods, units = [], []
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                units.append(node)
+                continue
+            for stmt in node.body:
+                units.append(stmt)
+                if isinstance(stmt, fns) and not stmt.name.startswith("__"):
+                    methods.append((path, node.name, stmt))
+    reads = [(unit, _reads(unit, attributes=True)) for unit in units]
+    return [
+        (path, f"{cls}.{fn.name}", fn.lineno)
+        for path, cls, fn in methods
+        if fn.name not in wrapped
+        and not any(fn.name in read for unit, read in reads if unit is not fn)
+    ]
+
+
+def _wrapped_names():
+    """The attribute names in the table of `perfbench/layers.py`'s tracer:
+    the names it wraps on lrcheck's modules and classes."""
+    with open(os.path.join(ROOT, "perfbench", "layers.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    tables = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "table" for t in node.targets)
+    ]
+    assert len(tables) == 1
+    return {row.elts[1].value for row in tables[0].elts}
+
+
 def _is_stub(fn) -> bool:
     """Whether the body of `fn`, after its docstring, only raises
     `NotImplementedError`."""
@@ -127,14 +168,41 @@ def test_scan_flags_an_unread_import_and_spares_reads_and_reexports():
     assert unused_imports(source) == [("ch", 2), ("a", 3)]
 
 
-def test_every_package_definition_is_read_in_the_package():
+def _package_sources():
     sources = {}
     for path in FILES:
         if path.startswith(os.path.join("src", "lrcheck")):
             with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
                 sources[path] = handle.read()
     assert sources
-    assert unread_definitions(sources) == []
+    return sources
+
+
+def test_every_package_definition_is_read_in_the_package():
+    assert unread_definitions(_package_sources()) == []
+
+
+def test_every_package_method_is_read_in_the_package():
+    assert unread_methods(_package_sources(), _wrapped_names()) == []
+
+
+def test_scan_flags_an_unread_method_and_spares_reads_dunders_and_wrapped():
+    sources = {
+        "a.py": (
+            "class C:\n"
+            "    def __init__(self): self.used()\n"
+            "    def used(self): pass\n"
+            "    def dead(self): pass\n"
+            "    def loop(self): return self.loop()\n"
+            "    def traced(self): pass\n"
+            "    @property\n"
+            "    def shown(self): return 1\n"
+        ),
+        "b.py": "def f(c): return c.shown\n",
+    }
+    assert unread_methods(sources, {"traced"}) == [
+        ("a.py", "C.dead", 4), ("a.py", "C.loop", 5)
+    ]
 
 
 def test_scan_flags_an_unread_definition_and_spares_reads_and_exports():

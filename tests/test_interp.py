@@ -9,7 +9,8 @@ import random
 import pytest
 
 from lrcheck.builtins import BUILTIN_SIGS, BUILTIN_VALUES
-from lrcheck.harness import generate_program
+from lrcheck.cli import main
+from lrcheck.harness import generate_program, run_and_verify
 from lrcheck.interp import (
     AliasError,
     MachineState,
@@ -25,7 +26,8 @@ from lrcheck.interp import (
 )
 from lrcheck.oracle import eval_closed
 from lrcheck.parser import parse_expr, parse_program
-from lrcheck.syntax import BoolLit, IntLit, Poison, TaggedPtr, VecVal
+from lrcheck.syntax import BoolLit, IntLit, Poison, Program, TaggedPtr, VecVal
+from lrcheck.typeck import check_program
 
 DECR = open("corpus/accept/decr.lr").read()
 
@@ -525,3 +527,76 @@ def test_builtin_signature_and_run_time_value_agree_with_the_reference(name):
             got = {"run": outcome.value.value, "index": eval_closed(index, {"a1": a, "a2": b})}
             for where, value in got.items():
                 assert (type(value), value) == (type(want), want), (where, a, b)
+
+
+# -- declaration scope --------------------------------------------------------
+
+# a top-level function sees every declaration and itself, as the checker
+# binds them: each program checks, and ran stuck before that
+SCOPE_PROGRAMS = {
+    "calls_a_later_declaration": (
+        "fn f {}( int[0] ) -> int[0] := rec f (x) := call g(x)\n"
+        "fn g {}( int[0] ) -> int[0] := rec g (x) := x\n"
+        "entry call f(0)\n",
+        "done: 0 after 2 step(s)",
+    ),
+    "calls_itself_by_its_declared_name": (
+        "fn f {n: int | n >= 0}( int[n] ) -> int[0] :=\n"
+        "  rec g (x) :=\n"
+        "    if call gt(x, 0) { let y = call sub(x, 1) in call f(y) } else { 0 }\n"
+        "entry call f(3)\n",
+        "done: 0 after 18 step(s)",
+    ),
+    "mutually_recursive": (
+        "fn even {n: int | n >= 0}( int[n] ) -> bool[true] :=\n"
+        "  rec even (x) :=\n"
+        "    if call gt(x, 0) { let y = call sub(x, 1) in call odd(y) } else { true }\n"
+        "fn odd {n: int | n >= 0}( int[n] ) -> bool[true] :=\n"
+        "  rec odd (x) :=\n"
+        "    if call gt(x, 0) { let y = call sub(x, 1) in call even(y) } else { true }\n"
+        "entry call even(4)\n",
+        "done: true after 23 step(s)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCOPE_PROGRAMS))
+def test_a_declaration_sees_every_declaration_and_itself(name, tmp_path):
+    source, want = SCOPE_PROGRAMS[name]
+    path = tmp_path / f"{name}.lr"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 0
+    program = parse_program(source)
+    assert run(program).render() == want
+    verdict = run_and_verify(program)
+    assert verdict.passed, (verdict.kind, verdict.detail)
+
+
+def test_the_entry_binds_nothing_a_declaration_sees():
+    """An entry's `let` does not reach the body of a declaration it calls:
+    the free `y` of `f` stays free (the program does not check)."""
+    program = parse_program(
+        "fn f {}( int[0] ) -> int[0] := rec f (x) := y\n"
+        "entry let y = 1 in call f(0)\n"
+    )
+    assert run(program).render() == "stuck: free variable 'y' at runtime after 2 step(s)"
+
+
+def test_the_order_of_declarations_changes_no_verdict_and_no_run():
+    """Every corpus program with two or more declarations and an entry,
+    with its declarations reversed, gets the same verdicts and runs to the
+    same end."""
+    reversed_runs = {}
+    for path in sorted(glob.glob("corpus/*/*.lr")):
+        program = parse_program(open(path).read())
+        if len(program.decls) < 2 or program.entry is None:
+            continue
+        flipped = Program(tuple(reversed(program.decls)), program.entry)
+        verdicts = [
+            sorted((u.name, u.status) for u in check_program(p).units)
+            for p in (program, flipped)
+        ]
+        assert verdicts[0] == verdicts[1], path
+        reversed_runs[path] = run(flipped).render()
+        assert reversed_runs[path] == run(program).render(), path
+    assert reversed_runs["corpus/accept/ref_join_driver.lr"] == "done: 0 after 19 step(s)"

@@ -251,7 +251,7 @@ def test_subst_parallel_is_simultaneous():
 
 
 def test_refctx_branches_that_bind_at_one_position_keep_their_own_names():
-    """What `CheckState.restore` does: extend a snapshot, go back to it and
+    """What `Checker.restore` does: extend a snapshot, go back to it and
     extend it again at the same position with another name."""
     snap = RefCtx().bind("a", Sort.INT).assume(parse_refexpr("a >= 0"))
     then = snap.bind("t", Sort.BOOL).assume(parse_refexpr("t"))

@@ -44,7 +44,12 @@ def constraint_valid(c, oracle, extra_binders=(), extra_hyps=()) -> bool:
 
 
 def test_decr_assignment_query(oracle):
-    c = subtype(parse_type("int[a - 1]"), parse_type("{b. int[b] | b >= 0}"), PROV)
+    c = subtype(
+        parse_type("int[a - 1]"),
+        parse_type("{b. int[b] | b >= 0}"),
+        PROV,
+        NameSupply(),
+    )
     cls = clauses(normalize(c))
     assert len(cls) == 1
     assert cls[0].head == R("a - 1 >= 0")
@@ -59,27 +64,33 @@ def test_decr_assignment_query(oracle):
 
 def test_ptr_mismatch_is_structural():
     with pytest.raises(StructuralError):
-        subtype(parse_type("ptr(l1)"), parse_type("ptr(l2)"), PROV)
+        subtype(parse_type("ptr(l1)"), parse_type("ptr(l2)"), PROV, NameSupply())
 
 
 def test_uninit_sizes_must_match():
-    subtype(Uninit(2), Uninit(2), PROV)
+    subtype(Uninit(2), Uninit(2), PROV, NameSupply())
     with pytest.raises(StructuralError):
-        subtype(Uninit(1), Uninit(2), PROV)
+        subtype(Uninit(1), Uninit(2), PROV, NameSupply())
 
 
 def test_head_constructor_mismatch():
     with pytest.raises(StructuralError):
-        subtype(parse_type("int[0]"), parse_type("&mut int[0]"), PROV)
+        subtype(parse_type("int[0]"), parse_type("&mut int[0]"), PROV, NameSupply())
 
 
 def test_shared_refs_covariant_mut_invariant(oracle):
     shr = subtype(
-        parse_type("&shr int[1]"), parse_type("&shr {v. int[v] | v >= 0}"), PROV
+        parse_type("&shr int[1]"),
+        parse_type("&shr {v. int[v] | v >= 0}"),
+        PROV,
+        NameSupply(),
     )
     assert constraint_valid(shr, oracle)
     mut = subtype(
-        parse_type("&mut int[1]"), parse_type("&mut {v. int[v] | v >= 0}"), PROV
+        parse_type("&mut int[1]"),
+        parse_type("&mut {v. int[v] | v >= 0}"),
+        PROV,
+        NameSupply(),
     )
     # the reverse inclusion {v >= 0} <= int[1] is not valid
     assert not constraint_valid(mut, oracle)
@@ -88,15 +99,16 @@ def test_shared_refs_covariant_mut_invariant(oracle):
 def test_fnsig_contravariance(oracle):
     stronger = parse_type("fn {a: int | a > 0}( int[a] ) -> {v. int[v] | v > 0}")
     weaker = parse_type("fn {a: int | a > 1}( int[a] ) -> {v. int[v] | v >= 0}")
-    ok = subtype(stronger, weaker, PROV)
+    ok = subtype(stronger, weaker, PROV, NameSupply())
     assert constraint_valid(ok, oracle)
     with pytest.raises(StructuralError):
         subtype(
             stronger,
             parse_type("fn {a: bool}( int[0] ) -> int[0]"),
             PROV,
+            NameSupply(),
         )
-    bad = subtype(weaker, stronger, PROV)
+    bad = subtype(weaker, stronger, PROV, NameSupply())
     assert not constraint_valid(bad, oracle)
 
 
@@ -180,7 +192,7 @@ def test_ctx_include_weaken(oracle):
         )
     )
     l2 = LocCtx(((AbstractLoc("l"), parse_type("int[1]")),))
-    c = ctx_include(l1, l2, PROV)
+    c = ctx_include(l1, l2, PROV, NameSupply())
     assert constraint_valid(c, oracle)
 
 
@@ -193,7 +205,7 @@ def test_ctx_include_missing_location():
         )
     )
     with pytest.raises(StructuralError):
-        ctx_include(l1, l2, PROV)
+        ctx_include(l1, l2, PROV, NameSupply())
 
 
 def test_ctx_include_permutation(oracle):
@@ -219,7 +231,7 @@ def test_ctx_include_nat_weakening(oracle):
     # which normalization prunes as trivially true
     l1 = LocCtx(((AbstractLoc("l"), parse_type("int[1]")),))
     l2 = LocCtx(((AbstractLoc("l"), parse_type("{b. int[b] | b >= 0}")),))
-    c = ctx_include(l1, l2, PROV)
+    c = ctx_include(l1, l2, PROV, NameSupply())
     assert _raw_heads(c) == [R("1 >= 0")]
     assert clauses(normalize(c)) == []
     assert constraint_valid(c, oracle)

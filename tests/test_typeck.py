@@ -18,7 +18,7 @@ from lrcheck.errors import (
 )
 from lrcheck.harness import generate_program, run_and_verify
 from lrcheck.infer import KVarSupply
-from lrcheck.logic import RefCtx, fold_constants, interp
+from lrcheck.logic import fold_constants, interp
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_expr, parse_program, parse_refexpr, parse_type
 from lrcheck.printer import print_refexpr
@@ -39,7 +39,7 @@ from lrcheck.syntax import (
     Var,
     subterms,
 )
-from lrcheck.typeck import CheckState, Checker, build_globals, check_program
+from lrcheck.typeck import Checker, build_globals, check_program
 
 R = parse_refexpr
 
@@ -56,14 +56,9 @@ def fresh_checker(program_src="") -> Checker:
     return Checker(build_globals(program), KVarSupply())
 
 
-def fresh_state(checker, **kw) -> CheckState:
-    return CheckState(
-        kw.get("ctx", RefCtx()),
-        kw.get("vals", checker.globals),
-        kw.get("locs", LocCtx()),
-        checker.kvars,
-        kw.get("debug_wf", False),
-    )
+def fresh_state(checker) -> Checker:
+    """A checker for a fresh unit over the globals and kvars of `checker`."""
+    return Checker(checker.vals, checker.kvars)
 
 
 # -- whole-program checks ------------------------------------------------------
@@ -112,18 +107,20 @@ def test_checking_continues_across_functions(oracle):
 
 def _emitted_parts(program):
     """The obligations the checker emits for every unit of `program`, as
-    their states hold them; a unit that fails structurally contributes
-    none."""
-    checker = Checker(build_globals(program), KVarSupply())
-    units = [(checker.check_fn, d) for d in program.decls]
+    each unit's checker holds them; a unit that fails structurally
+    contributes none."""
+    globals_ctx, kvars = build_globals(program), KVarSupply()
+    units = [(Checker.check_fn, d) for d in program.decls]
     if program.entry is not None:
-        units.append((checker.check_entry, program.entry))
+        units.append((Checker.check_entry, program.entry))
     parts = []
     for check, node in units:
+        checker = Checker(globals_ctx, kvars)
         try:
-            parts.extend(check(node)[1].emitted)
+            check(checker, node)
         except CheckError:
-            pass
+            continue
+        parts.extend(checker.emitted)
     return parts
 
 
@@ -181,7 +178,7 @@ def test_synth_true_is_singleton_and_pure():
     checker = fresh_checker()
     state = fresh_state(checker)
     before = state.locs
-    t = checker.synth(state, parse_expr("true"))
+    t = state.synth(parse_expr("true"))
     assert t == Indexed(BoolBase(), BoolConst(True))
     assert state.locs == before
 
@@ -189,9 +186,7 @@ def test_synth_true_is_singleton_and_pure():
 def test_synth_arith_chain_folds_to_six():
     checker = fresh_checker()
     state = fresh_state(checker)
-    t = checker.synth(
-        state, parse_expr("let t = call add(1, 2) in call add(t, 3)")
-    )
+    t = state.synth(parse_expr("let t = call add(1, 2) in call add(t, 3)"))
     assert isinstance(t, Indexed)
     assert fold_constants(t.idx) == IntConst(6)
 
@@ -203,7 +198,7 @@ def test_value_typing_is_context_pure():
     state.locs = LocCtx(((AbstractLoc("l"), Uninit(1)),))
     before = state.locs
     for text in ["true", "false", "3", "-2", "poison"]:
-        checker.synth(state, parse_expr(text))
+        state.synth(parse_expr(text))
         assert state.locs == before
 
 
@@ -214,15 +209,13 @@ def test_letnew_escape_through_result():
     checker = fresh_checker()
     state = fresh_state(checker)
     with pytest.raises(EscapeError):
-        checker.synth(state, parse_expr("let x = new(l) in &strg x"))
+        state.synth(parse_expr("let x = new(l) in &strg x"))
 
 
 def test_letnew_ok_when_local():
     checker = fresh_checker()
     state = fresh_state(checker)
-    t = checker.synth(
-        state, parse_expr("let x = new(l) in let t = x := 1 in *x")
-    )
+    t = state.synth(parse_expr("let x = new(l) in let t = x := 1 in *x"))
     assert t == parse_type("int[1]")
     assert state.locs == LocCtx()
 
@@ -272,7 +265,7 @@ def test_explicit_unpack_binds_program_name():
     checker = fresh_checker()
     state = fresh_state(checker)
     state.vals = state.vals.bind("y", parse_type("{b. int[b] | b >= 0}"))
-    t = checker.synth(state, parse_expr("unpack (y, ay) in y"))
+    t = state.synth(parse_expr("unpack (y, ay) in y"))
     assert t == parse_type("int[ay]")
     assert state.ctx.sort_of("ay") == Sort.INT
     assert R("ay >= 0") in state.ctx.assumptions()
@@ -285,7 +278,7 @@ def test_explicit_unpack_after_auto_unpack_aliases():
     state = fresh_state(checker)
     state.vals = state.vals.bind("y", parse_type("{b. int[b] | b >= 0}"))
     state.unpack_on_the_fly("y")
-    t = checker.synth(state, parse_expr("unpack (y, ay) in y"))
+    t = state.synth(parse_expr("unpack (y, ay) in y"))
     assert t == parse_type("int[ay]")
     assert [b.name for b in state.ctx.binds()] == ["b%0", "ay"]
     assert [print_refexpr(h) for h in state.ctx.assumptions()] == [
@@ -328,30 +321,22 @@ def test_unpack_after_a_call_aliases_the_opened_index(oracle):
 
 
 def test_infer_refargs_greater_example():
-    from lrcheck.typeck import infer_refargs
-
     checker = fresh_checker()
     state = fresh_state(checker)
     state.ctx = state.ctx.bind("ay", Sort.INT)
-    sig = checker.globals.lookup("gt")
-    out = infer_refargs(
-        state, sig, [parse_type("int[ay]"), parse_type("int[0]")], None
-    )
+    sig = checker.vals.lookup("gt")
+    out = state.infer_refargs(sig, [parse_type("int[ay]"), parse_type("int[0]")], None)
     assert out == [Var("ay"), IntConst(0)]
 
 
 def test_infer_refargs_zero_params():
-    from lrcheck.typeck import infer_refargs
-
     checker = fresh_checker(DECR)
     state = fresh_state(checker)
-    sig = checker.globals.lookup("decr")
-    assert infer_refargs(state, sig, [parse_type("&mut {v. int[v] | v >= 0}")], None) == []
+    sig = checker.vals.lookup("decr")
+    assert state.infer_refargs(sig, [parse_type("&mut {v. int[v] | v >= 0}")], None) == []
 
 
 def test_infer_refargs_undetermined_parameter():
-    from lrcheck.typeck import infer_refargs
-
     # parameter occurring only under a vector element type
     src = (
         "fn weird {a: int}( Vec<{v. int[v] | v = a}>[1] ) -> uninit(1) := "
@@ -359,10 +344,10 @@ def test_infer_refargs_undetermined_parameter():
     )
     checker = fresh_checker(src)
     state = fresh_state(checker)
-    sig = checker.globals.lookup("weird")
+    sig = checker.vals.lookup("weird")
     with pytest.raises(InstError):
-        infer_refargs(
-            state, sig, [parse_type("Vec<{v. int[v] | v = 1}>[1]")], None
+        state.infer_refargs(
+            sig, [parse_type("Vec<{v. int[v] | v = 1}>[1]")], None
         )
 
 
@@ -380,7 +365,7 @@ def _state_with_cell(checker, cell_type):
 def test_assign_strong_update():
     checker = fresh_checker()
     state = _state_with_cell(checker, Uninit(1))
-    t = checker.synth(state, parse_expr("x := 1"))
+    t = state.synth(parse_expr("x := 1"))
     assert t == Uninit(1)
     assert state.locs.lookup(AbstractLoc("l")) == parse_type("int[1]")
 
@@ -393,7 +378,7 @@ def test_assign_weak_update_emits_obligation(oracle):
     )
     state.vals = state.vals.bind("r", parse_type("&mut {v. int[v] | v >= 0}"))
     state.vals = state.vals.bind("y", parse_type("int[ay]"))
-    checker.synth(state, parse_expr("r := call sub {ay, 1} (y, 1)"))
+    state.synth(parse_expr("r := call sub {ay, 1} (y, 1)"))
     cls = clauses(normalize(Conj(tuple(state.emitted))))
     heads = [c.head for c in cls]
     assert R("ay - 1 >= 0") in heads
@@ -404,7 +389,7 @@ def test_assign_through_shared_rejected():
     state = fresh_state(checker)
     state.vals = state.vals.bind("s", parse_type("&shr int[1]"))
     with pytest.raises(AssignThroughShared):
-        checker.synth(state, parse_expr("s := 2"))
+        state.synth(parse_expr("s := 2"))
 
 
 # -- borrows -----------------------------------------------------------------------
@@ -413,7 +398,7 @@ def test_assign_through_shared_rejected():
 def test_borrow_mut_weakens_with_template():
     checker = fresh_checker()
     state = _state_with_cell(checker, parse_type("int[1]"))
-    t = checker.synth(state, parse_expr("&mut x"))
+    t = state.synth(parse_expr("&mut x"))
     assert isinstance(t, Ref) and t.mode == "mut"
     pointee = t.pointee
     assert isinstance(pointee, Exists) and isinstance(pointee.pred, KApp)
@@ -423,7 +408,7 @@ def test_borrow_mut_weakens_with_template():
 def test_borrow_strong_is_identity():
     checker = fresh_checker()
     state = _state_with_cell(checker, parse_type("int[1]"))
-    t = checker.synth(state, parse_expr("&strg x"))
+    t = state.synth(parse_expr("&strg x"))
     assert t == StrongPtr(AbstractLoc("l"))
     assert state.locs.lookup(AbstractLoc("l")) == parse_type("int[1]")
 
@@ -432,7 +417,7 @@ def test_borrow_shr_of_mut():
     checker = fresh_checker()
     state = fresh_state(checker)
     state.vals = state.vals.bind("r", parse_type("&mut {v. int[v] | v >= 0}"))
-    t = checker.synth(state, parse_expr("&shr r"))
+    t = state.synth(parse_expr("&shr r"))
     assert t == parse_type("&shr {v. int[v] | v >= 0}")
 
 
@@ -440,7 +425,7 @@ def test_borrow_mut_of_mut_passthrough():
     checker = fresh_checker()
     state = fresh_state(checker)
     state.vals = state.vals.bind("r", parse_type("&mut int[2]"))
-    assert checker.synth(state, parse_expr("&mut r")) == parse_type("&mut int[2]")
+    assert state.synth(parse_expr("&mut r")) == parse_type("&mut int[2]")
 
 
 # -- dereference --------------------------------------------------------------------
@@ -450,7 +435,7 @@ def test_deref_mut_ref():
     checker = fresh_checker()
     state = fresh_state(checker)
     state.vals = state.vals.bind("x", parse_type("&mut {v. int[v] | v >= 0}"))
-    assert checker.synth(state, parse_expr("*x")) == parse_type(
+    assert state.synth(parse_expr("*x")) == parse_type(
         "{v. int[v] | v >= 0}"
     )
 
@@ -458,14 +443,14 @@ def test_deref_mut_ref():
 def test_deref_strong_reads_current_type():
     checker = fresh_checker()
     state = _state_with_cell(checker, parse_type("int[5]"))
-    assert checker.synth(state, parse_expr("*x")) == parse_type("int[5]")
+    assert state.synth(parse_expr("*x")) == parse_type("int[5]")
 
 
 def test_deref_uninit_rejected():
     checker = fresh_checker()
     state = _state_with_cell(checker, Uninit(1))
     with pytest.raises(DerefUninit):
-        checker.synth(state, parse_expr("*x"))
+        state.synth(parse_expr("*x"))
 
 
 def test_deref_non_pointer_rejected():
@@ -473,14 +458,14 @@ def test_deref_non_pointer_rejected():
     state = fresh_state(checker)
     state.vals = state.vals.bind("x", parse_type("int[1]"))
     with pytest.raises(DerefNonPointer):
-        checker.synth(state, parse_expr("*x"))
+        state.synth(parse_expr("*x"))
 
 
 def test_unbound_variable():
     checker = fresh_checker()
     state = fresh_state(checker)
     with pytest.raises(UnboundVariable):
-        checker.synth(state, parse_expr("nosuch"))
+        state.synth(parse_expr("nosuch"))
 
 
 # -- properties ----------------------------------------------------------------------
@@ -494,7 +479,7 @@ def test_framing_junk_locations(oracle):
     checker = fresh_checker(DECR)
 
     def check_with_frame(frame_items):
-        state = CheckState(RefCtx(), checker.globals, LocCtx(), checker.kvars)
+        state = fresh_state(checker)
         for name, sort in decl.sig.refparams:
             state.ctx = state.ctx.bind(name, sort)
         state.ctx = state.ctx.assume(decl.sig.requires)
@@ -502,7 +487,7 @@ def test_framing_junk_locations(oracle):
             state.ctx = state.ctx.bind(loc.name, Sort.LOC)
         state.vals = state.vals.bind("x", decl.sig.args[0])
         state.locs = LocCtx(tuple(frame_items))
-        t = checker.synth(state, decl.fn.body)
+        t = state.synth(decl.fn.body)
         return t, state.locs
 
     t_plain, locs_plain = check_with_frame([])
@@ -532,11 +517,11 @@ def test_framing_randomized(oracle):
         ]
 
         def synth_entry(frame):
-            state = CheckState(RefCtx(), checker.globals, LocCtx(), checker.kvars)
+            state = fresh_state(checker)
             for loc, _ in frame:
                 state.ctx = state.ctx.bind(loc.name, Sort.LOC)
             state.locs = LocCtx(tuple(frame))
-            t = checker.synth(state, program.entry)
+            t = state.synth(program.entry)
             return t, state.locs
 
         t_plain, _ = synth_entry([])
@@ -565,7 +550,7 @@ def test_value_refinement_conformance(oracle):
     for _ in range(200):
         state = fresh_state(checker)
         value_text = rng.choice(["true", "false", str(rng.randrange(-5, 9))])
-        t = checker.synth(state, parse_expr(value_text))
+        t = state.synth(parse_expr(value_text))
         e = parse_expr(value_text)
         iv = interp(e.value)
         assert iv is not None
@@ -595,7 +580,7 @@ def test_explicit_unpack_of_indexed_binding_aliases():
     state = fresh_state(checker)
     state.ctx = state.ctx.bind("a", Sort.INT)
     state.vals = state.vals.bind("y", parse_type("int[a]"))
-    t = checker.synth(state, parse_expr("unpack (y, ay) in y"))
+    t = state.synth(parse_expr("unpack (y, ay) in y"))
     assert t == parse_type("int[ay]")
     assert Eq(Var("ay"), Var("a")) in state.ctx.assumptions()
 

@@ -124,7 +124,7 @@ INT3, INT4 = parse_type("int[3]"), parse_type("int[4]")
 
 
 def test_valctx_branches_that_bind_at_one_position_keep_their_own_names():
-    """What `CheckState.restore` does: extend a snapshot, go back to it and
+    """What `Checker.restore` does: extend a snapshot, go back to it and
     extend it again at the same position with another name."""
     snap = ValCtx().bind("x", Uninit(1))
     then = snap.bind("y", INT3)
