@@ -1,15 +1,16 @@
 """Lexer and recursive-descent parser for the surface syntax.
 
-Whitespace-insensitive, `//` line comments.  Every expression node gets a
-source span.  Tagged pointers are runtime-only and have no surface
-syntax.
+Whitespace-insensitive, `//` line comments.  The lexer turns the source into
+a list of tokens, each an immutable `Token(kind, text, line, col)`, ended by
+one eof token; blanks, newlines and comments never become tokens.  Every
+expression node gets a source span.  Tagged pointers are runtime-only and
+have no surface syntax.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .syntax import (
     ATOM_LEVEL,
@@ -70,13 +71,18 @@ KEYWORDS = {
     "int", "bool", "loc", "ptr", "uninit", "Vec", "mut", "shr", "strg",
 }
 
-# one alternative per token class, tried in this order at each position;
-# punctuation longest first, and any other character is an error
+# One match per token.  Blanks and a `//` comment are skipped at the head of
+# the pattern, and a newline is matched alone so the lexer can count lines.
+# The group that matched is the token's class, tried in this order: newline,
+# integer, word starting with an ASCII letter or `_`, punctuation (longest
+# first), any other word, which must start with a letter, and any other
+# character, which is an error.  No group matches at the end of the input.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)"
-    r"|(?P<int>[0-9]+)|(?P<word>\w+)"
-    r"|(?P<punct>:=|->|&&|\|\||!=|<=|>=|[-{}()\[\]<>,.|=!+*&;:])|(?P<other>.)"
+    r"[ \t\r]*(?://[^\n]*)?"
+    r"(?:(\n)|([0-9]+)|([A-Za-z_]\w*)"
+    r"|(:=|->|&&|\|\||!=|<=|>=|[-{}()\[\]<>,.|=!+*&;:])|(\w+)|(.)|\Z)"
 )
+_NEWLINE, _INT, _WORD, _PUNCT, _OTHER_WORD = range(1, 6)
 
 KEYWORD_VALUES = {
     "true": BoolLit(True),
@@ -88,8 +94,7 @@ KEYWORD_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "kw" | punctuation itself | "eof"
     text: str
     line: int
@@ -116,23 +121,30 @@ class ParseError(Exception):
 
 
 def lex(source: str) -> List[Token]:
+    """The tokens of `source`, ended by one eof token at the end of the
+    input.  Lines and columns count from 1; a tab is one column."""
     tokens: List[Token] = []
-    line, col = 1, 1
+    line, base = 1, -1  # base: the offset column 0 of this line stands for
     for m in _TOKEN.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "newline":
-            line, col = line + 1, 1
+        group = m.lastindex
+        if group == _NEWLINE:
+            line, base = line + 1, m.end() - 1
             continue
-        if kind == "other" or (kind == "word" and not (text[0].isalpha() or text[0] == "_")):
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        if kind == "word":
+        if group is None:
+            break
+        text, col = m[group], m.start(group) - base
+        if group == _WORD:
             kind = "kw" if text in KEYWORDS else "ident"
-        elif kind == "punct":
+        elif group == _PUNCT:
             kind = text
-        if kind not in ("blank", "comment"):
-            tokens.append(Token(kind, text, line, col))
-        col += len(text)
-    tokens.append(Token("eof", "", line, col))
+        elif group == _INT:
+            kind = "int"
+        elif group == _OTHER_WORD and text[0].isalpha():
+            kind = "ident"  # every keyword is ASCII
+        else:
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - base))
     return tokens
 
 
@@ -144,20 +156,24 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The current token, or the one `ahead` places after it, which is
+        only asked for when the current token is not eof."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
+        """The current token, which the caller has seen is not eof; the
+        position moves on."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def at_kw(self, word: str) -> bool:
-        return self.at("kw", word)
+        tok = self.tokens[self.pos]
+        return tok.kind == "kw" and tok.text == word
 
     @staticmethod
     def unexpected(tok: Token, *expected: str) -> ParseError:
@@ -167,17 +183,23 @@ class Parser:
         )
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.at(kind, text):
-            raise self.unexpected(self.peek(), text or kind)
-        return self.next()
+        """The current token, which must be of `kind` (and read `text`);
+        no caller expects eof, so the position moves on."""
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise self.unexpected(tok, text or kind)
+        self.pos += 1
+        return tok
 
     def expect_kw(self, word: str) -> Token:
         return self.expect("kw", word)
 
     def expect_ident(self) -> Token:
-        if not self.at("ident"):
-            raise self.unexpected(self.peek(), "identifier")
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident":
+            raise self.unexpected(tok, "identifier")
+        self.pos += 1
+        return tok
 
     def comma_list(self, parse: Callable[[], T], nonempty: bool = True) -> Tuple[T, ...]:
         """Items read by `parse`, separated by commas; none at all unless
@@ -199,7 +221,7 @@ class Parser:
         return items
 
     def _span_from(self, tok: Token) -> Span:
-        prev = self.tokens[max(self.pos - 1, 0)]
+        prev = self.tokens[self.pos - 1]
         return Span(tok.line, tok.col, prev.line, prev.col + len(prev.text))
 
     # -- program -----------------------------------------------------------
@@ -399,27 +421,36 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
-        if self.at_kw("let") or self.at_kw("unpack"):
-            return self.parse_let()
-        if self.at_kw("if"):
-            self.next()
-            cond = self.parse_expr()
-            self.expect("{")
-            then = self.parse_expr()
-            self.expect("}")
-            self.expect_kw("else")
-            self.expect("{")
-            els = self.parse_expr()
-            self.expect("}")
-            return If(cond, then, els, span=self._span_from(tok))
-        if self.at_kw("call"):
-            return self.parse_call()
-        if self.at("&"):
-            self.next()
-            mode = self.peek()
+        tok = self.tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if kind == "ident":
+            self.pos += 1
+            if self.at(":="):
+                self.pos += 1
+                rhs = self.parse_expr()
+                return Assign(PVar(text), rhs, span=self._span_from(tok))
+            return VarRef(text, span=self._span_from(tok))
+        if kind == "kw":
+            if text == "let" or text == "unpack":
+                return self.parse_let()
+            if text == "call":
+                return self.parse_call()
+            if text == "if":
+                self.pos += 1
+                cond = self.parse_expr()
+                self.expect("{")
+                then = self.parse_expr()
+                self.expect("}")
+                self.expect_kw("else")
+                self.expect("{")
+                els = self.parse_expr()
+                self.expect("}")
+                return If(cond, then, els, span=self._span_from(tok))
+        elif kind == "&":
+            self.pos += 1
+            mode = self.tokens[self.pos]
             if mode.kind == "kw" and mode.text in ("strg", "mut", "shr"):
-                self.next()
+                self.pos += 1
                 place = PVar(self.expect_ident().text)
                 span = self._span_from(tok)
                 if mode.text == "strg":
@@ -428,17 +459,10 @@ class Parser:
                     return BorrowMut(place, span=span)
                 return BorrowShr(place, span=span)
             raise self.unexpected(mode, "strg", "mut", "shr")
-        if self.at("*"):
-            self.next()
+        elif kind == "*":
+            self.pos += 1
             place = PVar(self.expect_ident().text)
             return Deref(place, span=self._span_from(tok))
-        if self.at("ident"):
-            name = self.next().text
-            if self.at(":="):
-                self.next()
-                rhs = self.parse_expr()
-                return Assign(PVar(name), rhs, span=self._span_from(tok))
-            return VarRef(name, span=self._span_from(tok))
         value = self.try_parse_value()
         if value is not None:
             return Val(value, span=self._span_from(tok))
@@ -452,9 +476,23 @@ class Parser:
         limit.  Each head spans from its own keyword to the end of the whole
         chain."""
         heads = []
-        while self.at_kw("let") or self.at_kw("unpack"):
-            start = self.next()
-            if start.text == "unpack":
+        while True:
+            start = self.tokens[self.pos]
+            if start.kind != "kw":
+                break
+            if start.text == "let":
+                self.pos += 1
+                x = self.expect_ident().text
+                self.expect("=")
+                if self.at_kw("new"):
+                    self.pos += 1
+                    self.expect("(")
+                    heads.append((start, LetNew, x, self.expect_ident().text))
+                    self.expect(")")
+                else:
+                    heads.append((start, Let, x, self.parse_expr()))
+            elif start.text == "unpack":
+                self.pos += 1
                 self.expect("(")
                 x = self.expect_ident().text
                 self.expect(",")
@@ -462,15 +500,7 @@ class Parser:
                 self.expect(")")
                 heads.append((start, Unpack, x, a))
             else:
-                x = self.expect_ident().text
-                self.expect("=")
-                if self.at_kw("new"):
-                    self.next()
-                    self.expect("(")
-                    heads.append((start, LetNew, x, self.expect_ident().text))
-                    self.expect(")")
-                else:
-                    heads.append((start, Let, x, self.parse_expr()))
+                break
             self.expect_kw("in")
         body = self.parse_expr()
         for start, node, x, arg in reversed(heads):

@@ -313,8 +313,9 @@ class LocCtx:
     def update(self, loc: AbstractLoc, typ: Type) -> "LocCtx":
         return LocCtx(tuple((l, typ if l == loc else t) for l, t in self.items))
 
-    def remove(self, loc: AbstractLoc) -> "LocCtx":
-        return LocCtx(tuple((l, t) for l, t in self.items if l != loc))
+    def remove(self, *locs: AbstractLoc) -> "LocCtx":
+        gone = set(locs)
+        return LocCtx(tuple((l, t) for l, t in self.items if l not in gone))
 
     def __iter__(self):
         return iter(self.items)

@@ -10,6 +10,7 @@ context's binders and atoms, and an empty one is dropped unclosed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -397,10 +398,11 @@ class Checker:
     # -- expression synthesis -------------------------------------------------
 
     def synth(self, e: Expr) -> Type:
-        # The bodies of let, let-new and unpack are tail positions: walk a
-        # chain of them in a loop, keeping the let-new exits to run on the
-        # way out, innermost first.
-        exits: List[Tuple[LetNew, str, AbstractLoc]] = []
+        """The type of `e`.  The bodies of let, let-new and unpack are tail
+        positions: a chain of them is walked in a loop, and the cells of
+        its let-new heads are dropped on the way out by one escape check
+        for the whole chain (`exit_letnews`)."""
+        exits: List[Tuple[LetNew, AbstractLoc]] = []
         while True:
             self.assert_wf()
             match e:
@@ -411,7 +413,7 @@ class Checker:
                     self.vals = self.vals.bind(x, t)
                     e = body
                 case LetNew(_, _, body, _):
-                    exits.append(self.enter_letnew(e))
+                    exits.append((e, self.enter_letnew(e)))
                     e = body
                 case Unpack(x, a, body, span):
                     self.do_unpack(x, a, span)
@@ -419,8 +421,8 @@ class Checker:
                 case _:
                     break
         t = self.synth_one(e)
-        for letnew, locvar, loc in reversed(exits):
-            self.exit_letnew(letnew, locvar, loc, t)
+        if exits:
+            self.exit_letnews(exits, t)
         return t
 
     def synth_one(self, e: Expr) -> Type:
@@ -481,7 +483,7 @@ class Checker:
 
     # -- let new / escape check ----------------------------------------------
 
-    def enter_letnew(self, e: LetNew) -> Tuple[LetNew, str, AbstractLoc]:
+    def enter_letnew(self, e: LetNew) -> AbstractLoc:
         """Bind the fresh cell of `e` before its body is synthesized."""
         locvar = e.locvar
         if self.ctx.sort_of(locvar) is not None:
@@ -492,26 +494,34 @@ class Checker:
         self.ctx = self.ctx.bind(locvar, Sort.LOC)
         self.vals = self.vals.bind(e.name, StrongPtr(loc))
         self.locs = self.locs.bind(loc, Uninit(1))
-        return e, locvar, loc
+        return loc
 
-    def exit_letnew(
-        self, e: LetNew, locvar: str, loc: AbstractLoc, t: Type
-    ) -> None:
-        """Drop the cell of `e` once its body has type `t`; the location
-        must not escape."""
-        self.locs = self.locs.remove(loc)
+    def exit_letnews(self, exits: List[Tuple[LetNew, AbstractLoc]], t: Type) -> None:
+        """Drop the cells of a chain's let-new heads, `exits` outermost
+        first, once the chain's body has type `t`.  No location may escape:
+        innermost first, each is checked against `t`, then against the
+        cells left after its own and the inner ones are dropped.  Those
+        checks read counts of the free variables of the cells (each cell's
+        own location among them), computed once and decremented as each
+        cell is dropped."""
         if not self.shape_mode:
-            if locvar in free_vars(t):
-                raise EscapeError(
-                    f"location '{locvar}' escapes through the result type "
-                    f"{print_type(t)}",
-                    e.span,
-                )
-            if locvar in free_vars(self.locs):
-                raise EscapeError(
-                    f"location '{locvar}' escapes through the location context",
-                    e.span,
-                )
+            cell_vars = {loc: {loc.name} | free_vars(typ) for loc, typ in self.locs}
+            counts = Counter(name for names in cell_vars.values() for name in names)
+            result_vars = free_vars(t)
+            for e, loc in reversed(exits):
+                counts.subtract(cell_vars.get(loc, ()))
+                if loc.name in result_vars:
+                    raise EscapeError(
+                        f"location '{loc.name}' escapes through the result type "
+                        f"{print_type(t)}",
+                        e.span,
+                    )
+                if counts[loc.name] > 0:
+                    raise EscapeError(
+                        f"location '{loc.name}' escapes through the location context",
+                        e.span,
+                    )
+        self.locs = self.locs.remove(*(loc for _, loc in exits))
 
     # -- unpack ----------------------------------------------------------------
 

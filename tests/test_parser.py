@@ -8,7 +8,9 @@ from gen import bool_expr, int_expr
 from lrcheck.harness import generate_program
 from lrcheck.logic import conj
 from lrcheck.parser import (
+    KEYWORDS,
     ParseError,
+    lex,
     parse_expr,
     parse_program,
     parse_refexpr,
@@ -256,3 +258,91 @@ def test_a_long_conjunction_prints_on_a_shallow_stack(shallow_stack):
     printed = print_refexpr(conj(atoms))
     assert printed.count(" && ") == 4999 and "&& (p || !q) &&" in printed
     assert print_refexpr(parse_refexpr(printed)) == printed
+
+
+# -- the lexer against a character-by-character reference ------------------------
+
+_PUNCT2 = (":=", "->", "&&", "||", "!=", "<=", ">=")
+_PUNCT1 = "-{}()[]<>,.|=!+*&;:"
+
+
+def _reference_lex(source: str):
+    """The tokens of `source` as `(kind, text, line, col)`, ended by eof, or
+    the first error as `("error", message, line, col)`, read one character
+    at a time.  A word is a run of `str.isalnum` characters and `_` that
+    does not start with an ASCII digit; it must start with a letter or `_`."""
+    tokens, i, line, col = [], 0, 1, 1
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        j = i + 1
+        if source.startswith("//", i):
+            while j < len(source) and source[j] != "\n":
+                j += 1
+            i, col = j, col + (j - i)
+            continue
+        if ch in "0123456789":
+            while j < len(source) and source[j] in "0123456789":
+                j += 1
+            kind = "int"
+        elif ch.isalnum() or ch == "_":
+            if not (ch.isalpha() or ch == "_"):
+                return ("error", f"unexpected character {ch!r}", line, col)
+            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            kind = "kw" if source[i:j] in KEYWORDS else "ident"
+        elif source[i : i + 2] in _PUNCT2:
+            j = i + 2
+            kind = source[i:j]
+        elif ch in _PUNCT1:
+            kind = ch
+        else:
+            return ("error", f"unexpected character {ch!r}", line, col)
+        tokens.append((kind, source[i:j], line, col))
+        i, col = j, col + (j - i)
+    return tokens + [("eof", "", line, col)]
+
+
+def _lexed(source: str):
+    try:
+        return [tuple(tok) for tok in lex(source)]
+    except ParseError as exc:
+        return ("error", exc.msg, exc.line, exc.col)
+
+
+LEXER_EDGE_INPUTS = [
+    "",
+    "// only a comment",
+    "// only a comment\n",
+    "entry // nothing",
+    "entry\t0\t",
+    "entry\r\n  let x = 1 in\r\n  x\r\n",
+    "let _x = 1 in _x",
+    "let x = 1 in # x",
+    "let x² = 1 in x",
+    "²",
+    "let x = ٣ in x",
+    "x٣ 12ab 0x1f",
+    "a:=b->c&&d||e!=f<=g>=h<i>j-k{}()[],.|=!+*&;:l",
+    "/ // /\n/",
+    "\n\n\t  \n",
+    "fn é ( ) -> int",
+    "\x0b",
+]
+
+
+def test_lexer_matches_a_character_by_character_reference():
+    import glob
+
+    sources = [open(path).read() for path in sorted(glob.glob("corpus/*/*.lr"))]
+    assert len(sources) == 21
+    sources += [print_program(generate_program(seed, 10)) for seed in range(300)]
+    sources += LEXER_EDGE_INPUTS
+    for source in sources:
+        assert _lexed(source) == _reference_lex(source), source
+

@@ -6,6 +6,9 @@ import random
 
 import pytest
 
+import lrcheck.logic
+import lrcheck.typeck
+
 from lrcheck.constraints import Conj, ForAll, Head, clauses, dump_clauses_text, normalize
 from lrcheck.errors import (
     AssignThroughShared,
@@ -29,6 +32,7 @@ from lrcheck.syntax import (
     Indexed,
     IntBase,
     IntConst,
+    IntLit,
     KApp,
     LocCtx,
     Program,
@@ -218,6 +222,124 @@ def test_letnew_ok_when_local():
     t = state.synth(parse_expr("let x = new(l) in let t = x := 1 in *x"))
     assert t == parse_type("int[1]")
     assert state.locs == LocCtx()
+
+
+def _entry(*lines):
+    return "entry\n  " + "\n  ".join(lines) + "\n"
+
+
+ESCAPES = [
+    # (entry, the position and message of the one diagnostic it gives)
+    (
+        _entry("let a = new(la) in", "let b = new(lb) in", "let w = a := &strg b in", "0"),
+        ("3:3", "location 'lb' escapes through the location context"),
+    ),
+    (
+        _entry("let a = new(la) in", "let b = new(lb) in", "let c = new(lc) in", "&strg b"),
+        ("3:3", "location 'lb' escapes through the result type ptr(lb)"),
+    ),
+    # both `lb` and `lc` escape: the innermost exit is reported
+    (
+        _entry(
+            "let a = new(la) in", "let b = new(lb) in", "let c = new(lc) in",
+            "let w = a := &strg c in", "&strg b",
+        ),
+        ("4:3", "location 'lc' escapes through the location context"),
+    ),
+]
+
+
+@pytest.mark.parametrize("src, diagnostic", ESCAPES, ids=["context", "result", "innermost"])
+def test_a_chain_reports_the_escape_of_its_innermost_cell(src, diagnostic):
+    report = check_program(parse_program(src))
+    assert [(str(d.span), d.message) for d in report.diagnostics()] == [diagnostic]
+    assert report.diagnostics()[0].rule == "EscapeError"
+
+
+def test_a_cell_in_an_inferred_loop_body_is_dropped_without_a_check_in_the_shape_pass():
+    """The shape pass types the recursive call, the chain's body, as a hole,
+    which has no free variables to check."""
+    program = parse_program(_entry(
+        "let cp = new(lcp) in",
+        "let t0 = cp := 0 in",
+        "let loop = rec loop (u) :=",
+        "  let v = *cp in",
+        "  if call lt (v, 3) {",
+        "    let c = new(lc) in",
+        "    let w = c := v in",
+        "    let t = cp := call add (v, 1) in",
+        "    call loop(poison)",
+        "  } else {",
+        "    *cp",
+        "  }",
+        "in call loop(poison)",
+    ))
+    report = check_program(program)
+    assert report.ok, report.diagnostics()
+    verdict = run_and_verify(program, report=report)
+    assert verdict.passed and verdict.outcome.value == IntLit(3)
+
+
+def _cell_chain(n_lets):
+    """A let-chain of about `n_lets` lets: `add` steps, cells allocated,
+    overwritten and read, and writes of the chain value into the result
+    cell `s`; with the value it ends with."""
+    rng = random.Random(n_lets)
+    lines = ["let x0 = 0 in", "let s = new(ls) in", "let w0 = s := 0 in"]
+    cells = {}  # cell name -> the constant it holds
+    x = value = 0
+    for k in range(1, n_lets):
+        if len(lines) >= n_lets - 1:
+            break
+        r = rng.random()
+        if r < 0.15 or not cells:
+            c = rng.randrange(10)
+            lines += [f"let c{k} = new(lc{k}) in", f"let w{k} = c{k} := {c} in"]
+            cells[f"c{k}"] = c
+        elif r < 0.55:
+            c = rng.randrange(10)
+            lines.append(f"let x{x + 1} = call add(x{x}, {c}) in")
+            x, value = x + 1, value + c
+        elif r < 0.7:
+            cell, c = rng.choice(sorted(cells)), rng.randrange(10)
+            lines.append(f"let w{k} = {cell} := {c} in")
+            cells[cell] = c
+        elif r < 0.85:
+            cell = rng.choice(sorted(cells))
+            lines += [f"let m{k} = *{cell} in", f"let x{x + 1} = call add(x{x}, m{k}) in"]
+            x, value = x + 1, value + cells[cell]
+        else:
+            lines.append(f"let w{k} = s := x{x} in")
+    return _entry(*lines, f"let w = s := x{x} in", "*s"), value
+
+
+def test_the_escape_checks_of_a_chain_take_linear_work(monkeypatch):
+    """Counted, not timed: `free_vars` calls grow about as the chain does
+    (one check per chain), not as its cells squared (one per cell)."""
+    calls = []
+    free_vars = lrcheck.logic.free_vars
+
+    def counted(t):
+        calls.append(None)
+        return free_vars(t)
+
+    monkeypatch.setattr(lrcheck.logic, "free_vars", counted)
+    monkeypatch.setattr(lrcheck.typeck, "free_vars", counted)
+    counts = []
+    for n in (300, 1200):
+        calls.clear()
+        assert check_program(parse_program(_cell_chain(n)[0])).ok
+        counts.append(len(calls))
+    assert counts[1] <= 4.5 * counts[0], counts
+
+
+def test_a_3000_let_chain_of_cells_checks_and_runs_to_its_value():
+    src, value = _cell_chain(3000)
+    program = parse_program(src)
+    report = check_program(program)
+    assert report.ok, report.diagnostics()
+    verdict = run_and_verify(program, report=report)
+    assert verdict.passed and verdict.outcome.value == IntLit(value)
 
 
 # -- unpacking -------------------------------------------------------------------
