@@ -116,7 +116,9 @@ class OracleError(Exception):
 
 def eval_closed(e: RefExpr, env: Dict[str, Union[int, bool]]):
     """Big-step evaluation with exact integer semantics; total over
-    well-sorted closed terms."""
+    well-sorted closed terms.  An `and`/`or` chain is evaluated operand by
+    operand in a loop, so its length is not bounded by the recursion
+    limit."""
     match e:
         case Var(name):
             return env[name]
@@ -124,6 +126,13 @@ def eval_closed(e: RefExpr, env: Dict[str, Union[int, bool]]):
             return v
         case Not(a):
             return not eval_closed(a, env)
+        case BinBool():
+            first, *rest = chain_operands(e)
+            value = binary(e)[0].value
+            out = eval_closed(first, env)
+            for operand in rest:
+                out = value(out, eval_closed(operand, env))
+            return out
     parts = binary(e)
     if parts is None:
         raise OracleError(f"eval_closed: cannot evaluate {e!r}")

@@ -8,7 +8,7 @@ provenance; refinement obligations become Heads.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable
 
 from .constraints import Conj, Constraint, ForAll, Head, Provenance, TRIVIAL
 from .errors import StructuralError
@@ -53,21 +53,35 @@ def bases_compatible(b1: BaseType, b2: BaseType) -> bool:
     return isinstance(b1, VecBase) and isinstance(b2, VecBase)
 
 
+def _conj(parts: Iterable[Constraint]) -> Constraint:
+    """The conjunction of `parts` without the empty ones: a single part is
+    itself, and none is `TRIVIAL`."""
+    parts = tuple(p for p in parts if p != TRIVIAL)
+    if len(parts) == 1:
+        return parts[0]
+    return Conj(parts) if parts else TRIVIAL
+
+
 def subtype(
     lhs: Type, rhs: Type, prov: Provenance, names: NameSupply
 ) -> Constraint:
     """The obligations for `lhs` to be a subtype of `rhs`; the binders they
-    open are fresh in `names`, the supply of the unit being checked."""
+    open are fresh in `names`, the supply of the unit being checked.  Two
+    indexed types with equal indices, compared as given, owe no equation,
+    and none is built: what is left is a vector's element obligation, or
+    `TRIVIAL`."""
     match (lhs, rhs):
         case (Indexed(b1, e1), Indexed(b2, e2)):
             if not bases_compatible(b1, b2):
                 raise StructuralError(
                     f"base mismatch: {print_type(lhs)} vs {print_type(rhs)}", prov.span
                 )
-            parts = [Head(Eq(e1, e2), prov)]
+            # equal indices need no equation: the index a call's
+            # instantiation substitutes for a formal is the actual's own
+            parts = [] if e1 == e2 else [Head(Eq(e1, e2), prov)]
             if isinstance(b1, VecBase):
                 parts.append(subtype(b1.elem, b2.elem, prov, names))
-            return Conj(tuple(parts))
+            return _conj(parts)
 
         case (Exists(a, b1, p), _):
             if not isinstance(rhs, (Indexed, Exists)):
@@ -99,7 +113,7 @@ def subtype(
                 )
             else:
                 parts.append(Head(subst(p, a, e1), prov))
-            return Conj(tuple(parts)) if len(parts) > 1 else parts[0]
+            return _conj(parts)
 
         case (StrongPtr(l1), StrongPtr(l2)):
             if l1 != l2:
@@ -118,12 +132,7 @@ def subtype(
             return subtype(t1, t2, prov, names)
 
         case (Ref("mut", t1), Ref("mut", t2)):
-            return Conj(
-                (
-                    subtype(t1, t2, prov, names),
-                    subtype(t2, t1, prov, names),
-                )
-            )
+            return _conj((subtype(t1, t2, prov, names), subtype(t2, t1, prov, names)))
 
         case (FnSig() as f1, FnSig() as f2):
             return _sub_fun(f1, f2, prov, names)
@@ -188,4 +197,4 @@ def ctx_include(
         have = lhs.lookup(loc)
         assert have is not None
         parts.append(subtype(have, want, prov, names))
-    return Conj(tuple(parts))
+    return _conj(parts)

@@ -103,6 +103,7 @@ from .syntax import (
     Sort,
     Span,
     StrongPtr,
+    TRUE,
     Type,
     Uninit,
     Unpack,
@@ -240,9 +241,11 @@ class Checker:
 
     def emit(self, c: Constraint) -> None:
         """Emit the clauses of `c`, each closed under the binders and atoms
-        of the current context; an obligation that normalizes to nothing is
-        dropped before the context is read."""
-        if self.shape_mode:
+        of the current context.  An obligation with nothing to prove is not
+        built: `subtype` and `ctx_include` give `TRIVIAL` for it, and any
+        empty conjunction returns here before it is normalized.  One that
+        normalizes to nothing is dropped before the context is read."""
+        if self.shape_mode or c == TRIVIAL:
             return
         c = normalize(c)
         if c == TRIVIAL:
@@ -588,6 +591,12 @@ class Checker:
     # -- calls -------------------------------------------------------------------
 
     def synth_call(self, e: Call) -> Type:
+        """The callee's result type, instantiated at the call's refinement
+        arguments, given or inferred.  Each argument and each input cell
+        must be a subtype of its formal; the input cells leave the location
+        context, and the output cells join it.  What has nothing to prove
+        is not built: a `true` `requires` emits nothing, and an empty input
+        or output location context is neither substituted nor rebuilt."""
         # a vec builtin has no type of its own: its signature at a call
         # depends on the call's arguments
         builtin = e.callee.value if isinstance(e.callee, Val) else None
@@ -658,7 +667,7 @@ class Checker:
         prov = Provenance("call", e.span)
 
         # consume the callee's input locations, framing the rest
-        in_locs = theta(sig.in_locs)
+        in_locs = theta(sig.in_locs) if sig.in_locs else sig.in_locs
         if not self.shape_mode:
             for loc, want in in_locs:
                 self.open_loc(loc)
@@ -678,16 +687,14 @@ class Checker:
         for actual, formal in zip(actual_types, sig.args):
             self.require(actual, theta(formal), prov)
 
-        requires = theta(sig.requires)
-        self.emit(Head(requires, Provenance("requires", e.span)))
+        if sig.requires != TRUE:
+            self.emit(Head(theta(sig.requires), Provenance("requires", e.span)))
 
         # fold each index the call builds, so that a chain of calls rooted
         # at a constant keeps a constant index instead of a growing sum
-        out_locs = theta(sig.out_locs)
-        items = list(self.locs.items)
-        for loc, t in out_locs:
-            items.append((loc, _fold_index(t)))
-        self.locs = LocCtx(tuple(items))
+        if sig.out_locs:
+            added = tuple((loc, _fold_index(t)) for loc, t in theta(sig.out_locs))
+            self.locs = LocCtx(self.locs.items + added)
         return _fold_index(theta(sig.ret))
 
     def _record_probe(self, probe: _ProbeSig, e: Call) -> Type:

@@ -681,6 +681,23 @@ def test_fn_body_1000_let_chain_checks_and_runs(tmp_path):
     assert err == ""
 
 
+def test_500_let_add_chain_rooted_at_a_parameter_checks(tmp_path):
+    """The index grows into a 500-deep sum of the parameter, as no constant
+    folds it; each call argument has its formal's index, so no equation of
+    two such sums is built and compared (it used to raise RecursionError)."""
+    lines = [
+        "fn g {n: int}( int[n] ) -> {v. int[v] | v >= n} :=",
+        "  rec g {n: int} (x0) :=",
+    ]
+    lines += [f"    let x{i + 1} = call add(x{i}, 1) in" for i in range(500)]
+    lines += ["    x500", "", "entry call g {5} (5)"]
+    path = tmp_path / "param_chain.lr"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = invoke(["check", str(path)])
+    assert code == 0, err[-500:]
+    assert err == ""
+
+
 def _nat_chain(n):
     """A `fn` body of n lets, each passing the last result to `nat`.  Every
     call opens an existential, so the context at the return grows with n."""

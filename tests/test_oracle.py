@@ -9,6 +9,7 @@ import pytest
 
 from gen import bool_expr, ctx_with_vars
 from lrcheck import oracle as oracle_module
+from lrcheck.logic import conj
 from lrcheck.oracle import (
     Oracle,
     OracleError,
@@ -282,6 +283,17 @@ def test_fourier_motzkin_point_of_a_3000_row_chain():
             sum(c * found.get(x, 0) for x, c in coeffs.items()) + const <= 0
             for coeffs, const in rows
         )
+
+
+def test_a_3000_atom_conjunction_is_refuted_with_a_model(oracle):
+    """The model is checked by evaluating the query at it, which walks the
+    hypothesis chain in a loop: it used to raise RecursionError."""
+    hyp = conj(R(f"x >= {-k}") for k in range(3000))
+    verdict = oracle.valid(Query((("x", Sort.INT),), (hyp,), R("x >= 5")))
+    assert verdict.is_invalid
+    assert verdict.model == {"x": 0}
+    assert eval_closed(hyp, verdict.model) is True
+    assert eval_closed(R("x >= 5"), verdict.model) is False
 
 
 def test_borrow_chain_settles_most_goals_at_known_points(monkeypatch):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gen import any_type, base_type, ctx_with_vars, loc_ctx
-from lrcheck.constraints import Provenance, Solution, clauses, normalize
+from lrcheck.constraints import TRIVIAL, Head, Provenance, Solution, clauses, normalize
 from lrcheck.errors import StructuralError
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_refexpr as R
@@ -14,9 +14,13 @@ from lrcheck.parser import parse_type
 from lrcheck.subtyping import NameSupply, ctx_include, subtype
 from lrcheck.syntax import (
     AbstractLoc,
+    Eq,
+    Indexed,
+    IntBase,
     LocCtx,
     Sort,
     Uninit,
+    Var,
 )
 from test_constraints import apply_solution
 
@@ -60,6 +64,23 @@ def test_decr_assignment_query(oracle):
     assert not oracle.valid(
         Query((("a", Sort.INT),), (R("a >= 0"),), cls[0].head)
     ).is_valid
+
+
+def test_equal_indices_build_no_equation():
+    t = Indexed(IntBase(), R("a + 1"))
+    assert subtype(t, Indexed(IntBase(), t.idx), PROV, NameSupply()) == TRIVIAL
+
+
+def test_vectors_of_equal_lengths_leave_only_the_element_obligation():
+    lhs = parse_type("Vec<int[a]>[n]")
+    rhs = parse_type("Vec<{v. int[v] | v >= 0}>[n]")
+    c = subtype(lhs, rhs, PROV, NameSupply())
+    assert c == Head(R("a >= 0"), PROV)
+
+
+def test_unequal_indices_still_owe_an_equation():
+    c = subtype(parse_type("int[a]"), parse_type("int[b]"), PROV, NameSupply())
+    assert c == Head(Eq(Var("a"), Var("b")), PROV)
 
 
 def test_ptr_mismatch_is_structural():

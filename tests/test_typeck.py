@@ -333,6 +333,24 @@ def test_the_escape_checks_of_a_chain_take_linear_work(monkeypatch):
     assert counts[1] <= 4.5 * counts[0], counts
 
 
+def test_a_chain_of_cells_builds_no_obligation_to_normalize(monkeypatch):
+    """Each `add` argument has the index of its formal, `add` requires
+    `true`, and cell reads and writes are strong: nothing reaches
+    `normalize`, and no clause is emitted."""
+    calls = []
+    normalize = lrcheck.typeck.normalize
+
+    def counted(c):
+        calls.append(c)
+        return normalize(c)
+
+    monkeypatch.setattr(lrcheck.typeck, "normalize", counted)
+    report = check_program(parse_program(_cell_chain(300)[0]))
+    assert report.ok
+    assert calls == []
+    assert report.unit("entry").clauses == []
+
+
 def test_a_3000_let_chain_of_cells_checks_and_runs_to_its_value():
     src, value = _cell_chain(3000)
     program = parse_program(src)
