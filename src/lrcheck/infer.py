@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .constraints import (
@@ -323,13 +323,14 @@ class _TemplateSlot(Type):
 #   ("term", e)         any other formula, or a comparison whose row
 #                       mentions a product or a non-integer parameter:
 #                       substituted and expanded on use
-# An integer qualifier is compiled once, on first use, into such a literal
-# over the reserved names `NU` and `META` (`_template_row`), and a
-# candidate's literal is that template with the two names replaced by its
-# parameters.  A template that is a term, or whose row mentions any other
-# name, is not compiled: its candidates build their term and go through
-# `_literal`.  A candidate's term is built only for the survivors, which
-# `Solution` needs.
+# An integer qualifier is compiled once, on first use, into the row
+# `k + a*NU + b*META` of such a literal over the reserved names `NU` and
+# `META` (`_template_row`), and a candidate's literal is that row with the
+# two names replaced by its parameters, put in canonical order and sign.
+# A template that is a term, or whose row mentions any other name, is not
+# compiled: its candidates build their term and go through `_literal`.  A
+# candidate's term is built only for the survivors, which `Solution`
+# needs.
 #
 # `terms` is a sorted tuple of (parameter, coefficient) pairs, and an
 # equality's first coefficient is positive, so a literal is its own
@@ -340,6 +341,13 @@ class _TemplateSlot(Type):
 # its argument, an integer argument as its linear form; substituting a
 # literal splices the argument forms into its row, and evaluating it at a
 # point evaluates the forms there (`_App.holds_at`).
+#
+# A kvar's first sweep builds no literal before it has filtered the kvar's
+# candidates at the sample points of the clause's hypotheses
+# (`_Candidates.sample`): each integer argument is evaluated once per
+# point, and a candidate whose qualifier template is a row `k + a*NU +
+# b*META` is dropped when that row, at its parameters' values, fails at a
+# point.  Only the survivors' literals are built and asked.
 
 
 def _row_literal(kind: str, terms: Iterable[Tuple[str, int]], k: int) -> Tuple:
@@ -372,30 +380,51 @@ def _literal(cand: RefExpr, sorts: Dict[str, Sort]) -> Tuple:
 
 
 @lru_cache(maxsize=None)
-def _template_row(template: RefExpr) -> Optional[Tuple]:
-    """An integer qualifier's template as a row literal over `NU` and
-    `META`, or None when it is not one."""
+def _template_row(template: RefExpr) -> Optional[Tuple[bool, int, int, int]]:
+    """An integer qualifier's template, over `NU` and `META`, as the row
+    `k + a*NU + b*META` of an integer comparison, given as whether it is an
+    equality, k, a and b; None when it is not one."""
     lit = _literal(template, {NU: Sort.INT, META: Sort.INT})
-    return None if lit[0] == "term" else lit
+    if lit[0] == "term":
+        return None
+    kind, terms, k = lit
+    coeffs = dict(terms)
+    return kind == "eq", k, coeffs.get(NU, 0), coeffs.get(META, 0)
+
+
+def _qualifier_row(q: Qualifier, rows: Dict[int, Optional[Tuple]]) -> Optional[Tuple]:
+    """The qualifier's `_template_row`, None for a boolean one, kept in
+    `rows` by the qualifier's id."""
+    key = id(q)
+    if key not in rows:
+        rows[key] = _template_row(q.template) if q.sort is Sort.INT else None
+    return rows[key]
 
 
 def _candidate_literals(
-    cands: Sequence[Candidate], sorts: Dict[str, Sort]
+    cands: Sequence[Candidate], sorts: Dict[str, Sort], rows: Dict[int, Optional[Tuple]]
 ) -> Iterator[Tuple]:
-    """The literal of each candidate of a kvar with parameters `sorts`."""
-    templates: Dict[int, Optional[Tuple]] = {}  # by the qualifier's id
+    """The literal of each candidate of a kvar with parameters `sorts`,
+    with its qualifier's row kept in `rows` (see `_qualifier_row`).  A
+    template row's literal is that row at the candidate's parameters,
+    ordered and signed as `_row_literal` does."""
+    last = template = None  # a run of candidates shares its qualifier
     for cand in cands:
         q, nu, meta = cand
-        if id(q) not in templates:
-            int_sorted = q.sort is Sort.INT
-            templates[id(q)] = _template_row(q.template) if int_sorted else None
-        template = templates[id(q)]
+        if q is not last:
+            last, template = q, _qualifier_row(q, rows)
         if template is None:
             yield _literal(instance(cand), sorts)
             continue
-        kind, terms, k = template
-        names = {NU: nu, META: meta}
-        yield _row_literal(kind, [(names[p], c) for p, c in terms], k)
+        eq, k, a, b = template
+        if a and b:
+            terms = ((nu, a), (meta, b)) if nu < meta else ((meta, b), (nu, a))
+        else:
+            terms = ((nu, a),) if a else ((meta, b),) if b else ()
+        if eq and terms and terms[0][1] < 0:
+            terms = tuple((p, -c) for p, c in terms)
+            k = -k
+        yield ("eq" if eq else "le", terms, k)
 
 
 class _App:
@@ -468,8 +497,9 @@ class _App:
 class _Candidates:
     """The fixpoint's state: each kvar's kept candidates, and its distinct
     literals with the index of each candidate's literal among them, built
-    when a clause first needs that kvar.  Deleting a literal deletes every
-    candidate that has it."""
+    when a clause first needs that kvar, or for its first sweep, after its
+    candidates are filtered at sample points (`sample`).  Deleting a
+    literal deletes every candidate that has it."""
 
     def __init__(self, kvars: Sequence[KVarDecl], quals: Sequence[Qualifier]):
         self.params = {k.name: dict(k.params) for k in kvars}
@@ -477,6 +507,47 @@ class _Candidates:
             k.name: instantiations(k, quals) for k in kvars
         }
         self._literals: Dict[str, Tuple[List[Tuple], List[int]]] = {}
+        self._rows: Dict[int, Optional[Tuple]] = {}  # by the qualifier's id
+
+    def sample(self, app: "_App", points: Sequence[Dict[str, int]]) -> List[Tuple]:
+        """Drop each kept candidate of the application's kvar whose
+        literal, substituted at `app`, is false at one of `points`, and
+        return the kvar's distinct literals, built for the survivors only,
+        which keep their order.  Each integer argument of `app` is
+        evaluated once per point, and a candidate whose qualifier compiles
+        to a template row is tested at those values with integer arithmetic
+        alone; any other candidate is kept."""
+        name = app.kvar
+        if not points:
+            return self.literals(name)
+        if name in self._literals:
+            # built already, as a hypothesis: filter the distinct literals
+            lits = self.literals(name)
+            self.keep(name, [all(app.holds_at(lit, p) for p in points) for lit in lits])
+            return self.literals(name)
+        values = {
+            p: [k + sum(x * pt.get(v, 0) for v, x in coeffs.items()) for pt in points]
+            for p, (coeffs, k) in app.lins.items()
+        }
+        zeros = [0] * len(points)
+        kept: List[Candidate] = []
+        last = test = None  # a run of candidates shares its qualifier
+        for cand in self.kept[name]:
+            q, nu, meta = cand
+            if q is not last:
+                last, test = q, _qualifier_row(q, self._rows)
+            if test is None:
+                kept.append(cand)
+                continue
+            eq, k, a, b = test
+            for x, y in zip(values[nu], values[meta] if b else zeros):
+                row = k + a * x + b * y
+                if row if eq else row > 0:
+                    break
+            else:
+                kept.append(cand)
+        self.kept[name] = kept
+        return self.literals(name)
 
     def _compiled(self, name: str) -> Tuple[List[Tuple], List[int]]:
         entry = self._literals.get(name)
@@ -484,7 +555,9 @@ class _Candidates:
             index: Dict[Tuple, int] = {}
             owner = [
                 index.setdefault(lit, len(index))
-                for lit in _candidate_literals(self.kept[name], self.params[name])
+                for lit in _candidate_literals(
+                    self.kept[name], self.params[name], self._rows
+                )
             ]
             entry = self._literals[name] = (list(index), owner)
         return entry
@@ -494,9 +567,9 @@ class _Candidates:
         candidate."""
         return self._compiled(name)[0]
 
-    def keep(self, name: str, valid: Sequence[bool]) -> int:
+    def keep(self, name: str, valid: Sequence[bool]) -> None:
         """Keep the candidates whose literal is valid, by the literals'
-        order; return how many candidates were deleted."""
+        order."""
         lits, owner = self._compiled(name)
         renumber: Dict[int, int] = {}
         for i, ok in enumerate(valid):
@@ -510,7 +583,6 @@ class _Candidates:
                 owners.append(renumber[o])
         self.kept[name] = cands
         self._literals[name] = ([lits[i] for i in renumber], owners)
-        return len(owner) - len(owners)
 
     def terms(self, name: str) -> List[RefExpr]:
         """The terms of the kvar's kept candidates."""
@@ -631,10 +703,15 @@ def solve(
     each distinct literal of the head kvar once, under the spliced rows of
     the hypothesis kvars' distinct literals; a literal false at a point the
     oracle keeps for a hypothesis cube is deleted with no splice of its
-    own.  Each concrete-headed clause is asked the same way, under the
-    final kept candidates.  Only a concrete clause the rows do not prove is
-    built as a term and decided by `Oracle.valid`, which gives the verdict,
-    reason and counter-model."""
+    own.  A kvar's first sweep passes its goals as a function of those
+    points, extended, which the oracle then spreads further: the function
+    drops each candidate false at one with integer arithmetic, before any
+    literal is built, and only the survivors are asked.  A dropped
+    candidate counts as a deletion, as it would if it were asked, since
+    the point refutes it.  Each concrete-headed clause is asked as a later
+    sweep is, under the final kept candidates.  Only a concrete clause the
+    rows do not prove is built as a term and decided by `Oracle.valid`,
+    which gives the verdict, reason and counter-model."""
     norm = normalize(constraint)
     cls = clauses(norm)
     kvars = kvars_of(norm)
@@ -663,6 +740,7 @@ def solve(
     deletions = 0
     sweeps = 0
     queued = {c.cid for c in kvar_clauses}
+    swept = set()  # the kvars a sweep has filtered at its sample points
     while worklist:
         _, _, clause = heapq.heappop(worklist)
         queued.discard(clause.cid)
@@ -670,14 +748,23 @@ def solve(
         assert sweeps <= len(kvar_clauses) * (budget + 1), "fixpoint did not descend"
         rows = compiled[clause.cid]
         head = rows.head
-        if not cands.kept[head.kvar]:
+        before = len(cands.kept[head.kvar])
+        if not before:
             continue
+        if head.kvar in swept:
+            goals = cands.literals(head.kvar)
+        else:
+            swept.add(head.kvar)
+            goals = partial(cands.sample, head)
         verdicts = oracle.valid_rows(
-            rows.hyp_cubes(cands), cands.literals(head.kvar), head.negated, head.holds_at
+            rows.hyp_cubes(cands), goals, head.negated, head.holds_at
         )
         valid = [v.is_valid for v in verdicts]
         if not all(valid):
-            deletions += cands.keep(head.kvar, valid)
+            cands.keep(head.kvar, valid)
+        deleted = before - len(cands.kept[head.kvar])
+        if deleted:
+            deletions += deleted
             for dep in dependents[head.kvar]:
                 if dep.cid not in queued:
                     queued.add(dep.cid)

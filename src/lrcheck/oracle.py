@@ -30,7 +30,11 @@ elimination; a goal cube whose remaining rows hold at one of them is not
 refuted, with no elimination of its own.  A caller that can evaluate a
 goal at a point (the fixpoint, for its literals) has it evaluated first at
 each kept point, extended through its cube's substitutions: a goal false
-at one is Invalid before its negation is built or substituted.
+at one is Invalid before its negation is built or substituted.  A caller
+may also give its goals as a function of those extended points (the
+fixpoint, on a kvar's first sweep, to filter its candidates before it
+builds them); each cube then also keeps up to two points spread over
+distinct small values, from the same elimination.
 
 Nonlinear products are abstracted as opaque variables, which keeps Valid
 sound and makes some queries Unknown.
@@ -401,7 +405,9 @@ def _fm_insert(
         best[key] = (coeffs, const)
 
 
-def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
+def _fm_unsat(
+    rows: List[LinForm], points: List[Dict[str, int]], spread: bool = False
+) -> bool:
     """True when the system {row <= 0} has no rational solution.  Because
     strict integer comparisons were tightened to non-strict ones, rational
     unsatisfiability is sound for integer unsatisfiability.  Each round
@@ -409,8 +415,12 @@ def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
     upper*lower bound pairs (the first by name among ties), found in a heap
     whose entries are dropped when their count is out of date.  When the
     system is satisfiable, the integer solution that back-substitution
-    finds, if it finds one, is appended to `points`.  Past `MAX_FM_ROWS`
-    rows created by the eliminations, the query is too large."""
+    finds nearest 0, if it finds one, is appended to `points`; with
+    `spread`, so are up to two more from the same elimination, nearest the
+    distinct targets 1, 2, 3, ... given to the eliminated variables in
+    sorted order and in reverse (see `_spread_targets`).  Past
+    `MAX_FM_ROWS` rows created by the eliminations, the query is too
+    large."""
     best: Dict[frozenset, LinForm] = {}
     occurs: Occurrences = {}
     touched: set = set()
@@ -431,6 +441,10 @@ def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
             point = _back_substitute(eliminated)
             if point is not None:
                 points.append(point)
+            for targets in _spread_targets(eliminated) if spread else ():
+                point = _back_substitute(eliminated, targets)
+                if point is not None and point not in points:
+                    points.append(point)
             return False
         while True:
             product, var = heapq.heappop(heap)
@@ -470,16 +484,28 @@ def _fm_unsat(rows: List[LinForm], points: List[Dict[str, int]]) -> bool:
         _fm_insert(best, occurs, new_rows, touched)
 
 
+def _spread_targets(
+    eliminated: Sequence[Tuple[str, List[LinForm]]],
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Two assignments of the distinct targets 1, 2, 3, ... to the
+    eliminated variables: in sorted order of their names, and reversed."""
+    names = sorted(var for var, _ in eliminated)
+    up = range(1, len(names) + 1)
+    return dict(zip(names, up)), dict(zip(names, reversed(up)))
+
+
 def _back_substitute(
     eliminated: Sequence[Tuple[str, List[LinForm]]],
+    targets: Optional[Dict[str, int]] = None,
 ) -> Optional[Dict[str, int]]:
     """An integer point of a system that Fourier-Motzkin found satisfiable,
     from its eliminated variables and the rows that bounded each when it
     was eliminated.  In reverse order of elimination, each variable takes
-    the integer nearest 0 between its largest lower and smallest upper
-    bound.  Every other variable of those rows was eliminated later, so it
-    already has a value, or was left in no row, so it is 0 and stays
-    unbound.  None when some interval holds no integer."""
+    the integer nearest its target (0 when `targets` gives none) between
+    its largest lower and smallest upper bound.  Every other variable of
+    those rows was eliminated later, so it already has a value, or was left
+    in no row, so it is 0 and stays unbound.  None when some interval holds
+    no integer."""
     point: Dict[str, int] = {}
     for var, bounding in reversed(eliminated):
         lo = hi = None
@@ -497,12 +523,13 @@ def _back_substitute(
                 lo = bound if lo is None else max(lo, bound)
         if lo is not None and hi is not None and lo > hi:
             return None
-        if lo is not None and lo > 0:
+        target = 0 if targets is None else targets[var]
+        if lo is not None and lo > target:
             point[var] = lo
-        elif hi is not None and hi < 0:
+        elif hi is not None and hi < target:
             point[var] = hi
         else:
-            point[var] = 0
+            point[var] = target
     return point
 
 
@@ -567,22 +594,37 @@ def _extend(point: Dict[str, int], subs: Sequence[Substitution]) -> Dict[str, in
     return point
 
 
-def _false_at_a_point(reduced, goal: G, holds_at: Callable[[G, Dict[str, int]], bool]):
+def _false_at_a_point(
+    reduced, goal: G, holds_at: Callable[[G, Dict[str, int]], bool], seen: List[int]
+):
     """Whether `holds_at` finds the goal false at a point of a reduced
-    hypothesis cube; each point is extended through its cube's
-    substitutions the first time it is needed, and kept so."""
-    for _, _, subs, _, points, extended in reduced:
+    hypothesis cube, past the first `seen` points of each cube, at which
+    every goal is already known to hold; each point is extended through its
+    cube's substitutions the first time it is needed, and kept so."""
+    for (_, _, subs, _, points, extended), skip in zip(reduced, seen):
         for point in points[len(extended):]:
             extended.append(_extend(point, subs))
-        for point in extended:
+        for point in extended[skip:] if skip else extended:
             if not holds_at(goal, point):
                 return True
     return False
 
 
+# the goals, or a function that gives them from the extended points of the
+# satisfiable hypothesis cubes
+Goals = Union[Sequence[G], Callable[[List[Dict[str, int]]], Sequence[G]]]
+
+
+def _unknown(goals: Goals, reason: str) -> List[Verdict]:
+    """An unknown verdict for each goal, given at no point."""
+    if callable(goals):
+        goals = goals([])
+    return [Verdict("unknown", reason=reason) for _ in goals]
+
+
 def _decide_rows(
     hyps: Iterable[Cubes],
-    goals: Sequence[G],
+    goals: Goals,
     negate: Callable[[G], Cubes],
     witnesses: Optional[Dict[int, Witness]] = None,
     holds_at: Optional[Callable[[G, Dict[str, int]], bool]] = None,
@@ -600,6 +642,13 @@ def _decide_rows(
     before its negation is built: that point satisfies the cube and the
     goal's negation.
 
+    When `goals` is a function, each satisfiable hypothesis cube also keeps
+    up to two spread points (see `_fm_unsat`), and the function is given
+    every cube's points, extended, once the hypotheses are reduced.  It is
+    trusted to give only goals that hold at all of them (the fixpoint
+    drops a candidate false at one, as Invalid), so `holds_at` tests each
+    goal only at the points found after it.
+
     Each reduced hypothesis cube keeps integer points of its rows, starting
     with the one its own satisfiability check found.  A goal cube's open
     rows are tested at them, newest first, before any elimination, and a
@@ -607,13 +656,11 @@ def _decide_rows(
     hold is an integer solution, so the verdict is the one Fourier-Motzkin
     would give, except that a goal whose elimination would have gone over
     `MAX_FM_ROWS` is Invalid instead of unknown."""
+    sample = callable(goals)
     try:
         hyp_cubes = all_of(hyps)
     except _TooLarge:
-        return [
-            Verdict("unknown", reason="formula too large for built-in oracle")
-            for _ in goals
-        ]
+        return _unknown(goals, "formula too large for built-in oracle")
 
     # each satisfiable hypothesis cube, deduplicated and with its
     # equalities eliminated, plus the substitutions that eliminated them
@@ -626,20 +673,29 @@ def _decide_rows(
             bools, rows = split
             rows, subs = _eliminate_equalities(_dedupe(rows))
             points: List[Dict[str, int]] = []
-            if _fm_unsat(rows, points):
+            if _fm_unsat(rows, points, sample):
                 continue
             bounds = {frozenset(c.items()): k for c, k in rows}
             # the last list holds the points extended through `subs`
             reduced.append((bools, rows, subs, bounds, points, []))
     except _TooLarge as exc:
-        return [Verdict("unknown", reason=str(exc)) for _ in goals]
+        return _unknown(goals, str(exc))
 
+    # how many of each cube's extended points every goal is known to hold at
+    seen = [0] * len(reduced)
+    if sample:
+        given: List[Dict[str, int]] = []
+        for _, _, subs, _, points, extended in reduced:
+            extended.extend(_extend(point, subs) for point in points)
+            given += extended
+        goals = goals(given)
+        seen = [len(points) for _, _, _, _, points, _ in reduced]
     out: List[Verdict] = []
     for index, goal in enumerate(goals):
         if not reduced:
             out.append(VALID)  # hypotheses are unsatisfiable
             continue
-        if holds_at is not None and _false_at_a_point(reduced, goal, holds_at):
+        if holds_at is not None and _false_at_a_point(reduced, goal, holds_at, seen):
             out.append(INVALID)
             continue
         try:
@@ -650,15 +706,18 @@ def _decide_rows(
         neg_splits = [sp for sp in map(_cube_consistent, neg_cubes) if sp is not None]
         refuted = True
         try:
-            pairs = itertools.product(reduced, neg_splits)
-            for (bools, rows, subs, bounds, points, _), (gbools, grows) in pairs:
+            pairs = itertools.product(zip(reduced, seen), neg_splits)
+            for ((bools, rows, subs, bounds, points, _), skip), (gbools, grows) in pairs:
                 if any(bools.get(n, v) != v for n, v in gbools.items()):
                     continue
                 open_rows = _against_cube(grows, subs, bounds)
                 if open_rows is None:
                     continue
-                # with no goal row left, the cube alone is satisfiable
-                held = (p for p in reversed(points) if _holds(p, open_rows))
+                # with no goal row left, the cube alone is satisfiable; the
+                # goal holds at the points it was given, so its negation
+                # is tried only at the newer ones
+                newer = itertools.islice(reversed(points), len(points) - skip)
+                held = (p for p in newer if _holds(p, open_rows))
                 point = next(held, None)
                 if point is None and open_rows:
                     known = len(points)
@@ -766,7 +825,7 @@ class Oracle:
     def valid_rows(
         self,
         hyps: Iterable[Cubes],
-        goals: Sequence[G],
+        goals: Goals,
         negate: Callable[[G], Cubes],
         holds_at: Optional[Callable[[G, Dict[str, int]], bool]] = None,
     ) -> List[Verdict]:
@@ -774,11 +833,14 @@ class Oracle:
         callers that keep their formulas linearized (the fixpoint solver):
         `hyps` yields the DNF of each hypothesis conjunct and `negate` gives
         the DNF of a goal's negation (see `dnf`); `holds_at`, if given,
-        evaluates a goal at a point (see `_decide_rows`).  Decided with no
-        counter-models: a goal that is not refuted is Invalid.  Counts one
-        query per goal."""
-        self.queries += len(goals)
-        return _decide_rows(hyps, goals, negate, holds_at=holds_at)
+        evaluates a goal at a point.  `goals` may be a function that gives
+        the goals from the hypotheses' integer points (see `_decide_rows`).
+        Decided with no counter-models: a goal that is not refuted is
+        Invalid.  Counts one query per goal decided, so a candidate that
+        such a function filters out is never asked."""
+        verdicts = _decide_rows(hyps, goals, negate, holds_at=holds_at)
+        self.queries += len(verdicts)
+        return verdicts
 
     def valid_many(
         self,

@@ -131,3 +131,16 @@ def loc_ctx(
     for name in locs:
         items.append((AbstractLoc(name), base_type(rng, vars_int, binder_pool)))
     return LocCtx(tuple(items))
+
+
+def borrow_chain(n: int) -> str:
+    """An entry of `n` successive `&mut` borrows of one cell, each
+    incrementing it once through `add`."""
+    lines = ["let c = new(lc) in", "let t0 = c := 0 in"]
+    for i in range(1, n + 1):
+        lines += [
+            f"let r{i} = &mut c in",
+            f"let y{i} = *r{i} in",
+            f"let u{i} = r{i} := call add(y{i}, 1) in",
+        ]
+    return "entry\n  " + "\n  ".join(lines + ["*c"]) + "\n"

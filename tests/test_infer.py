@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gen import bool_expr, int_expr
+from gen import bool_expr, borrow_chain, int_expr
 
 from lrcheck.constraints import (
     META,
@@ -30,6 +30,7 @@ from lrcheck.errors import ShapeMismatch, StructuralError
 from lrcheck.harness import generate_program
 from lrcheck.infer import (
     KVarSupply,
+    _Candidates,
     fresh_kvar_type,
     infer_rec_signature,
     join_types,
@@ -594,6 +595,48 @@ def test_sat_solution_validates_every_clause():
             assert verdict.is_valid, (unit.name, clause, verdict)
             checked += clause.is_kvar_head()
     assert checked >= 1000
+
+
+def test_the_first_sweep_filter_changes_no_solve(monkeypatch):
+    """Each kvar's first sweep drops the candidates false at its sample
+    points before building them.  With the full candidate list restored,
+    so that the oracle decides every candidate, every solve over the
+    corpus, generator seeds 0-199 and chains of 5 to 8 borrows ends the
+    same: status, deletions, sweeps, solution, failed clause and reason."""
+    programs = list(_corpus_and_seeds(range(200)))
+    programs += [parse_program(borrow_chain(n)) for n in range(5, 9)]
+
+    def outcomes():
+        return [
+            (
+                out.status,
+                out.deletions,
+                out.sweeps,
+                out.solution.dump(),
+                out.failed_clause,
+                out.reason,
+            )
+            for _, out in _solved_units(programs)
+        ]
+
+    sample = _Candidates.sample
+    dropped = []
+
+    def counted(self, app, points):
+        before = len(self.kept[app.kvar])
+        literals = sample(self, app, points)
+        dropped.append(before - len(self.kept[app.kvar]))
+        return literals
+
+    monkeypatch.setattr(_Candidates, "sample", counted)
+    filtered = outcomes()
+
+    def unfiltered(self, app, points):
+        return self.literals(app.kvar)
+
+    monkeypatch.setattr(_Candidates, "sample", unfiltered)
+    assert outcomes() == filtered
+    assert len(filtered) >= 400 and sum(dropped) >= 10000, (len(filtered), sum(dropped))
 
 
 class UndecidedOracle(Oracle):

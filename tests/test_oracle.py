@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from gen import bool_expr, ctx_with_vars
+from gen import bool_expr, borrow_chain, ctx_with_vars
 from lrcheck import oracle as oracle_module
 from lrcheck.logic import conj
 from lrcheck.oracle import (
@@ -268,6 +268,58 @@ def test_fourier_motzkin_appends_no_point_when_no_integer_fits():
     assert points == []
 
 
+def test_back_substitution_clamps_each_target_into_its_interval():
+    # y >= x is eliminated first, then 1 <= x <= 3; back-substitution
+    # assigns x first, and then y against its value
+    eliminated = [
+        ("y", [({"y": -1, "x": 1}, 0)]),
+        ("x", [({"x": 1}, -3), ({"x": -1}, 1)]),
+    ]
+    back_substitute = oracle_module._back_substitute
+    assert back_substitute(eliminated, {"x": 5, "y": 2}) == {"x": 3, "y": 3}
+    assert back_substitute(eliminated, {"x": -4, "y": -1}) == {"x": 1, "y": 1}
+    assert back_substitute(eliminated, {"x": 2, "y": 7}) == {"x": 2, "y": 7}
+    # with no targets, each variable is the integer nearest 0
+    assert back_substitute(eliminated) == {"x": 1, "y": 1}
+
+
+def test_back_substitution_gives_no_point_for_an_interval_with_no_integer():
+    # 2x = y with 0 <= y <= 3: y = 1 leaves 1/2 <= x <= 1/2
+    eliminated = [
+        ("x", [({"x": 2, "y": -1}, 0), ({"x": -2, "y": 1}, 0)]),
+        ("y", [({"y": 1}, -3), ({"y": -1}, 0)]),
+    ]
+    back_substitute = oracle_module._back_substitute
+    assert back_substitute(eliminated, {"x": 2, "y": 1}) is None
+    assert back_substitute(eliminated, {"x": 1, "y": 2}) == {"y": 2, "x": 1}
+    # Fourier-Motzkin eliminates x first (one pair against four), so the
+    # spread targets are x = 1, y = 2 and x = 2, y = 1: the second variant
+    # meets the empty interval and is skipped
+    rows = [r for _, bounding in eliminated for r in bounding]
+    points = []
+    assert not oracle_module._fm_unsat(rows, points, spread=True)
+    assert points == [{"y": 0, "x": 0}, {"y": 2, "x": 1}]
+
+
+def test_spread_points_leave_the_nearest_zero_point_first_and_unchanged():
+    rng = random.Random(37)
+    names = ["x0", "x1", "x2", "x3"]
+    spread = 0
+    for _ in range(200):
+        point = {x: rng.randint(-5, 5) for x in names}
+        rows = _fm_rows(rng, names, point)
+        plain, more = [], []
+        assert not oracle_module._fm_unsat(rows, plain)
+        assert not oracle_module._fm_unsat(rows, more, spread=True)
+        assert more[: len(plain)] == plain
+        # each point satisfies the rows, and no point is kept twice
+        for found in more:
+            assert oracle_module._holds(found, rows), (rows, found)
+        assert all(more[i] not in more[:i] for i in range(len(more)))
+        spread += len(more) - len(plain)
+    assert spread >= 150, spread
+
+
 def test_fourier_motzkin_point_of_a_3000_row_chain():
     n = 3000
     chain = [({f"x{i}": 1, f"x{i + 1}": -1}, 0) for i in range(n)]
@@ -300,14 +352,7 @@ def test_borrow_chain_settles_most_goals_at_known_points(monkeypatch):
     """Six successive `&mut` borrows of one cell: the goals share
     satisfiable hypothesis cubes, so most are settled at a point that an
     earlier Fourier-Motzkin call found, with no call of their own."""
-    lines = ["let c = new(lc) in", "let t0 = c := 0 in"]
-    for i in range(1, 7):
-        lines += [
-            f"let r{i} = &mut c in",
-            f"let y{i} = *r{i} in",
-            f"let u{i} = r{i} := call add(y{i}, 1) in",
-        ]
-    source = "entry\n  " + "\n  ".join(lines + ["*c"]) + "\n"
+    source = borrow_chain(6)
     calls = []
     fm_unsat = oracle_module._fm_unsat
 
@@ -319,10 +364,12 @@ def test_borrow_chain_settles_most_goals_at_known_points(monkeypatch):
     oracle = Oracle()
     assert check_program(parse_program(source), oracle=oracle).ok
     # one query per distinct literal of a sweep's head kvar: `a <= b` and
-    # `b >= a`, or `a = b + 1` and `b = a - 1`, are asked once
-    assert oracle.queries == 308
-    # one call per goal and cube would be 522
-    assert len(calls) < 100
+    # `b >= a`, or `a = b + 1` and `b = a - 1`, are asked once; a kvar's
+    # first sweep asks only the literals that hold at its sample points
+    assert oracle.queries == 42
+    # each call reduces a hypothesis cube: every goal is settled at a point
+    # of one, with no call of its own
+    assert len(calls) <= 12
 
 
 def test_closed_arithmetic(oracle):

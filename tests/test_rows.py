@@ -55,8 +55,8 @@ QUALS = default_qualifiers() + [
 ]
 
 
-def _int_arg(rng):
-    if rng.random() < 0.25:
+def _int_arg(rng, products=True):
+    if products and rng.random() < 0.25:
         # a nonlinear product, which the oracle treats as opaque
         return BinArith("*", Var(rng.choice(INTS)), Var(rng.choice(INTS)))
     return int_expr(rng, INTS, 2)
@@ -69,30 +69,33 @@ def _bool_arg(rng):
     return bool_expr(rng, INTS, BOOLS, 2)
 
 
-def _app(rng, kvar):
-    return KApp(kvar, (_int_arg(rng), _int_arg(rng), _bool_arg(rng)))
+def _app(rng, kvar, products=True):
+    return KApp(
+        kvar, (_int_arg(rng, products), _int_arg(rng, products), _bool_arg(rng))
+    )
 
 
-def _case(rng):
+def _case(rng, products=True):
     """A clause with concrete and kvar hypotheses that all hold at one
     random point, sometimes recursive, whose head often repeats the
     arguments of a hypothesis; each kvar keeps a random subset of its
     candidates, sometimes none.  The hypothesis kvar keeps only candidates
-    true at the point."""
+    true at the point.  With `products` false, no argument is a
+    product."""
     env = {n: rng.randrange(-2, 3) for n in INTS}
     env.update({n: rng.random() < 0.5 for n in BOOLS})
     hyps = []
     for _ in range(rng.randrange(3)):
         h = bool_expr(rng, INTS, BOOLS, 2)
         hyps.append(h if eval_closed(h, env) else Not(h))
-    apps = [_app(rng, K_HYP) for _ in range(rng.randrange(1, 3))]
+    apps = [_app(rng, K_HYP, products) for _ in range(rng.randrange(1, 3))]
     for app in apps:
         hyps.insert(rng.randrange(len(hyps) + 1), app)
     head_kvar = K_HYP if rng.random() < 0.3 else K_HEAD
     if rng.random() < 0.6:
         head = KApp(head_kvar, rng.choice(apps).args)
     else:
-        head = _app(rng, head_kvar)
+        head = _app(rng, head_kvar, products)
     clause = Clause(0, BINDERS, tuple(hyps), head, Provenance("test"))
     cands = _Candidates([K_HYP, K_HEAD], QUALS)
     true_here = [
@@ -127,7 +130,7 @@ def _term_query(clause, cands):
 def _per_candidate(cands, name, verdicts):
     """The verdicts of a kvar's distinct literals, one per candidate."""
     index = {lit: i for i, lit in enumerate(cands.literals(name))}
-    lits = _candidate_literals(cands.kept[name], cands.params[name])
+    lits = _candidate_literals(cands.kept[name], cands.params[name], {})
     return [verdicts[index[lit]] for lit in lits]
 
 
@@ -145,6 +148,7 @@ def _concrete_head(rng, clause, cands):
 
 
 NO_MODEL = "satisfiable relaxation, no integer model found"
+TOO_LARGE = "formula too large for built-in oracle"
 
 
 def _agree(by_rows, by_terms):
@@ -210,7 +214,7 @@ def test_row_entry_matches_term_entry_and_brute_force(monkeypatch, max_cubes):
     assert seen["empty"] >= 5 and seen["term literals"] >= 20, seen
     assert seen["shared literals"] >= 20, seen
     if max_cubes == 3:
-        assert seen["formula too large for built-in oracle"] >= 10, seen
+        assert seen[TOO_LARGE] >= 10, seen
         assert seen["goal too large"] >= 5, seen
 
 
@@ -277,7 +281,7 @@ def test_spliced_literal_cubes_are_the_substituted_candidate_cubes():
     kvar = KVarDecl("k2", ints + (("p", Sort.BOOL), ("q", Sort.BOOL)))
     params = dict(kvar.params)
     cands = [instance(c) for c in instantiations(kvar, QUALS)]
-    literals = list(_candidate_literals(instantiations(kvar, QUALS), params))
+    literals = list(_candidate_literals(instantiations(kvar, QUALS), params, {}))
     assert literals == [_literal(c, params) for c in cands]
     kinds = Counter(lit[0] for lit in literals)
     assert kinds["le"] and kinds["eq"] and kinds["term"], kinds
@@ -359,3 +363,98 @@ def test_refuting_at_known_points_keeps_the_verdicts(monkeypatch, max_cubes):
     assert not disagreements, disagreements[:3]
     assert seen["valid"] >= 40 and seen["invalid"] >= 40, seen
     assert seen["false at a point"] >= 40, seen
+
+
+@pytest.mark.parametrize("max_cubes", [oracle_module.MAX_CUBES, 3])
+def test_first_sweep_filter_drops_only_invalid_candidates(monkeypatch, max_cubes):
+    """Random clauses, every other one with no product, whose head's
+    candidates, all of them unless the head is the hypothesis kvar, are
+    filtered at the hypotheses' sample points, as a kvar's first sweep
+    does: every sample point satisfies its cube's rows and,
+    with no product, the hypotheses; every dropped candidate is Invalid by
+    `Oracle.valid` and, with no product, false at a model of the
+    hypotheses; and every survivor keeps the verdict it has when nothing is
+    filtered."""
+    monkeypatch.setattr(oracle_module, "MAX_CUBES", max_cubes)
+    cubes = []  # (rows, points) of each cube reduced with spread points
+    fm_unsat = oracle_module._fm_unsat
+
+    def recorded(rows, points, spread=False):
+        unsat = fm_unsat(rows, points, spread)
+        if spread and not unsat:
+            cubes.append((rows, list(points)))
+        return unsat
+
+    monkeypatch.setattr(oracle_module, "_fm_unsat", recorded)
+    rng = random.Random(67)
+    oracle = Oracle()
+    seen = Counter()
+    for i in range(160):
+        clause, cands = _case(rng, products=i % 2 == 0)
+        rows = _ClauseRows(clause)
+        head = rows.head
+        name = head.kvar
+        if name == K_HEAD.name:
+            # a first sweep filters every instantiation
+            cands.kept[name] = instantiations(K_HEAD, QUALS)
+        # the hypotheses and verdicts with nothing filtered, from a copy: the
+        # head's literals are not built before the filter, unless the head
+        # is the hypothesis kvar
+        hyps, _ = _term_query(clause, cands)
+        before = list(cands.kept[name])
+        unfiltered = _Candidates([K_HYP, K_HEAD], QUALS)
+        unfiltered.kept = {k: list(kept) for k, kept in cands.kept.items()}
+        lits = unfiltered.literals(name)
+        full = Oracle().valid_rows(rows.hyp_cubes(unfiltered), lits, head.negated)
+        full = dict(zip(before, _per_candidate(unfiltered, name, full)))
+        given = []
+
+        def goals(points):
+            given.extend(points)
+            return cands.sample(head, points)
+
+        cubes.clear()
+        hyp_cubes = rows.hyp_cubes(cands)
+        first = oracle.valid_rows(hyp_cubes, goals, head.negated, head.holds_at)
+        survivors = set(cands.kept[name])
+        seen["too large"] += sum(v.reason == TOO_LARGE for v in first)
+        # one query per survivor's distinct literal, each with its verdict
+        assert len(first) == len(cands.literals(name))
+        for cand, verdict in zip(cands.kept[name], _per_candidate(cands, name, first)):
+            assert verdict.is_valid == full[cand].is_valid, (clause, cand)
+        for cube_rows, points in cubes:
+            assert all(oracle_module._holds(p, cube_rows) for p in points), cube_rows
+            seen["points"] += len(points)
+        # a sample point gives a product's opaque name a value of its own
+        exact = not rows.prods
+        envs = []
+        for point in given:
+            completions = [
+                {**{n: point.get(n, 0) for n in INTS}, **dict(zip(BOOLS, bools))}
+                for bools in itertools.product((False, True), repeat=len(BOOLS))
+            ]
+            models = [e for e in completions if all(eval_closed(h, e) for h in hyps)]
+            assert models or not exact, (clause, point)
+            envs += models
+        envs += _models(hyps)
+        for cand in before:
+            if cand in survivors:
+                continue
+            seen["dropped"] += 1
+            seen[f"dropped from {name}"] += 1
+            assert not full[cand].is_valid, (clause, cand)
+            goal = _at(instance(cand), clause.head.kvar, clause.head.args)
+            verdict = oracle.valid(Query(BINDERS, hyps, goal))
+            assert verdict.is_invalid or verdict.reason == NO_MODEL, (clause, cand)
+            if exact:
+                seen["exact drops"] += 1
+                assert any(not eval_closed(goal, env) for env in envs), (clause, cand)
+    if max_cubes == 3:
+        assert seen["dropped"] >= 500 and seen["exact drops"] >= 150, seen
+        assert seen["points"] >= 200 and seen["too large"] >= 400, seen
+    else:
+        assert seen["dropped"] >= 800 and seen["exact drops"] >= 250, seen
+        assert seen["points"] >= 700, seen
+    # candidates dropped before their literals are built, and from literals
+    # built for the hypotheses first
+    assert seen["dropped from k1"] >= 500 and seen["dropped from k0"] >= 5, seen
