@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .constraints import (
@@ -339,15 +340,14 @@ class _TemplateSlot(Type):
 # of a kvar once and deletes all its candidates with it.  A row fails
 # exactly when -row + 1 <= 0.  A kvar application maps each parameter to
 # its argument, an integer argument as its linear form; substituting a
-# literal splices the argument forms into its row, and evaluating it at a
-# point evaluates the forms there (`_App.holds_at`).
+# literal splices the argument forms into its row.
 #
-# A kvar's first sweep builds no literal before it has filtered the kvar's
-# candidates at the sample points of the clause's hypotheses
-# (`_Candidates.sample`): each integer argument is evaluated once per
-# point, and a candidate whose qualifier template is a row `k + a*NU +
-# b*META` is dropped when that row, at its parameters' values, fails at a
-# point.  Only the survivors' literals are built and asked.
+# Every sweep first filters the head kvar's kept candidates at the sample
+# points of the clause's hypotheses (`_Candidates.sample`): each integer
+# argument is evaluated once per point, and a candidate whose qualifier
+# template is a row `k + a*NU + b*META` is dropped when that row, at its
+# parameters' values, fails at a point.  Only the survivors are asked, and
+# literals not built yet are built for them alone.
 
 
 def _row_literal(kind: str, terms: Iterable[Tuple[str, int]], k: int) -> Tuple:
@@ -478,26 +478,11 @@ class _App:
     def negated(self, lit: Tuple) -> Cubes:
         return self.cubes(lit, False)
 
-    def holds_at(self, lit: Tuple, point: Dict[str, int]) -> bool:
-        """Whether the literal substituted here holds at `point`, where an
-        unbound variable reads as 0.  A term literal is not evaluated, and
-        holds."""
-        kind = lit[0]
-        if kind == "term":
-            return True
-        _, terms, row = lit
-        for p, c in terms:
-            coeffs, const = self.lins[p]
-            for v, x in coeffs.items():
-                const += x * point.get(v, 0)
-            row += c * const
-        return row <= 0 if kind == "le" else row == 0
-
 
 class _Candidates:
     """The fixpoint's state: each kvar's kept candidates, and its distinct
     literals with the index of each candidate's literal among them, built
-    when a clause first needs that kvar, or for its first sweep, after its
+    when a clause first needs them, for a sweep's head kvar after its
     candidates are filtered at sample points (`sample`).  Deleting a
     literal deletes every candidate that has it."""
 
@@ -512,41 +497,39 @@ class _Candidates:
     def sample(self, app: "_App", points: Sequence[Dict[str, int]]) -> List[Tuple]:
         """Drop each kept candidate of the application's kvar whose
         literal, substituted at `app`, is false at one of `points`, and
-        return the kvar's distinct literals, built for the survivors only,
-        which keep their order.  Each integer argument of `app` is
+        return the kvar's distinct literals, built for the survivors only
+        if they were not built yet.  Each integer argument of `app` is
         evaluated once per point, and a candidate whose qualifier compiles
         to a template row is tested at those values with integer arithmetic
-        alone; any other candidate is kept."""
+        alone; any other candidate is kept.  Equal row literals are equal
+        rows at the same values, and a candidate with no template row has a
+        term literal, so all the candidates of a literal go or stay
+        together."""
         name = app.kvar
-        if not points:
-            return self.literals(name)
-        if name in self._literals:
-            # built already, as a hypothesis: filter the distinct literals
-            lits = self.literals(name)
-            self.keep(name, [all(app.holds_at(lit, p) for p in points) for lit in lits])
-            return self.literals(name)
-        values = {
-            p: [k + sum(x * pt.get(v, 0) for v, x in coeffs.items()) for pt in points]
-            for p, (coeffs, k) in app.lins.items()
-        }
-        zeros = [0] * len(points)
-        kept: List[Candidate] = []
-        last = test = None  # a run of candidates shares its qualifier
-        for cand in self.kept[name]:
-            q, nu, meta = cand
-            if q is not last:
-                last, test = q, _qualifier_row(q, self._rows)
-            if test is None:
-                kept.append(cand)
-                continue
-            eq, k, a, b = test
-            for x, y in zip(values[nu], values[meta] if b else zeros):
-                row = k + a * x + b * y
-                if row if eq else row > 0:
-                    break
-            else:
-                kept.append(cand)
-        self.kept[name] = kept
+        if points:
+            values = {
+                p: [k + sum(x * pt.get(v, 0) for v, x in coeffs.items()) for pt in points]
+                for p, (coeffs, k) in app.lins.items()
+            }
+            zeros = [0] * len(points)
+            mask: List[bool] = []
+            last = test = None  # a run of candidates shares its qualifier
+            for q, nu, meta in self.kept[name]:
+                if q is not last:
+                    last, test = q, _qualifier_row(q, self._rows)
+                if test is None:
+                    mask.append(True)
+                    continue
+                eq, k, a, b = test
+                for x, y in zip(values[nu], values[meta] if b else zeros):
+                    row = k + a * x + b * y
+                    if row if eq else row > 0:
+                        mask.append(False)
+                        break
+                else:
+                    mask.append(True)
+            if not all(mask):
+                self._prune(name, mask)
         return self.literals(name)
 
     def _compiled(self, name: str) -> Tuple[List[Tuple], List[int]]:
@@ -570,19 +553,20 @@ class _Candidates:
     def keep(self, name: str, valid: Sequence[bool]) -> None:
         """Keep the candidates whose literal is valid, by the literals'
         order."""
-        lits, owner = self._compiled(name)
-        renumber: Dict[int, int] = {}
-        for i, ok in enumerate(valid):
-            if ok:
-                renumber[i] = len(renumber)
-        cands: List[Candidate] = []
-        owners: List[int] = []
-        for cand, o in zip(self.kept[name], owner):
-            if o in renumber:
-                cands.append(cand)
-                owners.append(renumber[o])
-        self.kept[name] = cands
-        self._literals[name] = ([lits[i] for i in renumber], owners)
+        self._prune(name, [valid[o] for o in self._compiled(name)[1]])
+
+    def _prune(self, name: str, mask: Sequence[bool]) -> None:
+        """Keep the candidates that `mask` marks, and, if the literals are
+        built, the literals of those candidates, in the same order."""
+        self.kept[name] = list(compress(self.kept[name], mask))
+        entry = self._literals.get(name)
+        if entry is not None:
+            lits, owner = entry
+            renumber: Dict[int, int] = {}
+            owners = [
+                renumber.setdefault(o, len(renumber)) for o in compress(owner, mask)
+            ]
+            self._literals[name] = ([lits[o] for o in renumber], owners)
 
     def terms(self, name: str) -> List[RefExpr]:
         """The terms of the kvar's kept candidates."""
@@ -694,24 +678,23 @@ def solve(
     The worklist sweeps clauses in dependency order: by the strongly
     connected component of their head kvar, upstream first, in the graph
     with an edge from each kvar a clause assumes to the kvar it defines,
-    and within a component in clause order.  So a clause is swept again
+    and within a component in clause order.  So a clause is queued again
     only when a kvar of its own component shrank, and a kvar outside any
-    cycle is swept once per defining clause.
+    cycle gets one sweep per defining clause.
 
     Every clause is linearized once, and a kvar's candidates once, when a
-    clause first needs that kvar.  A sweep asks `Oracle.valid_rows` about
-    each distinct literal of the head kvar once, under the spliced rows of
-    the hypothesis kvars' distinct literals; a literal false at a point the
-    oracle keeps for a hypothesis cube is deleted with no splice of its
-    own.  A kvar's first sweep passes its goals as a function of those
-    points, extended, which the oracle then spreads further: the function
-    drops each candidate false at one with integer arithmetic, before any
-    literal is built, and only the survivors are asked.  A dropped
-    candidate counts as a deletion, as it would if it were asked, since
-    the point refutes it.  Each concrete-headed clause is asked as a later
-    sweep is, under the final kept candidates.  Only a concrete clause the
-    rows do not prove is built as a term and decided by `Oracle.valid`,
-    which gives the verdict, reason and counter-model."""
+    clause first needs that kvar.  A sweep passes `Oracle.valid_rows` the
+    head kvar's goals as a function of the integer points that the oracle
+    keeps for each satisfiable hypothesis cube, extended and spread: the
+    function drops each kept candidate false at one with integer
+    arithmetic, before a literal not built yet is built, and gives the
+    survivors' distinct literals, each asked once under the spliced rows of
+    the hypothesis kvars' distinct literals.  A dropped candidate counts as
+    a deletion, as it would if it were asked, since the point refutes it.
+    Each concrete-headed clause is asked under the final kept candidates.
+    Only a concrete clause the rows do not prove is built as a term and
+    decided by `Oracle.valid`, which gives the verdict, reason and
+    counter-model."""
     norm = normalize(constraint)
     cls = clauses(norm)
     kvars = kvars_of(norm)
@@ -740,7 +723,6 @@ def solve(
     deletions = 0
     sweeps = 0
     queued = {c.cid for c in kvar_clauses}
-    swept = set()  # the kvars a sweep has filtered at its sample points
     while worklist:
         _, _, clause = heapq.heappop(worklist)
         queued.discard(clause.cid)
@@ -751,13 +733,8 @@ def solve(
         before = len(cands.kept[head.kvar])
         if not before:
             continue
-        if head.kvar in swept:
-            goals = cands.literals(head.kvar)
-        else:
-            swept.add(head.kvar)
-            goals = partial(cands.sample, head)
         verdicts = oracle.valid_rows(
-            rows.hyp_cubes(cands), goals, head.negated, head.holds_at
+            rows.hyp_cubes(cands), partial(cands.sample, head), head.negated
         )
         valid = [v.is_valid for v in verdicts]
         if not all(valid):

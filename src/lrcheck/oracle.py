@@ -27,13 +27,10 @@ rows, and a goal row that the cube contradicts or implies row by row is
 settled without Fourier-Motzkin.  Each reduced cube also keeps integer
 points that satisfy it, found by back-substitution after a satisfiable
 elimination; a goal cube whose remaining rows hold at one of them is not
-refuted, with no elimination of its own.  A caller that can evaluate a
-goal at a point (the fixpoint, for its literals) has it evaluated first at
-each kept point, extended through its cube's substitutions: a goal false
-at one is Invalid before its negation is built or substituted.  A caller
-may also give its goals as a function of those extended points (the
-fixpoint, on a kvar's first sweep, to filter its candidates before it
-builds them); each cube then also keeps up to two points spread over
+refuted, with no elimination of its own.  A caller may give its goals as a
+function of those points, extended through their cube's substitutions
+(the fixpoint, on every sweep, to drop the candidates false at one before
+it asks them); each cube then also keeps up to two points spread over
 distinct small values, from the same elimination.
 
 Nonlinear products are abstracted as opaque variables, which keeps Valid
@@ -594,22 +591,6 @@ def _extend(point: Dict[str, int], subs: Sequence[Substitution]) -> Dict[str, in
     return point
 
 
-def _false_at_a_point(
-    reduced, goal: G, holds_at: Callable[[G, Dict[str, int]], bool], seen: List[int]
-):
-    """Whether `holds_at` finds the goal false at a point of a reduced
-    hypothesis cube, past the first `seen` points of each cube, at which
-    every goal is already known to hold; each point is extended through its
-    cube's substitutions the first time it is needed, and kept so."""
-    for (_, _, subs, _, points, extended), skip in zip(reduced, seen):
-        for point in points[len(extended):]:
-            extended.append(_extend(point, subs))
-        for point in extended[skip:] if skip else extended:
-            if not holds_at(goal, point):
-                return True
-    return False
-
-
 # the goals, or a function that gives them from the extended points of the
 # satisfiable hypothesis cubes
 Goals = Union[Sequence[G], Callable[[List[Dict[str, int]]], Sequence[G]]]
@@ -627,7 +608,6 @@ def _decide_rows(
     goals: Goals,
     negate: Callable[[G], Cubes],
     witnesses: Optional[Dict[int, Witness]] = None,
-    holds_at: Optional[Callable[[G, Dict[str, int]], bool]] = None,
 ) -> List[Verdict]:
     """Decide goals under shared hypotheses, given as the DNF of each
     hypothesis conjunct and, through `negate`, the DNF of each goal's
@@ -636,18 +616,15 @@ def _decide_rows(
     model; `witnesses`, if given, maps its index to the point that settled
     it, if any (see `Witness`).
 
-    `holds_at(goal, point)`, if given, tells whether a goal holds at a
-    point over the hypotheses' variables.  A goal false at a stored point
-    of some cube, extended through the cube's substitutions, is Invalid
-    before its negation is built: that point satisfies the cube and the
-    goal's negation.
-
     When `goals` is a function, each satisfiable hypothesis cube also keeps
     up to two spread points (see `_fm_unsat`), and the function is given
-    every cube's points, extended, once the hypotheses are reduced.  It is
-    trusted to give only goals that hold at all of them (the fixpoint
-    drops a candidate false at one, as Invalid), so `holds_at` tests each
-    goal only at the points found after it.
+    every cube's points, extended through its substitutions, once the
+    hypotheses are reduced.  The goals it gives are taken to hold at those
+    points (the fixpoint drops a candidate false at one, as Invalid), so
+    the point test below tries each goal only at the points found after
+    them.  A goal the function passes untested (a `term` literal) may be
+    false at one: only that shortcut is lost, and Fourier-Motzkin still
+    decides it.
 
     Each reduced hypothesis cube keeps integer points of its rows, starting
     with the one its own satisfiability check found.  A goal cube's open
@@ -676,27 +653,21 @@ def _decide_rows(
             if _fm_unsat(rows, points, sample):
                 continue
             bounds = {frozenset(c.items()): k for c, k in rows}
-            # the last list holds the points extended through `subs`
-            reduced.append((bools, rows, subs, bounds, points, []))
+            reduced.append((bools, rows, subs, bounds, points))
     except _TooLarge as exc:
         return _unknown(goals, str(exc))
 
-    # how many of each cube's extended points every goal is known to hold at
+    # how many of each cube's points every goal is known to hold at
     seen = [0] * len(reduced)
     if sample:
-        given: List[Dict[str, int]] = []
-        for _, _, subs, _, points, extended in reduced:
-            extended.extend(_extend(point, subs) for point in points)
-            given += extended
-        goals = goals(given)
-        seen = [len(points) for _, _, _, _, points, _ in reduced]
+        goals = goals(
+            [_extend(p, subs) for _, _, subs, _, points in reduced for p in points]
+        )
+        seen = [len(points) for *_, points in reduced]
     out: List[Verdict] = []
     for index, goal in enumerate(goals):
         if not reduced:
             out.append(VALID)  # hypotheses are unsatisfiable
-            continue
-        if holds_at is not None and _false_at_a_point(reduced, goal, holds_at, seen):
-            out.append(INVALID)
             continue
         try:
             neg_cubes = negate(goal)
@@ -707,15 +678,15 @@ def _decide_rows(
         refuted = True
         try:
             pairs = itertools.product(zip(reduced, seen), neg_splits)
-            for ((bools, rows, subs, bounds, points, _), skip), (gbools, grows) in pairs:
+            for ((bools, rows, subs, bounds, points), skip), (gbools, grows) in pairs:
                 if any(bools.get(n, v) != v for n, v in gbools.items()):
                     continue
                 open_rows = _against_cube(grows, subs, bounds)
                 if open_rows is None:
                     continue
                 # with no goal row left, the cube alone is satisfiable; the
-                # goal holds at the points it was given, so its negation
-                # is tried only at the newer ones
+                # goal is taken to hold at the points it was given, so its
+                # negation is tried only at the newer ones
                 newer = itertools.islice(reversed(points), len(points) - skip)
                 held = (p for p in newer if _holds(p, open_rows))
                 point = next(held, None)
@@ -827,18 +798,16 @@ class Oracle:
         hyps: Iterable[Cubes],
         goals: Goals,
         negate: Callable[[G], Cubes],
-        holds_at: Optional[Callable[[G, Dict[str, int]], bool]] = None,
     ) -> List[Verdict]:
         """Row-level validity of each goal under shared hypotheses, for
         callers that keep their formulas linearized (the fixpoint solver):
         `hyps` yields the DNF of each hypothesis conjunct and `negate` gives
-        the DNF of a goal's negation (see `dnf`); `holds_at`, if given,
-        evaluates a goal at a point.  `goals` may be a function that gives
-        the goals from the hypotheses' integer points (see `_decide_rows`).
-        Decided with no counter-models: a goal that is not refuted is
-        Invalid.  Counts one query per goal decided, so a candidate that
-        such a function filters out is never asked."""
-        verdicts = _decide_rows(hyps, goals, negate, holds_at=holds_at)
+        the DNF of a goal's negation (see `dnf`).  `goals` may be a function
+        that gives the goals from the hypotheses' integer points (see
+        `_decide_rows`).  Decided with no counter-models: a goal that is not
+        refuted is Invalid.  Counts one query per goal decided, so a
+        candidate that such a function filters out is never asked."""
+        verdicts = _decide_rows(hyps, goals, negate)
         self.queries += len(verdicts)
         return verdicts
 

@@ -3,6 +3,7 @@ worked join-point, vector, and loop-invariant solutions."""
 
 import glob
 import random
+from collections import Counter
 
 import pytest
 
@@ -597,12 +598,13 @@ def test_sat_solution_validates_every_clause():
     assert checked >= 1000
 
 
-def test_the_first_sweep_filter_changes_no_solve(monkeypatch):
-    """Each kvar's first sweep drops the candidates false at its sample
-    points before building them.  With the full candidate list restored,
-    so that the oracle decides every candidate, every solve over the
-    corpus, generator seeds 0-199 and chains of 5 to 8 borrows ends the
-    same: status, deletions, sweeps, solution, failed clause and reason."""
+def test_the_point_filter_changes_no_solve(monkeypatch):
+    """Every sweep drops the head kvar's candidates false at its sample
+    points before asking them, on a kvar's later sweeps too.  With the full
+    candidate list restored, so that the oracle decides every candidate,
+    every solve over the corpus, generator seeds 0-199 and chains of 5 to 8
+    borrows ends the same: status, deletions, sweeps, solution, failed
+    clause and reason."""
     programs = list(_corpus_and_seeds(range(200)))
     programs += [parse_program(borrow_chain(n)) for n in range(5, 9)]
 
@@ -620,12 +622,15 @@ def test_the_first_sweep_filter_changes_no_solve(monkeypatch):
         ]
 
     sample = _Candidates.sample
-    dropped = []
+    dropped = Counter()
 
     def counted(self, app, points):
         before = len(self.kept[app.kvar])
         literals = sample(self, app, points)
-        dropped.append(before - len(self.kept[app.kvar]))
+        sampled = vars(self).setdefault("sampled", set())
+        later = app.kvar in sampled
+        sampled.add(app.kvar)
+        dropped["later" if later else "first"] += before - len(self.kept[app.kvar])
         return literals
 
     monkeypatch.setattr(_Candidates, "sample", counted)
@@ -636,7 +641,9 @@ def test_the_first_sweep_filter_changes_no_solve(monkeypatch):
 
     monkeypatch.setattr(_Candidates, "sample", unfiltered)
     assert outcomes() == filtered
-    assert len(filtered) >= 400 and sum(dropped) >= 10000, (len(filtered), sum(dropped))
+    # measured: 16,548 dropped on first sweeps and 13,182 on later ones
+    assert len(filtered) >= 400, len(filtered)
+    assert dropped["first"] >= 10000 and dropped["later"] >= 10000, dropped
 
 
 class UndecidedOracle(Oracle):

@@ -8,6 +8,7 @@ import glob
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -25,7 +26,7 @@ from lrcheck.constraints import (
 )
 from lrcheck.infer import _App, _Candidates, _candidate_literals, _ClauseRows, _literal
 from lrcheck.logic import conj, subst_parallel
-from lrcheck.oracle import VALID, Oracle, Query, dnf, eval_closed
+from lrcheck.oracle import INVALID, VALID, Oracle, Query, dnf, eval_closed
 from lrcheck.parser import parse_program
 from lrcheck.syntax import (
     BinArith,
@@ -328,10 +329,12 @@ def test_an_equality_literal_is_its_own_canonical_key_up_to_sign():
 @pytest.mark.parametrize("max_cubes", [oracle_module.MAX_CUBES, 3])
 def test_refuting_at_known_points_keeps_the_verdicts(monkeypatch, max_cubes):
     """On the clauses of `test_row_entry_matches_term_entry_and_brute_force`,
-    evaluating each head literal at the hypothesis cubes' known points
-    first gives the verdicts deciding it in full gives, except Invalid for
-    unknown when Fourier-Motzkin would go over its limit; and never Valid
-    where brute force finds a model."""
+    with the head's literals already built, as on a kvar's later sweeps:
+    filtering the head's candidates at the hypothesis cubes' known points
+    before deciding the survivors gives each candidate the verdict deciding
+    it in full gives, a dropped one Invalid, except Invalid for unknown
+    when Fourier-Motzkin would go over its limit; and never Valid where
+    brute force finds a model."""
     monkeypatch.setattr(oracle_module, "MAX_CUBES", max_cubes)
     rng = random.Random(61)
     seen = Counter()
@@ -341,25 +344,31 @@ def test_refuting_at_known_points_keeps_the_verdicts(monkeypatch, max_cubes):
         _concrete_head(rng, clause, cands)  # the same cases, in the same order
         rows = _ClauseRows(clause)
         head = rows.head
-        lits = cands.literals(head.kvar)
-        full = Oracle().valid_rows(rows.hyp_cubes(cands), lits, head.negated)
-
-        def holds_at(lit, point):
-            held = head.holds_at(lit, point)
-            seen["false at a point"] += not held
-            return held
-
-        first = Oracle().valid_rows(rows.hyp_cubes(cands), lits, head.negated, holds_at)
-        for before, after in zip(full, first):
-            over = before.reason.startswith("Fourier-Motzkin over")
-            if after != before and not (over and after.is_invalid):
-                disagreements.append((clause, "differs", before, after))
+        name = head.kvar
+        # the hypotheses and goals before the filter drops any candidate
         hyps, goals = _term_query(clause, cands)
+        before = list(cands.kept[name])
+        lits = cands.literals(name)
+        full = Oracle().valid_rows(rows.hyp_cubes(cands), lits, head.negated)
+        full = _per_candidate(cands, name, full)
+        filtered = Oracle().valid_rows(
+            rows.hyp_cubes(cands), partial(cands.sample, head), head.negated
+        )
+        after = dict(zip(cands.kept[name], _per_candidate(cands, name, filtered)))
         models = _models(hyps)
-        for goal, verdict in zip(goals, _per_candidate(cands, head.kvar, first)):
+        for cand, goal, whole in zip(before, goals, full):
+            seen["false at a point"] += cand not in after
+            verdict = after.get(cand, INVALID)
+            over = whole.reason.startswith("Fourier-Motzkin over")
+            if verdict != whole and not (over and verdict.is_invalid):
+                disagreements.append((clause, cand, "differs", whole, verdict))
             seen[verdict.reason or verdict.status] += 1
             if verdict.is_valid and any(not eval_closed(goal, env) for env in models):
                 disagreements.append((clause, "false valid", goal))
+        # the survivors' literals still index their candidates
+        cands.keep(name, [v.is_valid for v in filtered])
+        if cands.kept[name] != [c for c, v in zip(before, full) if v.is_valid]:
+            disagreements.append((clause, "kept", cands.kept[name]))
     assert not disagreements, disagreements[:3]
     assert seen["valid"] >= 40 and seen["invalid"] >= 40, seen
     assert seen["false at a point"] >= 40, seen
@@ -415,7 +424,7 @@ def test_first_sweep_filter_drops_only_invalid_candidates(monkeypatch, max_cubes
 
         cubes.clear()
         hyp_cubes = rows.hyp_cubes(cands)
-        first = oracle.valid_rows(hyp_cubes, goals, head.negated, head.holds_at)
+        first = oracle.valid_rows(hyp_cubes, goals, head.negated)
         survivors = set(cands.kept[name])
         seen["too large"] += sum(v.reason == TOO_LARGE for v in first)
         # one query per survivor's distinct literal, each with its verdict

@@ -1,6 +1,6 @@
-"""Fixpoint output pinned: every corpus unit and generator seeds 0-299 at
-budget 10 must solve to the recorded status, sweep and deletion counts,
-solution and counter-model.
+"""Fixpoint output pinned: every corpus unit, generator seeds 0-299 at
+budget 10 and chains of 5 to 8 successive `&mut` borrows must solve to the
+recorded status, sweep and deletion counts, solution and counter-model.
 
 tests/data/solve_golden.json holds, for each unit, its sweep count in the
 clear and a digest of the other fields, so a change of worklist order shows
@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from gen import borrow_chain
 from lrcheck.constraints import default_qualifiers
 from lrcheck.harness import generate_program
 from lrcheck.infer import solve
@@ -25,6 +26,7 @@ from lrcheck.typeck import check_program
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "solve_golden.json")
 SEEDS = range(300)
 BUDGET = 10
+BORROWS = range(5, 9)
 
 
 def _programs():
@@ -32,6 +34,8 @@ def _programs():
         yield path, parse_program(open(path).read())
     for seed in SEEDS:
         yield f"seed{seed}", generate_program(seed, BUDGET)
+    for n in BORROWS:
+        yield f"borrow{n}", parse_program(borrow_chain(n))
 
 
 def _pinned(result) -> list:
@@ -66,6 +70,7 @@ def test_golden_covers_corpus_and_seeds():
     names = set(golden)
     assert {p for p in glob.glob("corpus/*/*.lr")} <= names
     assert {f"seed{s}" for s in SEEDS} <= names
+    assert {f"borrow{n}" for n in BORROWS} <= names
 
 
 def test_solve_matches_the_golden_digests():
