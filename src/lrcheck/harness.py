@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import Qualifier, Solution, apply_solution_expr
 from .interp import DEFAULT_FUEL, MachineState, Perm, RunOutcome, run
-from .logic import free_vars, interp as value_index, subst
+from .logic import RefCtx, free_vars, interp as value_index, subst
 from .oracle import Oracle, Query
 from .parser import parse_program
 from .printer import print_type, print_value
@@ -72,8 +72,8 @@ def value_conforms(
     typ: Type,
     state: MachineState,
     oracle: Oracle,
-    solution: Optional[Solution] = None,
-    ctx=None,
+    solution: Solution,
+    ctx: RefCtx,
 ) -> Tuple[bool, str]:
     """Does a terminal value inhabit the result type?  Indexed and
     existential obligations go through the oracle: closed obligations are
@@ -83,14 +83,9 @@ def value_conforms(
     live and granted in the final machine state.  Raises `OracleBlocked`
     when the oracle answers unknown."""
 
-    def resolve(e):
-        return apply_solution_expr(e, solution) if solution is not None else e
-
     def check_obligation(goal) -> Tuple[bool, str]:
-        binders = tuple((b.name, b.sort) for b in ctx.binds()) if ctx else ()
-        hyps = (
-            tuple(resolve(a) for a in ctx.assumptions()) if ctx is not None else ()
-        )
+        binders = tuple((b.name, b.sort) for b in ctx.binds())
+        hyps = tuple(apply_solution_expr(a, solution) for a in ctx.assumptions())
         def decide(query: Query) -> bool:
             verdict = oracle.valid(query, want_model=False)
             if verdict.is_unknown:
@@ -109,7 +104,7 @@ def value_conforms(
             iv = value_index(value)
             if iv is None:
                 return False, f"value {print_value(value)} has no refinement index"
-            ok, why = check_obligation(Eq(resolve(idx), iv))
+            ok, why = check_obligation(Eq(apply_solution_expr(idx, solution), iv))
             if not ok:
                 return False, (
                     f"index mismatch: declared {print_type(typ)}, "
@@ -120,7 +115,7 @@ def value_conforms(
             iv = value_index(value)
             if iv is None:
                 return False, f"value {print_value(value)} has no refinement index"
-            goal = subst(resolve(pred), binder, iv)
+            goal = subst(apply_solution_expr(pred, solution), binder, iv)
             ok, why = check_obligation(goal)
             if not ok:
                 return False, (

@@ -1,5 +1,6 @@
-"""Shape inference (unknown-predicate templates at joins, borrows, and
-unannotated inner rec functions) and the liquid fixpoint solver."""
+"""The liquid fixpoint solver over linear rows: it solves the
+unknown-predicate templates that the checker (`typeck`) makes at joins,
+borrows, vector elements and loop signatures."""
 
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from .constraints import (
     Candidate,
     Clause,
     Constraint,
-    ForAll,
-    Provenance,
     Qualifier,
     Solution,
     apply_solution_expr,
@@ -27,8 +26,7 @@ from .constraints import (
     kvars_of,
     normalize,
 )
-from .errors import ShapeMismatch, StructuralError
-from .logic import RefCtx, base_of, conj, getsort, subst_parallel
+from .logic import conj, subst_parallel
 from .oracle import (
     Cubes,
     LinForm,
@@ -40,280 +38,9 @@ from .oracle import (
     dnf,
     linear_form,
 )
-from .printer import print_type
-from .subtyping import NameSupply, bases_compatible, subtype
-from .syntax import (
-    BaseType,
-    Cmp,
-    Eq,
-    Exists,
-    FnSig,
-    Indexed,
-    KApp,
-    KVarDecl,
-    LocCtx,
-    Not,
-    Ref,
-    RefExpr,
-    Sort,
-    StrongPtr,
-    Type,
-    Uninit,
-    Var,
-    VecBase,
-)
+from .syntax import Cmp, Eq, KApp, KVarDecl, RefExpr, Sort
 
 
-class KVarSupply:
-    """Deterministic source of unknown-predicate names (k0, k1, ...)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def fresh(self, params: Tuple[Tuple[str, Sort], ...]) -> KVarDecl:
-        name = f"k{self.count}"
-        self.count += 1
-        return KVarDecl(name, params)
-
-
-def scope_params(ctx: RefCtx) -> Tuple[Tuple[str, Sort], ...]:
-    """Int- and bool-sorted binders of the context, in order.  Location
-    binders are excluded: no qualifier constrains them and carrying them
-    would leak local locations through inferred types."""
-    return tuple(
-        (b.name, b.sort) for b in ctx.binds() if b.sort in (Sort.INT, Sort.BOOL)
-    )
-
-
-def fresh_kvar_type(
-    kvars: KVarSupply, names: NameSupply, ctx: RefCtx, base: BaseType
-) -> Exists:
-    """The most general refinement of `base` expressible in the current
-    scope: an existential whose body is one unknown-predicate application
-    over the value symbol and the in-scope binders."""
-    nu = names.fresh("v")
-    params = ((nu, getsort(base)),) + scope_params(ctx)
-    kvar = kvars.fresh(params)
-    return Exists(nu, base, KApp(kvar, tuple(Var(n) for n, _ in params)))
-
-
-def is_template(t: Type) -> bool:
-    return isinstance(t, Exists) and isinstance(t.pred, KApp)
-
-
-# ---------------------------------------------------------------------------
-# Join of branch results
-
-def join_types(
-    ctx: RefCtx,
-    kvars: KVarSupply,
-    names: NameSupply,
-    t1: Type,
-    t2: Type,
-    guard: RefExpr,
-    prov: Provenance,
-) -> Tuple[Type, List[Constraint]]:
-    """Common supertype of the results `t1` of the then branch and `t2` of
-    the else branch of an `if` on `guard`, and the obligations that each
-    side flows into it, the then side under `guard` and the else side under
-    its negation.  An existing unknown-predicate template is reused, and
-    only the other side flows into it; otherwise both flow into the shape
-    `_join_shape` builds, except that a mutable reference's pointee is
-    unified invariantly, both ways, and so under neither guard."""
-    if t1 == t2:
-        return t1, []
-    then, els = (guard,), (Not(guard),)
-    if is_template(t1) and _compatible_with_template(t1, t2):
-        return t1, [ForAll((), els, subtype(t2, t1, prov, names))]
-    if is_template(t2) and _compatible_with_template(t2, t1):
-        return t2, [ForAll((), then, subtype(t1, t2, prov, names))]
-    joined = _join_shape(ctx, kvars, names, t1, t2, prov)
-    sides = [subtype(t1, joined, prov, names), subtype(t2, joined, prov, names)]
-    if isinstance(joined, Ref) and joined.mode == "mut":
-        return joined, sides
-    return joined, [ForAll((), then, sides[0]), ForAll((), els, sides[1])]
-
-
-def _compatible_with_template(template: Type, other: Type) -> bool:
-    ob = base_of(other)
-    tb = base_of(template)
-    return ob is not None and tb is not None and bases_compatible(tb, ob)
-
-
-def _join_base(ctx, kvars, names, b1: BaseType, b2: BaseType, prov) -> BaseType:
-    if isinstance(b1, VecBase) and isinstance(b2, VecBase):
-        elem = _join_shape(ctx, kvars, names, b1.elem, b2.elem, prov)
-        return VecBase(elem)
-    return b1
-
-
-def _join_shape(ctx, kvars, names, t1: Type, t2: Type, prov: Provenance) -> Type:
-    """Shape of the join: identical parts kept, differing refined parts
-    replaced by fresh templates; constraints are emitted by the caller via
-    subtyping against the result.  A mismatch raises at the provenance's
-    span."""
-    if t1 == t2:
-        return t1
-    b1, b2 = base_of(t1), base_of(t2)
-    if b1 is not None and b2 is not None and bases_compatible(b1, b2):
-        base = _join_base(ctx, kvars, names, b1, b2, prov)
-        return fresh_kvar_type(kvars, names, ctx, base)
-    match (t1, t2):
-        case (Ref(m1, p1), Ref(m2, p2)) if m1 == m2:
-            return Ref(m1, _join_shape(ctx, kvars, names, p1, p2, prov))
-    raise StructuralError(
-        f"branches produce incompatible types: {print_type(t1)} vs {print_type(t2)}",
-        prov.span,
-    )
-
-
-def join_locctx(
-    ctx: RefCtx,
-    kvars: KVarSupply,
-    names: NameSupply,
-    l1: LocCtx,
-    l2: LocCtx,
-    guard: RefExpr,
-    prov: Provenance,
-) -> Tuple[LocCtx, List[Constraint]]:
-    """Join branch location contexts over their common domain, as
-    `join_types` joins each location's types; bindings present on only one
-    side are dropped (context weakening)."""
-    items = []
-    out: List[Constraint] = []
-    for loc, t1 in l1:
-        t2 = l2.lookup(loc)
-        if t2 is None:
-            continue
-        joined, emitted = join_types(ctx, kvars, names, t1, t2, guard, prov)
-        items.append((loc, joined))
-        out.extend(emitted)
-    return LocCtx(tuple(items)), out
-
-
-# ---------------------------------------------------------------------------
-# Rec-signature templates (loop invariants)
-
-def infer_rec_signature(
-    ctx: RefCtx,
-    kvars: KVarSupply,
-    names: NameSupply,
-    entry_locs: LocCtx,
-    site_locs: Sequence[LocCtx],
-    arg_count: int,
-    ret_shape: Optional[Type],
-) -> FnSig:
-    """Unify the entry context with every recursive-call context: matching
-    parts are preserved, mismatching indices become fresh universally bound
-    refinement variables related by one unknown predicate over those
-    variables plus the outer scope."""
-    fresh_params: List[Tuple[str, Sort]] = []
-
-    def fresh_index_var() -> RefExpr:
-        name = names.fresh("j")
-        fresh_params.append((name, Sort.INT))
-        return Var(name)
-
-    # phase 1: decide the generalized shape, introducing index variables
-    def gen(entry_t: Type, others: List[Type]) -> Type:
-        if all(o == entry_t for o in others):
-            return entry_t
-        eb = base_of(entry_t)
-        obs = [base_of(o) for o in others]
-        if eb is not None and all(
-            ob is not None and bases_compatible(eb, ob) for ob in obs
-        ):
-            base = eb
-            if isinstance(eb, VecBase):
-                elems = [ob.elem for ob in obs]  # type: ignore[union-attr]
-                base = VecBase(gen(eb.elem, elems))
-            idxes = [entry_t] + others
-            plain = [t.idx for t in idxes if isinstance(t, Indexed)]
-            if len(plain) == len(idxes) and all(i == plain[0] for i in plain):
-                return Indexed(base, plain[0])
-            if len(plain) == len(idxes):
-                return Indexed(base, fresh_index_var())
-            # some side is existential or a template: generalize the predicate
-            return _TemplateSlot(base)
-        match entry_t:
-            case Ref(mode, pointee):
-                pts = []
-                for o in others:
-                    if not isinstance(o, Ref) or o.mode != mode:
-                        raise ShapeMismatch(
-                            f"loop contexts disagree: {print_type(entry_t)} vs "
-                            f"{print_type(o)}"
-                        )
-                    pts.append(o.pointee)
-                return Ref(mode, gen(pointee, pts))
-            case StrongPtr(_) | Uninit(_) | FnSig():
-                pass
-        raise ShapeMismatch(
-            "loop contexts disagree on structure: "
-            + ", ".join(print_type(t) for t in [entry_t] + others)
-        )
-
-    shaped: List[Tuple] = []
-    for loc, entry_t in entry_locs:
-        others = []
-        for site in site_locs:
-            t = site.lookup(loc)
-            if t is None:
-                raise ShapeMismatch(f"recursive call dropped location {loc}")
-            others.append(t)
-        shaped.append((loc, gen(entry_t, others)))
-
-    # phase 2: materialize templates now that all fresh vars are known
-    body_ctx = ctx
-    for n, s in fresh_params:
-        body_ctx = body_ctx.bind(n, s)
-
-    def fill(t):
-        if isinstance(t, _TemplateSlot):
-            return fresh_kvar_type(kvars, names, body_ctx, fill_base(t.base))
-        if isinstance(t, Indexed):
-            return Indexed(fill_base(t.base), t.idx)
-        if isinstance(t, Ref):
-            return Ref(t.mode, fill(t.pointee))
-        return t
-
-    def fill_base(b):
-        if isinstance(b, VecBase):
-            return VecBase(fill(b.elem))
-        return b
-
-    in_locs = LocCtx(tuple((loc, fill(t)) for loc, t in shaped))
-
-    params = tuple(fresh_params) + scope_params(ctx)
-    kvar = kvars.fresh(params)
-    requires = KApp(kvar, tuple(Var(n) for n, _ in params))
-
-    if ret_shape is None:
-        ret: Type = Uninit(1)
-    else:
-        rb = base_of(ret_shape)
-        ret = (
-            fresh_kvar_type(kvars, names, body_ctx, rb) if rb is not None else ret_shape
-        )
-
-    return FnSig(
-        refparams=tuple(fresh_params),
-        requires=requires,
-        in_locs=in_locs,
-        args=tuple(Uninit(1) for _ in range(arg_count)),
-        ret=ret,
-        out_locs=LocCtx(),
-    )
-
-
-@dataclass(frozen=True)
-class _TemplateSlot(Type):
-    base: BaseType
-
-
-# ---------------------------------------------------------------------------
-# Liquid fixpoint solving over linear rows
-#
 # A kvar's candidates are (qualifier, value parameter, metavariable
 # parameter) triples, in `instantiations` order.  Each is turned once into
 # one positive literal over the kvar's parameters, whose row, terms .
@@ -324,12 +51,15 @@ class _TemplateSlot(Type):
 #   ("term", e)         any other formula, or a comparison whose row
 #                       mentions a product or a non-integer parameter:
 #                       substituted and expanded on use
-# An integer qualifier is compiled once, on first use, into the row
+# An integer qualifier's template is compiled into the row
 # `k + a*NU + b*META` of such a literal over the reserved names `NU` and
-# `META` (`_template_row`), and a candidate's literal is that row with the
+# `META` (`_template_row`), looked up per candidate from a table that
+# `_Candidates` builds once per solve, and a candidate's literal is that row with the
 # two names replaced by its parameters, put in canonical order and sign.
 # A template that is a term, or whose row mentions any other name, is not
-# compiled: its candidates build their term and go through `_literal`.  A
+# compiled, and neither is a boolean qualifier: a candidate of either has
+# its term as its literal, since instantiating the template keeps its
+# top-level form, its products and its boolean operands.  Otherwise a
 # candidate's term is built only for the survivors, which `Solution`
 # needs.
 #
@@ -392,29 +122,18 @@ def _template_row(template: RefExpr) -> Optional[Tuple[bool, int, int, int]]:
     return kind == "eq", k, coeffs.get(NU, 0), coeffs.get(META, 0)
 
 
-def _qualifier_row(q: Qualifier, rows: Dict[int, Optional[Tuple]]) -> Optional[Tuple]:
-    """The qualifier's `_template_row`, None for a boolean one, kept in
-    `rows` by the qualifier's id."""
-    key = id(q)
-    if key not in rows:
-        rows[key] = _template_row(q.template) if q.sort is Sort.INT else None
-    return rows[key]
-
-
 def _candidate_literals(
-    cands: Sequence[Candidate], sorts: Dict[str, Sort], rows: Dict[int, Optional[Tuple]]
+    cands: Sequence[Candidate], rows: Dict[int, Optional[Tuple]]
 ) -> Iterator[Tuple]:
-    """The literal of each candidate of a kvar with parameters `sorts`,
-    with its qualifier's row kept in `rows` (see `_qualifier_row`).  A
-    template row's literal is that row at the candidate's parameters,
-    ordered and signed as `_row_literal` does."""
-    last = template = None  # a run of candidates shares its qualifier
+    """The literal of each candidate, given each qualifier's template row
+    in `rows` by the qualifier's id (see `_Candidates`).  A template row's
+    literal is that row at the candidate's parameters, ordered and signed
+    as `_row_literal` does; any other candidate's is its term."""
     for cand in cands:
         q, nu, meta = cand
-        if q is not last:
-            last, template = q, _qualifier_row(q, rows)
+        template = rows[id(q)]
         if template is None:
-            yield _literal(instance(cand), sorts)
+            yield ("term", instance(cand))
             continue
         eq, k, a, b = template
         if a and b:
@@ -487,12 +206,15 @@ class _Candidates:
     literal deletes every candidate that has it."""
 
     def __init__(self, kvars: Sequence[KVarDecl], quals: Sequence[Qualifier]):
-        self.params = {k.name: dict(k.params) for k in kvars}
         self.kept: Dict[str, List[Candidate]] = {
             k.name: instantiations(k, quals) for k in kvars
         }
         self._literals: Dict[str, Tuple[List[Tuple], List[int]]] = {}
-        self._rows: Dict[int, Optional[Tuple]] = {}  # by the qualifier's id
+        # each qualifier's `_template_row` by its id, None for a boolean one
+        self.rows: Dict[int, Optional[Tuple]] = {
+            id(q): _template_row(q.template) if q.sort is Sort.INT else None
+            for q in quals
+        }
 
     def sample(self, app: "_App", points: Sequence[Dict[str, int]]) -> List[Tuple]:
         """Drop each kept candidate of the application's kvar whose
@@ -512,11 +234,10 @@ class _Candidates:
                 for p, (coeffs, k) in app.lins.items()
             }
             zeros = [0] * len(points)
+            rows = self.rows
             mask: List[bool] = []
-            last = test = None  # a run of candidates shares its qualifier
             for q, nu, meta in self.kept[name]:
-                if q is not last:
-                    last, test = q, _qualifier_row(q, self._rows)
+                test = rows[id(q)]
                 if test is None:
                     mask.append(True)
                     continue
@@ -538,9 +259,7 @@ class _Candidates:
             index: Dict[Tuple, int] = {}
             owner = [
                 index.setdefault(lit, len(index))
-                for lit in _candidate_literals(
-                    self.kept[name], self.params[name], self._rows
-                )
+                for lit in _candidate_literals(self.kept[name], self.rows)
             ]
             entry = self._literals[name] = (list(index), owner)
         return entry

@@ -1,11 +1,16 @@
-"""The expression typing engine.
+"""The expression typing engine: the typing rules and the templates they
+make.
 
 Synthesizes types while threading the flow-sensitive location context,
 emitting Horn constraints at the subtyping seams (call arguments,
-assignments, declared-signature boundaries, and join points).  Assumptions
-are split into atoms when assumed, and each obligation is closed in clause
-form where it is emitted: every part of its normal form goes under the
-context's binders and atoms, and an empty one is dropped unclosed.
+assignments, declared-signature boundaries, and join points).  Wherever a
+type must be guessed (an `if` join, a `&mut` borrow, a vector element, an
+unannotated inner rec's loop signature), the checker makes an
+unknown-predicate template over the binders in scope; `infer.solve`
+solves them.  Assumptions are split into atoms when assumed, and each
+obligation is closed in clause form where it is emitted: every part of its
+normal form goes under the context's binders and atoms, and an empty one
+is dropped unclosed.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .constraints import (
     Clause,
     Conj,
     Constraint,
+    ForAll,
     Head,
     Provenance,
     Qualifier,
@@ -38,17 +44,11 @@ from .errors import (
     DerefUninit,
     EscapeError,
     InstError,
+    ShapeMismatch,
     StructuralError,
     UnboundVariable,
 )
-from .infer import (
-    KVarSupply,
-    fresh_kvar_type,
-    infer_rec_signature,
-    join_locctx,
-    join_types,
-    solve,
-)
+from .infer import solve
 from .logic import (
     RefCtx,
     SortError,
@@ -63,7 +63,7 @@ from .logic import (
 )
 from .oracle import Oracle
 from .printer import print_loc, print_type, print_value
-from .subtyping import NameSupply, ctx_include, subtype
+from .subtyping import NameSupply, bases_compatible, ctx_include, subtype
 from .syntax import (
     AbstractLoc,
     Assign,
@@ -89,6 +89,8 @@ from .syntax import (
     IntBase,
     IntConst,
     IntLit,
+    KApp,
+    KVarDecl,
     Let,
     LetNew,
     LocCtx,
@@ -120,9 +122,48 @@ from .syntax import (
 from .wellformed import ValCtx, WfError, wf_locctx, wf_refctx, wf_type, wf_valctx
 
 
+class KVarSupply:
+    """Deterministic source of unknown-predicate names (k0, k1, ...)."""
+
+    def __init__(self):
+        self.count = 0
+
+    def fresh(self, params: Tuple[Tuple[str, Sort], ...]) -> KVarDecl:
+        name = f"k{self.count}"
+        self.count += 1
+        return KVarDecl(name, params)
+
+
+def scope_params(ctx: RefCtx) -> Tuple[Tuple[str, Sort], ...]:
+    """Int- and bool-sorted binders of the context, in order.  Location
+    binders are excluded: no qualifier constrains them and carrying them
+    would leak local locations through inferred types."""
+    return tuple(
+        (b.name, b.sort) for b in ctx.binds() if b.sort in (Sort.INT, Sort.BOOL)
+    )
+
+
+def is_template(t: Type) -> bool:
+    return isinstance(t, Exists) and isinstance(t.pred, KApp)
+
+
+def _compatible_with_template(template: Type, other: Type) -> bool:
+    ob = base_of(other)
+    tb = base_of(template)
+    return ob is not None and tb is not None and bases_compatible(tb, ob)
+
+
 @dataclass(frozen=True)
 class _Hole(Type):
     """Placeholder for a type the shape pass has not discovered yet."""
+
+
+@dataclass(frozen=True)
+class _TemplateSlot(Type):
+    """Where a loop signature generalizes a refinement to a template, made
+    once every fresh index variable of the signature is known."""
+
+    base: BaseType
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,8 +312,191 @@ class Checker:
         wf_valctx(self.ctx, self.vals)
         wf_locctx(self.ctx, self.locs)
 
-    def fresh_template(self, base: BaseType) -> Exists:
-        return fresh_kvar_type(self.kvars, self.names, self.ctx, base)
+    # -- templates -------------------------------------------------------------
+
+    def fresh_template(self, base: BaseType, ctx: Optional[RefCtx] = None) -> Exists:
+        """The most general refinement of `base` expressible in scope `ctx`,
+        by default the current one: an existential whose body is one
+        unknown-predicate application over the value symbol and the
+        in-scope binders."""
+        nu = self.names.fresh("v")
+        scope = self.ctx if ctx is None else ctx
+        params = ((nu, getsort(base)),) + scope_params(scope)
+        kvar = self.kvars.fresh(params)
+        return Exists(nu, base, KApp(kvar, tuple(Var(n) for n, _ in params)))
+
+    def join_types(
+        self, t1: Type, t2: Type, guard: RefExpr, prov: Provenance
+    ) -> Tuple[Type, List[Constraint]]:
+        """Common supertype of the results `t1` of the then branch and `t2` of
+        the else branch of an `if` on `guard`, and the obligations that each
+        side flows into it, the then side under `guard` and the else side under
+        its negation.  An existing unknown-predicate template is reused, and
+        only the other side flows into it; otherwise both flow into the shape
+        `_join_shape` builds, except that a mutable reference's pointee is
+        unified invariantly, both ways, and so under neither guard.  The shape
+        pass takes the then side, or the else side for a hole, and emits
+        nothing."""
+        if self.shape_mode:
+            return (t2 if isinstance(t1, _Hole) else t1), []
+        if t1 == t2:
+            return t1, []
+        names = self.names
+        then, els = (guard,), (Not(guard),)
+        if is_template(t1) and _compatible_with_template(t1, t2):
+            return t1, [ForAll((), els, subtype(t2, t1, prov, names))]
+        if is_template(t2) and _compatible_with_template(t2, t1):
+            return t2, [ForAll((), then, subtype(t1, t2, prov, names))]
+        joined = self._join_shape(t1, t2, prov)
+        sides = [subtype(t1, joined, prov, names), subtype(t2, joined, prov, names)]
+        if isinstance(joined, Ref) and joined.mode == "mut":
+            return joined, sides
+        return joined, [ForAll((), then, sides[0]), ForAll((), els, sides[1])]
+
+    def _join_shape(self, t1: Type, t2: Type, prov: Provenance) -> Type:
+        """Shape of the join: identical parts kept, differing refined parts
+        replaced by fresh templates, a vector's element joined first; the
+        caller emits the obligations by subtyping against the result.  A
+        mismatch raises at the provenance's span."""
+        if t1 == t2:
+            return t1
+        b1, b2 = base_of(t1), base_of(t2)
+        if b1 is not None and b2 is not None and bases_compatible(b1, b2):
+            if isinstance(b1, VecBase) and isinstance(b2, VecBase):
+                b1 = VecBase(self._join_shape(b1.elem, b2.elem, prov))
+            return self.fresh_template(b1)
+        match (t1, t2):
+            case (Ref(m1, p1), Ref(m2, p2)) if m1 == m2:
+                return Ref(m1, self._join_shape(p1, p2, prov))
+        raise StructuralError(
+            "branches produce incompatible types: "
+            f"{print_type(t1)} vs {print_type(t2)}",
+            prov.span,
+        )
+
+    def join_locctx(
+        self, l1: LocCtx, l2: LocCtx, guard: RefExpr, prov: Provenance
+    ) -> Tuple[LocCtx, List[Constraint]]:
+        """Join branch location contexts over their common domain, in the
+        then side's order, as `join_types` joins each location's types;
+        bindings present on only one side are dropped (context weakening)."""
+        items = []
+        out: List[Constraint] = []
+        for loc, t1 in l1:
+            t2 = l2.lookup(loc)
+            if t2 is None:
+                continue
+            joined, emitted = self.join_types(t1, t2, guard, prov)
+            items.append((loc, joined))
+            out.extend(emitted)
+        return LocCtx(tuple(items)), out
+
+    def infer_rec_signature(
+        self,
+        entry_locs: LocCtx,
+        site_locs: Sequence[LocCtx],
+        arg_count: int,
+        ret_shape: Optional[Type],
+    ) -> FnSig:
+        """Unify the entry context with every recursive-call context: matching
+        parts are preserved, mismatching indices become fresh universally bound
+        refinement variables related by one unknown predicate over those
+        variables plus the outer scope."""
+        fresh_params: List[Tuple[str, Sort]] = []
+
+        def fresh_index_var() -> RefExpr:
+            name = self.names.fresh("j")
+            fresh_params.append((name, Sort.INT))
+            return Var(name)
+
+        # phase 1: decide the generalized shape, introducing index variables
+        def gen(entry_t: Type, others: List[Type]) -> Type:
+            if all(o == entry_t for o in others):
+                return entry_t
+            eb = base_of(entry_t)
+            obs = [base_of(o) for o in others]
+            if eb is not None and all(
+                ob is not None and bases_compatible(eb, ob) for ob in obs
+            ):
+                base = eb
+                if isinstance(eb, VecBase):
+                    elems = [ob.elem for ob in obs]  # type: ignore[union-attr]
+                    base = VecBase(gen(eb.elem, elems))
+                idxes = [entry_t] + others
+                plain = [t.idx for t in idxes if isinstance(t, Indexed)]
+                if len(plain) == len(idxes) and all(i == plain[0] for i in plain):
+                    return Indexed(base, plain[0])
+                if len(plain) == len(idxes):
+                    return Indexed(base, fresh_index_var())
+                # some side is existential or a template: generalize the predicate
+                return _TemplateSlot(base)
+            match entry_t:
+                case Ref(mode, pointee):
+                    pts = []
+                    for o in others:
+                        if not isinstance(o, Ref) or o.mode != mode:
+                            raise ShapeMismatch(
+                                f"loop contexts disagree: {print_type(entry_t)} vs "
+                                f"{print_type(o)}"
+                            )
+                        pts.append(o.pointee)
+                    return Ref(mode, gen(pointee, pts))
+                case StrongPtr(_) | Uninit(_) | FnSig():
+                    pass
+            raise ShapeMismatch(
+                "loop contexts disagree on structure: "
+                + ", ".join(print_type(t) for t in [entry_t] + others)
+            )
+
+        shaped: List[Tuple] = []
+        for loc, entry_t in entry_locs:
+            others = []
+            for site in site_locs:
+                t = site.lookup(loc)
+                if t is None:
+                    raise ShapeMismatch(f"recursive call dropped location {loc}")
+                others.append(t)
+            shaped.append((loc, gen(entry_t, others)))
+
+        # phase 2: materialize templates now that all fresh vars are known
+        body_ctx = self.ctx
+        for n, s in fresh_params:
+            body_ctx = body_ctx.bind(n, s)
+
+        def fill(t):
+            if isinstance(t, _TemplateSlot):
+                return self.fresh_template(fill_base(t.base), body_ctx)
+            if isinstance(t, Indexed):
+                return Indexed(fill_base(t.base), t.idx)
+            if isinstance(t, Ref):
+                return Ref(t.mode, fill(t.pointee))
+            return t
+
+        def fill_base(b):
+            if isinstance(b, VecBase):
+                return VecBase(fill(b.elem))
+            return b
+
+        in_locs = LocCtx(tuple((loc, fill(t)) for loc, t in shaped))
+
+        params = tuple(fresh_params) + scope_params(self.ctx)
+        kvar = self.kvars.fresh(params)
+        requires = KApp(kvar, tuple(Var(n) for n, _ in params))
+
+        if ret_shape is None:
+            ret: Type = Uninit(1)
+        else:
+            rb = base_of(ret_shape)
+            ret = self.fresh_template(rb, body_ctx) if rb is not None else ret_shape
+
+        return FnSig(
+            refparams=tuple(fresh_params),
+            requires=requires,
+            in_locs=in_locs,
+            args=tuple(Uninit(1) for _ in range(arg_count)),
+            ret=ret,
+            out_locs=LocCtx(),
+        )
 
     # -- unpacking -----------------------------------------------------------
 
@@ -549,8 +773,7 @@ class Checker:
     def synth_if(self, e: If) -> Type:
         """Synthesize both branches, each under its side of the guard, and
         join them: each side's result and location context flow into the
-        joined ones under that side's guard.  In the shape pass the join
-        takes the shapes only."""
+        joined ones under that side's guard."""
         cond_t = self.open_existential(self.synth(e.cond))
         if isinstance(cond_t, _Hole):
             cond_t = Indexed(BoolBase(), BoolConst(True))
@@ -572,20 +795,10 @@ class Checker:
 
         self.restore(snap)
         prov = Provenance("if-join", e.span)
-
-        if self.shape_mode:
-            self.locs = _shape_join_locs(locs1, locs2)
-            return _shape_join(t1, t2)
-
-        joined_t, emitted = join_types(
-            self.ctx, self.kvars, self.names, t1, t2, guard, prov
-        )
-        joined_locs, loc_emitted = join_locctx(
-            self.ctx, self.kvars, self.names, locs1, locs2, guard, prov
-        )
+        joined_t, emitted = self.join_types(t1, t2, guard, prov)
+        self.locs, loc_emitted = self.join_locctx(locs1, locs2, guard, prov)
         for c in emitted + loc_emitted:
             self.emit(c)
-        self.locs = joined_locs
         return joined_t
 
     # -- calls -------------------------------------------------------------------
@@ -812,14 +1025,8 @@ class Checker:
         if isinstance(ret_shape, (_Hole, _ProbeSig)):
             ret_shape = None
 
-        sig = infer_rec_signature(
-            self.ctx,
-            self.kvars,
-            self.names,
-            entry_locs,
-            probe.sites,
-            len(fn.params),
-            ret_shape,
+        sig = self.infer_rec_signature(
+            entry_locs, probe.sites, len(fn.params), ret_shape
         )
         self._check_recfn(fn, sig, span)
         # inside an enclosing shape pass, a result not found yet is the
@@ -936,22 +1143,6 @@ def _bind_rec(
     if vals.lookup(fn.fname) is None:
         return vals.bind(fn.fname, self_type)
     return vals.update(fn.fname, self_type)
-
-
-# ---------------------------------------------------------------------------
-# Shape-mode joins
-
-def _shape_join(t1: Type, t2: Type) -> Type:
-    return t2 if isinstance(t1, _Hole) else t1
-
-
-def _shape_join_locs(l1: LocCtx, l2: LocCtx) -> LocCtx:
-    items = []
-    for loc, t1 in l1:
-        t2 = l2.lookup(loc)
-        if t2 is not None:
-            items.append((loc, _shape_join(t1, t2)))
-    return LocCtx(tuple(items))
 
 
 # ---------------------------------------------------------------------------

@@ -29,19 +29,11 @@ from lrcheck.constraints import (
 )
 from lrcheck.errors import ShapeMismatch, StructuralError
 from lrcheck.harness import generate_program
-from lrcheck.infer import (
-    KVarSupply,
-    _Candidates,
-    fresh_kvar_type,
-    infer_rec_signature,
-    join_types,
-    solve,
-)
+from lrcheck.infer import _Candidates, solve
 from lrcheck.logic import RefCtx, SortError, conj, sortcheck, subst_parallel
 from lrcheck.oracle import Oracle, Query, Verdict, eval_closed
 from lrcheck.printer import print_type
 from lrcheck.parser import parse_program, parse_refexpr as R, parse_type
-from lrcheck.subtyping import NameSupply
 from lrcheck.syntax import (
     AbstractLoc,
     BoolConst,
@@ -57,7 +49,8 @@ from lrcheck.syntax import (
     Span,
     Var,
 )
-from lrcheck.typeck import check_program
+from lrcheck.typeck import Checker, KVarSupply, _Hole, check_program
+from lrcheck.wellformed import ValCtx
 
 PROV = Provenance("test")
 
@@ -118,9 +111,16 @@ def reference_fixpoint(constraint, quals):
     return kept, deletions
 
 
+def _checker(ctx=RefCtx()):
+    """A checker with no globals whose refinement context is `ctx`."""
+    checker = Checker(ValCtx(), KVarSupply())
+    checker.ctx = ctx
+    return checker
+
+
 def test_fresh_kvar_type_includes_scope():
     ctx = RefCtx().bind("a", Sort.BOOL)
-    t = fresh_kvar_type(KVarSupply(), NameSupply(), ctx, IntBase())
+    t = _checker(ctx).fresh_template(IntBase())
     assert isinstance(t, Exists) and isinstance(t.pred, KApp)
     assert [s for _, s in t.pred.kvar.params] == [Sort.INT, Sort.BOOL]
     assert t.pred.args[1] == Var("a")
@@ -129,8 +129,8 @@ def test_fresh_kvar_type_includes_scope():
 JOIN_CTX = RefCtx().bind("a", Sort.INT)
 
 
-def _template(kvars, names):
-    return fresh_kvar_type(kvars, names, JOIN_CTX, IntBase())
+def _template(checker):
+    return checker.fresh_template(IntBase())
 
 
 # the guard of the `if` whose branches are joined
@@ -139,12 +139,12 @@ GUARD = R("a > 0")
 # (left, right) -> joined type, then per emission its clause dump
 JOIN_TABLE = {
     "equal": (
-        lambda kv, n: (parse_type("int[a]"), parse_type("int[a]")),
+        lambda c: (parse_type("int[a]"), parse_type("int[a]")),
         "int[a]",
         [],
     ),
     "mut_ref": (
-        lambda kv, n: (parse_type("&mut int[1]"), parse_type("&mut int[2]")),
+        lambda c: (parse_type("&mut int[1]"), parse_type("&mut int[2]")),
         "&mut {v%0. int[v%0] | $k0(v%0, a)}",
         [
             "clause 0 [v%1:int] [v%1 = 1] => $k0(v%1, a) @ - test\n"
@@ -154,7 +154,7 @@ JOIN_TABLE = {
         ],
     ),
     "shr_ref": (
-        lambda kv, n: (parse_type("&shr int[1]"), parse_type("&shr int[2]")),
+        lambda c: (parse_type("&shr int[1]"), parse_type("&shr int[2]")),
         "&shr {v%0. int[v%0] | $k0(v%0, a)}",
         [
             "clause 0 [v%1:int] [a > 0; v%1 = 1] => $k0(v%1, a) @ - test",
@@ -162,17 +162,17 @@ JOIN_TABLE = {
         ],
     ),
     "template_left": (
-        lambda kv, n: (_template(kv, n), parse_type("int[2]")),
+        lambda c: (_template(c), parse_type("int[2]")),
         "{v%0. int[v%0] | $k0(v%0, a)}",
         ["clause 0 [v%1:int] [!(a > 0); v%1 = 2] => $k0(v%1, a) @ - test"],
     ),
     "template_right": (
-        lambda kv, n: (parse_type("int[1]"), _template(kv, n)),
+        lambda c: (parse_type("int[1]"), _template(c)),
         "{v%0. int[v%0] | $k0(v%0, a)}",
         ["clause 0 [v%1:int] [a > 0; v%1 = 1] => $k0(v%1, a) @ - test"],
     ),
     "indexed_ints": (
-        lambda kv, n: (parse_type("int[1]"), parse_type("int[a]")),
+        lambda c: (parse_type("int[1]"), parse_type("int[a]")),
         "{v%0. int[v%0] | $k0(v%0, a)}",
         [
             "clause 0 [v%1:int] [a > 0; v%1 = 1] => $k0(v%1, a) @ - test",
@@ -180,7 +180,7 @@ JOIN_TABLE = {
         ],
     ),
     "vecs": (
-        lambda kv, n: (parse_type("Vec<int[1]>[a]"), parse_type("Vec<int[2]>[3]")),
+        lambda c: (parse_type("Vec<int[1]>[a]"), parse_type("Vec<int[2]>[3]")),
         "{v%1. Vec<{v%0. int[v%0] | $k0(v%0, a)}>[v%1] | $k1(v%1, a)}",
         [
             "clause 0 [v%2:int] [a > 0; v%2 = 1] => $k0(v%2, a) @ - test\n"
@@ -199,9 +199,9 @@ def test_join_types_table(case):
     template takes only the other side, and every other join takes the
     then side under the guard and the else side under its negation."""
     make, joined_text, emitted = JOIN_TABLE[case]
-    kvars, names = KVarSupply(), NameSupply()
-    t1, t2 = make(kvars, names)
-    joined, emissions = join_types(JOIN_CTX, kvars, names, t1, t2, GUARD, PROV)
+    checker = _checker(JOIN_CTX)
+    t1, t2 = make(checker)
+    joined, emissions = checker.join_types(t1, t2, GUARD, PROV)
     assert print_type(joined) == joined_text
     assert [dump_clauses_text(clauses(normalize(c))) for c in emissions] == emitted
 
@@ -209,8 +209,7 @@ def test_join_types_table(case):
 def test_join_types_of_int_and_bool_is_incompatible():
     span = Span(3, 5, 7, 6)
     with pytest.raises(StructuralError, match="branches produce incompatible types") as exc:
-        join_types(
-            JOIN_CTX, KVarSupply(), NameSupply(),
+        _checker(JOIN_CTX).join_types(
             parse_type("int[1]"), parse_type("bool[true]"), GUARD,
             Provenance("if-join", span),
         )
@@ -220,13 +219,13 @@ def test_join_types_of_int_and_bool_is_incompatible():
 def test_fresh_kvar_type_empty_scope():
     from lrcheck.syntax import BoolBase
 
-    t = fresh_kvar_type(KVarSupply(), NameSupply(), RefCtx(), BoolBase())
+    t = _checker().fresh_template(BoolBase())
     assert isinstance(t.pred, KApp) and len(t.pred.kvar.params) == 1
 
 
 def test_fresh_kvar_applications_sortcheck():
     ctx = RefCtx().bind("a", Sort.BOOL)
-    t = fresh_kvar_type(KVarSupply(), NameSupply(), ctx, IntBase())
+    t = _checker(ctx).fresh_template(IntBase())
     inner = ctx.bind(t.binder, Sort.INT)
     assert sortcheck(inner, t.pred) == Sort.BOOL
     bad = KApp(t.pred.kvar, (Var("a"), Var("a")))
@@ -236,16 +235,53 @@ def test_fresh_kvar_applications_sortcheck():
 
 def test_fresh_kvar_excludes_locations():
     ctx = RefCtx().bind("l", Sort.LOC).bind("n", Sort.INT)
-    t = fresh_kvar_type(KVarSupply(), NameSupply(), ctx, IntBase())
+    t = _checker(ctx).fresh_template(IntBase())
     assert [s for _, s in t.pred.kvar.params] == [Sort.INT, Sort.INT]
 
 
 def test_fresh_kvar_type_fresh_per_site():
-    kvars = KVarSupply()
-    names = NameSupply()
-    t1 = fresh_kvar_type(kvars, names, RefCtx(), IntBase())
-    t2 = fresh_kvar_type(kvars, names, RefCtx(), IntBase())
+    checker = _checker()
+    t1 = checker.fresh_template(IntBase())
+    t2 = checker.fresh_template(IntBase())
     assert t1.pred.kvar.name != t2.pred.kvar.name
+
+
+def test_fresh_template_over_a_given_scope():
+    """A given scope replaces the checker's own, as a loop signature's
+    templates range over its fresh index variables."""
+    checker = _checker(RefCtx().bind("a", Sort.INT))
+    t = checker.fresh_template(IntBase(), RefCtx().bind("b", Sort.BOOL))
+    assert [n for n, _ in t.pred.kvar.params][1:] == ["b"]
+
+
+def test_shape_pass_join_takes_the_then_side_and_emits_nothing():
+    """In the shape pass a join is the then side's type, or the else side's
+    for a hole on the then side, even where the real pass would find the
+    two incompatible; it makes no template and emits nothing.  A location
+    context keeps exactly the locations both sides hold, in the then
+    side's order."""
+    checker = _checker(JOIN_CTX)
+    checker.shape_mode = True
+    hole, one, two = _Hole(), parse_type("int[1]"), parse_type("int[2]")
+    flag, vec = parse_type("bool[true]"), parse_type("Vec<int[2]>[3]")
+    cases = [
+        ((hole, one), one),
+        ((one, hole), one),
+        ((hole, hole), hole),
+        ((one, two), one),
+        ((one, one), one),
+        ((vec, one), vec),
+        ((one, flag), one),
+    ]
+    for (t1, t2), joined in cases:
+        assert checker.join_types(t1, t2, GUARD, PROV) == (joined, [])
+    li, lv, ln, lb = (AbstractLoc(n) for n in ("li", "lv", "ln", "lb"))
+    then = LocCtx(((ln, one), (li, hole), (lb, flag), (lv, vec)))
+    els = LocCtx(((lv, two), (li, two), (ln, two)))
+    joined, emitted = checker.join_locctx(then, els, GUARD, PROV)
+    assert joined == LocCtx(((ln, one), (li, two), (lv, vec)))
+    assert emitted == []
+    assert checker.kvars.count == 0
 
 
 # -- rec-signature templates -----------------------------------------------------
@@ -275,7 +311,7 @@ def _loop_contexts():
 def test_infer_rec_signature_loop_template():
     ctx = RefCtx().bind("n", Sort.INT)
     entry, site = _loop_contexts()
-    sig = infer_rec_signature(ctx, KVarSupply(), NameSupply(), entry, [site], 1, None)
+    sig = _checker(ctx).infer_rec_signature(entry, [site], 1, None)
     # two fresh variables related by one unknown over them plus the scope
     assert [s for _, s in sig.refparams] == [Sort.INT, Sort.INT]
     assert isinstance(sig.requires, KApp)
@@ -292,7 +328,7 @@ def test_infer_rec_signature_loop_template():
 def test_infer_rec_signature_identical_contexts_no_fresh_vars():
     ctx = RefCtx().bind("n", Sort.INT)
     entry, _ = _loop_contexts()
-    sig = infer_rec_signature(ctx, KVarSupply(), NameSupply(), entry, [entry], 1, None)
+    sig = _checker(ctx).infer_rec_signature(entry, [entry], 1, None)
     assert sig.refparams == ()
     assert sig.in_locs == entry
 
@@ -302,7 +338,7 @@ def test_infer_rec_signature_shape_mismatch():
     entry, site = _loop_contexts()
     bad = site.update(AbstractLoc("li"), parse_type("bool[true]"))
     with pytest.raises(ShapeMismatch):
-        infer_rec_signature(ctx, KVarSupply(), NameSupply(), entry, [bad], 1, None)
+        _checker(ctx).infer_rec_signature(entry, [bad], 1, None)
 
 
 # -- fixpoint solving --------------------------------------------------------------

@@ -131,7 +131,7 @@ def _term_query(clause, cands):
 def _per_candidate(cands, name, verdicts):
     """The verdicts of a kvar's distinct literals, one per candidate."""
     index = {lit: i for i, lit in enumerate(cands.literals(name))}
-    lits = _candidate_literals(cands.kept[name], cands.params[name], {})
+    lits = _candidate_literals(cands.kept[name], cands.rows)
     return [verdicts[index[lit]] for lit in lits]
 
 
@@ -282,7 +282,8 @@ def test_spliced_literal_cubes_are_the_substituted_candidate_cubes():
     kvar = KVarDecl("k2", ints + (("p", Sort.BOOL), ("q", Sort.BOOL)))
     params = dict(kvar.params)
     cands = [instance(c) for c in instantiations(kvar, QUALS)]
-    literals = list(_candidate_literals(instantiations(kvar, QUALS), params, {}))
+    rows = _Candidates([kvar], QUALS).rows
+    literals = list(_candidate_literals(instantiations(kvar, QUALS), rows))
     assert literals == [_literal(c, params) for c in cands]
     kinds = Counter(lit[0] for lit in literals)
     assert kinds["le"] and kinds["eq"] and kinds["term"], kinds

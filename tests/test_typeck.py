@@ -20,7 +20,6 @@ from lrcheck.errors import (
     UnboundVariable,
 )
 from lrcheck.harness import generate_program, run_and_verify
-from lrcheck.infer import KVarSupply
 from lrcheck.logic import fold_constants, interp
 from lrcheck.oracle import Oracle, Query
 from lrcheck.parser import parse_expr, parse_program, parse_refexpr, parse_type
@@ -43,7 +42,7 @@ from lrcheck.syntax import (
     Var,
     subterms,
 )
-from lrcheck.typeck import Checker, build_globals, check_program
+from lrcheck.typeck import Checker, KVarSupply, build_globals, check_program
 
 R = parse_refexpr
 
